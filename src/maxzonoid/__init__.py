@@ -21,7 +21,6 @@ from .alternation import (
     theta_alternation_check,
 )
 from .dependence import (
-    Estimate,
     ExtremalTable,
     chi,
     extremal_coefficient,
@@ -55,9 +54,9 @@ from .families import DiscretizeResult, FamilySpec, discretize, make_family
 from .geometry import (
     AnalyticNorm,
     DependencySet,
+    Estimate,
     MaxZonoid,
     Polygon2D,
-    VolumeEstimate,
     as_dependency,
     cartesian_product,
     combine_2d,

@@ -3,8 +3,7 @@
 The numba path is used by default when numba imports cleanly; set the
 environment variable ``MAXZONOID_NO_NUMBA=1`` to force the numpy path
 (useful on platforms where JIT compilation is unavailable or unwanted).
-Both paths compute the same quantities; ``python -m maxzonoid.bench``
-times them against each other.
+Both paths compute the same quantities.
 
 Randomness never lives in the kernels: callers draw with numpy
 Generators so that results are reproducible and backend-independent.
@@ -52,7 +51,9 @@ def simulate_frechet_numpy(weight_matrix, uniforms):
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         z = -1.0 / np.log(np.maximum(uniforms[lo:hi], 1e-300))
-        out[lo:hi] = (z[:, :, None] * weight_matrix[None, :, :]).max(axis=1)
+        # one (chunk, m) product per coordinate, not a (chunk, m, d) block
+        for j in range(d):
+            out[lo:hi, j] = (z * weight_matrix[:, j]).max(axis=1)
     return out
 
 

@@ -43,10 +43,11 @@ from .distribution import (
 )
 from .estimate import convergence_diagnostic, empirical_spectral
 from .families import FamilySpec, discretize
-from .geometry import MaxZonoid, Polygon2D, normalize_dependency, support_function
+from .geometry import Polygon2D, normalize_dependency, support_function
 from .spectral import (
     make_measure,
     polygon_from_spectral,
+    spectral_from_polygon_2d,
     validate_dependency,
     zonoid_from_spectral,
 )
@@ -111,24 +112,20 @@ def build_model(spec, form):
         body = spec["family"]
         fam = FamilySpec(body["name"], int(body.get("d", 2)), body.get("params", {}))
         return MaxStableModel(fam.build())
-    if form == "spectral":
-        body = spec["spectral"]
-        pts = [a["point"] for a in body["atoms"]]
-        masses = [a["mass"] for a in body["atoms"]]
-        sigma = make_measure(pts, masses, body.get("reference_norm", "l1"))
+    if form in ("spectral", "polygon"):
+        if form == "spectral":
+            body = spec["spectral"]
+            pts = [a["point"] for a in body["atoms"]]
+            masses = [a["mass"] for a in body["atoms"]]
+            sigma = make_measure(pts, masses, body.get("reference_norm", "l1"))
+        else:
+            vertices = np.asarray(spec["polygon"]["vertices"], float)
+            sigma = spectral_from_polygon_2d(Polygon2D.from_chain(vertices))
         K = zonoid_from_spectral(sigma)
         if np.abs(K.marginals() - 1.0).max() > 1e-6:
             raise ValueError(
-                f"atoms do not define a dependency measure: marginal sums "
+                f"{form} model is not a dependency set: marginal sums "
                 f"{K.marginals().tolist()}"
-            )
-        return MaxStableModel(normalize_dependency(K))
-    if form == "polygon":
-        chain = Polygon2D.from_chain(np.asarray(spec["polygon"]["vertices"], float))
-        K = MaxZonoid(d=2, polygon=chain)
-        if np.abs(K.marginals() - 1.0).max() > 1e-6:
-            raise ValueError(
-                f"polygon is not normalized: marginals {K.marginals().tolist()}"
             )
         return MaxStableModel(normalize_dependency(K))
     if form == "extremal":
@@ -443,10 +440,6 @@ def build_parser():
         if model:
             p.add_argument("--model", required=True, help="model spec JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=None, help="direction grid size")
-        p.add_argument("--samples", type=int, default=200_000)
-        p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("eval", help="evaluate cdf/copula/pickands/norm at points")
     common(p)
@@ -456,11 +449,16 @@ def build_parser():
 
     p = sub.add_parser("measures", help="dependence functionals of a model")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-subset-size", type=int, default=None)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("simulate", help="draw exact samples")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--atoms", type=int, default=1000, help="atoms for analytic models")
     p.set_defaults(func=cmd_simulate)
 
@@ -474,6 +472,7 @@ def build_parser():
 
     p = sub.add_parser("check-theta", help="extremal-coefficient consistency verdict")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_check_theta)
 
     p = sub.add_parser("construct-theta", help="build a model from a consistent table")
@@ -497,6 +496,7 @@ def build_parser():
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--s-grid", required=True, help="increasing thresholds, comma-separated")
+    p.add_argument("--grid", type=int, default=None, help="direction grid size")
     p.add_argument("--reference", default="l1", choices=["l1", "l2", "linf"])
     p.set_defaults(func=cmd_converge)
 

@@ -11,28 +11,15 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 
+from .distribution import _body
 from .geometry import (
+    Estimate,
     _support_finite,
-    _to_spectral,
     minkowski_combine,
     polar_volume,
     support_function,
     unit_cube,
 )
-
-
-def _body(model):
-    return model.K if hasattr(model, "K") else model
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    stderr: float
-    method: str
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -113,6 +100,8 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
     """
     K = _body(model)
     d = K.d
+    if d < 2:
+        raise ValueError("Spearman's rho needs d >= 2")
     if method == "auto":
         method = "exact" if d == 2 else "mc"
     if method == "quadrature":
@@ -135,10 +124,10 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
     if method == "mc":
         V = polar_volume(L, method="mc", n=n, seed=seed)
         if d == 2:
-            return Estimate(3.0 * (2.0 * V.value - 1.0), 6.0 * V.stderr, "mc")
+            return Estimate(3.0 * (2.0 * V.value - 1.0), 6.0 * V.stderr, "mc", n, seed)
         c = (d + 1.0) / (2.0**d - d - 1.0)
         fact = math.factorial(d)
-        return Estimate(c * (fact * V.value - 1.0), c * fact * V.stderr, "mc")
+        return Estimate(c * (fact * V.value - 1.0), c * fact * V.stderr, "mc", n, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -173,9 +162,8 @@ def kendall_tau_2d(model, quad_tol=1e-10):
     K = _body(model)
     if K.d != 2:
         raise ValueError("Kendall tau is bivariate")
-    sigma = _to_spectral(K)
-    if sigma is not None:
-        return _tau_discrete(sigma)
+    if K.spectral is not None:
+        return _tau_discrete(K.spectral)
     if K.norm.grad is not None:
         grad = lambda X: np.asarray(K.norm.grad(X), dtype=float)
     else:
@@ -212,7 +200,7 @@ def inverted_pearson_2d(model, method="exact", n=200_000, seed=0):
         V = polar_volume(K, method="exact_2d")
         return Estimate(2.0 * V.value - 1.0, 0.0, "exact")
     V = polar_volume(K, method="mc", n=n, seed=seed)
-    return Estimate(2.0 * V.value - 1.0, 2.0 * V.stderr, "mc")
+    return Estimate(2.0 * V.value - 1.0, 2.0 * V.stderr, "mc", n, seed)
 
 
 def multivariate_rho(model, n=400_000, seed=0, method="auto"):
@@ -230,4 +218,6 @@ def multivariate_rho(model, n=400_000, seed=0, method="auto"):
         (fact * V.value - 1.0) / (fact - 1.0),
         fact * V.stderr / (fact - 1.0),
         V.method,
+        V.n_samples,
+        V.seed,
     )

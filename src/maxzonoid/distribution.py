@@ -20,7 +20,7 @@ from .geometry import (
     as_dependency,
     support_function,
 )
-from .spectral import DiscreteSpectralMeasure, spectral_from_polygon_2d
+from .spectral import DiscreteSpectralMeasure
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,8 @@ class MaxStableModel:
 
     def __post_init__(self):
         object.__setattr__(self, "K", as_dependency(self.K))
-        if self.discrete is None:
-            if self.K.spectral is not None:
-                object.__setattr__(self, "discrete", self.K.spectral)
-            elif self.K.polygon is not None:
-                object.__setattr__(
-                    self, "discrete", spectral_from_polygon_2d(self.K.polygon)
-                )
+        if self.discrete is None and self.K.spectral is not None:
+            object.__setattr__(self, "discrete", self.K.spectral)
 
     @property
     def d(self):
@@ -82,6 +77,11 @@ def model_from_zonoid(K, discrete=None):
     return MaxStableModel(K, discrete)
 
 
+def _body(model):
+    """The dependency set of a model; bodies pass through unchanged."""
+    return model.K if isinstance(model, MaxStableModel) else model
+
+
 def _as_points(x, d):
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
@@ -94,19 +94,19 @@ def _as_points(x, d):
 def cdf(model, x):
     """F(x) = exp(-h(K, x*)); coordinates may be 0 (gives 0) or +inf
     (marginalizes that coordinate)."""
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     X, single = _as_points(x, K.d)
     if np.any(X < 0):
         raise ValueError("the law lives on the nonnegative orthant")
     with np.errstate(divide="ignore"):
-        inv = np.where(X > 0, 1.0 / X, np.inf)
+        inv = np.where(X == 0, np.inf, 1.0 / X)
     vals = np.exp(-np.atleast_1d(support_function(K, inv)))
     return float(vals[0]) if single else vals
 
 
 def copula(model, u):
     """C(u) = exp(-h(K, (-log u_1, ..., -log u_d))) on the unit cube."""
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     U, single = _as_points(u, K.d)
     if np.any(U < 0) or np.any(U > 1):
         raise ValueError("copula arguments must lie in [0, 1]^d")
@@ -122,7 +122,7 @@ def pickands(model, t):
     For d = 2, t is a scalar (or array) in [0, 1]; in general t holds the
     first d-1 simplex coordinates per row.
     """
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     T = np.asarray(t, dtype=float)
     if K.d == 2 and (T.ndim == 0 or T.ndim == 1):
         single = T.ndim == 0
@@ -146,7 +146,7 @@ def quantile_curve(model, alpha, points_n=200):
     Parametrized through the polar boundary: for p with h(K, p) = 1 the
     point x_i = 1 / ((-log alpha) p_i) satisfies F(x) = alpha exactly.
     """
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     if K.d != 2:
         raise ValueError("quantile curves are planar")
     if not 0.0 < alpha < 1.0:
@@ -173,7 +173,10 @@ def simulate(model, n, seed):
     m = A.shape[0]
     out = np.empty((n, model.d))
     for lo, chunk_n, rng in _mc_chunks(n, seed):
-        out[lo : lo + chunk_n] = _kernels.simulate_frechet(A, rng.random((chunk_n, m)))
+        # row blocks of one stream draw the same values as a single draw
+        for blo in range(lo, lo + chunk_n, _kernels._CHUNK):
+            rows = min(_kernels._CHUNK, lo + chunk_n - blo)
+            out[blo : blo + rows] = _kernels.simulate_frechet(A, rng.random((rows, m)))
     return SampleMatrix(out, seed)
 
 
@@ -185,7 +188,7 @@ def exponent_density(model, z, step=None, richardson=True):
     trivariate third-order stencil needs a larger step (5e-3) to stay
     above floating-point cancellation.
     """
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     if K.norm is None:
         raise ValueError(
             "exponent density needs a smooth analytic norm; discrete models "
@@ -221,7 +224,7 @@ def exponent_density(model, z, step=None, richardson=True):
 def max_stability_check(model, n_fold=2, grid=None):
     """Max deviation of F(n x)^n from F(x) over a grid; zero (up to
     floating error) exactly when the support function is homogeneous."""
-    K = model.K if isinstance(model, MaxStableModel) else model
+    K = _body(model)
     if n_fold < 2:
         raise ValueError("need n_fold >= 2")
     if grid is None:
@@ -229,7 +232,7 @@ def max_stability_check(model, n_fold=2, grid=None):
         grid = np.array(np.meshgrid(*[axes] * K.d)).reshape(K.d, -1).T
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     with np.errstate(divide="ignore"):
-        inv = np.where(grid > 0, 1.0 / grid, np.inf)
+        inv = np.where(grid == 0, np.inf, 1.0 / grid)
     F1 = np.exp(-np.atleast_1d(support_function(K, inv)))
     Fn = np.exp(-np.atleast_1d(support_function(K, inv / n_fold)))
     return float(np.abs(Fn**n_fold - F1).max())

@@ -252,8 +252,8 @@ def _measure_error_2d(K, sigma, n_eval):
 def discretize(K, m=1000, n_eval=2048):
     """Atom-list approximation of a dependency set on the l1 simplex.
 
-    Exact (zero reported error) for bodies that already carry atoms or a
-    polygon.  Analytic planar norms are inscribed via their support
+    Exact (zero reported error) for bodies that already carry atoms.
+    Analytic planar norms are inscribed via their support
     points at m Chebyshev-spaced simplex directions; in higher
     dimensions masses are fit by nonnegative least squares on a simplex
     lattice.  Marginal sums are renormalized to 1.
@@ -262,9 +262,6 @@ def discretize(K, m=1000, n_eval=2048):
         raise ValueError("need at least two atoms")
     if K.spectral is not None:
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
-        return DiscretizeResult(sigma, 0.0, 0)
-    if K.polygon is not None:
-        sigma = _renormalize_marginals(spectral_from_polygon_2d(K.polygon, "l1"))
         return DiscretizeResult(sigma, 0.0, 0)
     if K.d == 2:
         t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))

@@ -1,10 +1,13 @@
 """Convex bodies in the nonnegative orthant represented by support functions.
 
-A max-zonoid is stored in exactly one of three forms: a discrete
-spectral measure (canonical; a finite sum of cross-polytopes), a planar
-vertex chain, or an analytic norm handle.  Every operation here is a
-pure function of immutable values; Monte Carlo operations take explicit
-seeds and chunk them deterministically.
+A max-zonoid has two representations (atoms, analytic norm); planar
+chains are a view.  The atoms of a discrete spectral measure are the
+canonical form, a finite sum of cross-polytopes; an analytic norm is a
+closed-form support function.  A planar vertex chain (Polygon2D) is
+materialized on demand for hull, clip, polar and area work and stored
+back as atoms.  Every operation here is a pure function of immutable
+values; Monte Carlo operations take explicit seeds and chunk them
+deterministically.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ EPS = 1e-9
 class Polygon2D:
     """Anticlockwise vertex chain of a planar body, from a point on the
     positive x-axis to a point on the positive y-axis.  The body is the
-    convex hull of the chain and the origin."""
+    convex hull of the chain and the origin.  A view of a planar atom
+    list (polygon_from_spectral / spectral_from_polygon_2d), not a body
+    representation of its own."""
 
     vertices: np.ndarray
 
@@ -119,21 +124,18 @@ class AnalyticNorm:
 
 @dataclass(frozen=True)
 class MaxZonoid:
-    """A max-zonoid in [0, inf)^d given by exactly one representation."""
+    """A max-zonoid in [0, inf)^d given by exactly one of two
+    representations (atoms, analytic norm); planar chains are a view."""
 
     d: int
     spectral: DiscreteSpectralMeasure | None = None
-    polygon: Polygon2D | None = None
     norm: AnalyticNorm | None = None
 
     def __post_init__(self):
-        reps = [r for r in (self.spectral, self.polygon, self.norm) if r is not None]
-        if len(reps) != 1:
+        if (self.spectral is None) == (self.norm is None):
             raise ValueError("exactly one representation must be given")
         if self.spectral is not None and self.spectral.d != self.d:
             raise ValueError("dimension mismatch between measure and body")
-        if self.polygon is not None and self.d != 2:
-            raise ValueError("polygon representation requires d = 2")
         if self.norm is not None and self.norm.d != self.d:
             raise ValueError("dimension mismatch between norm and body")
 
@@ -160,7 +162,7 @@ class DependencySet(MaxZonoid):
 
 
 def _fields(K):
-    return dict(d=K.d, spectral=K.spectral, polygon=K.polygon, norm=K.norm)
+    return dict(d=K.d, spectral=K.spectral, norm=K.norm)
 
 
 def as_dependency(K):
@@ -213,7 +215,8 @@ def unit_cross_polytope(d):
 
 
 def zonoid_from_polygon(polygon):
-    K = MaxZonoid(d=2, polygon=polygon)
+    """The planar body of a vertex chain, stored as its edge atoms."""
+    K = MaxZonoid(d=2, spectral=spectral_from_polygon_2d(polygon))
     return as_dependency(K) if polygon.is_dependency else K
 
 
@@ -225,16 +228,12 @@ def _coordinate_extent(K):
     """Boolean mask of coordinates where the body has positive extent."""
     if K.spectral is not None:
         return (K.spectral.scaled_atoms > ATOM_TOL).any(axis=0)
-    if K.polygon is not None:
-        return (K.polygon.vertices > ATOM_TOL).any(axis=0)
     return np.ones(K.d, dtype=bool)
 
 
 def _support_finite(K, X):
     if K.spectral is not None:
         return _kernels.support_sum(K.spectral.scaled_atoms, X)
-    if K.polygon is not None:
-        return K.polygon.support(X)
     return np.asarray(K.norm.fn(X), dtype=float)
 
 
@@ -249,6 +248,8 @@ def support_function(K, x):
     X = np.atleast_2d(X)
     if X.shape[1] != K.d:
         raise ValueError(f"direction has dimension {X.shape[1]}, body has {K.d}")
+    if np.isnan(X).any():
+        raise ValueError("directions must not be NaN")
     if np.any(X < 0):
         raise ValueError("directions must be nonnegative")
     out = np.empty(X.shape[0])
@@ -276,21 +277,10 @@ def _support_clipped(K, U):
 # the operations algebra
 
 
-def _to_spectral(K):
-    if K.spectral is not None:
-        return K.spectral
-    if K.polygon is not None:
-        return spectral_from_polygon_2d(K.polygon)
-    return None
-
-
 def _polygon_of(K, directions=512):
-    """Planar vertex chain of a 2-D body; exact for discrete/polygonal
-    bodies, a fine inscribed/circumscribed chain for analytic norms."""
+    """Planar vertex chain of a 2-D body; exact for atom lists, a fine inscribed/circumscribed chain for analytic norms."""
     if K.d != 2:
         raise ValueError("polygon materialization requires d = 2")
-    if K.polygon is not None:
-        return K.polygon
     if K.spectral is not None:
         return polygon_from_spectral(K.spectral)
     theta = np.linspace(0.0, np.pi / 2, directions + 1)
@@ -315,8 +305,6 @@ def scale(K, lam):
         sigma = K.spectral
         new = spectral_from_points(sigma.atoms * lam, sigma.masses, sigma.reference)
         return MaxZonoid(d=K.d, spectral=new)
-    if K.polygon is not None:
-        return MaxZonoid(d=2, polygon=Polygon2D.from_chain(K.polygon.vertices * lam))
     base = K.norm
     lam_c = lam.copy()
     fn = lambda X, _f=base.fn, _l=lam_c: _f(X * _l)
@@ -349,10 +337,6 @@ def project(K, coords):
             raise ValueError("projection is degenerate (zero body)")
         new = spectral_from_points(sub[keep], sigma.masses[keep], sigma.reference)
         return _rewrap(MaxZonoid(d=coords.size, spectral=new), K)
-    if K.polygon is not None:
-        extent = float(K.polygon.vertices[:, coords[0]].max())
-        atom = make_measure([[1.0]], [extent])
-        return _rewrap(MaxZonoid(d=1, spectral=atom), K)
     base = K.norm
     d_old, idx = K.d, coords.copy()
 
@@ -379,7 +363,7 @@ def project(K, coords):
 def cartesian_product(K1, K2):
     """Body of the concatenation of independent vectors:
     h(K1 x K2, (x1, x2)) = h(K1, x1) + h(K2, x2)."""
-    s1, s2 = _to_spectral(K1), _to_spectral(K2)
+    s1, s2 = K1.spectral, K2.spectral
     if s1 is not None and s2 is not None:
         s2 = rebase_reference(s2, s1.reference)
         a1 = np.hstack([s1.atoms, np.zeros((s1.n_atoms, K2.d))])
@@ -409,7 +393,7 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (d,))
         if np.any(lam_v < 0) or np.any(lam_v > 1):
             raise ValueError("weights must lie in [0, 1]")
-        s1, s2 = _to_spectral(K1), _to_spectral(K2)
+        s1, s2 = K1.spectral, K2.spectral
         if s1 is not None and s2 is not None:
             s2 = rebase_reference(s2, s1.reference)
             pts = np.vstack([s1.atoms * lam_v, s2.atoms * (1.0 - lam_v)])
@@ -431,7 +415,7 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         lam_s = float(lam)
         if lam_s <= 0:
             raise ValueError("difference weight must be positive")
-        s1, s2 = _to_spectral(K1), _to_spectral(K2)
+        s1, s2 = K1.spectral, K2.spectral
         if s1 is None or s2 is None:
             raise ValueError("spectral difference needs discrete representations")
         s2 = rebase_reference(s2, s1.reference)
@@ -457,54 +441,31 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _hull_ccw(pts):
-    """Anticlockwise convex hull by the monotone chain, collinear
-    vertices dropped."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    keep = [0] + [
-        i for i in range(1, len(pts)) if np.abs(pts[i] - pts[i - 1]).max() > EPS
-    ]
-    pts = pts[keep]
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        hull = []
-        for p in seq:
-            while len(hull) >= 2:
-                e1 = hull[-1] - hull[-2]
-                e2 = p - hull[-1]
-                if e1[0] * e2[1] - e1[1] * e2[0] <= EPS:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        return hull
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def _ne_chain(points):
     """Anticlockwise boundary chain of conv({0} | points) from the
-    positive x-axis to the positive y-axis."""
+    positive x-axis to the positive y-axis.
+
+    A monotone-chain pass over the points in decreasing x, keeping left
+    turns only, between the fixed anchors (xmax, 0) and (0, ymax): both
+    anchors are extreme points and are never popped, so the chain always
+    runs between them and is anticlockwise monotone."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     pts = np.clip(pts, 0.0, None)
     xmax, ymax = pts[:, 0].max(), pts[:, 1].max()
     if xmax <= EPS or ymax <= EPS:
         raise ValueError("degenerate point set for a planar chain")
-    pts = np.vstack([pts, [0.0, 0.0], [xmax, 0.0], [0.0, ymax]])
-    hull = _hull_ccw(pts)
-    on_x = hull[:, 1] <= EPS
-    on_y = hull[:, 0] <= EPS
-    start = int(np.flatnonzero(on_x)[np.argmax(hull[on_x, 0])])
-    end = int(np.flatnonzero(on_y)[np.argmax(hull[on_y, 1])])
-    idx = [start]
-    while idx[-1] != end:
-        idx.append((idx[-1] + 1) % len(hull))
-    return Polygon2D.from_chain(hull[idx])
+    pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
+    chain = [np.array([xmax, 0.0])]
+    for p in list(pts) + [np.array([0.0, ymax])]:
+        while len(chain) >= 2:
+            e1 = chain[-1] - chain[-2]
+            e2 = p - chain[-1]
+            if e1[0] * e2[1] - e1[1] * e2[0] <= EPS:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return Polygon2D.from_chain(np.array(chain))
 
 
 def _envelope_polygon(U, h):
@@ -546,8 +507,9 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
         raise ValueError("planar combination requires d = 2")
     P1, P2 = _polygon_of(K1, directions), _polygon_of(K2, directions)
     if mode == "hull":
-        chain = _ne_chain(np.vstack([P1.vertices, P2.vertices]))
-        return as_dependency(MaxZonoid(d=2, polygon=chain))
+        return as_dependency(
+            zonoid_from_polygon(_ne_chain(np.vstack([P1.vertices, P2.vertices])))
+        )
     if mode == "intersection":
         poly = [np.zeros(2)] + list(P1.vertices)
         verts = P2.vertices
@@ -557,8 +519,7 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
             poly = _clip_chain_region(poly, normal, float(normal @ a))
             if not poly:
                 raise ValueError("empty intersection")
-        chain = _ne_chain(np.array(poly))
-        return as_dependency(MaxZonoid(d=2, polygon=chain))
+        return as_dependency(zonoid_from_polygon(_ne_chain(np.array(poly))))
     if mode == "power_mean":
         if p < 1:
             raise ValueError("power-mean exponent must be >= 1")
@@ -568,7 +529,7 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
         U = np.column_stack([np.cos(theta), np.sin(theta)])
         h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
         h = (lam * h1**p + (1.0 - lam) * h2**p) ** (1.0 / p)
-        return as_dependency(MaxZonoid(d=2, polygon=_envelope_polygon(U, h)))
+        return as_dependency(zonoid_from_polygon(_envelope_polygon(U, h)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -578,7 +539,7 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
 
 def polar_2d(K, directions=4096):
     """The polar set {x in E : h(K, x) <= 1} as a planar chain; exact for
-    polygonal and discrete bodies, radially sampled for analytic norms."""
+    atom lists, radially sampled for analytic norms."""
     if K.d != 2:
         raise ValueError("polar materialization requires d = 2")
     if K.norm is not None:
@@ -599,7 +560,10 @@ def polar_2d(K, directions=4096):
 
 
 @dataclass(frozen=True)
-class VolumeEstimate:
+class Estimate:
+    """A scalar result with its standard error (0 for exact methods), the
+    method that produced it and, for Monte Carlo, the draws and seed."""
+
     value: float
     stderr: float
     method: str
@@ -631,8 +595,8 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
                 epsabs=1e-12,
                 epsrel=1e-12,
             )
-            return VolumeEstimate(float(val), 0.0, "exact_2d")
-        return VolumeEstimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
+            return Estimate(float(val), 0.0, "exact_2d")
+        return Estimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
     if method == "mc":
         extents = K.marginals()
         if np.any(extents <= EPS):
@@ -645,7 +609,7 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
             accepted += int((_support_finite(K, X) <= 1.0).sum())
         p_hat = accepted / n
         se = box_vol * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n)
-        return VolumeEstimate(box_vol * p_hat, se, "mc", n, seed)
+        return Estimate(box_vol * p_hat, se, "mc", n, seed)
     raise ValueError(f"unknown method {method!r}")
 
 

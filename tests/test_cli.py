@@ -283,3 +283,92 @@ class TestSpectralAnalytic:
         bad.write_text("{not json")
         rc = main(["eval", "--model", str(bad), "--points", points_csv, "--op", "cdf"])
         assert rc == 2
+
+
+BIVARIATE_FAMILIES = {
+    "independence": ("independence", {}),
+    "dependence": ("dependence", {}),
+    "logistic": ("logistic", {"p": 2.0}),
+    "neg_logistic": ("neg_logistic", {"lam": 1.0, "p": -1.0}),
+    "husler_reiss": ("husler_reiss", {"lam": 1.0}),
+    "husler_reiss_0.5": ("husler_reiss", {"lam": 0.5}),
+    "marshall_olkin": ("marshall_olkin", {"alpha1": 0.5, "alpha2": 0.5}),
+    "matrix_weights": ("matrix_weights", {"matrix": [[0.5, 0.2], [0.5, 0.8]]}),
+}
+
+MODEL_SUBCOMMANDS = {
+    "eval-cdf": ["eval", "--points", "{pts}", "--op", "cdf"],
+    "eval-copula": ["eval", "--points", "{us}", "--op", "copula"],
+    "eval-pickands": ["eval", "--points", "{ts}", "--op", "pickands"],
+    "eval-norm": ["eval", "--points", "{pts}", "--op", "norm"],
+    "measures": ["measures"],
+    "simulate": ["simulate", "--samples", "200"],
+    "to-atoms": ["spectral", "--to-atoms"],
+    "to-polygon": ["spectral", "--to-polygon"],
+    "quantile": ["quantile", "--alpha", "0.9"],
+}
+
+
+class TestEveryFamilyEverySubcommand:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {"pts": "1.0,1.0\n0.5,2.0\n", "us": "0.3,0.7\n0.9,0.9\n", "ts": "0.0\n0.3\n1.0\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        return {name: str(tmp_path / f"{name}.csv") for name in files}
+
+    @pytest.mark.parametrize("command", sorted(MODEL_SUBCOMMANDS))
+    @pytest.mark.parametrize("family", sorted(BIVARIATE_FAMILIES))
+    def test_runs_at_default_settings(self, tmp_path, inputs, family, command):
+        name, params = BIVARIATE_FAMILIES[family]
+        spec = write_model(
+            tmp_path, "m.json", {"family": {"name": name, "d": 2, "params": params}}
+        )
+        out = str(tmp_path / "out")
+        argv = [tok.format(**inputs) for tok in MODEL_SUBCOMMANDS[command]]
+        assert main(argv + ["--model", spec, "--out", out]) == 0
+        if command == "eval-pickands":
+            _, rows = read_csv(out)
+            t = rows[:, 0]
+            assert np.all(rows[:, 1] >= np.maximum(t, 1 - t) - 1e-9)
+            assert np.all(rows[:, 1] <= 1 + 1e-9)
+        if command == "to-atoms":
+            assert read_json(out)["results"]["report"]["is_dependency"]
+
+
+class TestOptionsWhereRead:
+    def test_each_option_only_where_read(self):
+        from maxzonoid.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices
+        found = {
+            (name, opt)
+            for name, p in sub.items()
+            for opt in ("--seed", "--samples", "--tol", "--grid")
+            if opt in p._option_string_actions
+        }
+        assert found == {
+            ("measures", "--seed"), ("measures", "--samples"), ("measures", "--tol"),
+            ("simulate", "--seed"), ("simulate", "--samples"),
+            ("check-theta", "--tol"), ("converge", "--grid"),
+        }
+
+    @pytest.mark.parametrize("extra", [["--seed", "3"], ["--samples", "10"], ["--tol", "1e-6"], ["--grid", "64"]])
+    def test_eval_rejects_removed_option(self, log2_spec, points_csv, extra):
+        argv = ["eval", "--model", log2_spec, "--points", points_csv, "--op", "cdf"]
+        assert main(argv) == 0
+        assert main(argv + extra) == 1
+
+    def test_converge_rejects_samples(self, tmp_path):
+        spec = write_model(tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}})
+        data = str(tmp_path / "data.csv")
+        assert main(["simulate", "--model", spec, "--samples", "500", "--out", data]) == 0
+        argv = ["converge", "--model", spec, "--data", data, "--s-grid", "5,10"]
+        assert main(argv) == 0
+        assert main(argv + ["--samples", "10"]) == 1
+
+    def test_nan_point_is_validation_error(self, tmp_path, log2_spec):
+        pts = tmp_path / "nan.csv"
+        pts.write_text("nan,1.0\n")
+        for op in ("cdf", "copula", "norm"):
+            assert main(["eval", "--model", log2_spec, "--points", str(pts), "--op", op]) == 2

@@ -132,6 +132,11 @@ class TestSpearman:
         assert dep.value == pytest.approx(1.0, abs=3 * max(dep.stderr, 1e-4))
 
 
+    def test_d1_is_value_error(self):
+        with pytest.raises(ValueError, match="d >= 2"):
+            spearman_rho(MaxStableModel(unit_cube(1)))
+
+
 class TestKendall:
     def test_independence_zero(self):
         assert kendall_tau_2d(MaxStableModel(unit_cube(2))) == pytest.approx(0.0)

@@ -22,6 +22,8 @@ from maxzonoid import (
     unit_cube,
 )
 
+from maxzonoid import _kernels
+
 from conftest import random_model
 
 
@@ -74,6 +76,24 @@ class TestCdf:
         x = rng.random(2) + 0.2
         for model in models.values():
             assert cdf(model, x + 0.5) >= cdf(model, x)
+
+
+class TestNaNRejected:
+    def test_support_function(self):
+        with pytest.raises(ValueError, match="NaN"):
+            support_function(unit_cube(2), [np.nan, 1.0])
+
+    def test_cdf(self, models):
+        with pytest.raises(ValueError, match="NaN"):
+            cdf(models["log2"], [np.nan, 1.0])
+
+    def test_copula(self, models):
+        with pytest.raises(ValueError, match="NaN"):
+            copula(models["log2"], [np.nan, 0.5])
+
+    def test_pickands(self, models):
+        with pytest.raises(ValueError, match="NaN"):
+            pickands(models["log2"], np.nan)
 
 
 class TestCopula:
@@ -184,6 +204,17 @@ class TestSimulate:
         for i in range(2):
             p = kstest(s.values[:, i], lambda x: np.exp(-1.0 / x)).pvalue
             assert p > 0.01
+
+    def test_block_draws_match_single_draw(self, rng):
+        # rows are drawn in blocks to bound memory; a stream split by rows
+        # gives the same uniforms as one draw, so samples are unchanged
+        model = random_model(rng, d=2, m=7)
+        n = 10_000
+        stream = np.random.default_rng(np.random.SeedSequence(31).spawn(1)[0])
+        ref = _kernels.simulate_frechet(
+            model.discrete.scaled_atoms, stream.random((n, model.discrete.n_atoms))
+        )
+        assert np.array_equal(simulate(model, n, seed=31).values, ref)
 
     def test_law_matches_cdf(self, rng):
         model = random_model(rng, d=2, m=3)

@@ -7,6 +7,7 @@ from maxzonoid import (
     FamilySpec,
     discretize,
     make_family,
+    polygon_from_spectral,
     support_function,
     unit_cross_polytope,
     unit_cube,
@@ -142,14 +143,14 @@ class TestMarshallOlkin:
     def test_polygon_vertices(self):
         K = make_family("marshall_olkin", 2, alpha1=0.5, alpha2=0.5)
         np.testing.assert_allclose(
-            K.polygon.vertices, [[1, 0], [1, 0.5], [0.5, 1], [0, 1]]
+            polygon_from_spectral(K.spectral).vertices, [[1, 0], [1, 0.5], [0.5, 1], [0, 1]]
         )
 
     def test_degenerate_corners(self):
         K0 = make_family("marshall_olkin", 2, alpha1=0.0, alpha2=0.0)
-        np.testing.assert_allclose(K0.polygon.vertices, [[1, 0], [0, 1]])
+        np.testing.assert_allclose(polygon_from_spectral(K0.spectral).vertices, [[1, 0], [0, 1]])
         K1 = make_family("marshall_olkin", 2, alpha1=1.0, alpha2=1.0)
-        np.testing.assert_allclose(K1.polygon.vertices, [[1, 0], [1, 1], [0, 1]])
+        np.testing.assert_allclose(polygon_from_spectral(K1.spectral).vertices, [[1, 0], [1, 1], [0, 1]])
 
 
 class TestMatrixWeights:
@@ -186,6 +187,14 @@ class TestDiscretize:
 
     def test_logistic_error_bound(self):
         res = discretize(make_family("logistic", 2, p=2.0), 1000)
+        assert res.max_support_error < 1e-4
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.5, 1.0, 3.0])
+    def test_husler_reiss_at_default_atoms(self, lam):
+        # the support points underflow towards the axis ends at small lam;
+        # the chain must still run from (1, 0) to (0, 1)
+        res = discretize(make_family("husler_reiss", 2, lam=lam), 1000)
+        np.testing.assert_allclose(res.measure.marginal_sums(), 1.0, atol=1e-12)
         assert res.max_support_error < 1e-4
 
     def test_marginals_exactly_one(self):

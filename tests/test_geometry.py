@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from maxzonoid import (
     DependencySet,
-    MaxZonoid,
     as_dependency,
     cartesian_product,
     combine_2d,
@@ -21,14 +20,16 @@ from maxzonoid import (
     normalize_dependency,
     polar_2d,
     polar_volume,
+    polygon_from_spectral,
     project,
     scale,
     support_function,
     unit_cross_polytope,
     unit_cube,
+    zonoid_from_polygon,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import Polygon2D
+from maxzonoid.geometry import Polygon2D, _ne_chain
 
 from conftest import random_dependency, random_dependency_polygon
 
@@ -277,11 +278,11 @@ class TestMinkowski:
 class TestCombine2D:
     def test_hull_idempotent(self):
         K = combine_2d(unit_cross_polytope(2), unit_cross_polytope(2), "hull")
-        np.testing.assert_allclose(K.polygon.vertices, [[1, 0], [0, 1]], atol=1e-12)
+        np.testing.assert_allclose(polygon_from_spectral(K.spectral).vertices, [[1, 0], [0, 1]], atol=1e-12)
 
     def test_intersection_with_subset(self):
         K = combine_2d(unit_cube(2), unit_cross_polytope(2), "intersection")
-        np.testing.assert_allclose(K.polygon.vertices, [[1, 0], [0, 1]], atol=1e-12)
+        np.testing.assert_allclose(polygon_from_spectral(K.spectral).vertices, [[1, 0], [0, 1]], atol=1e-12)
 
     def test_hull_is_pointwise_max(self, rng):
         K1, K2 = random_dependency(rng, 2, 4), random_dependency(rng, 2, 4)
@@ -325,8 +326,8 @@ class TestPolar:
     def test_bipolar_identity(self, rng):
         for _ in range(5):
             poly = random_dependency_polygon(rng)
-            K = MaxZonoid(d=2, polygon=poly)
-            KP = MaxZonoid(d=2, polygon=polar_2d(K))
+            K = zonoid_from_polygon(poly)
+            KP = zonoid_from_polygon(polar_2d(K))
             back = polar_2d(KP)
             np.testing.assert_allclose(back.vertices, poly.vertices, atol=1e-9)
 
@@ -346,7 +347,7 @@ class TestPolar:
     def test_mc_agrees_with_exact_2d(self, rng):
         for seed in range(3):
             K = as_dependency(
-                MaxZonoid(d=2, polygon=random_dependency_polygon(rng))
+                zonoid_from_polygon(random_dependency_polygon(rng))
             )
             exact = polar_volume(K, method="exact_2d").value
             mc = polar_volume(K, method="mc", n=60_000, seed=seed)
@@ -425,6 +426,27 @@ class TestMDistance:
         K = scale(unit_cube(2), [2.0, 2.0])
         with pytest.raises(ValueError, match="dependency"):
             m_distance(K, unit_cube(2))
+
+
+class TestNeChain:
+    def test_near_duplicate_keeps_axis_vertex(self):
+        # support points of the Husler-Reiss body (lam = 0.5) near e1: two
+        # near-duplicates just inside the axis vertex
+        pts = np.array(
+            [[1.0 - 2.05e-12, 1.48e-9], [1.0 - 6.4e-13, 5.4e-10], [1.0, 1e-43], [0.0, 1.0]]
+        )
+        chain = _ne_chain(pts).vertices
+        np.testing.assert_array_equal(chain[0], [1.0, 0.0])
+        np.testing.assert_array_equal(chain[-1], [0.0, 1.0])
+
+    def test_chain_is_monotone_between_anchors(self, rng):
+        for _ in range(20):
+            pts = rng.random((50, 2)) ** rng.uniform(0.2, 5.0)
+            chain = _ne_chain(pts).vertices
+            assert chain[0, 1] == 0.0 and chain[0, 0] == pts[:, 0].max()
+            assert chain[-1, 0] == 0.0 and chain[-1, 1] == pts[:, 1].max()
+            steps = np.diff(chain, axis=0)
+            assert np.all(steps[:, 0] <= 0.0) and np.all(steps[:, 1] >= 0.0)
 
 
 class TestPolygon2D:

@@ -42,6 +42,14 @@ def test_simulate_frechet_matches_fallback(data):
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
+def test_simulate_frechet_numpy_matches_definition(data):
+    atoms, _, uniforms = data
+    A = atoms / atoms.sum(axis=0)
+    z = -1.0 / np.log(uniforms)
+    expected = (z[:, :, None] * A[None, :, :]).max(axis=1)
+    assert np.array_equal(_kernels.simulate_frechet_numpy(A, uniforms), expected)
+
+
 def test_env_flag_forces_numpy_backend():
     code = (
         "import os; os.environ['MAXZONOID_NO_NUMBA']='1'; "
