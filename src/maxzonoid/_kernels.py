@@ -1,38 +1,25 @@
-"""Hot numeric kernels: numba-accelerated with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The numba path is used by default when numba imports cleanly; set the
-environment variable ``MAXZONOID_NO_NUMBA=1`` to force the numpy path
-(useful on platforms where JIT compilation is unavailable or unwanted).
-Both paths compute the same quantities.
+The support sum h(x) = sum_k max(0, max_i B[k,i] x_i) of an atom list B
+takes two algorithms: in the plane, one sort of the atoms by slope and
+two cumulative sums answer every point in O((n + m) log m); for d >= 3
+a dense product over (chunk, m, d) blocks costs O(n m d).
 
 Randomness never lives in the kernels: callers draw with numpy
-Generators so that results are reproducible and backend-independent.
+Generators so that results are reproducible.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("MAXZONOID_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via MAXZONOID_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-# Rows per block in the numpy fallback; keeps (chunk, m, d) temporaries
+# Rows per block in the dense kernels; keeps (chunk, m, d) temporaries
 # around tens of MB for typical atom counts.
 _CHUNK = 4096
 
 
-def support_sum_numpy(scaled_atoms, points):
+def support_sum(scaled_atoms, points):
     """h(x) = sum_k max(0, max_i B[k,i]*x[i]) for each row x of points."""
+    if scaled_atoms.shape[1] == 2:
+        return _support_sum_planar(scaled_atoms, points)
     n = points.shape[0]
     out = np.empty(n)
     for lo in range(0, n, _CHUNK):
@@ -42,7 +29,25 @@ def support_sum_numpy(scaled_atoms, points):
     return out
 
 
-def simulate_frechet_numpy(weight_matrix, uniforms):
+def _support_sum_planar(B, points):
+    """Atom k contributes B[k,0] x_1 exactly when its slope B[k,0]/B[k,1]
+    is at least x_2/x_1, so with the atoms in slope order h is x_1 times a
+    suffix sum of B[:,0] plus x_2 times a prefix sum of B[:,1], both read
+    at the sorted position of x_2/x_1."""
+    X = np.maximum(points, 0.0)  # exact: B >= 0, so max(0, B x) = max(B x_+)
+    m, n = B.shape[0], X.shape[0]
+    r = np.divide(B[:, 0], B[:, 1], out=np.full(m, np.inf), where=B[:, 1] > 0)
+    order = np.argsort(r, kind="stable")
+    r, a1, a2 = r[order], B[order, 0], B[order, 1]
+    # a reversed cumsum, not total minus prefix: no cancellation
+    s1 = np.append(np.cumsum(a1[::-1])[::-1], 0.0)
+    p2 = np.concatenate([[0.0], np.cumsum(a2)])
+    t = np.divide(X[:, 1], X[:, 0], out=np.full(n, np.inf), where=X[:, 0] > 0)
+    j = np.searchsorted(r, t, "left")
+    return X[:, 0] * s1[j] + X[:, 1] * p2[j]
+
+
+def simulate_frechet(weight_matrix, uniforms):
     """xi[n,j] = max_k zeta[n,k] * weight_matrix[k,j] with unit-Frechet
     zeta = -1/log(u) computed from uniforms in (0, 1)."""
     n = uniforms.shape[0]
@@ -57,56 +62,5 @@ def simulate_frechet_numpy(weight_matrix, uniforms):
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _support_sum_numba(scaled_atoms, points):  # pragma: no cover - jitted
-        n = points.shape[0]
-        m, d = scaled_atoms.shape
-        out = np.empty(n)
-        for r in range(n):
-            acc = 0.0
-            for k in range(m):
-                best = 0.0
-                for i in range(d):
-                    v = scaled_atoms[k, i] * points[r, i]
-                    if v > best:
-                        best = v
-                acc += best
-            out[r] = acc
-        return out
-
-    @njit(cache=True)
-    def _simulate_frechet_numba(weight_matrix, uniforms):  # pragma: no cover - jitted
-        n, m = uniforms.shape
-        d = weight_matrix.shape[1]
-        out = np.zeros((n, d))
-        for r in range(n):
-            for k in range(m):
-                u = uniforms[r, k]
-                if u < 1e-300:
-                    u = 1e-300
-                z = -1.0 / np.log(u)
-                for j in range(d):
-                    v = z * weight_matrix[k, j]
-                    if v > out[r, j]:
-                        out[r, j] = v
-        return out
-
-    def support_sum(scaled_atoms, points):
-        return _support_sum_numba(
-            np.ascontiguousarray(scaled_atoms), np.ascontiguousarray(points)
-        )
-
-    def simulate_frechet(weight_matrix, uniforms):
-        return _simulate_frechet_numba(
-            np.ascontiguousarray(weight_matrix), np.ascontiguousarray(uniforms)
-        )
-
-else:
-    support_sum = support_sum_numpy
-    simulate_frechet = simulate_frechet_numpy
-
-
 def backend_name():
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"

@@ -134,26 +134,26 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
 def _tau_discrete(sigma):
     """Closed-form segment integration: between breakpoints the support
     point y = (P, Q) is constant and h(t) = P t + Q (1 - t), so the
-    integrand P Q / h^2 integrates in closed form."""
+    integrand P Q / h^2 integrates to P Q (tb - ta) / (h(ta) h(tb)).
+    With the atoms in breakpoint order, P is a prefix sum of w a_1 and
+    Q a suffix sum of w a_2."""
     a = sigma.atoms
     w = sigma.masses
     brk = a[:, 1] / (a[:, 0] + a[:, 1])
+    order = np.argsort(brk, kind="stable")
+    brk = brk[order]
+    wa = w[order, None] * a[order]
+    P_at = np.concatenate([[0.0], np.cumsum(wa[:, 0])])
+    Q_at = np.append(np.cumsum(wa[::-1, 1])[::-1], 0.0)
     ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
-    total = 0.0
-    for ta, tb in zip(ts[:-1], ts[1:]):
-        tm = 0.5 * (ta + tb)
-        side1 = a[:, 0] * tm >= a[:, 1] * (1.0 - tm)
-        P = float((w * a[:, 0])[side1].sum())  # y_1 on this segment
-        Q = float((w * a[:, 1])[~side1].sum())  # y_2 on this segment
-        if P <= 0.0 or Q <= 0.0:
-            continue
-        ha = P * ta + Q * (1.0 - ta)
-        hb = P * tb + Q * (1.0 - tb)
-        if abs(P - Q) < 1e-14:
-            total += P * Q * (tb - ta) / (ha * hb)
-        else:
-            total += P * Q / (P - Q) * (1.0 / ha - 1.0 / hb)
-    return 1.0 - total
+    # atoms with breakpoint <= ta face direction 1 on the segment [ta, tb]
+    j = np.searchsorted(brk, ts[:-1], "right")
+    P, Q = P_at[j], Q_at[j]
+    live = (P > 0.0) & (Q > 0.0)
+    P, Q, ta, tb = P[live], Q[live], ts[:-1][live], ts[1:][live]
+    ha = P * ta + Q * (1.0 - ta)
+    hb = P * tb + Q * (1.0 - tb)
+    return float(1.0 - (P * Q * (tb - ta) / (ha * hb)).sum())
 
 
 def kendall_tau_2d(model, quad_tol=1e-10):

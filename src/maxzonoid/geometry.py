@@ -691,8 +691,13 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
     """Multiplicative (Banach-Mazur style) distance between dependency
     sets: log inf prod(lam_i) over lam with K1 in lam*K2 and K2 in
     lam*K1.  Containment is tested by support dominance on a direction
-    grid; the product is minimized by coordinate descent with binary
-    search, so the result is a grid-limited upper bound."""
+    grid only.  That is a relaxation: a lam that passes on the grid can
+    fail between grid directions, so the value can fall *below* the true
+    distance, by up to about the grid spacing times the Lipschitz
+    constant of the supports (cube vs cross polytope: 1.385911 against
+    log 4 in d = 2, 3.2423 against 3 log 3 in d = 3).  The product is
+    minimized by coordinate descent with binary search, which can stop
+    slightly above the grid optimum."""
     if K1.d != K2.d:
         raise ValueError("bodies must share a dimension")
     d = K1.d

@@ -9,6 +9,7 @@ from scipy.stats import kendalltau
 from maxzonoid import (
     MaxStableModel,
     chi,
+    discretize,
     extremal_coefficient,
     extremal_table,
     inverted_pearson_2d,
@@ -19,6 +20,7 @@ from maxzonoid import (
     spearman_rho,
     unit_cross_polytope,
     unit_cube,
+    zonoid_from_spectral,
 )
 
 from conftest import random_model
@@ -168,6 +170,31 @@ class TestKendall:
         h = y1 * t + y2 * (1 - t)
         brute = 1.0 - np.mean(y1 * y2 / h**2)
         assert kendall_tau_2d(model) == pytest.approx(brute, abs=1e-5)
+
+    def test_sorted_sums_match_segment_loop(self, log2):
+        # reference: the closed form summed one segment at a time, with the
+        # support point taken from the atom sides at the segment midpoint
+        sigma = discretize(log2.K, 1000).measure
+        a, w = sigma.atoms, sigma.masses
+        brk = a[:, 1] / (a[:, 0] + a[:, 1])
+        ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
+        total = 0.0
+        for ta, tb in zip(ts[:-1], ts[1:]):
+            tm = 0.5 * (ta + tb)
+            side1 = a[:, 0] * tm >= a[:, 1] * (1.0 - tm)
+            P = float((w * a[:, 0])[side1].sum())
+            Q = float((w * a[:, 1])[~side1].sum())
+            if P <= 0.0 or Q <= 0.0:
+                continue
+            ha, hb = P * ta + Q * (1.0 - ta), P * tb + Q * (1.0 - tb)
+            if abs(P - Q) < 1e-14:
+                total += P * Q * (tb - ta) / (ha * hb)
+            else:
+                total += P * Q / (P - Q) * (1.0 / ha - 1.0 / hb)
+        assert len(ts) > 500
+        assert kendall_tau_2d(zonoid_from_spectral(sigma)) == pytest.approx(
+            1.0 - total, abs=1e-12
+        )
 
     def test_fd_gradient_fallback_on_smooth_norm(self):
         from maxzonoid import AnalyticNorm, MaxZonoid, as_dependency

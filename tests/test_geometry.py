@@ -418,6 +418,17 @@ class TestMDistance:
         d = m_distance(unit_cross_polytope(2), unit_cube(2))
         assert d == pytest.approx(math.log(4.0), abs=1e-3)
 
+    @pytest.mark.parametrize("grid_n", [256, 4096])
+    def test_cube_cross_within_grid_error(self, grid_n):
+        # the optimum lam = (2, 2) must hold max(2 x1, 2 x2) >= x1 + x2; on a
+        # grid of angular step delta the constraint, Lipschitz <= 3 sqrt(2)
+        # near lam against x1 + x2 >= 1, can dip by 3 sqrt(2) delta / 2
+        # between grid directions, and each of the d = 2 scale factors by
+        # that ratio: the relaxed value lies at most 3 sqrt(2) delta below
+        delta = (math.pi / 2) / grid_n
+        d = m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=grid_n)
+        assert math.log(4.0) - 3 * math.sqrt(2) * delta <= d <= math.log(4.0) + 1e-5
+
     def test_symmetry(self, rng):
         K1, K2 = random_dependency(rng, 2, 3), random_dependency(rng, 2, 4)
         assert m_distance(K1, K2) == pytest.approx(m_distance(K2, K1), abs=1e-9)

@@ -1,13 +1,15 @@
-"""Backend equivalence: the numba kernels and the pure-numpy fallbacks
-must compute the same values."""
-
-import subprocess
-import sys
+"""The numpy kernels against their dense definitions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxzonoid import _kernels
+
+
+def dense_support(B, X):
+    return np.maximum((X[:, None] * B[None]).max(2), 0).sum(1)
 
 
 @pytest.fixture
@@ -18,28 +20,52 @@ def data(rng):
     return atoms, points, uniforms
 
 
-def test_support_sum_matches_fallback(data):
-    atoms, points, _ = data
-    a = _kernels.support_sum(atoms, points)
-    b = _kernels.support_sum_numpy(atoms, points)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
 def test_support_sum_zero_floor(data):
     atoms, _, _ = data
     mixed = np.array([[-1.0, -2.0, -0.5], [0.5, -1.0, 0.25]])
     a = _kernels.support_sum(atoms, mixed)
-    b = _kernels.support_sum_numpy(atoms, mixed)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(a, dense_support(atoms, mixed), rtol=1e-13, atol=1e-15)
     assert np.all(a >= 0)
 
 
-def test_simulate_frechet_matches_fallback(data):
-    atoms, _, uniforms = data
-    A = atoms / atoms.sum(axis=0)
-    a = _kernels.simulate_frechet(A, uniforms)
-    b = _kernels.simulate_frechet_numpy(A, uniforms)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+def test_support_sum_dense_path_is_definition(rng):
+    # d >= 3 keeps the blocked dense product: bit-identical across blocks
+    atoms = rng.random((37, 3)) * rng.random((37, 1))
+    points = rng.random((_kernels._CHUNK + 211, 3)) * 3.0 - 0.5
+    got = _kernels.support_sum(atoms, points)
+    assert np.array_equal(got, dense_support(atoms, points))
+
+
+# grid values give exact zeros, repeated slopes and points on atom slopes
+_entry = st.one_of(st.integers(0, 24).map(lambda k: k / 8.0), st.floats(0.01, 4.0))
+_coord = st.one_of(
+    st.integers(-8, 24).map(lambda k: k / 8.0),
+    st.floats(0.01, 4.0),
+    st.floats(-4.0, -0.01),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(_entry, _entry), min_size=1, max_size=12),
+    points=st.lists(st.tuples(_coord, _coord), min_size=0, max_size=20),
+)
+def test_planar_support_matches_dense(atoms, points):
+    B = np.array(atoms, dtype=float).reshape(-1, 2)
+    X = np.array(points, dtype=float).reshape(-1, 2)
+    # add points exactly on each atom's slope, the axes and the origin
+    X = np.vstack([X, 1.5 * B[:, ::-1], [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]])
+    got = _kernels.support_sum(B, X)
+    np.testing.assert_allclose(got, dense_support(B, X), rtol=1e-13, atol=0)
+
+
+def test_planar_support_edge_cases():
+    axis = np.array([[1.0, 0.0], [0.0, 1.0]])
+    one = np.array([[0.3, 0.7]])
+    X = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [-1.0, 2.0], [-1.0, -1.0], [1.0, 1.0]])
+    for B in (axis, one, np.vstack([axis, one, one])):
+        np.testing.assert_allclose(_kernels.support_sum(B, X), dense_support(B, X), rtol=1e-13, atol=0)
+    assert _kernels.support_sum(one, np.empty((0, 2))).shape == (0,)
 
 
 def test_simulate_frechet_numpy_matches_definition(data):
@@ -47,37 +73,13 @@ def test_simulate_frechet_numpy_matches_definition(data):
     A = atoms / atoms.sum(axis=0)
     z = -1.0 / np.log(uniforms)
     expected = (z[:, :, None] * A[None, :, :]).max(axis=1)
-    assert np.array_equal(_kernels.simulate_frechet_numpy(A, uniforms), expected)
+    assert np.array_equal(_kernels.simulate_frechet(A, uniforms), expected)
 
 
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "import os; os.environ['MAXZONOID_NO_NUMBA']='1'; "
-        "from maxzonoid import _kernels; "
-        "assert not _kernels.HAS_NUMBA; "
-        "assert _kernels.backend_name() == 'numpy'; "
-        "assert _kernels.support_sum is _kernels.support_sum_numpy"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-def test_simulation_identical_across_backends(tmp_path):
-    """Same seed, either backend: byte-identical samples."""
-    code = (
-        "import numpy as np, maxzonoid as mz; "
-        "m = mz.MaxStableModel(mz.make_family('marshall_olkin', 2, alpha1=0.4, alpha2=0.7)); "
-        "np.save({path!r}, mz.simulate(m, 500, seed=99).values)"
-    )
-    paths = []
-    for tag, env in (("jit", {}), ("np", {"MAXZONOID_NO_NUMBA": "1"})):
-        path = str(tmp_path / f"{tag}.npy")
-        paths.append(path)
-        import os
-
-        subprocess.run(
-            [sys.executable, "-c", code.format(path=path)],
-            check=True,
-            env={**os.environ, **env},
-        )
-    a, b = np.load(paths[0]), np.load(paths[1])
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+def test_simulate_frechet_across_row_blocks(rng):
+    A = rng.random((9, 2))
+    A /= A.sum(axis=0)
+    uniforms = rng.random((_kernels._CHUNK + 37, 9))
+    z = -1.0 / np.log(uniforms)
+    expected = (z[:, :, None] * A[None, :, :]).max(axis=1)
+    assert np.array_equal(_kernels.simulate_frechet(A, uniforms), expected)
