@@ -143,25 +143,19 @@ def load_model(path):
 
 
 def read_csv(path):
-    header = None
-    rows = []
+    """'#' lines and blank lines are skipped; a first row that is not
+    numeric is the header."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header is None:
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    header = parts
-                    continue
-            else:
-                rows.append([float(p) for p in parts])
-    if not rows:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    header = None
+    if lines:
+        try:
+            [float(p) for p in lines[0].split(",")]
+        except ValueError:
+            header = [p.strip() for p in lines.pop(0).split(",")]
+    if not lines:
         raise ValueError(f"no data rows in {path}")
-    return header, np.array(rows)
+    return header, np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def _open_out(path):
@@ -174,8 +168,7 @@ def write_csv(path, header, rows, meta):
         for key, val in meta.items():
             fh.write(f"# {key}={val}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",")
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -252,7 +245,9 @@ def cmd_eval(args):
 def cmd_measures(args):
     model, spec = load_model(args.model)
     d = model.d
-    cap = args.max_subset_size or min(d, 4)
+    cap = min(d, 4) if args.max_subset_size is None else args.max_subset_size
+    if cap < 1:
+        raise ValueError("--max-subset-size must be at least 1")
     table = extremal_table(model, max_size=cap)
     results = {
         "theta": {_subset_key(A): v for A, v in sorted(table.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},

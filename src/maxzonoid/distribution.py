@@ -151,6 +151,8 @@ def quantile_curve(model, alpha, points_n=200):
         raise ValueError("quantile curves are planar")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if points_n < 2:
+        raise ValueError("a quantile curve needs at least two points")
     theta = np.linspace(1e-6, np.pi / 2 - 1e-6, points_n)
     U = np.column_stack([np.cos(theta), np.sin(theta)])
     P = U / _support_finite(K, U)[:, None]

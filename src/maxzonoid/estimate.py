@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    EPS,
     Polygon2D,
     _clip_chain_region,
     _ne_chain,
@@ -80,8 +79,6 @@ def estimate_zonoid_2d(estimates):
             raise ValueError("estimates produced an empty region")
     chain = _ne_chain(np.array(poly))
     xmax, ymax = chain.vertices[:, 0].max(), chain.vertices[:, 1].max()
-    if xmax <= EPS or ymax <= EPS:
-        raise ValueError("estimates produced a degenerate region")
     return Polygon2D.from_chain(chain.vertices / np.array([xmax, ymax]))
 
 
@@ -95,8 +92,9 @@ class ConvergencePoint:
 
 def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None):
     """Hausdorff distance between the normalized empirical max-zonoid at
-    each threshold and a target body; entries without exceedances are
-    flagged rather than failing the whole sweep."""
+    each threshold and a target body.  Thresholds without exceedances,
+    or whose exceedances leave a coordinate empty, are flagged; bad data,
+    grids or dimensions fail the whole sweep."""
     X = samples.values if hasattr(samples, "values") else np.atleast_2d(
         np.asarray(samples, dtype=float)
     )
@@ -107,11 +105,12 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
         if n_exc == 0:
             out.append(ConvergencePoint(float(s), float("nan"), 0, False))
             continue
+        sigma = empirical_spectral(X, s, reference)
         try:
-            sigma = empirical_spectral(X, s, reference)
             K = normalize_dependency(zonoid_from_spectral(sigma))
-            dist = hausdorff_distance(K, target, grid_n=grid_n)
-            out.append(ConvergencePoint(float(s), dist, n_exc, True))
         except ValueError:
             out.append(ConvergencePoint(float(s), float("nan"), n_exc, False))
+            continue
+        dist = hausdorff_distance(K, target, grid_n=grid_n)
+        out.append(ConvergencePoint(float(s), dist, n_exc, True))
     return out

@@ -21,8 +21,8 @@ from .geometry import (
     AnalyticNorm,
     MaxZonoid,
     Polygon2D,
-    _ne_chain,
-    _envelope_polygon,
+    _norm_chain,
+    _quarter_circle,
     _support_finite,
     as_dependency,
     directions_simplex,
@@ -242,13 +242,6 @@ def _renormalize_marginals(sigma):
     return spectral_from_points(sigma.atoms / s, sigma.masses, sigma.reference)
 
 
-def _measure_error_2d(K, sigma, n_eval):
-    theta = np.linspace(0.0, np.pi / 2, n_eval)
-    U = np.column_stack([np.cos(theta), np.sin(theta)])
-    approx = MaxZonoid(d=2, spectral=sigma)
-    return float(np.abs(_support_finite(K, U) - _support_finite(approx, U)).max())
-
-
 def discretize(K, m=1000, n_eval=2048):
     """Atom-list approximation of a dependency set on the l1 simplex.
 
@@ -265,18 +258,15 @@ def discretize(K, m=1000, n_eval=2048):
         return DiscretizeResult(sigma, 0.0, 0)
     if K.d == 2:
         t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
-        U = np.column_stack([t, 1.0 - t])
-        if K.norm.grad is not None:
-            pts = np.asarray(K.norm.grad(U), dtype=float)
-            chain = _ne_chain(np.vstack([[1.0, 0.0], pts, [0.0, 1.0]]))
-        else:
-            # supporting-line envelope; needs the axis lines and an
-            # anticlockwise direction order
-            U = np.vstack([[1.0, 0.0], np.column_stack([1.0 - t, t]), [0.0, 1.0]])
-            chain = _envelope_polygon(U, _support_finite(K, U))
+        chain = _norm_chain(K, np.column_stack([t, 1.0 - t])[::-1])  # anticlockwise
         sigma = _renormalize_marginals(spectral_from_polygon_2d(chain, "l1"))
-        return DiscretizeResult(sigma, _measure_error_2d(K, sigma, n_eval), n_eval)
-    return _discretize_nnls(K, m, n_eval)
+        E = _quarter_circle(n_eval - 1)
+    else:
+        sigma = _fit_nnls(K, m)
+        E = np.vstack([directions_simplex(n_eval, K.d), np.eye(K.d)])
+    approx = MaxZonoid(d=K.d, spectral=sigma)
+    err = float(np.abs(_support_finite(K, E) - _support_finite(approx, E)).max())
+    return DiscretizeResult(sigma, err, n_eval)
 
 
 def _simplex_lattice(d, m):
@@ -291,7 +281,7 @@ def _simplex_lattice(d, m):
     return np.array(pts)
 
 
-def _discretize_nnls(K, m, n_eval):
+def _fit_nnls(K, m):
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = np.vstack([directions_simplex(n_fit, K.d), np.eye(K.d)])
@@ -303,8 +293,4 @@ def _discretize_nnls(K, m, n_eval):
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
-    sigma = _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
-    approx = MaxZonoid(d=K.d, spectral=sigma)
-    E = np.vstack([directions_simplex(n_eval, K.d), np.eye(K.d)])
-    err = float(np.abs(_support_finite(K, E) - _support_finite(approx, E)).max())
-    return DiscretizeResult(sigma, err, n_eval)
+    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))

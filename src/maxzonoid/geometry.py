@@ -64,9 +64,9 @@ class Polygon2D:
         object.__setattr__(self, "vertices", v)
 
     @classmethod
-    def from_chain(cls, vertices, repair_tol=EPS):
+    def from_chain(cls, vertices):
         """Clean a raw chain: dedup, drop collinear vertices, repair
-        convexity violations below repair_tol, reject larger ones."""
+        convexity violations below EPS, reject larger ones."""
         v = np.asarray(vertices, dtype=float)
         v = np.where(np.abs(v) <= EPS, 0.0, v)
         kept = [v[0]]
@@ -79,7 +79,7 @@ class Polygon2D:
                 e1 = out[-1] - out[-2]
                 e2 = p - out[-1]
                 cross = e1[0] * e2[1] - e1[1] * e2[0]
-                if cross < -repair_tol:
+                if cross < -EPS:
                     raise ValueError("chain violates convexity beyond tolerance")
                 if cross <= EPS:
                     out.pop()
@@ -277,21 +277,63 @@ def _support_clipped(K, U):
 # the operations algebra
 
 
+def _quarter_circle(n):
+    """n + 1 unit directions at equal angles from e1 to e2, anticlockwise."""
+    theta = np.linspace(0.0, np.pi / 2, n + 1)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
 def _polygon_of(K, directions=512):
     """Planar vertex chain of a 2-D body; exact for atom lists, a fine inscribed/circumscribed chain for analytic norms."""
     if K.d != 2:
         raise ValueError("polygon materialization requires d = 2")
     if K.spectral is not None:
         return polygon_from_spectral(K.spectral)
-    theta = np.linspace(0.0, np.pi / 2, directions + 1)
-    U = np.column_stack([np.cos(theta), np.sin(theta)])
-    if K.norm.grad is not None:
-        pts = np.asarray(K.norm.grad(U), dtype=float)
-        h_e = support_function(K, np.eye(2))
-        pts = np.vstack([[h_e[0], 0.0], pts, [0.0, h_e[1]]])
-        return _ne_chain(pts)
-    h = _support_finite(K, U)
-    return _envelope_polygon(U, h)
+    return _norm_chain(K, _quarter_circle(directions)[1:-1])
+
+
+def _image(parts, d):
+    """The body with h(x) = sum_j h(K_j, y_j), where y_j[dst_j] =
+    lam_j * x[src_j] and y_j is zero elsewhere; parts are tuples
+    (K_j, src_j, dst_j, lam_j).  Rescaling, marginalizing, products and
+    Minkowski sums are all this map.  Atom lists map to atom lists (atom
+    b becomes c with c[src] = lam * b[dst], zero rows dropped); otherwise
+    the support functions compose, with a gradient only when every part
+    has one."""
+    parts = [
+        (K, src, dst, np.array(np.broadcast_to(lam, np.shape(src)), dtype=float))
+        for K, src, dst, lam in parts
+    ]
+    if all(K.spectral is not None for K, *_ in parts):
+        pts, w = [], []
+        for K, src, dst, lam in parts:
+            c = np.zeros((K.spectral.n_atoms, d))
+            c[:, src] = K.spectral.atoms[:, dst] * lam
+            pts.append(c)
+            w.append(K.spectral.masses)
+        sigma = spectral_from_points(
+            np.vstack(pts), np.concatenate(w), parts[0][0].spectral.reference
+        )
+        return MaxZonoid(d=d, spectral=sigma)
+
+    def lift(K, src, dst, lam, X):
+        Y = np.zeros((X.shape[0], K.d))
+        Y[:, dst] = X[:, src] * lam
+        return Y
+
+    def fn(X):
+        return sum(_support_finite(K, lift(K, *rest, X)) for K, *rest in parts)
+
+    grad = None
+    if all(K.norm is not None and K.norm.grad is not None for K, *_ in parts):
+
+        def grad(X):
+            G = np.zeros(X.shape)
+            for K, src, dst, lam in parts:
+                G[:, src] += K.norm.grad(lift(K, src, dst, lam, X))[:, dst] * lam
+            return G
+
+    return MaxZonoid(d=d, norm=AnalyticNorm("image", d, fn, grad))
 
 
 def scale(K, lam):
@@ -301,19 +343,8 @@ def scale(K, lam):
         raise ValueError("scale factors must be positive finite")
     if np.all(lam == 1.0):
         return K
-    if K.spectral is not None:
-        sigma = K.spectral
-        new = spectral_from_points(sigma.atoms * lam, sigma.masses, sigma.reference)
-        return MaxZonoid(d=K.d, spectral=new)
-    base = K.norm
-    lam_c = lam.copy()
-    fn = lambda X, _f=base.fn, _l=lam_c: _f(X * _l)
-    grad = None
-    if base.grad is not None:
-        grad = lambda X, _g=base.grad, _l=lam_c: _g(X * _l) * _l
-    return MaxZonoid(
-        d=K.d, norm=AnalyticNorm(f"{base.name}*scaled", K.d, fn, grad, base.params)
-    )
+    idx = np.arange(K.d)
+    return _image([(K, idx, idx, lam)], K.d)
 
 
 def project(K, coords):
@@ -326,60 +357,15 @@ def project(K, coords):
         raise ValueError("coordinate subset out of range")
     if coords.size == K.d:
         return K
-    if K.spectral is not None:
-        sigma = K.spectral
-        sub = sigma.atoms[:, coords]
-        from .spectral import reference_norm_of
-
-        norms = reference_norm_of(sub, sigma.reference)
-        keep = norms > ATOM_TOL
-        if not keep.any():
-            raise ValueError("projection is degenerate (zero body)")
-        new = spectral_from_points(sub[keep], sigma.masses[keep], sigma.reference)
-        return _rewrap(MaxZonoid(d=coords.size, spectral=new), K)
-    base = K.norm
-    d_old, idx = K.d, coords.copy()
-
-    def fn(X, _f=base.fn, _d=d_old, _i=idx):
-        full = np.zeros((X.shape[0], _d))
-        full[:, _i] = X
-        return _f(full)
-
-    grad = None
-    if base.grad is not None:
-
-        def grad(X, _g=base.grad, _d=d_old, _i=idx):
-            full = np.zeros((X.shape[0], _d))
-            full[:, _i] = X
-            return _g(full)[:, _i]
-
-    out = MaxZonoid(
-        d=coords.size,
-        norm=AnalyticNorm(f"{base.name}|proj", coords.size, fn, grad, base.params),
-    )
-    return _rewrap(out, K)
+    return _rewrap(_image([(K, np.arange(coords.size), coords, 1.0)], coords.size), K)
 
 
 def cartesian_product(K1, K2):
     """Body of the concatenation of independent vectors:
     h(K1 x K2, (x1, x2)) = h(K1, x1) + h(K2, x2)."""
-    s1, s2 = K1.spectral, K2.spectral
-    if s1 is not None and s2 is not None:
-        s2 = rebase_reference(s2, s1.reference)
-        a1 = np.hstack([s1.atoms, np.zeros((s1.n_atoms, K2.d))])
-        a2 = np.hstack([np.zeros((s2.n_atoms, K1.d)), s2.atoms])
-        sigma = make_measure(
-            np.vstack([a1, a2]), np.concatenate([s1.masses, s2.masses]), s1.reference
-        )
-        return _rewrap(MaxZonoid(d=K1.d + K2.d, spectral=sigma), K1, K2)
     d1, d2 = K1.d, K2.d
-
-    def fn(X):
-        return _support_finite(K1, np.ascontiguousarray(X[:, :d1])) + _support_finite(
-            K2, np.ascontiguousarray(X[:, d1:])
-        )
-
-    out = MaxZonoid(d=d1 + d2, norm=AnalyticNorm("product", d1 + d2, fn))
+    i1, i2 = np.arange(d1), np.arange(d2)
+    out = _image([(K1, i1, i1, 1.0), (K2, d1 + i2, i2, 1.0)], d1 + d2)
     return _rewrap(out, K1, K2)
 
 
@@ -393,23 +379,8 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (d,))
         if np.any(lam_v < 0) or np.any(lam_v > 1):
             raise ValueError("weights must lie in [0, 1]")
-        s1, s2 = K1.spectral, K2.spectral
-        if s1 is not None and s2 is not None:
-            s2 = rebase_reference(s2, s1.reference)
-            pts = np.vstack([s1.atoms * lam_v, s2.atoms * (1.0 - lam_v)])
-            w = np.concatenate([s1.masses, s2.masses])
-            from .spectral import reference_norm_of
-
-            norms = reference_norm_of(pts, s1.reference)
-            keep = norms > ATOM_TOL
-            sigma = spectral_from_points(pts[keep], w[keep], s1.reference)
-            return _rewrap(MaxZonoid(d=d, spectral=sigma), K1, K2)
-        one_m = 1.0 - lam_v
-
-        def fn(X, _l=lam_v.copy(), _o=one_m.copy()):
-            return _support_finite(K1, X * _l) + _support_finite(K2, X * _o)
-
-        out = MaxZonoid(d=d, norm=AnalyticNorm("minkowski-sum", d, fn))
+        idx = np.arange(d)
+        out = _image([(K1, idx, idx, lam_v), (K2, idx, idx, 1.0 - lam_v)], d)
         return _rewrap(out, K1, K2)
     if mode == "difference":
         lam_s = float(lam)
@@ -450,7 +421,7 @@ def _ne_chain(points):
     anchors are extreme points and are never popped, so the chain always
     runs between them and is anticlockwise monotone."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    pts = np.clip(pts, 0.0, None)
+    pts = np.where(pts <= EPS, 0.0, pts)
     xmax, ymax = pts[:, 0].max(), pts[:, 1].max()
     if xmax <= EPS or ymax <= EPS:
         raise ValueError("degenerate point set for a planar chain")
@@ -465,7 +436,7 @@ def _ne_chain(points):
             else:
                 break
         chain.append(p)
-    return Polygon2D.from_chain(np.array(chain))
+    return Polygon2D(np.array(chain))
 
 
 def _envelope_polygon(U, h):
@@ -481,6 +452,19 @@ def _envelope_polygon(U, h):
         verts.append(np.clip(x, 0.0, None))
     verts.append(np.array([0.0, h[-1] / U[-1, 1]]))
     return _ne_chain(np.array(verts))
+
+
+def _norm_chain(K, U):
+    """Planar chain of an analytic norm from anticlockwise directions U
+    inside the open quadrant: the support points grad(U) with the axis
+    points when the norm has a gradient (inscribed), else the envelope
+    of the supporting lines on U and the two axes (circumscribed)."""
+    h_e = _support_finite(K, np.eye(2))
+    if K.norm.grad is not None:
+        pts = np.asarray(K.norm.grad(U), dtype=float)
+        return _ne_chain(np.vstack([[h_e[0], 0.0], pts, [0.0, h_e[1]]]))
+    U = np.vstack([[1.0, 0.0], U, [0.0, 1.0]])
+    return _envelope_polygon(U, _support_finite(K, U))
 
 
 def _clip_chain_region(poly, normal, offset):
@@ -525,8 +509,7 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
             raise ValueError("power-mean exponent must be >= 1")
         if not (0.0 <= lam <= 1.0):
             raise ValueError("power-mean weight must lie in [0, 1]")
-        theta = np.linspace(0.0, np.pi / 2, directions + 1)
-        U = np.column_stack([np.cos(theta), np.sin(theta)])
+        U = _quarter_circle(directions)
         h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
         h = (lam * h1**p + (1.0 - lam) * h2**p) ** (1.0 / p)
         return as_dependency(zonoid_from_polygon(_envelope_polygon(U, h)))
@@ -543,20 +526,10 @@ def polar_2d(K, directions=4096):
     if K.d != 2:
         raise ValueError("polar materialization requires d = 2")
     if K.norm is not None:
-        theta = np.linspace(0.0, np.pi / 2, directions + 1)
-        U = np.column_stack([np.cos(theta), np.sin(theta)])
-        pts = U / _support_finite(K, U)[:, None]
-        return _ne_chain(pts)
+        U = _quarter_circle(directions)
+        return _ne_chain(U / _support_finite(K, U)[:, None])
     V = _polygon_of(K).vertices
-    verts = [np.array([1.0 / V[0, 0], 0.0])]
-    for i in range(1, len(V)):
-        A = np.array([V[i - 1], V[i]])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if abs(det) < 1e-14:
-            continue
-        verts.append(np.linalg.solve(A, np.ones(2)))
-    verts.append(np.array([0.0, 1.0 / V[-1, 1]]))
-    return _ne_chain(np.array(verts))
+    return _envelope_polygon(V, np.ones(len(V)))
 
 
 @dataclass(frozen=True)
@@ -598,6 +571,8 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
             return Estimate(float(val), 0.0, "exact_2d")
         return Estimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
     if method == "mc":
+        if n < 1:
+            raise ValueError("Monte Carlo needs at least one sample")
         extents = K.marginals()
         if np.any(extents <= EPS):
             raise ValueError("degenerate body: polar set is unbounded")
@@ -626,6 +601,8 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     """Importance-sampled integral of exp(-h(K, x)) over the orthant,
     with proposal Exp(beta)^d; finite variance for any beta < 1 because
     h dominates the maximum coordinate."""
+    if n < 1:
+        raise ValueError("Monte Carlo needs at least one sample")
     d = K.d
     total = 0.0
     total_sq = 0.0
@@ -678,6 +655,8 @@ def hausdorff_distance(K1, K2, grid_n=None):
     d = K1.d
     if grid_n is None:
         grid_n = 4096 if d == 2 else 20_000
+    if grid_n < 1:
+        raise ValueError("direction grid needs at least one direction")
     if d == 2:
         theta = 2.0 * np.pi * np.arange(grid_n) / grid_n
         U = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -706,11 +685,9 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
             raise ValueError("m-distance is defined for dependency sets")
     if grid_n is None:
         grid_n = 4096 if d == 2 else 20_000
-    if d == 2:
-        theta = np.linspace(0.0, np.pi / 2, grid_n + 1)
-        U = np.column_stack([np.cos(theta), np.sin(theta)])
-    else:
-        U = directions_simplex(grid_n, d)
+    if grid_n < 1:
+        raise ValueError("direction grid needs at least one direction")
+    U = _quarter_circle(grid_n) if d == 2 else directions_simplex(grid_n, d)
     U = np.vstack([U, _corner_directions(d)])
     h1 = _support_finite(K1, U)
     h2 = _support_finite(K2, U)

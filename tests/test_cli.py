@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maxzonoid.cli import main, read_csv
+from maxzonoid.cli import main, read_csv, write_csv
 
 
 def write_model(tmp_path, name, doc):
@@ -199,6 +199,28 @@ class TestEstimateAndConverge:
         assert header[0] == "s" and rows.shape == (3, 4)
         assert np.all(rows[:, 2] < 0.2)
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_direction_grid_rejected(self, tmp_path, sample_csv, grid, capsys):
+        spec = write_model(
+            tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}}
+        )
+        argv = ["converge", "--model", spec, "--data", sample_csv, "--s-grid", "5,10"]
+        assert main(argv + ["--grid", grid]) == 2
+        assert "at least one direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, s_grid",
+        [("0,1\n2,3\n40,50\n", "5,10"), ("1,2\n40,50\n", "0,10"), ("1,2,3\n40,50,60\n", "5,10")],
+    )
+    def test_bad_data_fails_the_sweep(self, tmp_path, data, s_grid):
+        spec = write_model(
+            tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}}
+        )
+        path = tmp_path / "bad.csv"
+        path.write_text(data)
+        argv = ["converge", "--model", spec, "--data", str(path), "--s-grid", s_grid]
+        assert main(argv) == 2
+
     def test_decreasing_grid_rejected(self, tmp_path, sample_csv):
         spec = write_model(
             tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}}
@@ -217,6 +239,56 @@ class TestQuantile:
         _, rows = read_csv(out)
         h = np.hypot(1 / rows[:, 0], 1 / rows[:, 1])
         np.testing.assert_allclose(np.exp(-h), 0.3, atol=1e-9)
+
+
+class TestCsv:
+    def test_read_skips_comments_blank_lines_and_header(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# seed=1\n\nx1, x2\n 1.5 , 2\n   \n# note\n3,4\n")
+        header, rows = read_csv(str(path))
+        assert header == ["x1", "x2"]
+        np.testing.assert_array_equal(rows, [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_header_only_has_no_data(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# seed=1\nx1,x2\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(str(path))
+
+    def test_write_then_read_special_values(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        rows = [[np.nan, np.inf], [-np.inf, -0.0], [1 / 3, 5]]
+        write_csv(out, ["a", "b"], rows, {"seed": 1})
+        with open(out) as fh:
+            text = fh.read()
+        assert text == "# seed=1\na,b\nnan,inf\n-inf,-0\n0.33333333333333331,5\n"
+        header, back = read_csv(out)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(back, rows)
+        assert math.copysign(1.0, back[1, 1]) == -1.0
+
+
+class TestCountsFailLoudly:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--samples", "0"],
+            ["--samples", "-5"],
+            ["--max-subset-size", "0"],
+            ["--max-subset-size", "-1"],
+        ],
+    )
+    def test_measures(self, tmp_path, extra, capsys):
+        spec = write_model(
+            tmp_path, "l3.json", {"family": {"name": "logistic", "d": 3, "params": {"p": 2.0}}}
+        )
+        assert main(["measures", "--model", spec] + extra) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["1", "0", "-2"])
+    def test_quantile_points(self, log2_spec, points):
+        argv = ["quantile", "--model", log2_spec, "--alpha", "0.5", "--points", points]
+        assert main(argv) == 2
 
 
 class TestExitCodes:

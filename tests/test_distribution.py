@@ -175,6 +175,11 @@ class TestQuantileCurve:
         with pytest.raises(ValueError, match="alpha"):
             quantile_curve(models["ind"], 1.0)
 
+    @pytest.mark.parametrize("points_n", [1, 0, -4])
+    def test_needs_two_points(self, models, points_n):
+        with pytest.raises(ValueError, match="two points"):
+            quantile_curve(models["ind"], 0.5, points_n=points_n)
+
 
 class TestSimulate:
     def test_complete_dependence_coordinates_equal(self):

@@ -49,6 +49,17 @@ class TestAnalyticMaterialization:
         assert np.all(chain.support(X) >= h - 1e-12)
         assert np.abs(chain.support(X) - h).max() < 1e-3
 
+    def test_polygon_of_skips_axis_gradients(self):
+        # the negative logistic gradient at e1 is (1, 1), outside the body;
+        # a chain through it would be the unit square
+        K = make_family("neg_logistic", 2, lam=1.0, p=-1.0)
+        chain = _polygon_of(K, directions=256)
+        t = np.linspace(0, 1, 101)
+        X = np.column_stack([t, 1 - t])
+        h = mz.support_function(K, X)
+        assert np.all(chain.support(X) <= h + 1e-12)
+        assert np.abs(chain.support(X) - h).max() < 1e-4
+
     def test_hull_with_analytic_input(self):
         K1 = make_family("logistic", 2, p=2.0)
         K2 = make_family("marshall_olkin", 2, alpha1=0.9, alpha2=0.2)

@@ -30,6 +30,7 @@ from maxzonoid import (
     zonoid_from_spectral,
 )
 from maxzonoid.geometry import Polygon2D, _ne_chain
+from maxzonoid.spectral import ATOM_TOL
 
 from conftest import random_dependency, random_dependency_polygon
 
@@ -37,8 +38,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 @st.composite
-def discrete_bodies(draw, max_d=3):
-    d = draw(st.integers(2, max_d))
+def discrete_bodies(draw, max_d=3, d=None):
+    if d is None:
+        d = draw(st.integers(2, max_d))
     m = draw(st.integers(1, 5))
     pts = draw(
         st.lists(
@@ -51,6 +53,30 @@ def discrete_bodies(draw, max_d=3):
     from maxzonoid import spectral_from_points
 
     return zonoid_from_spectral(spectral_from_points(np.array(pts), np.array(w)))
+
+
+@st.composite
+def bodies(draw, d):
+    """An atom list or an analytic (logistic) norm in dimension d."""
+    if draw(st.booleans()):
+        return make_family("logistic", d, p=draw(st.floats(1.05, 6.0)))
+    return draw(discrete_bodies(d=d))
+
+
+def _directions(n, d):
+    return np.random.default_rng(n + d).random((n, d)) * 2.0
+
+
+def _assert_image(out, inputs, X, h_expected):
+    """Same support, and atoms out exactly when every input has atoms.
+
+    An image atom of reference norm at most ATOM_TOL is dropped as zero
+    (a weight near 0 in minkowski_combine makes one), which moves h by at
+    most ATOM_TOL * mass * max|x|; that is the only slack allowed."""
+    assert (out.spectral is not None) == all(K.spectral is not None for K in inputs)
+    mass = sum(K.spectral.masses.sum() for K in inputs if K.spectral is not None)
+    atol = ATOM_TOL * mass * np.abs(X).max()
+    np.testing.assert_allclose(support_function(out, X), h_expected, rtol=1e-12, atol=atol)
 
 
 class TestSupportFunction:
@@ -275,6 +301,95 @@ class TestMinkowski:
             assert support_function(K, x) == pytest.approx(direct, abs=1e-12)
 
 
+class TestImageAlgebra:
+    """Support identities of scale, project, cartesian_product and
+    minkowski_combine on atom lists, analytic norms and mixtures."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_scale(self, data):
+        d = data.draw(st.integers(2, 3))
+        K = data.draw(bodies(d))
+        lam = np.array(data.draw(st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)))
+        X = _directions(20, d)
+        out = scale(K, lam)
+        _assert_image(out, [K], X, support_function(K, X * lam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_project(self, data):
+        d = data.draw(st.integers(2, 4))
+        K = data.draw(bodies(d))
+        coords = sorted(
+            data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d - 1, unique=True))
+        )
+        X = _directions(20, len(coords))
+        lifted = np.zeros((20, d))
+        lifted[:, coords] = X
+        out = project(K, coords)
+        _assert_image(out, [K], X, support_function(K, lifted))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cartesian_product(self, data):
+        d1, d2 = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        K1, K2 = data.draw(bodies(d1)), data.draw(bodies(d2))
+        X = _directions(20, d1 + d2)
+        out = cartesian_product(K1, K2)
+        _assert_image(
+            out,
+            [K1, K2],
+            X,
+            support_function(K1, X[:, :d1]) + support_function(K2, X[:, d1:]),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_minkowski_sum(self, data):
+        d = data.draw(st.integers(2, 3))
+        K1, K2 = data.draw(bodies(d)), data.draw(bodies(d))
+        lam = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+        X = _directions(20, d)
+        out = minkowski_combine(K1, K2, lam)
+        _assert_image(
+            out,
+            [K1, K2],
+            X,
+            support_function(K1, X * lam) + support_function(K2, X * (1 - lam)),
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scale(make_family("logistic", 3, p=2.5), [2.0, 0.5, 1.5]),
+            lambda: project(make_family("logistic", 3, p=3.0), [0, 2]),
+            lambda: cartesian_product(
+                make_family("logistic", 2, p=2.0), make_family("husler_reiss", 2, lam=0.7)
+            ),
+            lambda: minkowski_combine(
+                make_family("logistic", 2, p=1.5),
+                make_family("neg_logistic", 2, lam=0.5, p=-2.0),
+                [0.3, 0.8],
+            ),
+        ],
+    )
+    def test_composed_gradient_matches_central_differences(self, build):
+        K = build()
+        X = np.random.default_rng(3).random((25, K.d)) * 1.8 + 0.2
+        step = 1e-6
+        numeric = np.column_stack(
+            [
+                (K.norm.fn(X + step * e) - K.norm.fn(X - step * e)) / (2 * step)
+                for e in np.eye(K.d)
+            ]
+        )
+        np.testing.assert_allclose(K.norm.grad(X), numeric, atol=1e-7)
+
+    def test_no_gradient_when_a_part_has_none(self):
+        K = minkowski_combine(make_family("logistic", 2, p=2.0), unit_cube(2), 0.5)
+        assert K.norm is not None and K.norm.grad is None
+
+
 class TestCombine2D:
     def test_hull_idempotent(self):
         K = combine_2d(unit_cross_polytope(2), unit_cross_polytope(2), "hull")
@@ -314,7 +429,42 @@ class TestCombine2D:
             combine_2d(unit_cube(3), unit_cube(3), "hull")
 
 
+def _polar_by_solve(K):
+    """Reference polar chain of an atom list: one 2x2 solve per pair of
+    adjacent vertices of the body's chain."""
+    V = polygon_from_spectral(K.spectral).vertices
+    verts = [np.array([1.0 / V[0, 0], 0.0])]
+    for i in range(1, len(V)):
+        A = np.array([V[i - 1], V[i]])
+        if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) < 1e-14:
+            continue
+        verts.append(np.linalg.solve(A, np.ones(2)))
+    verts.append(np.array([0.0, 1.0 / V[-1, 1]]))
+    return _ne_chain(np.array(verts)).vertices
+
+
 class TestPolar:
+    def test_matches_vertex_solve_reference(self, rng):
+        from maxzonoid import discretize
+
+        bodies = [zonoid_from_polygon(random_dependency_polygon(rng)) for _ in range(10)]
+        bodies += [random_dependency(rng, 2, 6), unit_cube(2), unit_cross_polytope(2)]
+        for name, params in [("logistic", {"p": 2.0}), ("husler_reiss", {"lam": 0.5})]:
+            sigma = discretize(make_family(name, 2, **params), 300).measure
+            bodies.append(zonoid_from_spectral(sigma))
+        for K in bodies:
+            np.testing.assert_allclose(
+                polar_2d(K).vertices, _polar_by_solve(K), rtol=0, atol=1e-12
+            )
+
+    def test_monte_carlo_needs_a_sample(self):
+        K = unit_cross_polytope(3)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="at least one sample"):
+                polar_volume(K, method="mc", n=n)
+            with pytest.raises(ValueError, match="at least one sample"):
+                exp_support_integral_mc(K, n=n)
+
     def test_square_polar_is_cross(self):
         P = polar_2d(unit_cube(2))
         np.testing.assert_allclose(P.vertices, [[1, 0], [0, 1]], atol=1e-12)
@@ -406,6 +556,12 @@ class TestHausdorff:
     def test_3d_distance(self):
         d = hausdorff_distance(unit_cube(3), unit_cube(3))
         assert d == 0.0
+
+    @pytest.mark.parametrize("grid_n", [0, -3])
+    def test_empty_grid_rejected(self, grid_n):
+        for dist in (hausdorff_distance, m_distance):
+            with pytest.raises(ValueError, match="at least one direction"):
+                dist(unit_cube(2), unit_cross_polytope(2), grid_n=grid_n)
 
 
 class TestMDistance:
