@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import ndtr
 
+from . import _kernels
 from .geometry import (
     AnalyticNorm,
     MaxZonoid,
@@ -285,11 +286,7 @@ def _fit_nnls(K, m):
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = np.vstack([directions_simplex(n_fit, K.d), np.eye(K.d)])
-    target = _support_finite(K, X)
-    G = np.empty((len(X), len(atoms)))
-    for k, a in enumerate(atoms):
-        G[:, k] = (X * a).max(axis=1)
-    w, _ = nnls(G, target)
+    w, _ = nnls(_kernels.max_products(atoms, X), _support_finite(K, X))
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")

@@ -29,7 +29,7 @@ from maxzonoid import (
     zonoid_from_polygon,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import Polygon2D, _ne_chain
+from maxzonoid.geometry import Polygon2D, _envelope_polygon, _ne_chain, _quarter_circle, _support_finite
 from maxzonoid.spectral import ATOM_TOL
 
 from conftest import random_dependency, random_dependency_polygon
@@ -443,6 +443,19 @@ def _polar_by_solve(K):
     return _ne_chain(np.array(verts)).vertices
 
 
+def _envelope_by_solve(U, h):
+    """Reference envelope chain: one 2x2 solve per pair of adjacent
+    supporting lines <u_j, x> = h_j, clipped to the orthant."""
+    verts = [np.array([h[0] / U[0, 0], 0.0])]
+    for j in range(len(h) - 1):
+        A = np.array([U[j], U[j + 1]])
+        if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) < 1e-14:
+            continue
+        verts.append(np.clip(np.linalg.solve(A, np.array([h[j], h[j + 1]])), 0.0, None))
+    verts.append(np.array([0.0, h[-1] / U[-1, 1]]))
+    return _ne_chain(np.array(verts)).vertices
+
+
 class TestPolar:
     def test_matches_vertex_solve_reference(self, rng):
         from maxzonoid import discretize
@@ -456,6 +469,25 @@ class TestPolar:
             np.testing.assert_allclose(
                 polar_2d(K).vertices, _polar_by_solve(K), rtol=0, atol=1e-12
             )
+
+    def test_envelope_matches_solve_reference(self, rng):
+        from maxzonoid import discretize
+
+        bodies = [zonoid_from_polygon(random_dependency_polygon(rng)) for _ in range(10)]
+        bodies += [random_dependency(rng, 2, 6), unit_cube(2), unit_cross_polytope(2)]
+        # 1000 atoms gives the 725-vertex logistic p = 2 chain
+        for name, params, m in [("logistic", {"p": 2.0}, 300), ("husler_reiss", {"lam": 0.5}, 300),
+                                ("logistic", {"p": 2.0}, 1000)]:
+            sigma = discretize(make_family(name, 2, **params), m).measure
+            bodies.append(zonoid_from_spectral(sigma))
+        U = _quarter_circle(257)
+        for K in bodies:
+            V = polygon_from_spectral(K.spectral).vertices
+            # the polar's lines <v, x> = 1 and the body's own supporting lines
+            for dirs, h in ((V, np.ones(len(V))), (U, _support_finite(K, U))):
+                got, ref = _envelope_polygon(dirs, h).vertices, _envelope_by_solve(dirs, h)
+                assert got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_monte_carlo_needs_a_sample(self):
         K = unit_cross_polytope(3)
@@ -488,6 +520,13 @@ class TestPolar:
         for d in (2, 3):
             v = polar_volume(unit_cross_polytope(d), method="mc", n=40_000, seed=1)
             assert v.value == pytest.approx(1.0, abs=4 * max(v.stderr, 1e-4))
+
+    def test_mc_stderr_when_every_draw_is_accepted(self):
+        # the cross polytope's polar is its unit box, so p^ = 1
+        n = 40_000
+        v = polar_volume(unit_cross_polytope(3), method="mc", n=n, seed=1)
+        assert v.value == 1.0
+        assert 0.5 / n <= v.stderr <= 2.0 / n
 
     def test_polar_volume_l2_ball_3d(self):
         K = make_family("logistic", 3, p=2.0)
