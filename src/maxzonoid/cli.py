@@ -210,7 +210,9 @@ def _measure_to_spec(sigma):
 def _model_with_atoms(model, m_atoms, notes):
     if model.discrete is None:
         res = discretize(model.K, m_atoms)
+        notes["discretize_method"] = res.method
         notes["discretize_atoms"] = res.measure.n_atoms
+        notes["discretize_directions"] = res.n_eval_directions
         notes["discretize_error"] = f"{res.max_support_error:.3g}"
         return MaxStableModel(model.K, res.measure)
     return model

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from . import _kernels
@@ -234,6 +234,7 @@ class DiscretizeResult:
     measure: DiscreteSpectralMeasure
     max_support_error: float
     n_eval_directions: int
+    method: str  # "atoms", "planar-chain" or "nnls-bpp"
 
 
 def _renormalize_marginals(sigma):
@@ -246,28 +247,34 @@ def _renormalize_marginals(sigma):
 def discretize(K, m=1000, n_eval=2048):
     """Atom-list approximation of a dependency set on the l1 simplex.
 
-    Exact (zero reported error) for bodies that already carry atoms.
-    Analytic planar norms are inscribed via their support
-    points at m Chebyshev-spaced simplex directions; in higher
-    dimensions masses are fit by nonnegative least squares on a simplex
-    lattice.  Marginal sums are renormalized to 1.
+    Exact (zero reported error, method "atoms") for bodies that already
+    carry atoms.  Analytic planar norms are inscribed via their support
+    points at m Chebyshev-spaced simplex directions ("planar-chain").  In
+    d >= 3 the masses of a simplex lattice of at most m atoms (so m >= d)
+    are fit by nonnegative least squares to h at quasi-random directions
+    ("nnls-bpp"): block principal pivoting returns the exact NNLS
+    minimizer, a KKT point, after one step of iterative refinement.
+    Marginal sums are renormalized to 1; the error is the largest support
+    gap over n_eval directions.
     """
     if m < 2:
         raise ValueError("need at least two atoms")
     if K.spectral is not None:
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
-        return DiscretizeResult(sigma, 0.0, 0)
+        return DiscretizeResult(sigma, 0.0, 0, "atoms")
     if K.d == 2:
         t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
         chain = _norm_chain(K, np.column_stack([t, 1.0 - t])[::-1])  # anticlockwise
         sigma = _renormalize_marginals(spectral_from_polygon_2d(chain, "l1"))
-        E = _quarter_circle(n_eval - 1)
+        E, method = _quarter_circle(n_eval - 1), "planar-chain"
     else:
+        if m < K.d:
+            raise ValueError(f"the simplex lattice in d = {K.d} needs at least {K.d} atoms")
         sigma = _fit_nnls(K, m)
-        E = np.vstack([directions_simplex(n_eval, K.d), np.eye(K.d)])
+        E, method = np.vstack([directions_simplex(n_eval, K.d), np.eye(K.d)]), "nnls-bpp"
     approx = MaxZonoid(d=K.d, spectral=sigma)
     err = float(np.abs(_support_finite(K, E) - _support_finite(approx, E)).max())
-    return DiscretizeResult(sigma, err, n_eval)
+    return DiscretizeResult(sigma, err, len(E), method)
 
 
 def _simplex_lattice(d, m):
@@ -275,19 +282,52 @@ def _simplex_lattice(d, m):
     r = 1
     while comb(r + d, d - 1) <= m:
         r += 1
-    pts = []
-    for c in itertools.combinations(range(r + d - 1), d - 1):
-        parts = np.diff(np.concatenate([[-1], c, [r + d - 1]])) - 1
-        pts.append(parts / r)
-    return np.array(pts)
+    bars = np.array(list(itertools.combinations(range(r + d - 1), d - 1)))
+    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, r + d - 1))
+    return (np.diff(bars, axis=1) - 1) / r
 
 
 def _fit_nnls(K, m):
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = np.vstack([directions_simplex(n_fit, K.d), np.eye(K.d)])
-    w, _ = nnls(_kernels.max_products(atoms, X), _support_finite(K, X))
+    w = _nnls_bpp(_kernels.max_products(atoms, X), _support_finite(K, X))
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
     return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+
+
+def _nnls_bpp(A, b):
+    """argmin ||A x - b|| over x >= 0 for full-column-rank A, by block
+    principal pivoting (Portugal, Judice & Vicente 1994) with the backup
+    rule of Kim & Park 2011: every infeasible variable changes side while
+    their count falls; after 3 steps without a fall only the last one does.
+    Each step is one Cholesky solve of the passive block of G = A'A; the
+    final one is refined once against A itself, which recovers the accuracy
+    that squaring cond(A) in G costs.  The rule terminates in exact
+    arithmetic; should rounding make it cycle, 3n steps raise ValueError."""
+    G, c = A.T @ A, A.T @ b
+    n = len(c)
+    tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)  # rounding in G x - c
+    P = np.zeros(n, dtype=bool)  # passive (free) variables
+    x, y = np.zeros(n), -c  # y = G x - c, read outside P only
+    best, backup = n + 1, 3
+    for _ in range(3 * n + 1):
+        bad = np.flatnonzero(P & (x < 0) | ~P & (y < -tol))
+        if bad.size == 0:
+            if P.any():
+                x[P] += cho_solve(factor, (A.T @ (b - A @ x))[P])
+            return np.maximum(x, 0.0)
+        if bad.size < best:
+            best, backup = bad.size, 3
+        elif backup:
+            backup -= 1
+        else:
+            bad = bad[-1:]
+        P[bad] = ~P[bad]
+        factor = cho_factor(G[np.ix_(P, P)])
+        x = np.zeros(n)
+        x[P] = cho_solve(factor, c[P])
+        y = G @ x - c
+    raise ValueError("block principal pivoting did not terminate")

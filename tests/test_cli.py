@@ -408,6 +408,64 @@ class TestEveryFamilyEverySubcommand:
             assert read_json(out)["results"]["report"]["is_dependency"]
 
 
+TRIVARIATE_FAMILIES = {
+    "independence": ("independence", {}),
+    "dependence": ("dependence", {}),
+    "logistic_1.5": ("logistic", {"p": 1.5}),
+    "logistic_2": ("logistic", {"p": 2.0}),
+}
+
+
+class TestTrivariateFamilies:
+    @pytest.fixture(params=sorted(TRIVARIATE_FAMILIES))
+    def spec(self, request, tmp_path):
+        name, params = TRIVARIATE_FAMILIES[request.param]
+        return write_model(tmp_path, f"{name}.json", {"family": {"name": name, "d": 3, "params": params}})
+
+    def test_model_commands_at_default_settings(self, tmp_path, spec):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1.0,1.0,1.0\n0.5,2.0,1.0\n")
+        us = tmp_path / "us.csv"
+        us.write_text("0.3,0.7,0.5\n0.9,0.9,0.9\n")
+        out = str(tmp_path / "out")
+        for argv in (
+            ["simulate", "--samples", "200"],
+            ["measures"],
+            ["eval", "--points", str(pts), "--op", "cdf"],
+            ["eval", "--points", str(us), "--op", "copula"],
+            ["eval", "--points", str(pts), "--op", "norm"],
+        ):
+            assert main(argv + ["--model", spec, "--out", out]) == 0, argv
+
+    def test_to_atoms_is_a_dependency_set(self, tmp_path, spec):
+        out = str(tmp_path / "atoms.json")
+        assert main(["spectral", "--to-atoms", "--model", spec, "--out", out]) == 0
+        res = read_json(out)["results"]
+        B = np.array([a["point"] for a in res["spectral"]["atoms"]])
+        B = B * np.array([a["mass"] for a in res["spectral"]["atoms"]])[:, None]
+        np.testing.assert_allclose(B.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(res["report"]["marginal_sums"], 1.0, atol=1e-12)
+        X = np.random.default_rng(3).random((200, 3)) * 4
+        h = (X[:, None, :] * B[None]).max(axis=2).sum(axis=1)
+        assert np.all(h >= X.max(axis=1) * (1 - 1e-12))
+        assert np.all(h <= X.sum(axis=1) * (1 + 1e-12))
+        if spec.endswith("logistic.json"):  # the cube and the cross polytope carry atoms
+            assert res["discretize_method"] == "nnls-bpp"
+            assert res["discretize_atoms"] == len(B) <= 1000
+            assert res["discretize_directions"] > 0
+
+    @pytest.mark.parametrize("argv", [["quantile", "--alpha", "0.9"], ["spectral", "--to-polygon"]])
+    def test_planar_only_commands_fail(self, tmp_path, spec, argv, capsys):
+        assert main(argv + ["--model", spec, "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_too_few_atoms_is_validation_error(self, tmp_path, capsys):
+        spec = write_model(tmp_path, "l4.json", {"family": {"name": "logistic", "d": 4, "params": {"p": 2.0}}})
+        argv = ["simulate", "--samples", "10", "--atoms", "3", "--model", spec]
+        assert main(argv) == 2
+        assert "at least 4 atoms" in capsys.readouterr().err
+
+
 class TestOptionsWhereRead:
     def test_each_option_only_where_read(self):
         from maxzonoid.cli import build_parser

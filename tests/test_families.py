@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from maxzonoid import (
     DependencySet,
     FamilySpec,
     discretize,
+    families,
     make_family,
     polygon_from_spectral,
     support_function,
@@ -13,6 +17,7 @@ from maxzonoid import (
     unit_cube,
     zonoid_from_spectral,
 )
+from maxzonoid.geometry import AnalyticNorm, MaxZonoid
 
 
 def simplex_grid(n=201):
@@ -185,6 +190,20 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="two atoms"):
             discretize(make_family("logistic", 2, p=2.0), 1)
 
+    @pytest.mark.parametrize("d, m", [(3, 2), (4, 2), (4, 3), (5, 4)])
+    def test_lattice_needs_d_atoms(self, d, m):
+        with pytest.raises(ValueError, match=f"at least {d} atoms"):
+            discretize(make_family("logistic", d, p=2.0), m)
+        res = discretize(make_family("logistic", d, p=2.0), d)
+        assert res.measure.n_atoms <= d
+
+    def test_method_is_reported(self):
+        assert discretize(unit_cube(3), 10).method == "atoms"
+        assert discretize(make_family("logistic", 2, p=2.0), 50).method == "planar-chain"
+        res = discretize(make_family("logistic", 3, p=2.0), 50)
+        assert res.method == "nnls-bpp"
+        assert res.n_eval_directions == 2048 + 3
+
     def test_logistic_error_bound(self):
         res = discretize(make_family("logistic", 2, p=2.0), 1000)
         assert res.max_support_error < 1e-4
@@ -222,3 +241,90 @@ class TestDiscretize:
         np.testing.assert_allclose(
             support_function(approx, X), support_function(K, X), atol=0.05
         )
+
+
+def _kkt_violation(A, b, x):
+    """Largest breach of x >= 0, g = 0 on x > 0 and g >= 0 on x = 0, with
+    g = A'(A x - b), each measured against the rounding scale of g."""
+    g = A.T @ (A @ x - b)
+    scale = np.abs(A).T @ (np.abs(A) @ x + np.abs(b)) + 1e-300
+    on = x > 0
+    return max(
+        -x.min(initial=0.0),
+        (np.abs(g[on]) / scale[on]).max(initial=0.0),
+        (-g[~on] / scale[~on]).max(initial=0.0),
+    )
+
+
+class TestNnlsBpp:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        extra_rows=st.integers(0, 30),
+        sparsity=st.sampled_from([0.0, 0.3, 0.6]),
+        target=st.sampled_from(["noise", "exact-fit", "cone-plus-noise", "scaled"]),
+    )
+    def test_matches_scipy_and_kkt(self, seed, n, extra_rows, sparsity, target):
+        rng = np.random.default_rng(seed)
+        m = n + extra_rows
+        A = rng.random((m, n)) * (rng.random((m, n)) >= sparsity)
+        assume(np.linalg.matrix_rank(A) == n and np.linalg.cond(A) < 1e4)
+        w0 = rng.random(n) * (rng.random(n) < 0.5)  # zeros make the fit degenerate
+        b = {
+            "noise": rng.normal(size=m),
+            "exact-fit": A @ w0,
+            "cone-plus-noise": A @ w0 + 1e-3 * rng.normal(size=m),
+            "scaled": rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6),
+        }[target]
+        x = families._nnls_bpp(A, b)
+        ref, _ = nnls(A, b)
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10 * max(1.0, np.abs(ref).max()))
+        assert _kkt_violation(A, b, x) < 1e-10
+
+    def test_nonpositive_target_gives_zero(self, rng):
+        A = rng.random((20, 6))
+        for b in (np.zeros(20), -rng.random(20)):
+            assert np.array_equal(families._nnls_bpp(A, b), np.zeros(6))
+
+    def test_zero_target_degenerates_discretize(self):
+        zero = AnalyticNorm("zero", 3, lambda X: np.zeros(len(X)))
+        with pytest.raises(ValueError, match="degenerated"):
+            discretize(MaxZonoid(d=3, norm=zero), 50)
+
+    def test_exact_fit_returns_weights(self, rng):
+        A = rng.random((40, 15))
+        w0 = rng.random(15) * (rng.random(15) < 0.6)
+        np.testing.assert_allclose(families._nnls_bpp(A, A @ w0), w0, rtol=0, atol=1e-12)
+
+    def test_single_column(self):
+        a = np.array([[1.0], [2.0], [0.5]])
+        b = np.array([1.0, 1.0, -1.0])
+        np.testing.assert_allclose(families._nnls_bpp(a, b), [2.5 / 5.25], rtol=1e-14)
+        np.testing.assert_array_equal(families._nnls_bpp(a, -b), [0.0])
+
+    # the two fits of the benchmark's compare workload, one in d = 4, and
+    # the fine lattice where a looser KKT tolerance drops two atoms
+    @pytest.mark.parametrize("p, d, m", [(1.5, 3, 500), (2.5, 3, 500), (2.5, 4, 500), (1.2, 3, 1000)])
+    def test_lattice_fit_matches_scipy(self, monkeypatch, p, d, m):
+        K = make_family("logistic", d, p=p)
+        fits = []
+
+        def recording(A, b, _solve=families._nnls_bpp):
+            fits.append((A, b, _solve(A, b)))
+            return fits[-1][2]
+
+        monkeypatch.setattr(families, "_nnls_bpp", recording)
+        res = discretize(K, m)
+        (A, b, w), = fits
+        ref, _ = nnls(A, b)
+        np.testing.assert_array_equal(w > 1e-12, ref > 1e-12)
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
+        monkeypatch.setattr(families, "_nnls_bpp", lambda A, b: ref)
+        assert res.max_support_error == pytest.approx(discretize(K, m).max_support_error, rel=1e-12)
+
+    def test_cycling_raises(self, monkeypatch, rng):
+        # a solve that is never feasible keeps every step infeasible
+        monkeypatch.setattr(families, "cho_solve", lambda f, rhs: -np.ones_like(rhs))
+        with pytest.raises(ValueError, match="did not terminate"):
+            families._nnls_bpp(rng.random((12, 5)), rng.random(12))
