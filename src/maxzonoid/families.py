@@ -9,9 +9,7 @@ into atom lists (needed for exact simulation).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -24,9 +22,9 @@ from .geometry import (
     Polygon2D,
     _norm_chain,
     _quarter_circle,
+    _simplex_lattice,
     _support_finite,
     as_dependency,
-    directions_simplex,
     unit_cross_polytope,
     unit_cube,
     zonoid_from_polygon,
@@ -251,11 +249,12 @@ def discretize(K, m=1000, n_eval=2048):
     carry atoms.  Analytic planar norms are inscribed via their support
     points at m Chebyshev-spaced simplex directions ("planar-chain").  In
     d >= 3 the masses of a simplex lattice of at most m atoms (so m >= d)
-    are fit by nonnegative least squares to h at quasi-random directions
+    are fit by nonnegative least squares to h on a finer simplex lattice
     ("nnls-bpp"): block principal pivoting returns the exact NNLS
     minimizer, a KKT point, after one step of iterative refinement.
     Marginal sums are renormalized to 1; the error is the largest support
-    gap over n_eval directions.
+    gap over n_eval directions (the simplex lattice of at most n_eval
+    points in d >= 3).
     """
     if m < 2:
         raise ValueError("need at least two atoms")
@@ -271,26 +270,16 @@ def discretize(K, m=1000, n_eval=2048):
         if m < K.d:
             raise ValueError(f"the simplex lattice in d = {K.d} needs at least {K.d} atoms")
         sigma = _fit_nnls(K, m)
-        E, method = np.vstack([directions_simplex(n_eval, K.d), np.eye(K.d)]), "nnls-bpp"
+        E, method = _simplex_lattice(K.d, n_eval), "nnls-bpp"
     approx = MaxZonoid(d=K.d, spectral=sigma)
     err = float(np.abs(_support_finite(K, E) - _support_finite(approx, E)).max())
     return DiscretizeResult(sigma, err, len(E), method)
 
 
-def _simplex_lattice(d, m):
-    """Largest resolution-r lattice on the l1 simplex with at most m atoms."""
-    r = 1
-    while comb(r + d, d - 1) <= m:
-        r += 1
-    bars = np.array(list(itertools.combinations(range(r + d - 1), d - 1)))
-    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, r + d - 1))
-    return (np.diff(bars, axis=1) - 1) / r
-
-
 def _fit_nnls(K, m):
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
-    X = np.vstack([directions_simplex(n_fit, K.d), np.eye(K.d)])
+    X = _simplex_lattice(K.d, n_fit)
     w = _nnls_bpp(_kernels.max_products(atoms, X), _support_finite(K, X))
     keep = w > 1e-12
     if not keep.any():

@@ -502,3 +502,21 @@ class TestOptionsWhereRead:
         pts.write_text("nan,1.0\n")
         for op in ("cdf", "copula", "norm"):
             assert main(["eval", "--model", log2_spec, "--points", str(pts), "--op", op]) == 2
+
+
+class TestOneDimension:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return write_model(tmp_path, "l1.json", {"family": {"name": "logistic", "d": 1, "params": {"p": 2}}})
+
+    def test_simulate(self, tmp_path, spec):
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", "--model", spec, "--samples", "20", "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert rows.shape == (20, 1) and np.all(rows > 0)
+
+    def test_to_atoms(self, tmp_path, spec):
+        out = str(tmp_path / "a.json")
+        assert main(["spectral", "--to-atoms", "--model", spec, "--out", out]) == 0
+        atoms = read_json(out)["results"]["spectral"]["atoms"]
+        assert atoms == [{"mass": 1.0, "point": [1.0]}]

@@ -1,5 +1,9 @@
 """Error paths and the less-traveled representation branches."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -285,3 +289,12 @@ class TestSpearmanMethodGuards:
     def test_exact_needs_plane(self):
         with pytest.raises(ValueError, match="d = 2"):
             mz.spearman_rho(MaxStableModel(unit_cube(3)), method="exact")
+
+
+def test_import_leaves_out_scipy_stats():
+    # a fresh interpreter, so the imports of other tests do not leak in
+    src = os.path.dirname(os.path.dirname(mz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, maxzonoid; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +20,7 @@ from maxzonoid import (
     unit_cube,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import AnalyticNorm, MaxZonoid
+from maxzonoid.geometry import AnalyticNorm, MaxZonoid, _simplex_lattice
 
 
 def simplex_grid(n=201):
@@ -202,7 +205,7 @@ class TestDiscretize:
         assert discretize(make_family("logistic", 2, p=2.0), 50).method == "planar-chain"
         res = discretize(make_family("logistic", 3, p=2.0), 50)
         assert res.method == "nnls-bpp"
-        assert res.n_eval_directions == 2048 + 3
+        assert res.n_eval_directions == len(_simplex_lattice(3, 2048)) == 2016
 
     def test_logistic_error_bound(self):
         res = discretize(make_family("logistic", 2, p=2.0), 1000)
@@ -231,6 +234,26 @@ class TestDiscretize:
         errs = [discretize(K, m).max_support_error for m in (16, 64, 256)]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_one_dimension_is_one_atom(self):
+        res = discretize(make_family("logistic", 1, p=2.0), 10)
+        np.testing.assert_array_equal(res.measure.atoms, [[1.0]])
+        np.testing.assert_array_equal(res.measure.masses, [1.0])
+        assert res.max_support_error == 0.0
+
+    # errors of the fits on the quasi-random Sobol directions that the
+    # simplex lattice replaced, at the same 1e5 Dirichlet directions
+    @pytest.mark.parametrize(
+        "p, d, m, sobol_error",
+        [(1.5, 3, 500, 1.4178e-3), (2.5, 3, 500, 2.6438e-4), (1.2, 3, 1000, 1.4829e-3), (2.5, 4, 500, 2.8949e-3)],
+    )
+    def test_lattice_fit_no_worse_than_sobol(self, p, d, m, sobol_error):
+        K = make_family("logistic", d, p=p)
+        res = discretize(K, m)
+        X = np.random.default_rng(0).dirichlet(np.ones(d), 100_000)
+        approx = zonoid_from_spectral(res.measure)
+        err = np.abs(support_function(approx, X) - support_function(K, X)).max()
+        assert err <= sobol_error
+
     def test_d3_logistic_nnls(self):
         K = make_family("logistic", 3, p=2.0)
         res = discretize(K, 150)
@@ -241,6 +264,26 @@ class TestDiscretize:
         np.testing.assert_allclose(
             support_function(approx, X), support_function(K, X), atol=0.05
         )
+
+
+def _simplex_lattice_by_list(d, m):
+    """The lattice as built from a list of bar tuples, the reference order."""
+    r = 1
+    while math.comb(r + d, d - 1) <= m:
+        r += 1
+    bars = np.array(list(itertools.combinations(range(r + d - 1), d - 1)))
+    bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, r + d - 1))
+    return (np.diff(bars, axis=1) - 1) / r
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("m", ["d", 50, 500, 20_000])
+def test_simplex_lattice_matches_list_builder(d, m):
+    m = d if m == "d" else m
+    L = _simplex_lattice(d, m)
+    ref = _simplex_lattice_by_list(d, m)
+    assert L.shape == ref.shape and len(L) <= max(m, d)
+    assert np.array_equal(L, ref)
 
 
 def _kkt_violation(A, b, x):

@@ -596,6 +596,47 @@ class TestHausdorff:
         d = hausdorff_distance(unit_cube(3), unit_cube(3))
         assert d == 0.0
 
+    def test_cube_cross_3d_is_exact(self):
+        # the sup sits on the diagonal, a point of the default lattice (resolution 198)
+        d = hausdorff_distance(unit_cube(3), unit_cross_polytope(3))
+        assert d == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_3d_never_exceeds_dense_oracle(self, seed):
+        # the grid max is a max over unit directions, so it cannot pass the
+        # sup; the oracle climbs from its best sampled directions, since a
+        # bare sample of 2e5 directions lies below the lattice value by up
+        # to 4e-4 on some bodies
+        rng = np.random.default_rng(seed)
+        K1, K2 = random_dependency(rng, 3, 4), random_dependency(rng, 3, 6)
+
+        def gap(angles):
+            th, ph = np.clip(angles, 0.0, np.pi / 2).T
+            U = np.column_stack([np.sin(ph) * np.cos(th), np.sin(ph) * np.sin(th), np.cos(ph)])
+            return np.abs(support_function(K1, U) - support_function(K2, U))
+
+        best = rng.random((200_000, 2)) * (np.pi / 2)
+        for step in [None, *np.geomspace(1e-2, 1e-10, 41)]:
+            if step is not None:
+                trial = np.repeat(best, 50, axis=0)
+                best = np.vstack([best, trial + rng.normal(scale=step, size=trial.shape)])
+            best = best[np.argsort(gap(best))[-20:]]
+        oracle = gap(best).max()
+        d = hausdorff_distance(K1, K2)
+        assert oracle - 0.01 <= d <= oracle + 1e-12
+
+    def test_3d_monotone_under_lattice_refinement(self, rng):
+        K1, K2 = random_dependency(rng, 3, 4), random_dependency(rng, 3, 5)
+        # grid_n = comb(r + 2, 2) is the lattice of resolution exactly r
+        vals = [hausdorff_distance(K1, K2, grid_n=math.comb(r + 2, 2)) for r in (5, 10, 20, 40)]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_one_dimension(self):
+        K = make_family("logistic", 1, p=2.0)
+        for dist in (hausdorff_distance, m_distance):
+            assert dist(K, unit_cube(1)) == 0.0
+            assert dist(unit_cube(1), unit_cross_polytope(1), grid_n=7) == 0.0
+
     @pytest.mark.parametrize("grid_n", [0, -3])
     def test_empty_grid_rejected(self, grid_n):
         for dist in (hausdorff_distance, m_distance):
@@ -627,6 +668,12 @@ class TestMDistance:
     def test_symmetry(self, rng):
         K1, K2 = random_dependency(rng, 2, 3), random_dependency(rng, 2, 4)
         assert m_distance(K1, K2) == pytest.approx(m_distance(K2, K1), abs=1e-9)
+
+    def test_cube_cross_3d_at_least_lattice_value(self):
+        # 3.2423 on the Sobol simplex grid this lattice replaced; the
+        # relaxation stays below 3 log 3 up to the binary-search tolerance
+        d = m_distance(unit_cube(3), unit_cross_polytope(3))
+        assert 3.2423 <= d <= 3 * math.log(3.0) + 1e-5
 
     def test_requires_dependency_sets(self):
         K = scale(unit_cube(2), [2.0, 2.0])
