@@ -250,28 +250,18 @@ def cmd_measures(args):
     cap = min(d, 4) if args.max_subset_size is None else args.max_subset_size
     if cap < 1:
         raise ValueError("--max-subset-size must be at least 1")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     table = extremal_table(model, max_size=cap)
     results = {
         "theta": {_subset_key(A): v for A, v in sorted(table.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
     }
     if d == 2:
         results["chi"] = chi(model)
-        results["kendall_tau"] = kendall_tau_2d(model, quad_tol=args.tol)
-        rho = spearman_rho(model, method="exact")
-        results["spearman_rho"] = {"value": rho.value, "stderr": 0.0, "method": rho.method}
-    else:
-        rho = spearman_rho(model, method="mc", n=args.samples, seed=args.seed)
-        results["spearman_rho"] = {
-            "value": rho.value,
-            "stderr": rho.stderr,
-            "method": rho.method,
-        }
-    mrho = multivariate_rho(model, n=args.samples, seed=args.seed)
-    results["multivariate_rho"] = {
-        "value": mrho.value,
-        "stderr": mrho.stderr,
-        "method": mrho.method,
-    }
+        results["kendall_tau"] = kendall_tau_2d(model)
+    for key, fn in (("spearman_rho", spearman_rho), ("multivariate_rho", multivariate_rho)):
+        est = fn(model, n=args.samples, seed=args.seed)
+        results[key] = {"value": est.value, "stderr": est.stderr, "method": est.method}
     write_json(args.out, result_document("measures", spec, results, seed=args.seed))
     return 0
 
@@ -448,7 +438,6 @@ def build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-subset-size", type=int, default=None)
     p.set_defaults(func=cmd_measures)
 

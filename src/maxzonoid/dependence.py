@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distribution import _body
 from .geometry import (
-    Estimate,
+    _simplex_quadrature,
     _support_finite,
     minkowski_combine,
     polar_volume,
@@ -68,6 +67,8 @@ def extremal_table(model, max_size=None):
     """All theta_A up to the given subset size (default: every subset)."""
     K = _body(model)
     d = K.d
+    if max_size is not None and max_size < 1:
+        raise ValueError("max_size must be at least 1")
     max_size = d if max_size is None else min(max_size, d)
     values = {}
     for k in range(1, max_size + 1):
@@ -84,51 +85,24 @@ def chi(model):
     return 2.0 - float(support_function(K, np.ones(2)))
 
 
-def _half_cube_sum(K):
-    """L = (K + unit cube) / 2, the body whose polar volume carries
-    Spearman's rho."""
-    return minkowski_combine(K, unit_cube(K.d), 0.5, mode="sum")
-
-
 def spearman_rho(model, method="auto", n=200_000, seed=0):
-    """Spearman correlation from the polar volume of L = (K + cube)/2.
-
-    Planar: rho = 3(2 V_2(L°) - 1), exact by polygon area or radial
-    quadrature; "quadrature" integrates (1 + h(K,(t,1-t)))^-2 directly.
-    For d >= 3: rho = c (d! V_d(L°) - 1), c = (d+1)/(2^d - d - 1), with
-    the volume estimated by rejection sampling.
+    """Spearman correlation rho = c (d! V_d(L°) - 1), c = (d+1)/(2^d - d - 1),
+    from the polar volume of L = (K + cube)/2 (3(2 V_2(L°) - 1) in the
+    plane).  method is a polar_volume method ("exact" stands for
+    "exact_2d"); by default the shoelace for planar atom lists, else
+    quadrature for d <= 3 (error O(N^-2) on d = 3 atom lists) and Monte
+    Carlo beyond.
     """
     K = _body(model)
     d = K.d
     if d < 2:
         raise ValueError("Spearman's rho needs d >= 2")
-    if method == "auto":
-        method = "exact" if d == 2 else "mc"
-    if method == "quadrature":
-        if d != 2:
-            raise ValueError("the J-integral form is bivariate")
-        J, _ = quad(
-            lambda t: (1.0 + _support_finite(K, np.array([[t, 1.0 - t]]))[0]) ** -2,
-            0.0,
-            1.0,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        return Estimate(12.0 * J - 3.0, 0.0, "quadrature")
-    L = _half_cube_sum(K)
     if method == "exact":
-        if d != 2:
-            raise ValueError("exact polar area requires d = 2")
-        V = polar_volume(L, method="exact_2d")
-        return Estimate(3.0 * (2.0 * V.value - 1.0), 0.0, "exact")
-    if method == "mc":
-        V = polar_volume(L, method="mc", n=n, seed=seed)
-        if d == 2:
-            return Estimate(3.0 * (2.0 * V.value - 1.0), 6.0 * V.stderr, "mc", n, seed)
-        c = (d + 1.0) / (2.0**d - d - 1.0)
-        fact = math.factorial(d)
-        return Estimate(c * (fact * V.value - 1.0), c * fact * V.stderr, "mc", n, seed)
-    raise ValueError(f"unknown method {method!r}")
+        method = "exact_2d"
+    L = minkowski_combine(K, unit_cube(d), 0.5, mode="sum")
+    V = polar_volume(L, method=method, n=n, seed=seed)
+    c = (d + 1.0) / (2.0**d - d - 1.0)
+    return V.affine(c * math.factorial(d), -c)
 
 
 def _tau_discrete(sigma):
@@ -156,9 +130,11 @@ def _tau_discrete(sigma):
     return float(1.0 - (P * Q * (tb - ta) / (ha * hb)).sum())
 
 
-def kendall_tau_2d(model, quad_tol=1e-10):
+def kendall_tau_2d(model):
     """Kendall correlation tau = 1 - int_0^1 y1 y2 / h(t, 1-t)^2 dt where
-    (y1, y2) is the support point in direction (t, 1-t)."""
+    (y1, y2) is the support point in direction (t, 1-t): in closed form
+    for atom lists, else by the graded planar rule of _simplex_quadrature
+    (the gradient by central differences when the norm has none)."""
     K = _body(model)
     if K.d != 2:
         raise ValueError("Kendall tau is bivariate")
@@ -167,8 +143,6 @@ def kendall_tau_2d(model, quad_tol=1e-10):
     if K.norm.grad is not None:
         grad = lambda X: np.asarray(K.norm.grad(X), dtype=float)
     else:
-        # difference noise in the gradient caps the useful tolerance
-        quad_tol = max(quad_tol, 3e-8)
 
         def grad(X, h=1e-7):
             out = np.empty_like(X)
@@ -181,14 +155,10 @@ def kendall_tau_2d(model, quad_tol=1e-10):
                 )
             return out
 
-    def integrand(t):
-        X = np.array([[t, 1.0 - t]])
-        y = grad(X)[0]
-        h = _support_finite(K, X)[0]
-        return y[0] * y[1] / (h * h)
+    def integrand(T):
+        return grad(T).prod(axis=1) / _support_finite(K, T) ** 2
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    return 1.0 - val
+    return 1.0 - _simplex_quadrature(integrand, 2).value
 
 
 def inverted_pearson_2d(model, method="exact", n=200_000, seed=0):
@@ -196,11 +166,10 @@ def inverted_pearson_2d(model, method="exact", n=200_000, seed=0):
     K = _body(model)
     if K.d != 2:
         raise ValueError("defined for bivariate models")
-    if method == "exact":
-        V = polar_volume(K, method="exact_2d")
-        return Estimate(2.0 * V.value - 1.0, 0.0, "exact")
-    V = polar_volume(K, method="mc", n=n, seed=seed)
-    return Estimate(2.0 * V.value - 1.0, 2.0 * V.stderr, "mc", n, seed)
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    V = polar_volume(K, method="exact_2d" if method == "exact" else "mc", n=n, seed=seed)
+    return V.affine(2.0, -1.0)
 
 
 def multivariate_rho(model, n=400_000, seed=0, method="auto"):
@@ -211,13 +180,5 @@ def multivariate_rho(model, n=400_000, seed=0, method="auto"):
     if d < 2:
         raise ValueError("needs d >= 2")
     fact = math.factorial(d)
-    if method == "auto":
-        method = "exact_2d" if d == 2 else "mc"
     V = polar_volume(K, method=method, n=n, seed=seed)
-    return Estimate(
-        (fact * V.value - 1.0) / (fact - 1.0),
-        fact * V.stderr / (fact - 1.0),
-        V.method,
-        V.n_samples,
-        V.seed,
-    )
+    return V.affine(fact / (fact - 1.0), -1.0 / (fact - 1.0))

@@ -78,6 +78,17 @@ class TestMeasures:
         assert res["multivariate_rho"]["stderr"] > 0
         assert "1,2,3" in res["theta"]
 
+    def test_spearman_written_from_its_estimate(self, tmp_path, log2_spec):
+        # a planar norm and a d = 3 norm both reach the simplex quadrature
+        l3 = write_model(
+            tmp_path, "l3.json", {"family": {"name": "logistic", "d": 3, "params": {"p": 2.0}}}
+        )
+        for spec in (log2_spec, l3):
+            out = str(tmp_path / "m.json")
+            assert main(["measures", "--model", spec, "--out", out]) == 0
+            rho = read_json(out)["results"]["spearman_rho"]
+            assert rho["method"] == "quadrature" and rho["stderr"] > 0
+
 
 class TestSimulate:
     def test_deterministic_bytes(self, tmp_path):
@@ -478,7 +489,7 @@ class TestOptionsWhereRead:
             if opt in p._option_string_actions
         }
         assert found == {
-            ("measures", "--seed"), ("measures", "--samples"), ("measures", "--tol"),
+            ("measures", "--seed"), ("measures", "--samples"),
             ("simulate", "--seed"), ("simulate", "--samples"),
             ("check-theta", "--tol"), ("converge", "--grid"),
         }
@@ -488,6 +499,11 @@ class TestOptionsWhereRead:
         argv = ["eval", "--model", log2_spec, "--points", points_csv, "--op", "cdf"]
         assert main(argv) == 0
         assert main(argv + extra) == 1
+
+    def test_measures_rejects_removed_tol(self, log2_spec):
+        argv = ["measures", "--model", log2_spec]
+        assert main(argv) == 0
+        assert main(argv + ["--tol", "1e-6"]) == 1
 
     def test_converge_rejects_samples(self, tmp_path):
         spec = write_model(tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}})

@@ -134,6 +134,12 @@ class TestSpearman:
         assert dep.value == pytest.approx(1.0, abs=3 * max(dep.stderr, 1e-4))
 
 
+    def test_d3_quadrature_endpoints(self):
+        for K, truth in ((unit_cube(3), 0.0), (unit_cross_polytope(3), 1.0)):
+            est = spearman_rho(MaxStableModel(K), method="quadrature")
+            assert est.method == "quadrature" and est.stderr > 0
+            assert abs(est.value - truth) <= est.stderr
+
     def test_d1_is_value_error(self):
         with pytest.raises(ValueError, match="d >= 2"):
             spearman_rho(MaxStableModel(unit_cube(1)))
@@ -207,6 +213,22 @@ class TestKendall:
         tau_fd = kendall_tau_2d(blind)
         assert tau_fd == pytest.approx(tau_grad, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("logistic", {"p": p}) for p in (1.05, 1.3, 2.0)]
+        + [("husler_reiss", {"lam": lam}) for lam in (0.3, 1.0, 3.0)],
+    )
+    def test_norms_against_quad(self, name, params):
+        K = make_family(name, 2, **params)
+
+        def integrand(t):
+            X = np.array([[t, 1 - t]])
+            y = K.norm.grad(X)[0]
+            return y[0] * y[1] / K.norm.fn(X)[0] ** 2
+
+        ref, _ = quad(integrand, 0, 1, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(kendall_tau_2d(MaxStableModel(K)) - (1 - ref)) <= 1e-9
+
 
 class TestInvertedPearson:
     def test_endpoints(self):
@@ -224,6 +246,16 @@ class TestInvertedPearson:
         from scipy.special import beta
 
         assert val == pytest.approx(0.5 * beta(0.5, 0.5) - 1, abs=1e-9)
+
+    def test_unknown_method(self, log2):
+        with pytest.raises(ValueError, match="method"):
+            inverted_pearson_2d(log2, method="bogus")
+
+    def test_reports_volume_method(self, log2):
+        est = inverted_pearson_2d(log2)
+        assert est.method == "quadrature" and est.stderr > 0
+        est = inverted_pearson_2d(MaxStableModel(unit_cross_polytope(2)))
+        assert (est.method, est.stderr) == ("exact_2d", 0.0)
 
 
 class TestMultivariateRho:

@@ -187,9 +187,14 @@ class TestDependenceGuards:
             with pytest.raises(ValueError, match="bivariate"):
                 fn(m3)
 
-    def test_quadrature_spearman_needs_plane(self):
-        with pytest.raises(ValueError, match="bivariate"):
-            mz.spearman_rho(MaxStableModel(unit_cube(3)), method="quadrature")
+    def test_quadrature_spearman_needs_d_at_most_3(self):
+        with pytest.raises(ValueError, match="d <= 3"):
+            mz.spearman_rho(MaxStableModel(unit_cube(4)), method="quadrature")
+
+    def test_extremal_table_needs_a_subset_size(self):
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="max_size"):
+                mz.extremal_table(MaxStableModel(unit_cube(3)), max_size=size)
 
     def test_multivariate_rho_needs_d2(self):
         with pytest.raises(ValueError, match="d >= 2"):
@@ -291,10 +296,11 @@ class TestSpearmanMethodGuards:
             mz.spearman_rho(MaxStableModel(unit_cube(3)), method="exact")
 
 
-def test_import_leaves_out_scipy_stats():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize"])
+def test_import_leaves_out(module):
     # a fresh interpreter, so the imports of other tests do not leak in
     src = os.path.dirname(os.path.dirname(mz.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, maxzonoid; print('scipy.stats' in sys.modules)"
+    code = f"import sys, maxzonoid; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.integrate import quad
 from hypothesis import strategies as st
 
 from maxzonoid import (
     DependencySet,
+    MaxStableModel,
     as_dependency,
     cartesian_product,
     combine_2d,
     cross_polytope,
+    discretize,
     exp_support_integral_mc,
     hausdorff_distance,
     m_distance,
@@ -29,7 +32,14 @@ from maxzonoid import (
     zonoid_from_polygon,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import Polygon2D, _envelope_polygon, _ne_chain, _quarter_circle, _support_finite
+from maxzonoid.geometry import (
+    Polygon2D,
+    _envelope_polygon,
+    _ne_chain,
+    _quarter_circle,
+    _simplex_rule,
+    _support_finite,
+)
 from maxzonoid.spectral import ATOM_TOL
 
 from conftest import random_dependency, random_dependency_polygon
@@ -497,6 +507,13 @@ class TestPolar:
             with pytest.raises(ValueError, match="at least one sample"):
                 exp_support_integral_mc(K, n=n)
 
+    def test_exp_integral_needs_beta_in_unit_interval(self):
+        # beta >= 1 gives the weights infinite variance; beta = 0 divides by zero
+        K = make_family("logistic", 2, p=2.0)
+        for beta in (0.0, -0.5, 1.0, 3.0, float("nan")):
+            with pytest.raises(ValueError, match="beta"):
+                exp_support_integral_mc(K, n=100, beta=beta)
+
     def test_square_polar_is_cross(self):
         P = polar_2d(unit_cube(2))
         np.testing.assert_allclose(P.vertices, [[1, 0], [0, 1]], atol=1e-12)
@@ -558,6 +575,86 @@ class TestPolar:
                     support_function(K, inner), 1.0, atol=1e-9
                 )
 
+
+
+def _logistic_polar_volume(d, p):
+    return math.gamma(1 + 1 / p) ** d / math.gamma(1 + d / p)
+
+
+class TestSimplexQuadrature:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rule_integrates_polynomials(self, d):
+        T, w = _simplex_rule(d, 16)
+        np.testing.assert_allclose(T.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        assert T.min() > 0.0
+        # int over the simplex of t1^a t2^b (t3^c) is a! b! (c!) / (a + b (+ c) + d - 1)!
+        assert w.sum() == pytest.approx(1.0 / math.factorial(d - 1), rel=1e-14)
+        val = w @ (T[:, 0] ** 2 * T[:, 1] ** 3 * T[:, -1] ** (d - 2))
+        assert val == pytest.approx(2 * 6 / math.factorial(2 + 2 * d), rel=1e-12)
+
+    def test_needs_plane_or_space(self):
+        for d in (1, 4):
+            with pytest.raises(ValueError, match="2 <= d <= 3"):
+                _simplex_rule(d, 8)
+        with pytest.raises(ValueError, match="2 <= d <= 3"):
+            polar_volume(unit_cube(4), method="quadrature")
+
+    @pytest.mark.parametrize(
+        "K, truth",
+        [
+            (unit_cube(3), 1 / 6),
+            (unit_cross_polytope(3), 1.0),
+            (minkowski_combine(unit_cross_polytope(3), unit_cube(3), 0.5), 1 / 3),
+        ]
+        + [(make_family("logistic", 3, p=p), _logistic_polar_volume(3, p)) for p in (1.05, 1.3, 2.5, 6.0)],
+    )
+    def test_d3_closed_forms_within_reported_error(self, K, truth):
+        v = polar_volume(K)
+        assert (v.method, v.n_samples, v.seed) == ("quadrature", 128**2, None)
+        assert 0.0 < v.stderr
+        assert abs(v.value - truth) <= v.stderr
+
+    def test_nnls_fits_within_reported_error_of_order_600(self):
+        T, w = _simplex_rule(3, 600)
+        for p in (1.5, 2.5):
+            K = zonoid_from_spectral(discretize(make_family("logistic", 3, p=p), 500).measure)
+            v = polar_volume(K)
+            ref = float(w @ _support_finite(K, T) ** -3) / 3
+            assert 0.0 < v.stderr
+            assert abs(v.value - ref) <= v.stderr
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("logistic", {"p": p}) for p in (1.05, 1.3, 2.0)]
+        + [("husler_reiss", {"lam": lam}) for lam in (0.3, 1.0, 3.0)],
+    )
+    def test_planar_norms_against_quad(self, name, params):
+        K = make_family(name, 2, **params)
+        ref, _ = quad(
+            lambda t: 0.5 / _support_finite(K, np.array([[t, 1 - t]]))[0] ** 2,
+            0, 1, epsabs=1e-13, epsrel=1e-13, limit=200,
+        )
+        v = polar_volume(K)
+        assert v.method == "quadrature" and 0.0 < v.stderr
+        assert abs(v.value - ref) <= 1e-10
+
+    def test_planar_atoms_keep_the_shoelace(self, rng):
+        # the graded rule's |Q_64 - Q_128| under-reads its error on kinked h
+        K = random_dependency(rng, 2, 5)
+        for method in ("auto", "quadrature", "exact_2d"):
+            v = polar_volume(K, method=method)
+            assert (v.method, v.stderr) == ("exact_2d", 0.0)
+            assert v.value == polar_2d(K).area_with_origin()
+
+    def test_auto_is_mc_beyond_d3(self):
+        v = polar_volume(unit_cube(4), n=20_000, seed=3)
+        assert (v.method, v.n_samples, v.seed) == ("mc", 20_000, 3)
+        assert v.value == pytest.approx(1 / 24, abs=4 * v.stderr)
+
+    def test_mc_agrees_with_quadrature_d3(self):
+        K = make_family("logistic", 3, p=1.5)
+        mc = polar_volume(K, method="mc", n=200_000, seed=11)
+        assert mc.value == pytest.approx(polar_volume(K).value, abs=3 * mc.stderr)
 
 class TestHausdorff:
     def test_self_distance_zero(self, rng):
