@@ -5,15 +5,9 @@ takes two algorithms: in the plane, one sort of the atoms by slope and
 two cumulative sums answer every point in O((n + m) log m); for d >= 3
 a running maximum of one outer product per coordinate fills cache-sized
 (rows, m) tiles in O(n m d), and builds the NNLS design matrix too.
-
-Randomness never lives in the kernels: callers draw with numpy
-Generators so that results are reproducible.
 """
 
 import numpy as np
-
-# Rows of uniforms that distribution.simulate draws and samples at once.
-_CHUNK = 4096
 
 # Elements in one (rows, m) tile of the d >= 3 support sum: 512 KB of
 # float64, which stays in cache while the coordinates are folded in.
@@ -56,14 +50,6 @@ def _support_sum_planar(B, X):
     t = np.divide(X[:, 1], X[:, 0], out=np.full(n, np.inf), where=X[:, 0] > 0)
     j = np.searchsorted(r, t, "left")
     return X[:, 0] * s1[j] + X[:, 1] * p2[j]
-
-
-def simulate_frechet(weight_matrix, uniforms):
-    """xi[n,j] = max_k zeta[n,k] * weight_matrix[k,j] with unit-Frechet
-    zeta = -1/log(u) computed from uniforms in (0, 1)."""
-    z = -1.0 / np.log(np.maximum(uniforms, 1e-300))
-    # one (n, m) product per coordinate, not an (n, m, d) block
-    return np.column_stack([(z * w).max(axis=1) for w in weight_matrix.T])
 
 
 def backend_name():

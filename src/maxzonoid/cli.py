@@ -275,6 +275,8 @@ def cmd_simulate(args):
         "tool": f"maxzonoid {__version__}",
         "seed": args.seed,
         "samples": args.samples,
+        "method": sample.method,
+        "n_points": sample.n_points,
         **notes,
     }
     header = [f"x{i + 1}" for i in range(model.d)]

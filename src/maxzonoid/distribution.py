@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .geometry import (
     MaxZonoid,
     _mc_chunks,
@@ -25,10 +24,13 @@ from .spectral import DiscreteSpectralMeasure
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n x d strictly positive observations plus the generator seed."""
+    """n x d strictly positive observations plus the generator seed, the
+    sampler that drew them and the number of Poisson points it used."""
 
     values: np.ndarray
     seed: int | None = None
+    method: str | None = None
+    n_points: int | None = None
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -160,8 +162,16 @@ def quantile_curve(model, alpha, points_n=200):
 
 
 def simulate(model, n, seed):
-    """Exact sampler from the atom list: xi_j = max_k zeta_k a_kj with
-    zeta_k iid unit Frechet and a_kj = mass_k * atom_kj."""
+    """Exact sampler from the atom list a_k = mass_k * atom_k, stopped
+    as soon as no further point of the Poisson process can matter.
+
+    With w_k = max_j a_kj, c = sum_k w_k and b_k = a_k / w_k, the points
+    zeta_i = c / Gamma_i (Gamma_i cumulative Exp(1) sums), each carrying
+    atom k with probability w_k / c, give xi_j = max_i zeta_i b_{K_i, j}
+    with -log P(xi <= x) = sum_k w_k max_j b_kj / x_j = h(K, 1/x). Once
+    zeta_i <= min_j xi_j no later point can raise a coordinate, since
+    zeta decreases and b <= 1, so stopping there is exact.
+    """
     if n <= 0:
         raise ValueError("sample size must be positive")
     if model.discrete is None:
@@ -172,14 +182,31 @@ def simulate(model, n, seed):
     colsum = A.sum(axis=0)
     if np.abs(colsum - 1.0).max() > 1e-6:
         raise ValueError(f"atom list is not normalized: marginal sums {colsum}")
-    m = A.shape[0]
-    out = np.empty((n, model.d))
+    w = A.max(axis=1)
+    A, w = A[w > 0], w[w > 0]
+    # coordinates first, so gathers and reductions over rows are contiguous
+    BT = (A / w[:, None]).T.copy()
+    cum = np.cumsum(w)
+    c, last = cum[-1], len(w) - 1
+    out = np.empty((model.d, n))
+    n_points = 0
     for lo, chunk_n, rng in _mc_chunks(n, seed):
-        # row blocks of one stream draw the same values as a single draw
-        for blo in range(lo, lo + chunk_n, _kernels._CHUNK):
-            rows = min(_kernels._CHUNK, lo + chunk_n - blo)
-            out[blo : blo + rows] = _kernels.simulate_frechet(A, rng.random((rows, m)))
-    return SampleMatrix(out, seed)
+        rows = np.arange(lo, lo + chunk_n)
+        gamma = np.zeros(chunk_n)
+        xi = np.zeros((model.d, chunk_n))
+        while rows.size:
+            gamma += rng.standard_exponential(rows.size)
+            zeta = c / gamma
+            k = np.searchsorted(cum, rng.random(rows.size) * c, "right")
+            np.minimum(k, last, out=k)  # u * c may round up to c
+            np.maximum(xi, zeta * BT.take(k, axis=1), out=xi)
+            n_points += rows.size
+            done = zeta <= xi.min(axis=0)
+            i = np.flatnonzero(done)
+            out[:, rows.take(i)] = xi.take(i, axis=1)
+            i = np.flatnonzero(~done)
+            rows, gamma, xi = rows.take(i), gamma.take(i), xi.take(i, axis=1)
+    return SampleMatrix(out.T, seed, "poisson-stop", n_points)
 
 
 def exponent_density(model, z, step=None, richardson=True):

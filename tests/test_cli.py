@@ -123,6 +123,16 @@ class TestSimulate:
         out = str(tmp_path / "s.csv")
         assert main(["simulate", "--model", spec, "--samples", "50", "--seed", "1", "--out", out]) == 0
 
+    def test_records_sampler_and_point_count(self, tmp_path, log2_spec):
+        out = str(tmp_path / "s.csv")
+        argv = ["simulate", "--model", log2_spec, "--samples", "300", "--seed", "4", "--out", out]
+        assert main(argv) == 0
+        with open(out) as fh:
+            meta = dict(line[2:].strip().split("=", 1) for line in fh if line.startswith("#"))
+        assert meta["method"] == "poisson-stop"
+        assert int(meta["n_points"]) >= 300
+        assert meta["seed"] == "4" and meta["samples"] == "300"
+
 
 class TestSpectralCommand:
     def test_round_trip_polygon(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
-from scipy.stats import kendalltau, kstest
+from scipy.stats import kendalltau, ks_2samp, kstest
 
 from maxzonoid import (
     MaxStableModel,
@@ -14,17 +14,25 @@ from maxzonoid import (
     exponent_density,
     make_family,
     max_stability_check,
+    normalize_dependency,
     pickands,
     quantile_curve,
     simulate,
+    spectral_from_points,
     support_function,
     unit_cross_polytope,
     unit_cube,
+    zonoid_from_spectral,
 )
 
-from maxzonoid import _kernels
-
 from conftest import random_model
+
+
+def dense_sample(A, n, rng):
+    """Reference sampler by the definition: xi_j = max_k Z_k A_kj with
+    Z_k iid unit Frechet, one Z per atom and draw."""
+    Z = 1.0 / rng.standard_exponential((n, A.shape[0]))
+    return (Z[:, :, None] * A[None, :, :]).max(axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -211,21 +219,56 @@ class TestSimulate:
             assert p > 0.01
 
     def test_block_draws_match_single_draw(self, rng):
-        # rows are drawn in blocks to bound memory; a stream split by rows
-        # gives the same uniforms as one draw, so samples are unchanged
+        # each 65 536-row chunk has its own spawned stream, so a sample that
+        # spills into a second chunk starts with the one-chunk sample
         model = random_model(rng, d=2, m=7)
-        n = 10_000
-        stream = np.random.default_rng(np.random.SeedSequence(31).spawn(1)[0])
-        ref = _kernels.simulate_frechet(
-            model.discrete.scaled_atoms, stream.random((n, model.discrete.n_atoms))
-        )
-        assert np.array_equal(simulate(model, n, seed=31).values, ref)
+        n = 65_536
+        a = simulate(model, n + 17, seed=31)
+        assert np.array_equal(a.values, simulate(model, n + 17, seed=31).values)
+        assert np.array_equal(a.values[:n], simulate(model, n, seed=31).values)
+
+    def test_records_method_and_point_count(self, models):
+        s = simulate(models["log2"].with_discrete(64), 1000, seed=2)
+        assert s.method == "poisson-stop"
+        assert s.n_points >= s.n
+
+    @pytest.mark.parametrize(
+        "case", ["random d=2", "random d=3", "independence d=3", "zero coordinates"]
+    )
+    def test_matches_dense_reference_sampler(self, rng, case):
+        if case == "random d=2":
+            model = random_model(rng, d=2, m=6)
+        elif case == "random d=3":
+            model = random_model(rng, d=3, m=6)
+        elif case == "independence d=3":
+            model = MaxStableModel(unit_cube(3))
+        else:
+            pts = [[1, 0, 0], [0, 1, 0], [0.5, 0, 0.5], [0.2, 0.3, 0.5], [0, 0, 1]]
+            model = MaxStableModel(
+                normalize_dependency(zonoid_from_spectral(spectral_from_points(pts)))
+            )
+        n = 20_000
+        got = simulate(model, n, seed=41).values
+        ref = dense_sample(model.discrete.scaled_atoms, n, np.random.default_rng(43))
+        for stat in (np.min, np.max):
+            p = ks_2samp(stat(got, axis=1), stat(ref, axis=1)).pvalue
+            assert p > 0.01, (case, stat.__name__, p)
 
     def test_law_matches_cdf(self, rng):
         model = random_model(rng, d=2, m=3)
         n = 40_000
         s = simulate(model, n, seed=23)
         pts = rng.random((25, 2)) * 2.5 + 0.2
+        F = cdf(model, pts)
+        emp = (s.values[:, None, :] <= pts[None, :, :]).all(axis=2).mean(axis=0)
+        tol = 3 * np.sqrt(F * (1 - F) / n)
+        assert np.all(np.abs(emp - F) <= tol + 1e-12)
+
+    def test_law_matches_cdf_d3(self, rng):
+        model = random_model(rng, d=3, m=5)
+        n = 40_000
+        s = simulate(model, n, seed=29)
+        pts = rng.random((25, 3)) * 2.5 + 0.4
         F = cdf(model, pts)
         emp = (s.values[:, None, :] <= pts[None, :, :]).all(axis=2).mean(axis=0)
         tol = 3 * np.sqrt(F * (1 - F) / n)

@@ -16,16 +16,8 @@ def dense_support(B, X):
     return np.maximum((X[:, None] * B[None]).max(2), 0).sum(1)
 
 
-@pytest.fixture
-def data(rng):
+def test_support_sum_zero_floor(rng):
     atoms = rng.random((37, 3)) * rng.random((37, 1))
-    points = rng.random((211, 3)) * 3.0
-    uniforms = rng.random((101, 37))
-    return atoms, points, uniforms
-
-
-def test_support_sum_zero_floor(data):
-    atoms, _, _ = data
     mixed = np.array([[-1.0, -2.0, -0.5], [0.5, -1.0, 0.25]])
     a = _kernels.support_sum(atoms, mixed)
     np.testing.assert_allclose(a, dense_support(atoms, mixed), rtol=1e-13, atol=1e-15)
@@ -33,9 +25,9 @@ def test_support_sum_zero_floor(data):
 
 
 def test_support_sum_dense_path_is_definition(rng):
-    # d >= 3 keeps the blocked dense product: bit-identical across blocks
+    # d >= 3 keeps the tiled dense product: bit-identical across tiles
     atoms = rng.random((37, 3)) * rng.random((37, 1))
-    points = rng.random((_kernels._CHUNK + 211, 3)) * 3.0 - 0.5
+    points = rng.random((_kernels._TILE // 37 + 211, 3)) * 3.0 - 0.5
     got = _kernels.support_sum(atoms, points)
     assert np.array_equal(got, dense_support(atoms, points))
 
@@ -126,20 +118,3 @@ def test_dependency_set_support_bounds_and_homogeneity(d, data, t):
         assert np.all(h >= X.max(axis=1) * (1 - 1e-12))
         assert np.all(h <= X.sum(axis=1) * (1 + 1e-12))
         np.testing.assert_allclose(K.support(t * X), t * h, rtol=1e-12, atol=0)
-
-
-def test_simulate_frechet_numpy_matches_definition(data):
-    atoms, _, uniforms = data
-    A = atoms / atoms.sum(axis=0)
-    z = -1.0 / np.log(uniforms)
-    expected = (z[:, :, None] * A[None, :, :]).max(axis=1)
-    assert np.array_equal(_kernels.simulate_frechet(A, uniforms), expected)
-
-
-def test_simulate_frechet_across_row_blocks(rng):
-    A = rng.random((9, 2))
-    A /= A.sum(axis=0)
-    uniforms = rng.random((_kernels._CHUNK + 37, 9))
-    z = -1.0 / np.log(uniforms)
-    expected = (z[:, :, None] * A[None, :, :]).max(axis=1)
-    assert np.array_equal(_kernels.simulate_frechet(A, uniforms), expected)
