@@ -41,13 +41,15 @@ def _support_sum_planar(B, X):
     suffix sum of B[:,0] plus x_2 times a prefix sum of B[:,1], both read
     at the sorted position of x_2/x_1, for points X >= 0."""
     m, n = B.shape[0], X.shape[0]
-    r = np.divide(B[:, 0], B[:, 1], out=np.full(m, np.inf), where=B[:, 1] > 0)
+    # a divisor tiny enough to overflow gives inf, which is the right slope
+    with np.errstate(over="ignore"):
+        r = np.divide(B[:, 0], B[:, 1], out=np.full(m, np.inf), where=B[:, 1] > 0)
+        t = np.divide(X[:, 1], X[:, 0], out=np.full(n, np.inf), where=X[:, 0] > 0)
     order = np.argsort(r, kind="stable")
     r, a1, a2 = r[order], B[order, 0], B[order, 1]
     # a reversed cumsum, not total minus prefix: no cancellation
     s1 = np.append(np.cumsum(a1[::-1])[::-1], 0.0)
     p2 = np.concatenate([[0.0], np.cumsum(a2)])
-    t = np.divide(X[:, 1], X[:, 0], out=np.full(n, np.inf), where=X[:, 0] > 0)
     j = np.searchsorted(r, t, "left")
     return X[:, 0] * s1[j] + X[:, 1] * p2[j]
 

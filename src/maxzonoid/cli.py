@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -162,13 +163,25 @@ def _open_out(path):
     return open(path, "w") if path else sys.stdout
 
 
+# Rows per formatted block of write_csv: under 1 MB of text at two columns.
+_CSV_BLOCK = 2**14
+
+
 def write_csv(path, header, rows, meta):
+    """'#' meta lines, the header, then the (n, k) rows in "%.17g" with ','
+    between columns.  One row template repeated over a block of rows is
+    formatted by a single %, which writes the bytes of formatting row by
+    row without its per-row Python cost."""
+    X = np.asarray(rows, dtype=float)
     fh = _open_out(path)
     try:
         for key, val in meta.items():
             fh.write(f"# {key}={val}\n")
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",")
+        row = ",".join(["%.17g"] * X.shape[1]) + "\n"
+        for lo in range(0, X.shape[0], _CSV_BLOCK):
+            block = X[lo : lo + _CSV_BLOCK]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -188,10 +201,11 @@ def result_document(operation, spec, results, **extra):
 
 
 def write_json(path, doc):
+    """One line with sorted keys: json.dumps without indent runs the C
+    encoder, where json.dump and any indent take the pure-Python one."""
     fh = _open_out(path)
     try:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -421,7 +435,10 @@ def cmd_converge(args):
 # entry point
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and gives each call a fresh namespace."""
     parser = _Parser(prog="maxzonoid", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -434,21 +451,18 @@ def build_parser():
     common(p)
     p.add_argument("--points", required=True, help="CSV of evaluation points")
     p.add_argument("--op", required=True, choices=["cdf", "copula", "pickands", "norm"])
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("measures", help="dependence functionals of a model")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--max-subset-size", type=int, default=None)
-    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("simulate", help="draw exact samples")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--atoms", type=int, default=1000, help="atoms for analytic models")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectral", help="polygon/atom conversion and validation")
     common(p)
@@ -456,29 +470,24 @@ def build_parser():
     group.add_argument("--to-atoms", action="store_true")
     group.add_argument("--to-polygon", action="store_true")
     p.add_argument("--atoms", type=int, default=1000)
-    p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("check-theta", help="extremal-coefficient consistency verdict")
     common(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_check_theta)
 
     p = sub.add_parser("construct-theta", help="build a model from a consistent table")
     common(p)
-    p.set_defaults(func=cmd_construct_theta)
 
     p = sub.add_parser("estimate", help="empirical spectral measure from data")
     common(p, model=False)
     p.add_argument("--data", required=True, help="CSV of positive observations")
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--reference", default="l1", choices=["l1", "l2", "linf"])
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("quantile", help="planar quantile curve of the cdf")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(func=cmd_quantile)
 
     p = sub.add_parser("converge", help="Hausdorff convergence diagnostic")
     common(p)
@@ -486,15 +495,15 @@ def build_parser():
     p.add_argument("--s-grid", required=True, help="increasing thresholds, comma-separated")
     p.add_argument("--grid", type=int, default=None, help="direction grid size")
     p.add_argument("--reference", default="l1", choices=["l1", "l2", "linf"])
-    p.set_defaults(func=cmd_converge)
 
     return parser
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up when it runs, not when the parser was built,
+    # so a wrapped cmd_* (a tracer's, a test's) is the one that is called
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 def main(argv=None):

@@ -65,7 +65,12 @@ class Polygon2D:
     @classmethod
     def from_chain(cls, vertices):
         """Clean a raw chain: dedup, drop collinear vertices, repair
-        convexity violations below EPS, reject larger ones."""
+        small convexity violations, reject larger ones.  A turn is
+        measured by its sine, cross(e1, e2) / (|e1| |e2|), so the
+        tolerance does not depend on the edge lengths of a fine chain.  A
+        vertex is collinear at sine <= EPS; a reflex vertex is dropped
+        while its sine is at least -10 EPS, since a vertex 5e-10 inside a
+        unit chord, as typed or rescaled vertices can be, turns by -1e-9."""
         v = np.asarray(vertices, dtype=float)
         v = np.where(np.abs(v) <= EPS, 0.0, v)
         kept = [v[0]]
@@ -77,10 +82,10 @@ class Polygon2D:
             while len(out) >= 2:
                 e1 = out[-1] - out[-2]
                 e2 = p - out[-1]
-                cross = e1[0] * e2[1] - e1[1] * e2[0]
-                if cross < -EPS:
+                sine = (e1[0] * e2[1] - e1[1] * e2[0]) / (math.hypot(*e1) * math.hypot(*e2))
+                if sine < -10 * EPS:
                     raise ValueError("chain violates convexity beyond tolerance")
-                if cross <= EPS:
+                if sine <= EPS:
                     out.pop()
                 else:
                     break

@@ -103,7 +103,15 @@ class DependencyReport:
 
 
 def make_measure(points, masses, reference="l1", merge=True):
-    """Build a measure, merging atoms closer than ATOM_TOL on the sphere."""
+    """Build a measure, merging atoms closer than ATOM_TOL on the sphere.
+
+    The atoms are sorted lexicographically, and a row joins the group of
+    the row before it when no coordinate differs from that row by more
+    than ATOM_TOL; a group's mass is the sum of its masses in sorted
+    order.  Grouping chains through neighbours, so a group of k rows
+    spans at most (k - 1) * ATOM_TOL.  Near-duplicates that the sort
+    puts apart stay separate atoms, which can happen in d >= 3 and at
+    the corner (1, 1) of the l-infinity circle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     w = np.atleast_1d(np.asarray(masses, dtype=float)).copy()
     keep = w > 0
@@ -115,14 +123,11 @@ def make_measure(points, masses, reference="l1", merge=True):
     if merge and pts.shape[0] > 1:
         order = np.lexsort(pts.T[::-1])
         pts, w = pts[order], w[order]
-        out_pts, out_w = [pts[0]], [w[0]]
-        for p, m in zip(pts[1:], w[1:]):
-            if np.abs(p - out_pts[-1]).max() <= ATOM_TOL:
-                out_w[-1] += m
-            else:
-                out_pts.append(p)
-                out_w.append(m)
-        pts, w = np.array(out_pts), np.array(out_w)
+        start = np.ones(pts.shape[0], dtype=bool)
+        start[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > ATOM_TOL
+        # bincount adds the weights of a group one after another, as a
+        # loop would; np.add.reduceat pairs them and rounds differently
+        pts, w = pts[start], np.bincount(np.cumsum(start) - 1, weights=w)
     return DiscreteSpectralMeasure(pts, w, reference)
 
 
@@ -192,8 +197,10 @@ def spectral_from_polygon_2d(polygon, reference="l1"):
 def polygon_from_spectral(sigma):
     """Materialize the planar body of a 2-D measure as its vertex chain.
 
-    Edges are the scaled atoms sorted by direction; exact inverse of
-    spectral_from_polygon_2d up to atom merging.
+    Edges are the scaled atoms sorted by direction, so the chain is
+    convex by construction and has one vertex per atom plus one.  It is
+    the exact inverse of spectral_from_polygon_2d: every atom comes back,
+    its edge within the rounding of the vertex sums.
     """
     from .geometry import Polygon2D
 
@@ -201,10 +208,12 @@ def polygon_from_spectral(sigma):
         raise ValueError("polygon materialization requires d = 2")
     ts = sigma.scaled_atoms  # rows (t_k, s_k): x-extent and y-extent per edge
     # anticlockwise from the x-axis: edge normals (s, t) sorted by slope t/s
-    ratio = np.where(ts[:, 1] > 0, ts[:, 0] / np.where(ts[:, 1] > 0, ts[:, 1], 1.0), np.inf)
+    with np.errstate(over="ignore"):  # a tiny t_k gives inf, the right slope
+        ratio = np.divide(ts[:, 0], ts[:, 1], out=np.full(len(ts), np.inf), where=ts[:, 1] > 0)
     order = np.argsort(ratio, kind="stable")
     ts = ts[order]
-    start = np.array([ts[:, 0].sum(), 0.0])
-    deltas = np.column_stack([-ts[:, 0], ts[:, 1]])
-    verts = np.vstack([start, start + np.cumsum(deltas, axis=0)])
-    return Polygon2D.from_chain(verts)
+    # x from a reversed cumsum, not total minus prefix: no cancellation,
+    # and the chain ends on the y-axis exactly
+    x = np.append(np.cumsum(ts[::-1, 0])[::-1], 0.0)
+    y = np.concatenate([[0.0], np.cumsum(ts[:, 1])])
+    return Polygon2D(np.column_stack([x, y]))

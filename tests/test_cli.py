@@ -1,9 +1,11 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from maxzonoid import cli
 from maxzonoid.cli import main, read_csv, write_csv
 
 
@@ -25,6 +27,12 @@ def points_csv(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("x1,x2\n1.0,1.0\n2.0,0.5\n")
     return str(path)
+
+
+def _rows_over_blocks():
+    rng = np.random.default_rng(5)
+    n = cli._CSV_BLOCK + 7
+    return rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
 
 
 def read_json(path):
@@ -105,7 +113,8 @@ class TestSimulate:
                 ["simulate", "--model", spec, "--samples", "1000", "--seed", "7", "--out", out]
             )
             assert rc == 0
-            outs.append(open(out, "rb").read())
+            with open(out, "rb") as fh:
+                outs.append(fh.read())
         assert outs[0] == outs[1]
         header, rows = read_csv(str(tmp_path / "a.csv"))
         assert header == ["x1", "x2"]
@@ -287,6 +296,25 @@ class TestCsv:
         assert header == ["a", "b"]
         np.testing.assert_array_equal(back, rows)
         assert math.copysign(1.0, back[1, 1]) == -1.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[np.nan, np.inf], [-np.inf, -0.0], [0.0, 1 / 3]]),
+            np.array([[5e-324], [1e-300], [-1.7976931348623157e308], [0.1]]),
+            np.array([[1.0, -2.5, 3e-17, 12345678901234567.0]]),
+            np.empty((0, 3)),
+            _rows_over_blocks(),
+        ],
+        ids=["special", "one-column", "one-row", "no-rows", "blocks"],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, rows):
+        out = tmp_path / "out.csv"
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        write_csv(str(out), header, rows, {"seed": 1})
+        want = io.StringIO()
+        np.savetxt(want, rows, fmt="%.17g", delimiter=",")
+        assert out.read_bytes() == ("# seed=1\n" + ",".join(header) + "\n" + want.getvalue()).encode()
 
 
 class TestCountsFailLoudly:
@@ -485,6 +513,34 @@ class TestTrivariateFamilies:
         argv = ["simulate", "--samples", "10", "--atoms", "3", "--model", spec]
         assert main(argv) == 2
         assert "at least 4 atoms" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_calls_do_not_share_arguments(self, tmp_path, log2_spec):
+        def simulate(name, *extra):
+            out = tmp_path / name
+            argv = ["simulate", "--model", log2_spec, "--samples", "50", "--out", str(out)]
+            assert main(argv + list(extra)) == 0
+            return out.read_bytes()
+
+        plain = simulate("plain.csv")
+        assert main(["spectral", "--model", log2_spec, "--to-polygon", "--atoms", "40",
+                     "--out", str(tmp_path / "poly.json")]) == 0
+        seeded = simulate("seeded.csv", "--seed", "9", "--atoms", "40")
+        again = simulate("again.csv")
+        assert again == plain != seeded
+        assert b"# seed=0\n" in again
+        assert main(["spectral", "--model", log2_spec, "--to-atoms",
+                     "--out", str(tmp_path / "atoms.json")]) == 0
+        assert "spectral" in read_json(tmp_path / "atoms.json")["results"]
+
+    def test_handler_found_at_call_time(self, tmp_path, log2_spec, monkeypatch):
+        argv = ["quantile", "--model", log2_spec, "--alpha", "0.5", "--out", str(tmp_path / "q.csv")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_quantile", lambda args: seen.append(args.alpha) or 0)
+        assert main(argv) == 0
+        assert seen == [0.5]
 
 
 class TestOptionsWhereRead:

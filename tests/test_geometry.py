@@ -814,6 +814,24 @@ class TestPolygon2D:
         poly = Polygon2D.from_chain(chain)
         assert len(poly.vertices) == 2
 
+    def test_fine_chain_keeps_every_vertex(self):
+        # turns of 1.6e-4 rad on edges 1.6e-4 long: raw cross products ~4e-12
+        th = np.linspace(0.0, np.pi / 2, 10_000)
+        chain = np.column_stack([np.cos(th), np.sin(th)])
+        assert Polygon2D.from_chain(chain).vertices.shape == (10_000, 2)
+
+    def test_collinear_vertex_dropped(self):
+        chain = np.array([[1.0, 0.0], [1.0, 0.25], [1.0, 0.5], [0.0, 1.0]])
+        np.testing.assert_array_equal(
+            Polygon2D.from_chain(chain).vertices, [[1.0, 0.0], [1.0, 0.5], [0.0, 1.0]]
+        )
+
+    def test_reflex_turn_rejected(self):
+        # the middle vertex turns clockwise, with sine -1e-6
+        chain = np.array([[1.0, 0.0], [0.5, 0.5 - 5e-7], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="convexity"):
+            Polygon2D.from_chain(chain)
+
     def test_pairwise_independence_forces_cube(self, rng):
         # axis-only atoms: every 2-D projection is the unit square, and
         # the support function is the full sum on a grid

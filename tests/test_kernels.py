@@ -1,6 +1,7 @@
 """The numpy kernels against their dense definitions."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_planar_support_edge_cases():
     for B in (axis, one, np.vstack([axis, one, one])):
         np.testing.assert_allclose(_kernels.support_sum(B, X), dense_support(B, X), rtol=1e-13, atol=0)
     assert _kernels.support_sum(one, np.empty((0, 2))).shape == (0,)
+
+
+def test_planar_support_tiny_coordinates_do_not_warn():
+    # 1.0 / 1e-310 overflows to inf, which is the right slope to sort by
+    B = np.array([[0.5, 0.5], [1.0, 1e-310]])
+    X = np.array([[1e-310, 1.0], [1.0, 1e-310], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels._support_sum_planar(B, X)
+    np.testing.assert_array_equal(got, dense_support(B, X))
 
 
 @settings(max_examples=300, deadline=None)

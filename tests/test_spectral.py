@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from maxzonoid import (
     validate_dependency,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import Polygon2D
+from maxzonoid.estimate import empirical_spectral
+from maxzonoid.geometry import Polygon2D, hausdorff_distance
+from maxzonoid.spectral import ATOM_TOL, reference_norm_of
 
 from conftest import random_dependency_polygon
 
@@ -41,6 +45,43 @@ class TestMeasureValidation:
         sigma = make_measure([[0.5, 0.5], [0.5, 0.5 + 1e-12]], [1.0, 2.0])
         assert sigma.n_atoms == 1
         assert sigma.total_mass == pytest.approx(3.0)
+
+
+def _merge_by_loop(points, masses, reference):
+    """The merge as a loop over the sorted rows, each compared with the
+    first row of its group and its mass added in sorted order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.asarray(masses, dtype=float)
+    pts = pts / reference_norm_of(pts, reference)[:, None]
+    order = np.lexsort(pts.T[::-1])
+    pts, w = pts[order], w[order]
+    out_pts, out_w = [pts[0]], [w[0]]
+    for p, m in zip(pts[1:], w[1:]):
+        if np.abs(p - out_pts[-1]).max() <= ATOM_TOL:
+            out_w[-1] += m
+        else:
+            out_pts.append(p)
+            out_w.append(m)
+    return DiscreteSpectralMeasure(np.array(out_pts), np.array(out_w), reference)
+
+
+class TestMergeMatchesLoop:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("reference", ["l1", "l2", "linf"])
+    def test_bit_identical(self, rng, d, reference):
+        base = rng.random((300, d)) + 1e-3
+        # a 960-row group of exact copies, where a pairwise sum rounds differently
+        big = np.repeat(base[:1], 960, axis=0)
+        exact = base[rng.integers(0, 300, 200)]
+        near = base[rng.integers(0, 300, 200)] * (1.0 + 1e-12 * rng.standard_normal((200, 1)))
+        pts = np.vstack([base, big, exact, near])
+        w = rng.random(pts.shape[0]) + 0.01
+        perm = rng.permutation(pts.shape[0])
+        got = make_measure(pts[perm], w[perm], reference)
+        want = _merge_by_loop(pts[perm], w[perm], reference)
+        assert got.n_atoms == want.n_atoms == 300
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert got.masses.tobytes() == want.masses.tobytes()
 
 
 class TestZonoidFromSpectral:
@@ -173,6 +214,31 @@ class TestPolygonConversion:
         np.testing.assert_allclose(
             support_function(K, normals), poly.support(normals), rtol=0, atol=1e-12
         )
+
+    def test_exact_round_trip_of_a_fine_measure(self, rng):
+        # 10^4 exceedances of independent Frechet pairs: directions so close
+        # that a raw cross-product test at 1e-9 dropped most chain vertices
+        X = -1.0 / np.log(rng.random((100_000, 2)))
+        s = np.sort(X.sum(axis=1))[-10_000]
+        sigma = empirical_spectral(X, s)
+        assert sigma.n_atoms == 10_000
+        chain = polygon_from_spectral(sigma)
+        assert chain.vertices.shape == (sigma.n_atoms + 1, 2)
+        back = spectral_from_polygon_2d(chain)
+        assert back.n_atoms == sigma.n_atoms
+        # edges come back up to the rounding of the vertex sums, about one
+        # ulp of the chain's unit scale; an atom is its edge over its mass
+        np.testing.assert_allclose(back.masses, sigma.masses, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(back.scaled_atoms, sigma.scaled_atoms, rtol=0, atol=1e-15)
+        K, K_back = zonoid_from_spectral(sigma), zonoid_from_spectral(back)
+        assert hausdorff_distance(K, K_back) == 0.0
+
+    def test_materialize_tiny_coordinate_does_not_warn(self):
+        sigma = DiscreteSpectralMeasure(np.array([[1.0, 1e-310], [0.5, 0.5]]), np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = polygon_from_spectral(sigma)
+        np.testing.assert_array_equal(chain.vertices, [[1.5, 0.0], [1.0, 0.5], [0.0, 0.5]])
 
     def test_materialize_inverse(self, rng):
         poly = random_dependency_polygon(rng)
