@@ -4,16 +4,18 @@ Families: independence, dependence (complete), logistic(p), negative
 logistic(lam, p), Husler-Reiss(lam), Marshall-Olkin(alpha1, alpha2),
 and matrix weights.  All outputs are normalized dependency sets; the
 analytic ones carry closed-form gradients so they can be discretized
-into atom lists (needed for exact simulation).
+into atom lists (needed for exact simulation).  The Husler-Reiss norm
+reads the standard normal cdf as Phi(x) = erfc(-x / sqrt 2) / 2, with
+``math.erfc`` applied elementwise; it agrees with ``scipy.special.ndtr``
+to 2e-13 relative wherever Phi exceeds 1e-300.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtr
 
 from . import _kernels
 from .geometry import (
@@ -114,6 +116,17 @@ def _neg_logistic_norm(lam, p):
     return AnalyticNorm("neg_logistic", 2, fn, grad, (lam, p))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x):
+    """Standard normal cdf, elementwise; the shape of x is kept."""
+    # times 1/sqrt 2, not over sqrt 2: the argument rounds as in ndtr
+    out = np.asarray(_erfc(np.multiply(x, -math.sqrt(0.5))), dtype=float)
+    out *= 0.5
+    return out
+
+
 def _husler_reiss_norm(lam):
     def _parts(X, _l=lam):
         x1, x2 = X[:, 0], X[:, 1]
@@ -127,9 +140,8 @@ def _husler_reiss_norm(lam):
         x1, x2, a, b = _parts(X)
         interior = (x1 > 0) & (x2 > 0)
         out = x1 + x2  # axis limit
-        out[interior] = x1[interior] * ndtr(a[interior]) + x2[interior] * ndtr(
-            b[interior]
-        )
+        out[interior] = (x1[interior] * _normal_cdf(a[interior])
+                         + x2[interior] * _normal_cdf(b[interior]))
         return out
 
     def grad(X, _l=lam):
@@ -137,8 +149,8 @@ def _husler_reiss_norm(lam):
         out = np.empty_like(X)
         interior = (x1 > 0) & (x2 > 0)
         # density terms cancel: dh/dx1 = Phi(a), dh/dx2 = Phi(b)
-        out[:, 0] = np.where(interior, ndtr(a), (x1 > 0).astype(float))
-        out[:, 1] = np.where(interior, ndtr(b), (x2 > 0).astype(float))
+        out[:, 0] = np.where(interior, _normal_cdf(a), (x1 > 0).astype(float))
+        out[:, 1] = np.where(interior, _normal_cdf(b), (x2 > 0).astype(float))
         return out
 
     return AnalyticNorm("husler_reiss", 2, fn, grad, (lam,))
@@ -292,10 +304,12 @@ def _nnls_bpp(A, b):
     principal pivoting (Portugal, Judice & Vicente 1994) with the backup
     rule of Kim & Park 2011: every infeasible variable changes side while
     their count falls; after 3 steps without a fall only the last one does.
-    Each step is one Cholesky solve of the passive block of G = A'A; the
-    final one is refined once against A itself, which recovers the accuracy
-    that squaring cond(A) in G costs.  The rule terminates in exact
-    arithmetic; should rounding make it cycle, 3n steps raise ValueError."""
+    Each step is one LU solve (numpy.linalg.solve) of the passive block of
+    G = A'A; the final solution is refined once against A itself, by one
+    more solve of that block, which recovers the accuracy that squaring
+    cond(A) in G costs.  An exactly singular block raises
+    numpy.linalg.LinAlgError, a ValueError.  The rule terminates in exact arithmetic; should rounding
+    make it cycle, 3n steps raise ValueError."""
     G, c = A.T @ A, A.T @ b
     n = len(c)
     tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)  # rounding in G x - c
@@ -306,7 +320,7 @@ def _nnls_bpp(A, b):
         bad = np.flatnonzero(P & (x < 0) | ~P & (y < -tol))
         if bad.size == 0:
             if P.any():
-                x[P] += cho_solve(factor, (A.T @ (b - A @ x))[P])
+                x[P] += np.linalg.solve(GP, (A.T @ (b - A @ x))[P])
             return np.maximum(x, 0.0)
         if bad.size < best:
             best, backup = bad.size, 3
@@ -315,8 +329,8 @@ def _nnls_bpp(A, b):
         else:
             bad = bad[-1:]
         P[bad] = ~P[bad]
-        factor = cho_factor(G[np.ix_(P, P)])
+        GP = G[np.ix_(P, P)]
         x = np.zeros(n)
-        x[P] = cho_solve(factor, c[P])
+        x[P] = np.linalg.solve(GP, c[P])
         y = G @ x - c
     raise ValueError("block principal pivoting did not terminate")

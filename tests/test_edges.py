@@ -1,5 +1,6 @@
 """Error paths and the less-traveled representation branches."""
 
+import json
 import os
 import subprocess
 import sys
@@ -296,11 +297,89 @@ class TestSpearmanMethodGuards:
             mz.spearman_rho(MaxStableModel(unit_cube(3)), method="exact")
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize"])
-def test_import_leaves_out(module):
+def _fresh_python(code, *args, **kwargs):
     # a fresh interpreter, so the imports of other tests do not leak in
     src = os.path.dirname(os.path.dirname(mz.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.integrate", "scipy.optimize"])
+def test_import_leaves_out(module):
     code = f"import sys, maxzonoid; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code, check=True).stdout.strip() == "False"
+
+
+# Every subcommand on a Husler-Reiss model and a d = 3 logistic model (an
+# NNLS fit) in an interpreter where scipy cannot be imported.  The model's
+# own extremal table feeds check-theta and construct-theta, its simulated
+# sample feeds estimate and converge.
+_WITHOUT_SCIPY = r"""
+import json, os, sys
+from importlib.abc import MetaPathFinder
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+    sys.exit("scipy was importable")
+except ImportError:
+    pass
+
+import maxzonoid as mz
+from maxzonoid.cli import main
+
+tmp = sys.argv[1]
+
+def path(name, text=None):
+    p = os.path.join(tmp, name)
+    if text is not None:
+        with open(p, "w") as fh:
+            fh.write(text)
+    return p
+
+failed = []
+for tag, family in [("hr", {"name": "husler_reiss", "d": 2, "params": {"lam": 1.0}}),
+                    ("log3", {"name": "logistic", "d": 3, "params": {"p": 1.5}})]:
+    d = family["d"]
+    model = path(f"{tag}.json", json.dumps({"family": family}))
+    table = mz.extremal_table(mz.make_family(family["name"], d, **family["params"]))
+    theta = {",".join(str(i + 1) for i in sorted(A)): v for A, v in table.values.items()}
+    extremal = path(f"{tag}-theta.json", json.dumps({"extremal": {"d": d, "theta": theta}}))
+    pts = path(f"{tag}-pts.csv", "1.0,2.0,0.5\n0.3,0.3,4.0\n" if d == 3 else "1.0,2.0\n0.3,4.0\n")
+    us = path(f"{tag}-us.csv", "0.3,0.7,0.5\n0.9,0.9,0.9\n" if d == 3 else "0.3,0.7\n0.9,0.9\n")
+    sample = path(f"{tag}-sample.csv")
+    runs = [
+        ["simulate", "--model", model, "--out", sample],
+        ["eval", "--model", model, "--points", pts, "--op", "cdf"],
+        ["eval", "--model", model, "--points", us, "--op", "copula"],
+        ["eval", "--model", model, "--points", pts, "--op", "norm"],
+        ["measures", "--model", model],
+        ["spectral", "--model", model, "--to-atoms"],
+        ["check-theta", "--model", extremal],
+        ["construct-theta", "--model", extremal],
+        ["estimate", "--data", sample, "--threshold", "20"],
+        ["converge", "--model", model, "--data", sample, "--s-grid", "10,20"],
+    ]
+    if d == 2:
+        runs += [
+            ["eval", "--model", model, "--points", path("ts.csv", "0.0\n0.3\n1.0\n"), "--op", "pickands"],
+            ["spectral", "--model", model, "--to-polygon"],
+            ["quantile", "--model", model, "--alpha", "0.9"],
+        ]
+    for argv in runs:
+        if main(argv if argv[0] == "simulate" else argv + ["--out", path("out")]) != 0:
+            failed.append(argv)
+print(json.dumps({"failed": failed, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    out = _fresh_python(_WITHOUT_SCIPY, str(tmp_path), timeout=600)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report == {"failed": [], "scipy": []}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 from scipy.special import ndtr
 
@@ -112,7 +113,42 @@ class TestNegLogistic:
             make_family("neg_logistic", 2, lam=0.5, p=1.0)
 
 
+class TestNormalCdf:
+    def test_matches_ndtr_on_dense_grid(self):
+        x = np.linspace(-38.0, 9.0, 400_001)
+        ref = ndtr(x)
+        on = ref > 1e-300
+        rel = np.abs(families._normal_cdf(x[on]) - ref[on]) / ref[on]
+        assert rel.max() <= 2e-13
+
+    def test_special_values(self):
+        out = families._normal_cdf(np.array([-np.inf, np.inf, np.nan, 0.0]))
+        assert out[0] == 0.0 and out[1] == 1.0 and np.isnan(out[2]) and out[3] == 0.5
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3)])
+    def test_keeps_shape(self, shape):
+        out = families._normal_cdf(np.full(shape, 0.25))
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+
 class TestHuslerReiss:
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 3.0, 20.0])
+    def test_fn_and_grad_match_ndtr_formula(self, rng, lam):
+        X = np.exp(rng.normal(scale=3.0, size=(500, 2)))
+        X[:20, 0] = 0.0  # axis points
+        X[20:40, 1] = 0.0
+        X[40] = 0.0
+        K = make_family("husler_reiss", 2, lam=lam)
+        x1, x2 = X[:, 0], X[:, 1]
+        inner = (x1 > 0) & (x2 > 0)
+        r = np.log(np.where(inner, x1, 1.0) / np.where(inner, x2, 1.0))
+        a, b = ndtr(lam + r / (2 * lam)), ndtr(lam - r / (2 * lam))
+        h = np.where(inner, x1 * a + x2 * b, x1 + x2)
+        g = np.column_stack([np.where(inner, a, x1 > 0), np.where(inner, b, x2 > 0)])
+        np.testing.assert_allclose(K.norm.fn(X), h, rtol=1e-13, atol=0)
+        # ndtr flushes to zero where erfc still returns a subnormal
+        np.testing.assert_allclose(K.norm.grad(X), g, rtol=1e-13, atol=1e-300)
+
     def test_ones_value_is_2phi(self):
         for lam in (0.2, 0.8, 2.0):
             K = make_family("husler_reiss", 2, lam=lam)
@@ -360,14 +396,57 @@ class TestNnlsBpp:
         monkeypatch.setattr(families, "_nnls_bpp", recording)
         res = discretize(K, m)
         (A, b, w), = fits
+        # the Cholesky form of the solver, which the LU solves replaced:
+        # same support, same weights to rounding
+        chol = _nnls_bpp_cholesky(A, b)
+        np.testing.assert_array_equal(w > 1e-12, chol > 1e-12)
+        np.testing.assert_allclose(w, chol, rtol=0, atol=1e-12)
         ref, _ = nnls(A, b)
         np.testing.assert_array_equal(w > 1e-12, ref > 1e-12)
         np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
         monkeypatch.setattr(families, "_nnls_bpp", lambda A, b: ref)
         assert res.max_support_error == pytest.approx(discretize(K, m).max_support_error, rel=1e-12)
 
+    def test_rank_deficient_design_raises(self):
+        # two equal columns, both in the first passive set: an exactly
+        # singular block, never a set of weights
+        A = np.round(np.random.default_rng(0).random((12, 5)) * 8.0)
+        A[:, 3] = A[:, 1]
+        with pytest.raises(np.linalg.LinAlgError):
+            families._nnls_bpp(A, A @ np.ones(5))
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
     def test_cycling_raises(self, monkeypatch, rng):
         # a solve that is never feasible keeps every step infeasible
-        monkeypatch.setattr(families, "cho_solve", lambda f, rhs: -np.ones_like(rhs))
+        monkeypatch.setattr(np.linalg, "solve", lambda G, rhs: -np.ones_like(rhs))
         with pytest.raises(ValueError, match="did not terminate"):
             families._nnls_bpp(rng.random((12, 5)), rng.random(12))
+
+
+def _nnls_bpp_cholesky(A, b):
+    """The block principal pivoting solver with scipy's Cholesky factor of
+    each passive block, reused by the refinement step; a reference only."""
+    G, c = A.T @ A, A.T @ b
+    n = len(c)
+    tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)
+    P = np.zeros(n, dtype=bool)
+    x, y = np.zeros(n), -c
+    best, backup = n + 1, 3
+    for _ in range(3 * n + 1):
+        bad = np.flatnonzero(P & (x < 0) | ~P & (y < -tol))
+        if bad.size == 0:
+            if P.any():
+                x[P] += cho_solve(factor, (A.T @ (b - A @ x))[P])
+            return np.maximum(x, 0.0)
+        if bad.size < best:
+            best, backup = bad.size, 3
+        elif backup:
+            backup -= 1
+        else:
+            bad = bad[-1:]
+        P[bad] = ~P[bad]
+        factor = cho_factor(G[np.ix_(P, P)])
+        x = np.zeros(n)
+        x[P] = cho_solve(factor, c[P])
+        y = G @ x - c
+    raise ValueError("block principal pivoting did not terminate")
