@@ -170,15 +170,18 @@ def simulate(model, n, seed):
     atom k with probability w_k / c, give xi_j = max_i zeta_i b_{K_i, j}
     with -log P(xi <= x) = sum_k w_k max_j b_kj / x_j = h(K, 1/x). Once
     zeta_i <= min_j xi_j no later point can raise a coordinate, since
-    zeta decreases and b <= 1, so stopping there is exact.
+    zeta decreases and b <= 1, so stopping there is exact.  A body is
+    simulated from its own atoms; an analytic body, like a model without
+    atoms, needs with_discrete() first.
     """
     if n <= 0:
         raise ValueError("sample size must be positive")
-    if model.discrete is None:
+    sigma = model.discrete if isinstance(model, MaxStableModel) else model.spectral
+    if sigma is None:
         raise ValueError(
             "model has no atom list; call with_discrete() to discretize first"
         )
-    A = model.discrete.scaled_atoms
+    A = sigma.scaled_atoms
     colsum = A.sum(axis=0)
     if np.abs(colsum - 1.0).max() > 1e-6:
         raise ValueError(f"atom list is not normalized: marginal sums {colsum}")
@@ -188,12 +191,12 @@ def simulate(model, n, seed):
     BT = (A / w[:, None]).T.copy()
     cum = np.cumsum(w)
     c, last = cum[-1], len(w) - 1
-    out = np.empty((model.d, n))
+    out = np.empty((sigma.d, n))
     n_points = 0
     for lo, chunk_n, rng in _mc_chunks(n, seed):
         rows = np.arange(lo, lo + chunk_n)
         gamma = np.zeros(chunk_n)
-        xi = np.zeros((model.d, chunk_n))
+        xi = np.zeros((sigma.d, chunk_n))
         while rows.size:
             gamma += rng.standard_exponential(rows.size)
             zeta = c / gamma

@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import (
     Polygon2D,
-    _clip_chain_region,
+    _envelope_polygon,
     _ne_chain,
     hausdorff_distance,
     normalize_dependency,
@@ -63,23 +63,25 @@ def estimate_zonoid_2d(estimates):
     """Half-plane estimator of a planar dependency set.
 
     Intersects {x : <x, u_i> <= value_i} with the unit square and
-    renormalizes the result onto unit marginals.  Valid in the plane,
+    renormalizes the result onto unit marginals.  The intersection is
+    read by polarity: its polar is the hull of e1, e2 and the points
+    u_i / value_i, and it is the polar of that hull.  Valid in the plane,
     where every such body is a max-zonoid; deliberately not offered in
     higher dimensions, where the intersection need not be one.
     """
     if len(estimates) < 2:
         raise ValueError("need at least two direction estimates")
-    poly = [np.array(p, dtype=float) for p in ((0, 0), (1, 0), (1, 1), (0, 1))]
-    for est in estimates:
-        u = np.asarray(est.direction, dtype=float)
-        if u.shape != (2,):
-            raise ValueError("the half-plane estimator is bivariate")
-        poly = _clip_chain_region(poly, u, float(est.value))
-        if not poly:
-            raise ValueError("estimates produced an empty region")
-    chain = _ne_chain(np.array(poly))
-    xmax, ymax = chain.vertices[:, 0].max(), chain.vertices[:, 1].max()
-    return Polygon2D.from_chain(chain.vertices / np.array([xmax, ymax]))
+    if any(np.shape(est.direction) != (2,) for est in estimates):
+        raise ValueError("the half-plane estimator is bivariate")
+    U = np.array([est.direction for est in estimates], dtype=float)
+    h = np.array([est.value for est in estimates], dtype=float)
+    if not (np.isfinite(U).all() and (U >= 0).all()):
+        raise ValueError("directions must be finite and nonnegative")
+    if not (np.isfinite(h).all() and (h > 0).all()):
+        raise ValueError("estimated values must be positive and finite")
+    polar = _ne_chain(np.vstack([np.eye(2), U / h[:, None]])).vertices
+    V = _envelope_polygon(polar, 1.0).vertices
+    return Polygon2D(V / V.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,17 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     """Hausdorff distance between the normalized empirical max-zonoid at
     each threshold and a target body.  Thresholds without exceedances,
     or whose exceedances leave a coordinate empty, are flagged; bad data,
-    grids or dimensions fail the whole sweep."""
+    grids, dimensions or a threshold that is not positive and finite
+    fail the whole sweep."""
     X = samples.values if hasattr(samples, "values") else np.atleast_2d(
         np.asarray(samples, dtype=float)
     )
+    s_grid = np.asarray(s_grid, dtype=float)
+    if not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
+        raise ValueError("thresholds must be positive and finite")
     norms = reference_norm_of(X, reference)
     out = []
-    for s in np.asarray(s_grid, dtype=float):
+    for s in s_grid:
         n_exc = int((norms >= s).sum())
         if n_exc == 0:
             out.append(ConvergencePoint(float(s), float("nan"), 0, False))

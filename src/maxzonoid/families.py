@@ -199,7 +199,7 @@ def make_family(name, d=2, **params):
         _no_extra(params)
         if d != 2:
             raise ValueError("Husler-Reiss family is bivariate")
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("Husler-Reiss parameter must be nonnegative")
         if lam == 0.0:
             return unit_cross_polytope(2)
@@ -220,10 +220,10 @@ def make_family(name, d=2, **params):
         _no_extra(params)
         if A.shape[1] != d:
             raise ValueError(f"weight matrix must have {d} columns")
-        if np.any(A < 0):
+        if not np.all(A >= 0):
             raise ValueError("weights must be nonnegative")
         colsum = A.sum(axis=0)
-        if np.abs(colsum - 1.0).max() > 1e-9:
+        if not np.abs(colsum - 1.0).max() <= 1e-9:
             raise ValueError(f"column sums must be 1, got {colsum}")
         sigma = spectral_from_points(A, np.ones(A.shape[0]))
         return as_dependency(MaxZonoid(d=d, spectral=sigma))

@@ -4,7 +4,7 @@ A max-zonoid has two representations (atoms, analytic norm); planar
 chains are a view.  The atoms of a discrete spectral measure are the
 canonical form, a finite sum of cross-polytopes; an analytic norm is a
 closed-form support function.  A planar vertex chain (Polygon2D) is
-materialized on demand for hull, clip, polar and area work and stored
+materialized on demand for hull, polar and area work and stored
 back as atoms.  Every operation here is a pure function of immutable
 values; Monte Carlo operations take explicit seeds and chunk them
 deterministically.
@@ -52,6 +52,8 @@ class Polygon2D:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("polygon chain needs at least two 2-D vertices")
+        if not np.isfinite(v).all():
+            raise ValueError("polygon vertices must be finite")
         if np.any(v < -EPS):
             raise ValueError("polygon vertices must be nonnegative")
         if abs(v[0, 1]) > EPS or abs(v[-1, 0]) > EPS:
@@ -64,33 +66,23 @@ class Polygon2D:
 
     @classmethod
     def from_chain(cls, vertices):
-        """Clean a raw chain: dedup, drop collinear vertices, repair
-        small convexity violations, reject larger ones.  A turn is
-        measured by its sine, cross(e1, e2) / (|e1| |e2|), so the
-        tolerance does not depend on the edge lengths of a fine chain.  A
-        vertex is collinear at sine <= EPS; a reflex vertex is dropped
-        while its sine is at least -10 EPS, since a vertex 5e-10 inside a
-        unit chord, as typed or rescaled vertices can be, turns by -1e-9."""
-        v = np.asarray(vertices, dtype=float)
-        v = np.where(np.abs(v) <= EPS, 0.0, v)
-        kept = [v[0]]
-        for p in v[1:]:
-            if np.abs(p - kept[-1]).max() > EPS:
-                kept.append(p)
-        out = [kept[0]]
-        for p in kept[1:]:
-            while len(out) >= 2:
-                e1 = out[-1] - out[-2]
-                e2 = p - out[-1]
-                sine = (e1[0] * e2[1] - e1[1] * e2[0]) / (math.hypot(*e1) * math.hypot(*e2))
-                if sine < -10 * EPS:
-                    raise ValueError("chain violates convexity beyond tolerance")
-                if sine <= EPS:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return cls(np.array(out))
+        """Check a raw chain and return its hull chain (_ne_chain).  Edges
+        no longer than EPS are ignored; a turn is the signed angle between
+        the next two edges, atan2(cross, dot), which does not depend on
+        their lengths.  A turn below -10 EPS, or an edge running right or
+        down by more than EPS, is rejected: a reflex vertex 5e-10 inside a
+        unit chord, as typed or rescaled vertices can be, turns by -1e-9
+        and is dropped by the hull, but a larger one is not a body."""
+        v = cls(vertices).vertices
+        e = np.diff(v, axis=0)
+        e = e[np.abs(e).max(axis=1) > EPS]
+        a, b = e[:-1], e[1:]
+        turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], (a * b).sum(axis=1))
+        if np.any(turn < -10 * EPS):
+            raise ValueError("chain violates convexity beyond tolerance")
+        if np.any(e[:, 0] > EPS) or np.any(e[:, 1] < -EPS):
+            raise ValueError("chain is not monotone: an edge runs right or down")
+        return _ne_chain(v)
 
     @property
     def is_dependency(self):
@@ -433,33 +425,46 @@ def _ne_chain(points):
     """Anticlockwise boundary chain of conv({0} | points) from the
     positive x-axis to the positive y-axis.
 
-    A monotone-chain pass over the points in decreasing x, keeping left
-    turns only, between the fixed anchors (xmax, 0) and (0, ymax): both
-    anchors are extreme points and are never popped, so the chain always
-    runs between them and is anticlockwise monotone."""
+    One monotone-chain pass (Andrew 1979) over the points in decreasing
+    x, between the fixed anchors (xmax, 0) and (0, ymax): both anchors
+    are extreme points and are never popped, so the chain always runs
+    between them and is anticlockwise monotone.  A point within EPS of
+    the last one kept is skipped; a vertex is popped while its signed
+    turn angle atan2(cross, dot) is <= EPS.  The angle, not the cross
+    product or the sine: it does not shrink with the edges of a fine
+    chain, and a reversal, whose sine is about 0, turns by about pi."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("planar chain points must be finite")
     pts = np.where(pts <= EPS, 0.0, pts)
-    xmax, ymax = pts[:, 0].max(), pts[:, 1].max()
+    xmax, ymax = float(pts[:, 0].max()), float(pts[:, 1].max())
     if xmax <= EPS or ymax <= EPS:
         raise ValueError("degenerate point set for a planar chain")
     pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
-    chain = [np.array([xmax, 0.0])]
-    for p in list(pts) + [np.array([0.0, ymax])]:
+    chain = [(xmax, 0.0)]
+    for x, y in pts.tolist() + [(0.0, ymax)]:
+        bx, by = chain[-1]
+        if abs(x - bx) <= EPS and abs(y - by) <= EPS:
+            continue
         while len(chain) >= 2:
-            e1 = chain[-1] - chain[-2]
-            e2 = p - chain[-1]
-            if e1[0] * e2[1] - e1[1] * e2[0] <= EPS:
-                chain.pop()
-            else:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            ux, uy, vx, vy = bx - ax, by - ay, x - bx, y - by
+            if math.atan2(ux * vy - uy * vx, ux * vx + uy * vy) > EPS:
                 break
-        chain.append(p)
+            chain.pop()
+        bx, by = chain[-1]  # checked again: a pop can uncover a near-duplicate
+        if abs(x - bx) > EPS or abs(y - by) > EPS:
+            chain.append((x, y))
     return Polygon2D(np.array(chain))
 
 
 def _envelope_polygon(U, h):
     """Circumscribed chain of the lines <u_j, x> = h_j, u_j anticlockwise
-    from e1 to e2: adjacent lines meet by Cramer's rule (|det| < 1e-14
-    skipped, clipped to the orthant), within 1e-12 of np.linalg.solve."""
+    from e1 to e2; h may be a scalar.  With U a chain and h = 1 it is the
+    polar chain.  Adjacent lines meet by Cramer's rule (|det| < 1e-14
+    skipped, clipped to the orthant), within 1e-12 of the exact rational
+    solve even where cond reaches 1e9."""
+    h = np.broadcast_to(np.asarray(h, dtype=float), U.shape[:1])
     u, v, hu, hv = U[:-1], U[1:], h[:-1], h[1:]
     det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
     ok = np.abs(det) >= 1e-14
@@ -481,43 +486,20 @@ def _norm_chain(K, U):
     return _envelope_polygon(U, _support_finite(K, U))
 
 
-def _clip_chain_region(poly, normal, offset):
-    """Sutherland-Hodgman clip of a closed polygon by <normal, x> <= offset."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        da = normal @ a - offset
-        db = normal @ b - offset
-        if da <= EPS:
-            out.append(a)
-        if (da < -EPS and db > EPS) or (da > EPS and db < -EPS):
-            t = da / (da - db)
-            out.append(a + t * (b - a))
-    return out
-
-
 def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
-    """Planar-only closure operations: convex hull, intersection, and the
-    power mean h = (lam*h1^p + (1-lam)*h2^p)^(1/p) materialized as a
+    """Planar-only closure operations: convex hull, intersection by
+    polarity, (K1 & K2)° = conv(K1° | K2°), and the power mean
+    h = (lam*h1^p + (1-lam)*h2^p)^(1/p) materialized as a
     supporting-line envelope."""
     if K1.d != 2 or K2.d != 2:
         raise ValueError("planar combination requires d = 2")
-    P1, P2 = _polygon_of(K1, directions), _polygon_of(K2, directions)
+    V1, V2 = _polygon_of(K1, directions).vertices, _polygon_of(K2, directions).vertices
     if mode == "hull":
-        return as_dependency(
-            zonoid_from_polygon(_ne_chain(np.vstack([P1.vertices, P2.vertices])))
-        )
+        return as_dependency(zonoid_from_polygon(_ne_chain(np.vstack([V1, V2]))))
     if mode == "intersection":
-        poly = [np.zeros(2)] + list(P1.vertices)
-        verts = P2.vertices
-        for i in range(len(verts) - 1):
-            a, b = verts[i], verts[i + 1]
-            normal = np.array([b[1] - a[1], a[0] - b[0]])  # outward for ACW chain
-            poly = _clip_chain_region(poly, normal, float(normal @ a))
-            if not poly:
-                raise ValueError("empty intersection")
-        return as_dependency(zonoid_from_polygon(_ne_chain(np.array(poly))))
+        polars = [_envelope_polygon(V, 1.0).vertices for V in (V1, V2)]
+        polar = _ne_chain(np.vstack(polars)).vertices
+        return as_dependency(zonoid_from_polygon(_envelope_polygon(polar, 1.0)))
     if mode == "power_mean":
         if p < 1:
             raise ValueError("power-mean exponent must be >= 1")
@@ -542,8 +524,7 @@ def polar_2d(K, directions=4096):
     if K.norm is not None:
         U = _quarter_circle(directions)
         return _ne_chain(U / _support_finite(K, U)[:, None])
-    V = _polygon_of(K).vertices
-    return _envelope_polygon(V, np.ones(len(V)))
+    return _envelope_polygon(_polygon_of(K).vertices, 1.0)
 
 
 @dataclass(frozen=True)

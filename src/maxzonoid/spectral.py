@@ -52,6 +52,8 @@ class DiscreteSpectralMeasure:
             raise ValueError("atoms must be (m, d) with one mass per atom")
         if atoms.shape[0] == 0:
             raise ValueError("measure needs at least one atom")
+        if not (np.isfinite(atoms).all() and np.isfinite(masses).all()):
+            raise ValueError("atoms and masses must be finite")
         if self.reference not in REFERENCE_NORMS:
             raise ValueError(f"unknown reference norm {self.reference!r}")
         if np.any(atoms < -ATOM_TOL):
@@ -114,6 +116,8 @@ def make_measure(points, masses, reference="l1", merge=True):
     the corner (1, 1) of the l-infinity circle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     w = np.atleast_1d(np.asarray(masses, dtype=float)).copy()
+    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+        raise ValueError("atoms and masses must be finite")
     keep = w > 0
     pts, w = pts[keep], w[keep]
     if pts.shape[0] == 0:

@@ -251,6 +251,17 @@ class TestEstimateAndConverge:
         argv = ["converge", "--model", spec, "--data", str(path), "--s-grid", s_grid]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("s_grid", ["5,nan,20", "5,inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, sample_csv, s_grid, capsys):
+        # both pass the increasing check
+        spec = write_model(
+            tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}}
+        )
+        out = str(tmp_path / "conv.csv")
+        argv = ["converge", "--model", spec, "--data", sample_csv, "--s-grid", s_grid]
+        assert main(argv + ["--out", out]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_decreasing_grid_rejected(self, tmp_path, sample_csv):
         spec = write_model(
             tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}}
@@ -362,6 +373,24 @@ class TestExitCodes:
              "polygon": {"vertices": [[1, 0], [0, 1]]}},
         )
         assert main(["eval", "--model", spec, "--points", points_csv, "--op", "cdf"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        # a NaN vertex, a NaN mass, a NaN parameter
+        {"polygon": {"vertices": [[1, 0], [1, math.nan], [0, 1]]}},
+        {"spectral": {"reference_norm": "l1",
+                      "atoms": [{"point": [1, 0], "mass": 1.0},
+                                {"point": [0, 1], "mass": 1.0},
+                                {"point": [0.5, 0.5], "mass": math.nan}]}},
+        {"family": {"name": "husler_reiss", "d": 2, "params": {"lam": math.nan}}},
+        # chains that double back
+        {"polygon": {"vertices": [[1, 0], [0.2, 0.8], [0.6, 0.4], [0, 1]]}},
+        {"polygon": {"vertices": [[1, 0], [1, 1], [1, 0.5], [0, 1]]}},
+    ])
+    def test_bad_model_file_is_validation_error(self, tmp_path, doc, capsys):
+        spec = write_model(tmp_path, "bad.json", doc)
+        out = str(tmp_path / "m.json")
+        assert main(["measures", "--model", spec, "--samples", "100", "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unnormalized_atoms_rejected(self, tmp_path, points_csv):
         spec = write_model(

@@ -205,6 +205,13 @@ class TestSimulate:
         tau = kendalltau(s.values[:, 0], s.values[:, 1]).statistic
         assert abs(tau) < 0.02
 
+    def test_body_simulates_from_its_atoms(self):
+        K = unit_cube(2)
+        a = simulate(K, 300, seed=4).values
+        assert np.array_equal(a, simulate(MaxStableModel(K), 300, seed=4).values)
+        with pytest.raises(ValueError, match=r"with_discrete\(\)"):
+            simulate(make_family("logistic", 2, p=2.0), 10, seed=0)
+
     def test_needs_discrete_form(self):
         model = MaxStableModel(make_family("logistic", 2, p=2.0))
         with pytest.raises(ValueError, match="discretize"):

@@ -15,6 +15,7 @@ from maxzonoid import (
     unit_cube,
     zonoid_from_polygon,
 )
+from maxzonoid.estimate import DirectionEstimate
 
 
 def directions(n, endpoint=True):
@@ -108,6 +109,15 @@ class TestEstimateZonoid2d:
         assert np.all(h <= X.sum(axis=1) + 1e-9)
         assert np.all(h >= X.max(axis=1) - 1e-9)
 
+    @pytest.mark.parametrize("direction, value", [
+        ([-0.1, 1.0], 1.0), ([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0),
+        ([0.6, 0.8], 0.0), ([0.6, 0.8], -1.0), ([0.6, 0.8], np.nan), ([0.6, 0.8], np.inf),
+    ])
+    def test_bad_estimate_rejected(self, direction, value):
+        ests = [DirectionEstimate(np.array(direction), value), direction_estimate([1.0, 0.0], 1.0)]
+        with pytest.raises(ValueError):
+            estimate_zonoid_2d(ests)
+
     def test_needs_two_directions(self):
         with pytest.raises(ValueError, match="two direction"):
             estimate_zonoid_2d([direction_estimate([1.0, 0.0], 1.0)])
@@ -148,6 +158,12 @@ class TestConvergenceDiagnostic:
         pts = convergence_diagnostic(s, [1.0, 1e9], model.K)
         assert pts[0].ok and not pts[1].ok
         assert np.isnan(pts[1].distance)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_threshold_must_be_positive_and_finite(self, bad):
+        s = simulate(MaxStableModel(unit_cube(2)), 100, seed=5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            convergence_diagnostic(s, [1.0, bad], unit_cube(2))
 
     def test_deterministic(self):
         model = MaxStableModel(unit_cross_polytope(2))

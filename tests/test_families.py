@@ -54,6 +54,19 @@ class TestMakeFamily:
                     d ** (1 / p), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("name, params", [
+        ("logistic", {"p": math.nan}),
+        ("neg_logistic", {"lam": math.nan, "p": -1.0}),
+        ("neg_logistic", {"lam": 0.5, "p": math.nan}),
+        ("husler_reiss", {"lam": math.nan}),
+        ("marshall_olkin", {"alpha1": math.nan, "alpha2": 0.5}),
+        ("matrix_weights", {"matrix": [[math.nan, 0.5], [1.0, 0.5]]}),
+        ("matrix_weights", {"matrix": [[1.0, 0.5], [0.0, math.nan]]}),
+    ])
+    def test_nan_parameter_rejected(self, name, params):
+        with pytest.raises(ValueError):
+            make_family(name, 2, **params)
+
     def test_logistic_parameter_range(self):
         with pytest.raises(ValueError, match="p >= 1"):
             make_family("logistic", 2, p=0.5)
@@ -235,6 +248,12 @@ class TestDiscretize:
             discretize(make_family("logistic", d, p=2.0), m)
         res = discretize(make_family("logistic", d, p=2.0), d)
         assert res.measure.n_atoms <= d
+
+    def test_planar_chain_keeps_every_support_point(self):
+        # 1000 directions and the two axis points: 1001 edges, all kept
+        res = discretize(make_family("logistic", 2, p=2.0), 1000)
+        assert res.measure.n_atoms == 1001
+        assert res.max_support_error < 2e-6
 
     def test_method_is_reported(self):
         assert discretize(unit_cube(3), 10).method == "atoms"

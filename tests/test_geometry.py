@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,24 @@ class TestCombine2D:
         K = combine_2d(unit_cube(2), unit_cross_polytope(2), "intersection")
         np.testing.assert_allclose(polygon_from_spectral(K.spectral).vertices, [[1, 0], [0, 1]], atol=1e-12)
 
+    @pytest.mark.parametrize("name, params, m", [
+        ("logistic", {"p": 2.0}, 300), ("husler_reiss", {"lam": 0.5}, 1000),
+    ])
+    def test_intersection_is_symmetric(self, name, params, m):
+        # K lies in the cube and contains the cross polytope, so each
+        # intersection is K or the cross polytope, in either order
+        K = zonoid_from_spectral(discretize(make_family(name, 2, **params), m).measure)
+        U = _quarter_circle(4096)
+        hK = _support_finite(K, U)
+        for A, B in ((K, K), (K, unit_cube(2)), (unit_cube(2), K)):
+            I = combine_2d(A, B, "intersection")
+            assert I.spectral.n_atoms == K.spectral.n_atoms
+            np.testing.assert_allclose(_support_finite(I, U), hK, rtol=0, atol=1e-12)
+        C = unit_cross_polytope(2)
+        for A, B in ((C, K), (K, C)):
+            I = combine_2d(A, B, "intersection")
+            np.testing.assert_allclose(_support_finite(I, U), U.max(axis=1), rtol=0, atol=1e-12)
+
     def test_hull_is_pointwise_max(self, rng):
         K1, K2 = random_dependency(rng, 2, 4), random_dependency(rng, 2, 4)
         H = combine_2d(K1, K2, "hull")
@@ -439,29 +458,39 @@ class TestCombine2D:
             combine_2d(unit_cube(3), unit_cube(3), "hull")
 
 
+def _solve_exact(A, b):
+    """The 2x2 solve A x = b in rational arithmetic, rounded once: on the
+    near-parallel pairs of a fine chain (cond up to 1.7e9) np.linalg.solve
+    is off by up to 1e-7."""
+    (a, c), (e, f) = [[Fraction(float(x)) for x in row] for row in A]
+    b0, b1 = (Fraction(float(x)) for x in b)
+    det = a * f - c * e
+    return np.array([float((b0 * f - c * b1) / det), float((a * b1 - e * b0) / det)])
+
+
 def _polar_by_solve(K):
-    """Reference polar chain of an atom list: one 2x2 solve per pair of
-    adjacent vertices of the body's chain."""
+    """Reference polar chain of an atom list: one exact 2x2 solve per
+    pair of adjacent vertices of the body's chain."""
     V = polygon_from_spectral(K.spectral).vertices
     verts = [np.array([1.0 / V[0, 0], 0.0])]
     for i in range(1, len(V)):
         A = np.array([V[i - 1], V[i]])
         if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) < 1e-14:
             continue
-        verts.append(np.linalg.solve(A, np.ones(2)))
+        verts.append(_solve_exact(A, (1.0, 1.0)))
     verts.append(np.array([0.0, 1.0 / V[-1, 1]]))
     return _ne_chain(np.array(verts)).vertices
 
 
 def _envelope_by_solve(U, h):
-    """Reference envelope chain: one 2x2 solve per pair of adjacent
+    """Reference envelope chain: one exact 2x2 solve per pair of adjacent
     supporting lines <u_j, x> = h_j, clipped to the orthant."""
     verts = [np.array([h[0] / U[0, 0], 0.0])]
     for j in range(len(h) - 1):
         A = np.array([U[j], U[j + 1]])
         if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) < 1e-14:
             continue
-        verts.append(np.clip(np.linalg.solve(A, np.array([h[j], h[j + 1]])), 0.0, None))
+        verts.append(np.clip(_solve_exact(A, (h[j], h[j + 1])), 0.0, None))
     verts.append(np.array([0.0, h[-1] / U[-1, 1]]))
     return _ne_chain(np.array(verts)).vertices
 
@@ -513,6 +542,12 @@ class TestPolar:
         for beta in (0.0, -0.5, 1.0, 3.0, float("nan")):
             with pytest.raises(ValueError, match="beta"):
                 exp_support_integral_mc(K, n=100, beta=beta)
+
+    def test_analytic_polar_keeps_every_direction(self):
+        # the unit disc's quarter: all 4097 radial points are hull vertices
+        P = polar_2d(make_family("logistic", 2, p=2.0))
+        assert len(P.vertices) == 4097
+        assert abs(P.area_with_origin() - math.pi / 4) < 5e-8
 
     def test_square_polar_is_cross(self):
         P = polar_2d(unit_cube(2))
@@ -778,7 +813,76 @@ class TestMDistance:
             m_distance(K, unit_cube(2))
 
 
+_TOL, _TAN = Fraction(1e-9), Fraction(math.tan(1e-9))
+
+
+def _hull_by_fractions(points):
+    """Reference for _ne_chain: the same monotone-chain pass in rational
+    arithmetic.  Coordinates <= 1e-9 read as 0, a point within 1e-9 of
+    the last one kept is skipped before and after the pops, and a vertex
+    is popped unless its turn angle exceeds 1e-9 (cross > tan(1e-9) dot,
+    or cross > 0 with dot <= 0)."""
+    pts = np.asarray(points, dtype=float)
+    pts = np.where(pts <= 1e-9, 0.0, pts).tolist()
+    P = sorted(((Fraction(x), Fraction(y)) for x, y in pts), key=lambda p: (-p[0], p[1]))
+    xmax, ymax = max(x for x, _ in P), max(y for _, y in P)
+
+    def near(p, q):
+        return abs(p[0] - q[0]) <= _TOL and abs(p[1] - q[1]) <= _TOL
+
+    chain = [(xmax, Fraction(0))]
+    for q in P + [(Fraction(0), ymax)]:
+        if near(q, chain[-1]):
+            continue
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2:]
+            ux, uy, vx, vy = bx - ax, by - ay, q[0] - bx, q[1] - by
+            cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
+            if cross > 0 and (dot <= 0 or cross > _TAN * dot):
+                break
+            chain.pop()
+        if not near(q, chain[-1]):
+            chain.append(q)
+    return np.array(chain, dtype=float)
+
+
 class TestNeChain:
+    def test_matches_fraction_reference_on_random_sets(self, rng):
+        for _ in range(30):
+            # a 1/16 grid: exact duplicates and exactly collinear runs
+            pts = rng.integers(0, 17, (40, 2)) / 16
+            pts = np.vstack([pts, pts[:10], [[1.0, 0.0], [0.0, 1.0]]])
+            np.testing.assert_array_equal(_ne_chain(pts).vertices, _hull_by_fractions(pts))
+        for _ in range(10):
+            pts = rng.random((60, 2)) ** rng.uniform(0.2, 5.0)
+            np.testing.assert_array_equal(_ne_chain(pts).vertices, _hull_by_fractions(pts))
+
+    def test_keeps_every_point_of_a_fine_arc(self):
+        # turns of 3.8e-4 rad on edges 3.8e-4 long: raw cross products of
+        # 5.6e-11, which a test of the cross product against 1e-9 would pop
+        U = _quarter_circle(4096)
+        np.testing.assert_array_equal(_ne_chain(U).vertices[1:-1], U[1:-1])
+        pts = np.vstack([U, [[0.0, 10.0]]])
+        chain = _ne_chain(pts).vertices
+        # the tangent from (0, 10) touches the circle at y = 1/10
+        assert len(chain) == 263
+        np.testing.assert_array_equal(chain, _hull_by_fractions(pts))
+
+    @pytest.mark.parametrize("name, params", [("logistic", {"p": 2.0}), ("husler_reiss", {"lam": 0.5})])
+    def test_polar_with_square_or_cross_matches_reference(self, name, params):
+        # the polars of K & cross and of K & cube: the hull of K° with the
+        # square is the square, and with the cross polytope it is K°
+        K = zonoid_from_spectral(discretize(make_family(name, 2, **params), 300).measure)
+        P = polar_2d(K).vertices
+        for extra in ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            pts = np.vstack([P, extra])
+            np.testing.assert_array_equal(_ne_chain(pts).vertices, _hull_by_fractions(pts))
+
+    def test_non_finite_points_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _ne_chain(np.array([[1.0, 0.0], [0.5, bad], [0.0, 1.0]]))
+
     def test_near_duplicate_keeps_axis_vertex(self):
         # support points of the Husler-Reiss body (lam = 0.5) near e1: two
         # near-duplicates just inside the axis vertex
@@ -831,6 +935,26 @@ class TestPolygon2D:
         chain = np.array([[1.0, 0.0], [0.5, 0.5 - 5e-7], [0.0, 1.0]])
         with pytest.raises(ValueError, match="convexity"):
             Polygon2D.from_chain(chain)
+
+    @pytest.mark.parametrize("chain", [
+        [[1.0, 0.0], [0.2, 0.8], [0.6, 0.4], [0.0, 1.0]],  # back along x + y = 1
+        [[1.0, 0.0], [1.0, 1.0], [1.0, 0.5], [0.0, 1.0]],  # back down x = 1
+    ])
+    def test_reversal_rejected(self, chain):
+        with pytest.raises(ValueError):
+            Polygon2D.from_chain(np.array(chain))
+
+    def test_non_monotone_chain_rejected(self):
+        # convex with the origin, but not a comprehensive body
+        with pytest.raises(ValueError, match="monotone"):
+            Polygon2D.from_chain(np.array([[1.0, 0.0], [1.5, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        chain = np.array([[1.0, 0.0], [1.0, bad], [0.0, 1.0]])
+        for build in (Polygon2D, Polygon2D.from_chain):
+            with pytest.raises(ValueError, match="finite"):
+                build(chain)
 
     def test_pairwise_independence_forces_cube(self, rng):
         # axis-only atoms: every 2-D projection is the unit square, and

@@ -41,6 +41,15 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match="orthant"):
             DiscreteSpectralMeasure(np.array([[1.5, -0.5]]), np.array([1.0]), "l1")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        for atoms, masses in (([[1.0, 0.0], [0.0, 1.0]], [1.0, bad]),
+                              ([[bad, 0.0], [0.0, 1.0]], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                make_measure(atoms, masses)
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteSpectralMeasure(np.array(atoms), np.array(masses))
+
     def test_merge_close_atoms(self):
         sigma = make_measure([[0.5, 0.5], [0.5, 0.5 + 1e-12]], [1.0, 2.0])
         assert sigma.n_atoms == 1
