@@ -22,6 +22,7 @@ from .geometry import (
     AnalyticNorm,
     MaxZonoid,
     Polygon2D,
+    _as_count,
     _norm_chain,
     _quarter_circle,
     _simplex_lattice,
@@ -268,6 +269,7 @@ def discretize(K, m=1000, n_eval=2048):
     gap over n_eval directions (the simplex lattice of at most n_eval
     points in d >= 3).
     """
+    m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
     if m < 2:
         raise ValueError("need at least two atoms")
     if K.spectral is not None:

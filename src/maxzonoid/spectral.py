@@ -113,11 +113,14 @@ def make_measure(points, masses, reference="l1", merge=True):
     order.  Grouping chains through neighbours, so a group of k rows
     spans at most (k - 1) * ATOM_TOL.  Near-duplicates that the sort
     puts apart stay separate atoms, which can happen in d >= 3 and at
-    the corner (1, 1) of the l-infinity circle."""
+    the corner (1, 1) of the l-infinity circle.  Atoms of zero mass are
+    dropped; a negative mass raises ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     w = np.atleast_1d(np.asarray(masses, dtype=float)).copy()
     if not (np.isfinite(pts).all() and np.isfinite(w).all()):
         raise ValueError("atoms and masses must be finite")
+    if np.any(w < 0):
+        raise ValueError(f"masses must be nonnegative, got {w.min():.6g}")
     keep = w > 0
     pts, w = pts[keep], w[keep]
     if pts.shape[0] == 0:

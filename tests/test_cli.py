@@ -385,6 +385,11 @@ class TestExitCodes:
         # chains that double back
         {"polygon": {"vertices": [[1, 0], [0.2, 0.8], [0.6, 0.4], [0, 1]]}},
         {"polygon": {"vertices": [[1, 0], [1, 1], [1, 0.5], [0, 1]]}},
+        # a negative mass, which would otherwise read as independence
+        {"spectral": {"reference_norm": "l1",
+                      "atoms": [{"point": [1, 0], "mass": 1.0},
+                                {"point": [0, 1], "mass": 1.0},
+                                {"point": [0.5, 0.5], "mass": -1.0}]}},
     ])
     def test_bad_model_file_is_validation_error(self, tmp_path, doc, capsys):
         spec = write_model(tmp_path, "bad.json", doc)

@@ -242,6 +242,16 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="two atoms"):
             discretize(make_family("logistic", 2, p=2.0), 1)
 
+    def test_counts_must_be_integers(self):
+        # inf last: it hung the old lattice loop, which raised nothing for nan
+        K = make_family("logistic", 3, p=2.0)
+        for bad in (math.nan, 2.5, math.inf):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                discretize(K, bad)
+        for bad in (math.nan, 2.5, math.inf):
+            with pytest.raises(ValueError, match="n_eval must be an integer"):
+                discretize(K, 10, bad)
+
     @pytest.mark.parametrize("d, m", [(3, 2), (4, 2), (4, 3), (5, 4)])
     def test_lattice_needs_d_atoms(self, d, m):
         with pytest.raises(ValueError, match=f"at least {d} atoms"):

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -33,8 +35,11 @@ from maxzonoid import (
     zonoid_from_polygon,
     zonoid_from_spectral,
 )
+from maxzonoid import geometry
 from maxzonoid.geometry import (
     Polygon2D,
+    _corner_directions,
+    _distance_grid,
     _envelope_polygon,
     _ne_chain,
     _quarter_circle,
@@ -811,6 +816,123 @@ class TestMDistance:
         K = scale(unit_cube(2), [2.0, 2.0])
         with pytest.raises(ValueError, match="dependency"):
             m_distance(K, unit_cube(2))
+
+    def test_lam_tol_must_be_positive_and_finite(self):
+        # nan and inf first: 0, a negative value and 1e-300 never ended the
+        # old bisection, which raised nothing for nan or inf
+        for lam_tol in (math.nan, math.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError, match="lam_tol"):
+                m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64, lam_tol=lam_tol)
+        # a bisection also ends once no float lies strictly inside its bracket
+        got = m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64, lam_tol=1e-300)
+        want = m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64)
+        assert want - 2e-6 <= got <= want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_size_must_be_an_integer(self, d):
+        # inf last: it hung the old lattice loop, which raised nothing for nan
+        for grid_n in (math.nan, 2.5, math.inf):
+            for dist in (hausdorff_distance, m_distance):
+                with pytest.raises(ValueError, match="grid_n must be an integer"):
+                    dist(unit_cube(d), unit_cross_polytope(d), grid_n=grid_n)
+
+    def test_signature_has_no_passes(self):
+        assert list(inspect.signature(m_distance).parameters) == ["K1", "K2", "grid_n", "lam_tol"]
+
+
+def _full_grid_m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
+    """The coordinate descent before the active-set search: every trial
+    tests both containments on the whole grid, each bisection starts
+    from the lower end 1e-9, and `passes` rounds run over the coordinates."""
+    d = K1.d
+    U = np.vstack([_distance_grid(d, grid_n), _corner_directions(d)])
+    h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
+
+    def feasible(lam):
+        Ul = np.ascontiguousarray(U * lam)
+        if np.any(_support_finite(K2, Ul) < h1 * (1.0 - 1e-12) - 1e-12):
+            return False
+        return not np.any(_support_finite(K1, Ul) < h2 * (1.0 - 1e-12) - 1e-12)
+
+    if feasible(np.ones(d)):
+        return 0.0
+    lam = np.full(d, float(d))
+    while not feasible(lam):
+        lam *= 2.0
+    for _ in range(passes):
+        for i in range(d):
+            lo, hi = 1e-9, lam[i]
+            while hi - lo > lam_tol:
+                mid = 0.5 * (lo + hi)
+                trial = lam.copy()
+                trial[i] = mid
+                if feasible(trial):
+                    hi = mid
+                else:
+                    lo = mid
+            lam[i] = hi
+    return float(np.log(np.prod(lam)))
+
+
+@functools.lru_cache(maxsize=None)
+def _nnls_fit():
+    """The 500-atom NNLS fit of the trivariate logistic p = 1.5 body."""
+    return normalize_dependency(
+        zonoid_from_spectral(discretize(make_family("logistic", 3, p=1.5), 500).measure)
+    )
+
+
+def _search_pair(name):
+    """A pair of dependency sets and the grid size to compare them on."""
+    if name.startswith("cube-cross"):
+        d = int(name[-1])
+        return unit_cube(d), unit_cross_polytope(d), None
+    if name == "logistic-cube":
+        return make_family("logistic", 3, p=1.5), unit_cube(3), 2000
+    if name == "nnls-cube":
+        return _nnls_fit(), unit_cube(3), 2000
+    d, seed = int(name[-3]), int(name[-1])
+    rng = np.random.default_rng(seed)
+    return random_dependency(rng, d, 4), random_dependency(rng, d, 7), 2000
+
+
+_ATOM_PAIRS = ["cube-cross 2", "cube-cross 3", "nnls-cube"] + [
+    f"random {d} {seed}" for d in (2, 3) for seed in range(3)
+]
+
+
+class TestMDistanceSearch:
+    """The active-set, one-pass search against the full-grid search."""
+
+    @pytest.mark.parametrize("name", _ATOM_PAIRS + ["logistic-cube"])
+    def test_within_d_lam_tol_above_four_passes(self, name):
+        K1, K2, grid_n = _search_pair(name)
+        ref = _full_grid_m_distance(K1, K2, grid_n)
+        assert ref <= m_distance(K1, K2, grid_n) < ref + K1.d * 1e-6
+
+    @pytest.mark.parametrize("name", _ATOM_PAIRS)
+    def test_active_set_is_bit_identical_to_full_grid(self, name):
+        K1, K2, grid_n = _search_pair(name)
+        assert m_distance(K1, K2, grid_n) == _full_grid_m_distance(K1, K2, grid_n, passes=1)
+
+    def test_benchmark_pairs_keep_their_values(self):
+        assert m_distance(unit_cube(3), unit_cross_polytope(3)) == 3.265984119608888
+        assert m_distance(unit_cube(2), unit_cross_polytope(2)) == 1.3859113875570308
+        K = make_family("logistic", 3, p=1.5)
+        assert m_distance(K, K) == 0.0
+
+    def test_rows_stay_near_the_grid_size(self, monkeypatch):
+        # the full-grid search passes about 270 grids' worth of rows
+        rows = []
+
+        def counting(K, X):
+            rows.append(len(X))
+            return _support_finite(K, X)
+
+        monkeypatch.setattr(geometry, "_support_finite", counting)
+        m_distance(unit_cube(3), unit_cross_polytope(3))
+        n_grid = len(_distance_grid(3, None)) + len(_corner_directions(3))
+        assert sum(rows) < 10 * n_grid
 
 
 _TOL, _TAN = Fraction(1e-9), Fraction(math.tan(1e-9))

@@ -50,6 +50,11 @@ class TestMeasureValidation:
             with pytest.raises(ValueError, match="finite"):
                 DiscreteSpectralMeasure(np.array(atoms), np.array(masses))
 
+    def test_negative_mass_rejected_zero_mass_dropped(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_measure([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [1.0, 1.0, -1.0])
+        assert make_measure([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [1.0, 1.0, 0.0]).n_atoms == 2
+
     def test_merge_close_atoms(self):
         sigma = make_measure([[0.5, 0.5], [0.5, 0.5 + 1e-12]], [1.0, 2.0])
         assert sigma.n_atoms == 1
