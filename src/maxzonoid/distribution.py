@@ -14,6 +14,7 @@ import numpy as np
 
 from .geometry import (
     MaxZonoid,
+    _as_count,
     _mc_chunks,
     _support_finite,
     as_dependency,
@@ -153,7 +154,7 @@ def quantile_curve(model, alpha, points_n=200):
         raise ValueError("quantile curves are planar")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if points_n < 2:
+    if _as_count(points_n, "points_n") < 2:
         raise ValueError("a quantile curve needs at least two points")
     theta = np.linspace(1e-6, np.pi / 2 - 1e-6, points_n)
     U = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -174,6 +175,7 @@ def simulate(model, n, seed):
     simulated from its own atoms; an analytic body, like a model without
     atoms, needs with_discrete() first.
     """
+    n = _as_count(n, "n")
     if n <= 0:
         raise ValueError("sample size must be positive")
     sigma = model.discrete if isinstance(model, MaxStableModel) else model.spectral

@@ -612,6 +612,7 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
         if K.d == 2 and K.spectral is not None:
             return Estimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
         return _simplex_quadrature(lambda T: _support_finite(K, T) ** -K.d / K.d, K.d)
+    n = _as_count(n, "n")
     if n < 1:
         raise ValueError("Monte Carlo needs at least one sample")
     box = 1.0 / extents
@@ -640,6 +641,7 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     because h dominates the maximum coordinate, infinite for beta >= 1."""
     if not 0.0 < beta < 1.0:
         raise ValueError("the proposal rate beta must lie in (0, 1)")
+    n = _as_count(n, "n")
     if n < 1:
         raise ValueError("Monte Carlo needs at least one sample")
     d = K.d
@@ -715,9 +717,10 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     bisects each lam_i in turn on [1e-9, lam_i], until the bracket is no
     wider than lam_tol or holds no float strictly inside.  The search
     rests on one fact: for u >= 0, h(K, lam * u) does not decrease in
-    any lam_i.  On d >= 3 atom lists this holds in floating point too,
-    as products by nonnegatives, max and sums round monotonically; the
-    planar kernel and analytic norms are monotone up to rounding.  So:
+    any lam_i.  On the dense path of d >= 3 atom lists this holds
+    exactly in floating point too, as products by nonnegatives, max and
+    sums round monotonically; the d = 3 table path, the planar kernel
+    and analytic norms are monotone up to rounding.  So:
       - a direction that meets a containment at the infeasible lower end
         of the bracket meets it at every later trial, and only the
         directions that failed there are tested again.  Directions with

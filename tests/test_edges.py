@@ -206,6 +206,43 @@ class TestDependenceGuards:
             mz.ExtremalTable(2, {frozenset([3]): 1.0})
 
 
+_BAD_COUNTS = [2.5, float("nan"), 10.0, float("inf"), "10"]
+
+
+class TestSampleCounts:
+    """Sample and point counts are integers: anything else is a
+    ValueError naming the argument, never a TypeError from numpy."""
+
+    _calls = {
+        "simulate": lambda n: mz.simulate(MaxStableModel(unit_cube(2)), n, seed=0),
+        "polar_volume": lambda n: mz.polar_volume(unit_cube(3), method="mc", n=n),
+        "exp_support_integral_mc": lambda n: mz.exp_support_integral_mc(unit_cube(2), n=n),
+        "spearman_rho": lambda n: mz.spearman_rho(MaxStableModel(unit_cube(2)), method="mc", n=n),
+        "multivariate_rho": lambda n: mz.multivariate_rho(MaxStableModel(unit_cube(3)), n=n, method="mc"),
+        "inverted_pearson_2d": lambda n: mz.inverted_pearson_2d(
+            MaxStableModel(unit_cube(2)), method="mc", n=n
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", _BAD_COUNTS, ids=repr)
+    @pytest.mark.parametrize("name", sorted(_calls))
+    def test_non_integer_n(self, name, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            self._calls[name](bad)
+
+    @pytest.mark.parametrize("name", sorted(_calls))
+    def test_integer_n_still_runs(self, name):
+        # a numpy integer is a count too
+        self._calls[name](np.int64(64))
+
+    @pytest.mark.parametrize("bad", _BAD_COUNTS, ids=repr)
+    def test_non_integer_points_n(self, bad):
+        model = MaxStableModel(make_family("logistic", 2, p=2.0))
+        with pytest.raises(ValueError, match="points_n must be an integer"):
+            mz.quantile_curve(model, 0.5, points_n=bad)
+        assert mz.quantile_curve(model, 0.5, points_n=np.int64(7)).shape == (7, 2)
+
+
 class TestSpectralGuards:
     def test_make_measure_needs_positive_mass(self):
         with pytest.raises(ValueError, match="positive mass"):

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxzonoid import _kernels, discretize, make_family, zonoid_from_spectral
+from maxzonoid import (
+    _kernels,
+    discretize,
+    hausdorff_distance,
+    m_distance,
+    make_family,
+    polar_volume,
+    unit_cross_polytope,
+    unit_cube,
+    zonoid_from_spectral,
+)
+from maxzonoid.geometry import _distance_grid
 
 from conftest import random_dependency
 
@@ -103,6 +114,104 @@ def test_dense_support_across_tiles(rng, d, m, n):
     got = _kernels.support_sum(B, X)
     assert got.shape == (n,)
     assert np.array_equal(got, dense_support(B, X))
+
+
+# the d = 3 table path, called directly: the dispatch rule is tested apart
+_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(_entry, _entry, _entry), min_size=1, max_size=16),
+    points=st.lists(st.tuples(_coord, _coord, _coord), min_size=0, max_size=20),
+    repeat=st.booleans(),
+)
+def test_table_support_matches_dense(atoms, points, repeat):
+    B = np.array(atoms, dtype=float).reshape(-1, 3)
+    if repeat:
+        B = np.vstack([B, B[::-1]])
+    X = np.maximum(np.array(points, dtype=float).reshape(-1, 3), 0.0)
+    # points on each atom's ray and its coordinate permutations: every
+    # slope test of the tree meets a point exactly on its boundary
+    X = np.vstack([X, *(1.5 * B[:, p] for p in _PERMS), np.ones((1, 3)), np.eye(3), np.zeros((1, 3))])
+    got = _kernels._support_sum_3d(B, X)
+    np.testing.assert_allclose(got, dense_support(B, X), rtol=1e-13, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=40),
+    points=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=0, max_size=40),
+)
+def test_table_support_is_exact_on_small_integers(atoms, points):
+    # every partial sum is an exact integer, so an atom counted twice or
+    # missed shows as an inequality
+    B = np.array(atoms, dtype=float).reshape(-1, 3)
+    X = np.array(points, dtype=float).reshape(-1, 3)
+    X = np.vstack([X, *(B[:, p] for p in _PERMS)])
+    assert np.array_equal(_kernels._support_sum_3d(B, X), dense_support(B, X))
+
+
+def test_table_support_counts_each_atom_once():
+    # (0, 2, 1) at (1, 0, 1): 1 ties 2 at 0 and 3 wins; a split by strict
+    # and non-strict slope tests counts it in two leaves
+    B = np.array([[0.0, 2.0, 1.0]])
+    X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(_kernels._support_sum_3d(B, X), [1.0, 2.0, 0.0, 1.0])
+
+
+_B = _kernels._BLOCK
+
+
+@pytest.mark.parametrize("m", [_B - 1, _B, _B + 1, 2 * _B + 1])
+def test_table_support_across_blocks(rng, m):
+    B = rng.integers(0, 4, (m, 3)).astype(float)
+    X = rng.integers(0, 4, (300, 3)).astype(float)
+    assert np.array_equal(_kernels._support_sum_3d(B, X), dense_support(B, X))
+    B = rng.random((m, 3)) * rng.random((m, 1))
+    B[::5, 1] = 0.0
+    X = rng.random((300, 3))
+    X[::4, 2] = 0.0
+    np.testing.assert_allclose(_kernels._support_sum_3d(B, X), dense_support(B, X), rtol=1e-13, atol=0)
+    assert _kernels._support_sum_3d(B, np.empty((0, 3))).shape == (0,)
+
+
+def _count_table_calls(monkeypatch):
+    calls = []
+    table = _kernels._support_sum_3d
+
+    def counting(B, X):
+        calls.append((len(B), len(X)))
+        return table(B, X)
+
+    monkeypatch.setattr(_kernels, "_support_sum_3d", counting)
+    return calls
+
+
+def test_support_sum_takes_tables_where_they_pay(rng, monkeypatch):
+    calls = _count_table_calls(monkeypatch)
+    B = rng.random((400, 3))
+    X = rng.random((8000, 3)) * 2.0 - 0.5
+    np.testing.assert_allclose(_kernels.support_sum(B, X), dense_support(B, X), rtol=1e-13, atol=0)
+    assert calls == [(400, 8000)]
+    # few points, few atoms, d = 4: the tiled path, bit for bit
+    for B, X in ((B, X[:400]), (B[:40], X), (rng.random((400, 4)), rng.random((8000, 4)))):
+        assert np.array_equal(_kernels.support_sum(B, X), dense_support(B, X))
+    assert calls == [(400, 8000)]
+
+
+def test_hausdorff_of_nnls_fit_takes_tables(monkeypatch):
+    fit = zonoid_from_spectral(discretize(make_family("logistic", 3, p=1.5), 500).measure)
+    calls = _count_table_calls(monkeypatch)
+    hausdorff_distance(fit, make_family("logistic", 3, p=1.5))
+    assert calls == [(fit.spectral.n_atoms, len(_distance_grid(3, None)))]
+
+
+def test_few_atom_bodies_stay_dense(monkeypatch):
+    calls = _count_table_calls(monkeypatch)
+    polar_volume(unit_cube(3), method="mc", n=100_000)
+    m_distance(unit_cube(3), unit_cross_polytope(3))
+    assert calls == []
 
 
 @functools.cache
