@@ -10,14 +10,14 @@ directly build a model with atoms on the 0/1 directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .distribution import MaxStableModel
-from .geometry import MaxZonoid, as_dependency
+from .geometry import MaxZonoid
 from .spectral import make_measure
 
 ALT_TOL = 1e-9
@@ -26,11 +26,12 @@ ALT_TOL = 1e-9
 @dataclass(frozen=True)
 class FiniteMaxLattice:
     """Finite point set closed under coordinatewise maxima, optionally
-    carrying nonnegative function values (one per point)."""
+    carrying nonnegative function values (one per point); scaling_ok is
+    computed from the points (_scaling_condition), not passed in."""
 
     points: np.ndarray
     values: np.ndarray | None = None
-    scaling_ok: bool = True
+    scaling_ok: bool = field(init=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -232,8 +233,8 @@ def check_extremal_consistency(table, tol=ALT_TOL):
     return ConsistencyResult(True, MobiusWeights(d, weights))
 
 
-def construct_from_extremal(table, weight_tol=1e-12):
-    """Model with one atom per positive weight c_B, in direction e_B;
+def construct_from_extremal(table):
+    """Model with one atom per weight c_B above 1e-12, in direction e_B;
     reproduces every theta_A exactly and has unit Frechet marginals."""
     if table.d > 20:
         raise ValueError("full-table inversion is limited to d <= 20")
@@ -246,14 +247,14 @@ def construct_from_extremal(table, weight_tol=1e-12):
     d = table.d
     points, masses = [], []
     for B, cB in res.weights.c.items():
-        if cB <= weight_tol:
+        if cB <= 1e-12:
             continue
         e = np.zeros(d)
         e[list(B)] = 1.0 / len(B)
         points.append(e)
         masses.append(cB * len(B))
     sigma = make_measure(points, masses, "l1")
-    return MaxStableModel(as_dependency(MaxZonoid(d=d, spectral=sigma)))
+    return MaxStableModel(MaxZonoid(d=d, spectral=sigma))
 
 
 def subset_indicator_lattice(d, include_origin=True):

@@ -221,14 +221,24 @@ def _measure_to_spec(sigma):
     }
 
 
+def _dependency_report(sigma):
+    """validate_dependency's verdict on an atom list, as a JSON object."""
+    report = validate_dependency(sigma)
+    return {
+        "is_dependency": report.is_dependency,
+        "marginal_sums": report.marginal_sums.tolist(),
+        "total_mass": report.total_mass,
+    }
+
+
 def _model_with_atoms(model, m_atoms, notes):
     if model.discrete is None:
-        res = discretize(model.K, m_atoms)
+        res = discretize(model, m_atoms)
         notes["discretize_method"] = res.method
         notes["discretize_atoms"] = res.measure.n_atoms
         notes["discretize_directions"] = res.n_eval_directions
         notes["discretize_error"] = f"{res.max_support_error:.3g}"
-        return MaxStableModel(model.K, res.measure)
+        return MaxStableModel(model, res.measure)
     return model
 
 
@@ -240,18 +250,12 @@ def cmd_eval(args):
     model, spec = load_model(args.model)
     _, pts = read_csv(args.points)
     d = model.d
-    if args.op == "cdf":
-        vals = np.atleast_1d(cdf(model, pts))
-    elif args.op == "copula":
-        vals = np.atleast_1d(copula(model, pts))
-    elif args.op == "norm":
-        vals = np.atleast_1d(support_function(model.K, pts))
-    elif args.op == "pickands":
+    if args.op == "pickands":
         if pts.shape[1] != d - 1:
             raise ValueError(f"pickands needs {d - 1} simplex coordinates per row")
-        vals = np.atleast_1d(pickands(model, pts if d > 2 else pts[:, 0]))
-    else:
-        raise ValueError(f"unknown op {args.op!r}")
+        vals = pickands(model, pts if d > 2 else pts[:, 0])
+    else:  # the law and its norm take the same model; read_csv rows are 2-D
+        vals = {"cdf": cdf, "copula": copula, "norm": support_function}[args.op](model, pts)
     header = [f"x{i + 1}" for i in range(pts.shape[1])] + [args.op]
     rows = np.column_stack([pts, vals])
     write_csv(args.out, header, rows, {"tool": f"maxzonoid {__version__}", "op": args.op})
@@ -300,35 +304,15 @@ def cmd_simulate(args):
 
 def cmd_spectral(args):
     model, spec = load_model(args.model)
-    notes = {}
-    if args.to_atoms:
-        model = _model_with_atoms(model, args.atoms, notes)
-        sigma = model.discrete
-        report = validate_dependency(sigma)
-        doc = result_document(
-            "spectral", spec,
-            {
-                "spectral": _measure_to_spec(sigma),
-                "report": {
-                    "is_dependency": report.is_dependency,
-                    "marginal_sums": report.marginal_sums.tolist(),
-                    "total_mass": report.total_mass,
-                },
-                **notes,
-            },
-        )
-        write_json(args.out, doc)
-        return 0
-    # --to-polygon
-    if model.d != 2:
+    if args.to_polygon and model.d != 2:
         raise ValueError("polygon conversion is planar")
-    model = _model_with_atoms(model, args.atoms, notes)
-    chain = polygon_from_spectral(model.discrete)
-    doc = result_document(
-        "spectral", spec,
-        {"polygon": {"vertices": chain.vertices.tolist()}, **notes},
-    )
-    write_json(args.out, doc)
+    notes = {}
+    sigma = _model_with_atoms(model, args.atoms, notes).discrete
+    if args.to_atoms:
+        results = {"spectral": _measure_to_spec(sigma), "report": _dependency_report(sigma)}
+    else:
+        results = {"polygon": {"vertices": polygon_from_spectral(sigma).vertices.tolist()}}
+    write_json(args.out, result_document("spectral", spec, {**results, **notes}))
     return 0
 
 
@@ -339,27 +323,20 @@ def cmd_check_theta(args):
     table = parse_extremal(spec["extremal"])
     res = check_extremal_consistency(table, tol=args.tol)
     if res.ok:
-        doc = result_document(
-            "check-theta", spec,
-            {
-                "consistent": True,
-                "weights": {_subset_key(B): c for B, c in sorted(
-                    res.weights.c.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                ) if c > 1e-12},
-            },
-        )
-        write_json(args.out, doc)
-        return 0
-    doc = result_document(
-        "check-theta", spec,
-        {
+        results = {
+            "consistent": True,
+            "weights": {_subset_key(B): c for B, c in sorted(
+                res.weights.c.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+            ) if c > 1e-12},
+        }
+    else:
+        results = {
             "consistent": False,
             "witness_subset": _subset_key(res.violation_subset),
             "weight": res.violation_value,
-        },
-    )
-    write_json(args.out, doc)
-    return 2
+        }
+    write_json(args.out, result_document("check-theta", spec, results))
+    return 0 if res.ok else 2
 
 
 def cmd_construct_theta(args):
@@ -377,14 +354,9 @@ def cmd_construct_theta(args):
 def cmd_estimate(args):
     _, X = read_csv(args.data)
     sigma = empirical_spectral(X, args.threshold, args.reference)
-    report = validate_dependency(sigma)
     results = {
         "spectral": _measure_to_spec(sigma),
-        "report": {
-            "is_dependency": report.is_dependency,
-            "marginal_sums": report.marginal_sums.tolist(),
-            "total_mass": report.total_mass,
-        },
+        "report": _dependency_report(sigma),
         "n_exceedances": sigma.n_atoms,
     }
     if X.shape[1] == 2:
@@ -416,7 +388,7 @@ def cmd_converge(args):
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("threshold grid must be increasing")
     points = convergence_diagnostic(
-        X, s_grid, model.K, reference=args.reference, grid_n=args.grid
+        X, s_grid, model, reference=args.reference, grid_n=args.grid
     )
     rows = [
         [p.s, p.n_exceedances, p.distance if p.ok else float("nan"), float(p.ok)]

@@ -10,8 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .distribution import _body
 from .geometry import (
+    Estimate,
     _simplex_quadrature,
     _support_finite,
     minkowski_combine,
@@ -54,19 +54,17 @@ def indicator(A, d):
 def extremal_coefficient(model, A):
     """theta_A = h(K, e_A), the effective number of independent
     coordinates among A."""
-    K = _body(model)
     A = set(int(i) for i in A)
     if not A:
         raise ValueError("subset must be nonempty")
-    if min(A) < 0 or max(A) >= K.d:
+    if min(A) < 0 or max(A) >= model.d:
         raise ValueError("subset out of range")
-    return float(support_function(K, indicator(A, K.d)))
+    return Estimate(support_function(model, indicator(A, model.d)), 0.0, "exact")
 
 
 def extremal_table(model, max_size=None):
     """All theta_A up to the given subset size (default: every subset)."""
-    K = _body(model)
-    d = K.d
+    d = model.d
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be at least 1")
     max_size = d if max_size is None else min(max_size, d)
@@ -79,10 +77,9 @@ def extremal_table(model, max_size=None):
 
 def chi(model):
     """Bivariate tail dependence index chi = 2 - h(K, (1, 1)) in [0, 1]."""
-    K = _body(model)
-    if K.d != 2:
+    if model.d != 2:
         raise ValueError("chi is bivariate")
-    return 2.0 - float(support_function(K, np.ones(2)))
+    return Estimate(2.0 - support_function(model, np.ones(2)), 0.0, "exact")
 
 
 def spearman_rho(model, method="auto", n=200_000, seed=0):
@@ -93,13 +90,12 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
     quadrature for d <= 3 (error O(N^-2) on d = 3 atom lists) and Monte
     Carlo beyond.
     """
-    K = _body(model)
-    d = K.d
+    d = model.d
     if d < 2:
         raise ValueError("Spearman's rho needs d >= 2")
     if method == "exact":
         method = "exact_2d"
-    L = minkowski_combine(K, unit_cube(d), 0.5, mode="sum")
+    L = minkowski_combine(model, unit_cube(d), 0.5, mode="sum")
     V = polar_volume(L, method=method, n=n, seed=seed)
     c = (d + 1.0) / (2.0**d - d - 1.0)
     return V.affine(c * math.factorial(d), -c)
@@ -135,13 +131,12 @@ def kendall_tau_2d(model):
     (y1, y2) is the support point in direction (t, 1-t): in closed form
     for atom lists, else by the graded planar rule of _simplex_quadrature
     (the gradient by central differences when the norm has none)."""
-    K = _body(model)
-    if K.d != 2:
+    if model.d != 2:
         raise ValueError("Kendall tau is bivariate")
-    if K.spectral is not None:
-        return _tau_discrete(K.spectral)
-    if K.norm.grad is not None:
-        grad = lambda X: np.asarray(K.norm.grad(X), dtype=float)
+    if model.spectral is not None:
+        return Estimate(_tau_discrete(model.spectral), 0.0, "exact")
+    if model.norm.grad is not None:
+        grad = lambda X: np.asarray(model.norm.grad(X), dtype=float)
     else:
 
         def grad(X, h=1e-7):
@@ -150,35 +145,33 @@ def kendall_tau_2d(model):
                 up, dn = X.copy(), X.copy()
                 up[:, i] += h
                 dn[:, i] = np.maximum(dn[:, i] - h, 0.0)
-                out[:, i] = (_support_finite(K, up) - _support_finite(K, dn)) / (
+                out[:, i] = (_support_finite(model, up) - _support_finite(model, dn)) / (
                     up[:, i] - dn[:, i]
                 )
             return out
 
     def integrand(T):
-        return grad(T).prod(axis=1) / _support_finite(K, T) ** 2
+        return grad(T).prod(axis=1) / _support_finite(model, T) ** 2
 
-    return 1.0 - _simplex_quadrature(integrand, 2).value
+    return _simplex_quadrature(integrand, 2).affine(-1.0, 1.0)
 
 
 def inverted_pearson_2d(model, method="exact", n=200_000, seed=0):
     """Covariance of (1/xi_1, 1/xi_2), equal to 2 V_2(K°) - 1."""
-    K = _body(model)
-    if K.d != 2:
+    if model.d != 2:
         raise ValueError("defined for bivariate models")
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    V = polar_volume(K, method="exact_2d" if method == "exact" else "mc", n=n, seed=seed)
+    V = polar_volume(model, method="exact_2d" if method == "exact" else "mc", n=n, seed=seed)
     return V.affine(2.0, -1.0)
 
 
 def multivariate_rho(model, n=400_000, seed=0, method="auto"):
     """rho = (d! V_d(K°) - 1)/(d! - 1) in [0, 1], zero iff independent
     and one iff completely dependent."""
-    K = _body(model)
-    d = K.d
+    d = model.d
     if d < 2:
         raise ValueError("needs d >= 2")
     fact = math.factorial(d)
-    V = polar_volume(K, method=method, n=n, seed=seed)
+    V = polar_volume(model, method=method, n=n, seed=seed)
     return V.affine(fact / (fact - 1.0), -1.0 / (fact - 1.0))

@@ -1,9 +1,9 @@
 """The probability layer: cdf, copula, Pickands function, quantile
 curves, exact simulation, and exponent-measure densities.
 
-A model couples a dependency set K (unit Frechet marginals) with an
-optional atom list used for simulation; the law is
-F(x) = exp(-h(K, x*)) with x*_i = 1/x_i.
+The law of a dependency set K (unit Frechet marginals) is
+F(x) = exp(-h(K, x*)) with x*_i = 1/x_i, so every function here takes K
+itself or a MaxStableModel, which is K with an atom list for simulation.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    MaxZonoid,
+    DependencySet,
     _as_count,
+    _fields,
     _mc_chunks,
     _support_finite,
     as_dependency,
@@ -50,22 +51,24 @@ class SampleMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class MaxStableModel:
-    """Simple max-stable law given by its dependency set; the discrete
-    form (when present) enables exact simulation."""
+@dataclass(frozen=True, init=False)
+class MaxStableModel(DependencySet):
+    """The simple max-stable law F(x) = exp(-h(K, x*)), which is the
+    dependency set K itself plus one field: discrete, the atom list that
+    samples the law.  It defaults to K.discrete: the set's own atoms, the
+    list K carries if K is a model, None for an analytic norm."""
 
-    K: MaxZonoid
     discrete: DiscreteSpectralMeasure | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "K", as_dependency(self.K))
-        if self.discrete is None and self.K.spectral is not None:
-            object.__setattr__(self, "discrete", self.K.spectral)
+    def __init__(self, K, discrete=None):
+        K = as_dependency(K)
+        fields = dict(_fields(K), discrete=K.discrete if discrete is None else discrete)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
-    def d(self):
-        return self.K.d
+    def K(self):
+        return self
 
     def with_discrete(self, m=1000):
         """Attach an atom list, discretizing analytic norms on demand."""
@@ -73,16 +76,11 @@ class MaxStableModel:
             return self
         from .families import discretize
 
-        return MaxStableModel(self.K, discretize(self.K, m).measure)
+        return MaxStableModel(self, discretize(self, m).measure)
 
 
 def model_from_zonoid(K, discrete=None):
     return MaxStableModel(K, discrete)
-
-
-def _body(model):
-    """The dependency set of a model; bodies pass through unchanged."""
-    return model.K if isinstance(model, MaxStableModel) else model
 
 
 def _as_points(x, d):
@@ -97,25 +95,23 @@ def _as_points(x, d):
 def cdf(model, x):
     """F(x) = exp(-h(K, x*)); coordinates may be 0 (gives 0) or +inf
     (marginalizes that coordinate)."""
-    K = _body(model)
-    X, single = _as_points(x, K.d)
+    X, single = _as_points(x, model.d)
     if np.any(X < 0):
         raise ValueError("the law lives on the nonnegative orthant")
     with np.errstate(divide="ignore"):
         inv = np.where(X == 0, np.inf, 1.0 / X)
-    vals = np.exp(-np.atleast_1d(support_function(K, inv)))
+    vals = np.exp(-np.atleast_1d(support_function(model, inv)))
     return float(vals[0]) if single else vals
 
 
 def copula(model, u):
     """C(u) = exp(-h(K, (-log u_1, ..., -log u_d))) on the unit cube."""
-    K = _body(model)
-    U, single = _as_points(u, K.d)
+    U, single = _as_points(u, model.d)
     if np.any(U < 0) or np.any(U > 1):
         raise ValueError("copula arguments must lie in [0, 1]^d")
     with np.errstate(divide="ignore"):
         z = -np.log(U)
-    vals = np.exp(-np.atleast_1d(support_function(K, z)))
+    vals = np.exp(-np.atleast_1d(support_function(model, z)))
     return float(vals[0]) if single else vals
 
 
@@ -125,21 +121,20 @@ def pickands(model, t):
     For d = 2, t is a scalar (or array) in [0, 1]; in general t holds the
     first d-1 simplex coordinates per row.
     """
-    K = _body(model)
     T = np.asarray(t, dtype=float)
-    if K.d == 2 and (T.ndim == 0 or T.ndim == 1):
+    if model.d == 2 and (T.ndim == 0 or T.ndim == 1):
         single = T.ndim == 0
         T = np.atleast_1d(T)[:, None]
     else:
         single = T.ndim == 1
         T = np.atleast_2d(T)
-    if T.shape[1] != K.d - 1:
-        raise ValueError(f"need {K.d - 1} simplex coordinates per point")
+    if T.shape[1] != model.d - 1:
+        raise ValueError(f"need {model.d - 1} simplex coordinates per point")
     last = 1.0 - T.sum(axis=1)
     if np.any(T < -1e-12) or np.any(last < -1e-12):
         raise ValueError("coordinates must lie in the unit simplex")
     X = np.column_stack([T, np.clip(last, 0.0, None)])
-    vals = np.atleast_1d(support_function(K, X))
+    vals = np.atleast_1d(support_function(model, X))
     return float(vals[0]) if single else vals
 
 
@@ -149,8 +144,7 @@ def quantile_curve(model, alpha, points_n=200):
     Parametrized through the polar boundary: for p with h(K, p) = 1 the
     point x_i = 1 / ((-log alpha) p_i) satisfies F(x) = alpha exactly.
     """
-    K = _body(model)
-    if K.d != 2:
+    if model.d != 2:
         raise ValueError("quantile curves are planar")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -158,7 +152,7 @@ def quantile_curve(model, alpha, points_n=200):
         raise ValueError("a quantile curve needs at least two points")
     theta = np.linspace(1e-6, np.pi / 2 - 1e-6, points_n)
     U = np.column_stack([np.cos(theta), np.sin(theta)])
-    P = U / _support_finite(K, U)[:, None]
+    P = U / _support_finite(model, U)[:, None]
     return 1.0 / (-np.log(alpha) * P)
 
 
@@ -178,7 +172,7 @@ def simulate(model, n, seed):
     n = _as_count(n, "n")
     if n <= 0:
         raise ValueError("sample size must be positive")
-    sigma = model.discrete if isinstance(model, MaxStableModel) else model.spectral
+    sigma = model.discrete
     if sigma is None:
         raise ValueError(
             "model has no atom list; call with_discrete() to discretize first"
@@ -214,29 +208,27 @@ def simulate(model, n, seed):
     return SampleMatrix(out.T, seed, "poisson-stop", n_points)
 
 
-def exponent_density(model, z, step=None, richardson=True):
+def exponent_density(model, z):
     """Interior density of the exponent measure from the d-th mixed
     derivative of the norm at z*, scaled by prod z_i^{-2}.
 
-    The relative difference step defaults to 1e-4 in the plane; the
-    trivariate third-order stencil needs a larger step (5e-3) to stay
-    above floating-point cancellation.
+    Central differences with one Richardson step; the relative step is
+    1e-4 in the plane, and the trivariate third-order stencil needs a
+    larger one (5e-3) to stay above floating-point cancellation.
     """
-    K = _body(model)
-    if K.norm is None:
+    if model.norm is None:
         raise ValueError(
             "exponent density needs a smooth analytic norm; discrete models "
             "carry their mass on the atoms"
         )
-    if K.d not in (2, 3):
+    if model.d not in (2, 3):
         raise ValueError("implemented for d = 2 and d = 3")
     z = np.asarray(z, dtype=float)
-    if z.shape != (K.d,) or np.any(z <= 0) or not np.all(np.isfinite(z)):
+    if z.shape != (model.d,) or np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("evaluation point must be finite positive")
-    if step is None:
-        step = 1e-4 if K.d == 2 else 5e-3
+    step = 1e-4 if model.d == 2 else 5e-3
     zs = 1.0 / z
-    d = K.d
+    d = model.d
 
     def mixed(h_vec):
         signs = np.array(
@@ -244,29 +236,26 @@ def exponent_density(model, z, step=None, richardson=True):
             dtype=float,
         )
         pts = zs[None, :] + signs * h_vec[None, :]
-        vals = _support_finite(K, pts)
+        vals = _support_finite(model, pts)
         parity = np.prod(signs, axis=1)
         return float((parity * vals).sum()) / float(np.prod(2.0 * h_vec))
 
     h_vec = step * zs
-    D = mixed(h_vec)
-    if richardson:
-        D = (4.0 * mixed(h_vec / 2.0) - D) / 3.0
+    D = (4.0 * mixed(h_vec / 2.0) - mixed(h_vec)) / 3.0
     return (-1.0) ** (d - 1) * D * float(np.prod(zs**2))
 
 
 def max_stability_check(model, n_fold=2, grid=None):
     """Max deviation of F(n x)^n from F(x) over a grid; zero (up to
     floating error) exactly when the support function is homogeneous."""
-    K = _body(model)
     if n_fold < 2:
         raise ValueError("need n_fold >= 2")
     if grid is None:
         axes = np.linspace(0.6, 3.0, 5)
-        grid = np.array(np.meshgrid(*[axes] * K.d)).reshape(K.d, -1).T
+        grid = np.array(np.meshgrid(*[axes] * model.d)).reshape(model.d, -1).T
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     with np.errstate(divide="ignore"):
         inv = np.where(grid == 0, np.inf, 1.0 / grid)
-    F1 = np.exp(-np.atleast_1d(support_function(K, inv)))
-    Fn = np.exp(-np.atleast_1d(support_function(K, inv / n_fold)))
+    F1 = np.exp(-np.atleast_1d(support_function(model, inv)))
+    Fn = np.exp(-np.atleast_1d(support_function(model, inv / n_fold)))
     return float(np.abs(Fn**n_fold - F1).max())

@@ -20,6 +20,7 @@ import numpy as np
 from . import _kernels
 from .geometry import (
     AnalyticNorm,
+    Estimate,
     MaxZonoid,
     Polygon2D,
     _as_count,
@@ -242,10 +243,20 @@ def _no_extra(params):
 
 @dataclass(frozen=True)
 class DiscretizeResult:
+    """The atom list and its largest support gap, an Estimate whose method
+    is the fit ("atoms", "planar-chain" or "nnls-bpp") and whose
+    n_samples is the number of directions the gap was measured on."""
+
     measure: DiscreteSpectralMeasure
-    max_support_error: float
-    n_eval_directions: int
-    method: str  # "atoms", "planar-chain" or "nnls-bpp"
+    max_support_error: Estimate
+
+    @property
+    def method(self):
+        return self.max_support_error.method
+
+    @property
+    def n_eval_directions(self):
+        return self.max_support_error.n_samples
 
 
 def _renormalize_marginals(sigma):
@@ -274,7 +285,7 @@ def discretize(K, m=1000, n_eval=2048):
         raise ValueError("need at least two atoms")
     if K.spectral is not None:
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
-        return DiscretizeResult(sigma, 0.0, 0, "atoms")
+        return DiscretizeResult(sigma, Estimate(0.0, 0.0, "atoms", 0))
     if K.d == 2:
         t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
         chain = _norm_chain(K, np.column_stack([t, 1.0 - t])[::-1])  # anticlockwise
@@ -286,8 +297,8 @@ def discretize(K, m=1000, n_eval=2048):
         sigma = _fit_nnls(K, m)
         E, method = _simplex_lattice(K.d, n_eval), "nnls-bpp"
     approx = MaxZonoid(d=K.d, spectral=sigma)
-    err = float(np.abs(_support_finite(K, E) - _support_finite(approx, E)).max())
-    return DiscretizeResult(sigma, err, len(E), method)
+    err = np.abs(_support_finite(K, E) - _support_finite(approx, E)).max()
+    return DiscretizeResult(sigma, Estimate(err, 0.0, method, len(E)))
 
 
 def _fit_nnls(K, m):

@@ -104,7 +104,7 @@ class DependencyReport:
     total_mass: float
 
 
-def make_measure(points, masses, reference="l1", merge=True):
+def make_measure(points, masses, reference="l1"):
     """Build a measure, merging atoms closer than ATOM_TOL on the sphere.
 
     The atoms are sorted lexicographically, and a row joins the group of
@@ -127,7 +127,7 @@ def make_measure(points, masses, reference="l1", merge=True):
         raise ValueError("measure needs at least one atom with positive mass")
     norms = reference_norm_of(pts, reference)
     pts = pts / norms[:, None]
-    if merge and pts.shape[0] > 1:
+    if pts.shape[0] > 1:
         order = np.lexsort(pts.T[::-1])
         pts, w = pts[order], w[order]
         start = np.ones(pts.shape[0], dtype=bool)
