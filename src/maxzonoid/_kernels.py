@@ -9,18 +9,23 @@ four weighted 2-D dominance sums (Bentley 1980); one (b+1)^2 table per
 sum and block of b <= 512 atoms answers every point in
 O(m b + n (m/b) log b).  Otherwise, and for d >= 4, a running maximum of
 one outer product per coordinate fills cache-sized (rows, m) tiles in
-O(n m d); it builds the NNLS design matrix too.  The values equal the
-dense definition bit for bit on the dense path; within a few ulps on the
-d = 3 table path (at most 1.5e-15 relative on the NNLS fits measured; a
-table entry sums at most b nonnegative terms, so the worst case is of
-order b*eps = 5.7e-14).
+O(n m d), summed along the rows; they fill the NNLS design matrix too.
+Bodies of fewer than 8 atoms take (m, rows) tiles summed down the point
+columns, as rows of 1-7 terms pay numpy's per-row overhead on every
+point; numpy adds fewer than 8 terms of a row in order, as a column sum
+runs, and longer rows pairwise.  So the values equal the dense definition
+bit for bit on the dense path; within a few ulps on the d = 3 table path
+(at most 1.5e-15 relative on the NNLS fits measured; a table entry sums
+at most b nonnegative terms, so the worst case is of order b*eps =
+5.7e-14).
 """
 
 import numpy as np
 
-# Elements in one (rows, m) tile of the d >= 3 support sum: 512 KB of
-# float64, which stays in cache while the coordinates are folded in.
+# Elements in one tile of the dense path: 512 KB of float64, which stays
+# in cache while the coordinates are folded in.
 _TILE = 2**16
+_FEW = 8  # bodies of fewer atoms take (m, rows) tiles
 # Atoms per block of the d = 3 table path: a table of at most 513^2
 # float64 (2.1 MB) is built at a time.
 _BLOCK = 512
@@ -38,11 +43,17 @@ _LEAVES = (
 
 
 def max_products(B, X):
-    """M[j, k] = max_i X[j, i] * B[k, i], one outer product per coordinate;
-    equal bit for bit to (X[:, None] * B[None]).max(2), as max is exact."""
-    M = np.multiply.outer(X[:, 0], B[:, 0])
-    for i in range(1, B.shape[1]):
-        np.maximum(M, np.multiply.outer(X[:, i], B[:, i]), out=M)
+    """M[j, k] = max_i X[j, i] * B[k, i], one outer product per coordinate,
+    filled one cache-sized row tile at a time with one scratch tile; equal
+    bit for bit to (X[:, None] * B[None]).max(2), as max is exact."""
+    M = np.empty((X.shape[0], B.shape[0]))
+    rows = max(1, _TILE // B.shape[0])
+    T = np.empty((rows, B.shape[0]))
+    for lo in range(0, len(M), rows):
+        Mt, Xt = M[lo : lo + rows], X[lo : lo + rows]
+        np.multiply.outer(Xt[:, 0], B[:, 0], out=Mt)
+        for i in range(1, B.shape[1]):
+            np.maximum(Mt, np.multiply.outer(Xt[:, i], B[:, i], out=T[: len(Mt)]), out=Mt)
     return M
 
 
@@ -56,8 +67,10 @@ def support_sum(scaled_atoms, points):
         return _support_sum_3d(scaled_atoms, X)
     rows = max(1, _TILE // m)
     out = np.empty(X.shape[0])
+    B, few = scaled_atoms, m < _FEW
     for lo in range(0, X.shape[0], rows):
-        out[lo : lo + rows] = max_products(scaled_atoms, X[lo : lo + rows]).sum(axis=1)
+        Xt = X[lo : lo + rows]
+        out[lo : lo + rows] = max_products(Xt, B).sum(0) if few else max_products(B, Xt).sum(1)
     return out
 
 
@@ -131,11 +144,7 @@ def _support_sum_planar(B, X):
     is at least x_2/x_1, so with the atoms in slope order h is x_1 times a
     suffix sum of B[:,0] plus x_2 times a prefix sum of B[:,1], both read
     at the sorted position of x_2/x_1, for points X >= 0."""
-    m, n = B.shape[0], X.shape[0]
-    # a divisor tiny enough to overflow gives inf, which is the right slope
-    with np.errstate(over="ignore"):
-        r = np.divide(B[:, 0], B[:, 1], out=np.full(m, np.inf), where=B[:, 1] > 0)
-        t = np.divide(X[:, 1], X[:, 0], out=np.full(n, np.inf), where=X[:, 0] > 0)
+    r, t = _slopes(B[:, 0], B[:, 1]), _slopes(X[:, 1], X[:, 0])
     order = np.argsort(r, kind="stable")
     r, a1, a2 = r[order], B[order, 0], B[order, 1]
     # a reversed cumsum, not total minus prefix: no cancellation

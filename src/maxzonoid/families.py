@@ -342,7 +342,8 @@ def _nnls_bpp(A, b):
         else:
             bad = bad[-1:]
         P[bad] = ~P[bad]
-        GP = G[np.ix_(P, P)]
+        i = np.flatnonzero(P)
+        GP = G.take(i, 0).take(i, 1)  # half the time of G[np.ix_(P, P)]
         x = np.zeros(n)
         x[P] = np.linalg.solve(GP, c[P])
         y = G @ x - c

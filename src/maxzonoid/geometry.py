@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -85,6 +85,12 @@ class Polygon2D:
             raise ValueError("chain is not monotone: an edge runs right or down")
         return _ne_chain(v)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self):
+        return hash((self.vertices + 0.0).tobytes())
+
     @property
     def is_dependency(self):
         v = self.vertices
@@ -114,8 +120,8 @@ class AnalyticNorm:
 
     name: str
     d: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    grad: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     params: tuple = ()
 
 
@@ -350,7 +356,8 @@ def _image(parts, d):
                 G[:, src] += K.norm.grad(lift(K, src, dst, lam, X))[:, dst] * lam
             return G
 
-    return MaxZonoid(d=d, norm=AnalyticNorm("image", d, fn, grad))
+    params = tuple((K, *(tuple(a.tolist()) for a in rest)) for K, *rest in parts)
+    return MaxZonoid(d=d, norm=AnalyticNorm("image", d, fn, grad, params))
 
 
 def scale(K, lam):

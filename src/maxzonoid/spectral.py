@@ -73,6 +73,15 @@ class DiscreteSpectralMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):  # bytes agree as np.array_equal does: finite, and -0.0 + 0.0 is 0.0
+        return self.reference, self.atoms.shape, (self.atoms + 0.0).tobytes(), self.masses.tobytes()
+
     @property
     def d(self):
         return self.atoms.shape[1]

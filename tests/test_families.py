@@ -436,6 +436,17 @@ class TestNnlsBpp:
         monkeypatch.setattr(families, "_nnls_bpp", lambda A, b: ref)
         assert res.max_support_error == pytest.approx(discretize(K, m).max_support_error, rel=1e-12)
 
+    # the passive block taken by index, not by np.ix_: the same fit bit for bit
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_fit_matches_ix_reference(self, monkeypatch, p):
+        K = make_family("logistic", 3, p=p)
+        res = discretize(K, 500)
+        monkeypatch.setattr(families, "_nnls_bpp", _nnls_bpp_ix)
+        ref = discretize(K, 500)
+        assert np.array_equal(res.measure.atoms, ref.measure.atoms)
+        assert np.array_equal(res.measure.masses, ref.measure.masses)
+        assert float(res.max_support_error) == float(ref.max_support_error)
+
     def test_rank_deficient_design_raises(self):
         # two equal columns, both in the first passive set: an exactly
         # singular block, never a set of weights
@@ -477,5 +488,34 @@ def _nnls_bpp_cholesky(A, b):
         factor = cho_factor(G[np.ix_(P, P)])
         x = np.zeros(n)
         x[P] = cho_solve(factor, c[P])
+        y = G @ x - c
+    raise ValueError("block principal pivoting did not terminate")
+
+
+def _nnls_bpp_ix(A, b):
+    """The block principal pivoting solver with the passive block taken by
+    G[np.ix_(P, P)]; a reference only."""
+    G, c = A.T @ A, A.T @ b
+    n = len(c)
+    tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)
+    P = np.zeros(n, dtype=bool)
+    x, y = np.zeros(n), -c
+    best, backup = n + 1, 3
+    for _ in range(3 * n + 1):
+        bad = np.flatnonzero(P & (x < 0) | ~P & (y < -tol))
+        if bad.size == 0:
+            if P.any():
+                x[P] += np.linalg.solve(GP, (A.T @ (b - A @ x))[P])
+            return np.maximum(x, 0.0)
+        if bad.size < best:
+            best, backup = bad.size, 3
+        elif backup:
+            backup -= 1
+        else:
+            bad = bad[-1:]
+        P[bad] = ~P[bad]
+        GP = G[np.ix_(P, P)]
+        x = np.zeros(n)
+        x[P] = np.linalg.solve(GP, c[P])
         y = G @ x - c
     raise ValueError("block principal pivoting did not terminate")

@@ -1092,3 +1092,45 @@ class TestPolygon2D:
             assert support_function(K, ind) == pytest.approx(2.0, abs=1e-12)
         X = rng.random((30, d))
         np.testing.assert_allclose(support_function(K, X), X.sum(axis=1), rtol=1e-12)
+
+
+class TestValueEquality:
+    """Bodies, models, measures and chains compare and hash by value."""
+
+    def test_atom_lists(self):
+        K = unit_cube(3)
+        assert K == unit_cube(3) and hash(K) == hash(unit_cube(3))
+        assert {K, unit_cube(3)} == {K}
+        assert K != unit_cross_polytope(3) and K != unit_cube(2)
+        assert MaxStableModel(K) == MaxStableModel(unit_cube(3))
+        assert {MaxStableModel(K), MaxStableModel(unit_cube(3))} == {MaxStableModel(K)}
+        # an equal measure that is not a dependency set is another type
+        assert K != zonoid_from_spectral(K.spectral)
+        assert K.spectral == zonoid_from_spectral(K.spectral).spectral
+
+    def test_measures(self):
+        a = make_measure([[1.0, 0.0], [0.5, 0.5]], [1.0, 1.0])
+        b = make_measure([[1.0, -0.0], [0.5, 0.5]], [1.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert a != make_measure([[1.0, 0.0], [0.5, 0.5]], [1.0, 2.0])
+        assert a != make_measure([[1.0, 0.0], [0.5, 0.5]], [1.0, 1.0], "linf")
+
+    def test_analytic_norms_ignore_their_closures(self):
+        K1, K2 = make_family("logistic", 2, p=2.0), make_family("logistic", 2, p=2.0)
+        assert K1 == K2 and hash(K1) == hash(K2) and len({K1, K2}) == 1
+        assert K1 != make_family("logistic", 2, p=3.0)
+        assert K1 != make_family("logistic", 3, p=2.0)
+
+    def test_images_compare_by_their_parts(self):
+        K1, K2 = make_family("logistic", 2, p=2.0), make_family("logistic", 2, p=2.0)
+        assert scale(K1, [2.0, 3.0]) == scale(K2, [2.0, 3.0])
+        assert hash(scale(K1, [2.0, 3.0])) == hash(scale(K2, [2.0, 3.0]))
+        assert scale(K1, [2.0, 3.0]) != scale(K1, [2.0, 4.0])
+        assert cartesian_product(K1, K2) == cartesian_product(K2, K1)
+        assert cartesian_product(K1, K1) != cartesian_product(K1, make_family("logistic", 2, p=3.0))
+
+    def test_polygon_chains(self):
+        P = Polygon2D(np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0]]))
+        Q = Polygon2D(np.array([[1.0, 0.0], [0.5, -0.0], [0.0, 1.0]]))
+        assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+        assert P != Polygon2D(np.array([[1.0, 0.0], [0.0, 1.0]]))

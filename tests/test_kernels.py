@@ -101,11 +101,18 @@ def test_dense_support_matches_definition(data, d, repeat):
     assert np.array_equal(_kernels.support_sum(B, X), dense_support(B, X))
 
 
+# fewer than 8 atoms take (m, rows) tiles summed down the columns, 8 or
+# more (rows, m) tiles summed along the rows; both cross a tile here
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize(
     "m, n",
-    [(1, 0), (1000, 3 * (_kernels._TILE // 1000) + 17), (_kernels._TILE + 3, 5)],
-    ids=["m1-n0", "partial-tile", "one-row-tiles"],
+    [
+        (1, 0),
+        *((m, 2 * (_kernels._TILE // m) + 5) for m in (3, 7, 8)),
+        (1000, 3 * (_kernels._TILE // 1000) + 17),
+        (_kernels._TILE + 3, 5),
+    ],
+    ids=["m1-n0", "m3-columns", "m7-columns", "m8-rows", "partial-tile", "one-row-tiles"],
 )
 def test_dense_support_across_tiles(rng, d, m, n):
     B = rng.random((m, d)) * rng.random((m, 1))
@@ -114,6 +121,15 @@ def test_dense_support_across_tiles(rng, d, m, n):
     got = _kernels.support_sum(B, X)
     assert got.shape == (n,)
     assert np.array_equal(got, dense_support(B, X))
+
+
+@pytest.mark.parametrize(
+    "m, n", [(3, 0), (100, 3 * (_kernels._TILE // 100) + 17), (_kernels._TILE + 3, 5)]
+)
+def test_max_products_across_tiles(rng, m, n):
+    B = rng.random((m, 3)) * rng.random((m, 1))
+    X = rng.random((n, 3))
+    assert np.array_equal(_kernels.max_products(B, X), (X[:, None] * B[None]).max(2))
 
 
 # the d = 3 table path, called directly: the dispatch rule is tested apart
