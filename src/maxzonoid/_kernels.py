@@ -1,8 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 The support sum h(x) = sum_k max(0, max_i B[k,i] x_i) of an atom list B
-takes three algorithms.  In the plane, one sort of the atoms by slope and
-two cumulative sums answer every point in O((n + m) log m).  In d = 3,
+takes three algorithms.  In the plane, the body's boundary chain,
+planar_chain (the atoms sorted by slope; the polygon view and Kendall's
+tau read it too), answers every point in O((n + m) log m).  In d = 3,
 when many points meet many atoms, each atom is assigned the coordinate
 that wins at x by a fixed decision tree on three slopes, which makes h
 four weighted 2-D dominance sums (Bentley 1980); one (b+1)^2 table per
@@ -139,19 +140,25 @@ def _support_sum_3d(B, X):
     return out
 
 
-def _support_sum_planar(B, X):
-    """Atom k contributes B[k,0] x_1 exactly when its slope B[k,0]/B[k,1]
-    is at least x_2/x_1, so with the atoms in slope order h is x_1 times a
-    suffix sum of B[:,0] plus x_2 times a prefix sum of B[:,1], both read
-    at the sorted position of x_2/x_1, for points X >= 0."""
-    r, t = _slopes(B[:, 0], B[:, 1]), _slopes(X[:, 1], X[:, 0])
+def planar_chain(B):
+    """The boundary chain of the planar body of atoms B, the one sort of
+    planar atoms: the slopes B[:,0]/B[:,1] stably sorted, their order, and
+    vertices (vx[j], vy[j]), j = 0..m, from the x-axis to the y-axis: vx[j]
+    sums B[:,0] over atoms j.. of the order by a reversed cumsum (no
+    cancellation; the chain ends on the y-axis), vy[j] B[:,1] over ..j-1."""
+    r = _slopes(B[:, 0], B[:, 1])
     order = np.argsort(r, kind="stable")
-    r, a1, a2 = r[order], B[order, 0], B[order, 1]
-    # a reversed cumsum, not total minus prefix: no cancellation
-    s1 = np.append(np.cumsum(a1[::-1])[::-1], 0.0)
-    p2 = np.concatenate([[0.0], np.cumsum(a2)])
-    j = np.searchsorted(r, t, "left")
-    return X[:, 0] * s1[j] + X[:, 1] * p2[j]
+    vx = np.append(np.cumsum(B[order[::-1], 0])[::-1], 0.0)
+    vy = np.concatenate([[0.0], np.cumsum(B[order, 1])])
+    return r[order], order, vx, vy
+
+
+def _support_sum_planar(B, X):
+    """h at points X >= 0: x_1 vx[j] + x_2 vy[j] at the chain vertex j where
+    x_2/x_1 falls among the slopes, as atoms j.. add B[k,0] x_1."""
+    r, _, vx, vy = planar_chain(B)
+    j = np.searchsorted(r, _slopes(X[:, 1], X[:, 0]), "left")
+    return X[:, 0] * vx[j] + X[:, 1] * vy[j]
 
 
 def backend_name():

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
 from .distribution import MaxStableModel
-from .geometry import MaxZonoid
+from .geometry import MaxZonoid, subset_indicator_lattice
 from .spectral import make_measure
 
 ALT_TOL = 1e-9
@@ -112,6 +112,8 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
     pass f=None with a value-carrying FiniteMaxLattice to use its values.
     points must be closed under coordinatewise maxima (see max_closure).
     """
+    if not 0.0 <= tol < inf:  # NaN fails
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if isinstance(points, FiniteMaxLattice):
         if f is None:
             if points.values is None:
@@ -210,6 +212,8 @@ def check_extremal_consistency(table, tol=ALT_TOL):
 
     Computes g(C) = theta_full - theta_{complement of C}, inverts it on
     the subset lattice, and accepts iff every weight c_B >= -tol."""
+    if not 0.0 <= tol < inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     d = table.d
     theta = _theta_array(table)
     full = 2**d - 1
@@ -255,15 +259,6 @@ def construct_from_extremal(table):
         masses.append(cB * len(B))
     sigma = make_measure(points, masses, "l1")
     return MaxStableModel(MaxZonoid(d=d, spectral=sigma))
-
-
-def subset_indicator_lattice(d, include_origin=True):
-    """The 0/1 indicator points of all subsets, a max-closed lattice."""
-    n = 2**d if include_origin else 2**d - 1
-    start = 0 if include_origin else 1
-    return np.array(
-        [[float((mask >> i) & 1) for i in range(d)] for mask in range(start, 2**d)]
-    )
 
 
 def theta_alternation_check(table, max_order=None):

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._kernels import planar_chain
 from .geometry import (
     Estimate,
     _simplex_quadrature,
@@ -104,20 +105,14 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
 def _tau_discrete(sigma):
     """Closed-form segment integration: between breakpoints the support
     point y = (P, Q) is constant and h(t) = P t + Q (1 - t), so the
-    integrand P Q / h^2 integrates to P Q (tb - ta) / (h(ta) h(tb)).
-    With the atoms in breakpoint order, P is a prefix sum of w a_1 and
-    Q a suffix sum of w a_2."""
+    integrand P Q / h^2 integrates to P Q (tb - ta) / (h(ta) h(tb)).  The
+    j atoms with breakpoint a_2/(a_1 + a_2) <= ta, the j of highest slope,
+    face direction 1 on [ta, tb], so (P, Q) is planar chain vertex m - j."""
     a = sigma.atoms
-    w = sigma.masses
-    brk = a[:, 1] / (a[:, 0] + a[:, 1])
-    order = np.argsort(brk, kind="stable")
-    brk = brk[order]
-    wa = w[order, None] * a[order]
-    P_at = np.concatenate([[0.0], np.cumsum(wa[:, 0])])
-    Q_at = np.append(np.cumsum(wa[::-1, 1])[::-1], 0.0)
+    _, order, P_at, Q_at = planar_chain(sigma.scaled_atoms)
+    brk = (a[:, 1] / (a[:, 0] + a[:, 1]))[order[::-1]]  # ascending
     ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
-    # atoms with breakpoint <= ta face direction 1 on the segment [ta, tb]
-    j = np.searchsorted(brk, ts[:-1], "right")
+    j = len(a) - np.searchsorted(brk, ts[:-1], "right")
     P, Q = P_at[j], Q_at[j]
     live = (P > 0.0) & (Q > 0.0)
     P, Q, ta, tb = P[live], Q[live], ts[:-1][live], ts[1:][live]

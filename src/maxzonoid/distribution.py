@@ -19,13 +19,14 @@ from .geometry import (
     _mc_chunks,
     _support_finite,
     as_dependency,
+    subset_indicator_lattice,
     support_function,
 )
-from .spectral import DiscreteSpectralMeasure
+from .spectral import DiscreteSpectralMeasure, _ByKey
 
 
-@dataclass(frozen=True)
-class SampleMatrix:
+@dataclass(frozen=True, eq=False)
+class SampleMatrix(_ByKey):
     """n x d strictly positive observations plus the generator seed, the
     sampler that drew them and the number of Poisson points it used."""
 
@@ -41,6 +42,9 @@ class SampleMatrix:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def _key(self):  # the values bit for bit
+        return self.values.shape, self.values.tobytes(), self.seed, self.method, self.n_points
 
     @property
     def n(self):
@@ -231,10 +235,7 @@ def exponent_density(model, z):
     d = model.d
 
     def mixed(h_vec):
-        signs = np.array(
-            [[1 - 2 * ((mask >> i) & 1) for i in range(d)] for mask in range(2**d)],
-            dtype=float,
-        )
+        signs = 1.0 - 2.0 * subset_indicator_lattice(d)
         pts = zs[None, :] + signs * h_vec[None, :]
         vals = _support_finite(model, pts)
         parity = np.prod(signs, axis=1)

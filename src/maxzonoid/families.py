@@ -61,6 +61,9 @@ class FamilySpec:
     def build(self):
         return make_family(self.name, self.d, **self.params)
 
+    def __hash__(self):  # equal specs have equal params, whose values may be lists
+        return hash((self.name, self.d, tuple(sorted(self.params))))
+
 
 def _lp_norm_rows(X, p):
     """Row-wise (sum x_i^p)^(1/p), overflow-safe for large |p|."""

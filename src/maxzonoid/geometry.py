@@ -4,10 +4,10 @@ A max-zonoid has two representations (atoms, analytic norm); planar
 chains are a view.  The atoms of a discrete spectral measure are the
 canonical form, a finite sum of cross-polytopes; an analytic norm is a
 closed-form support function.  A planar vertex chain (Polygon2D) is
-materialized on demand for hull, polar and area work and stored
-back as atoms.  Every operation here is a pure function of immutable
-values; Monte Carlo operations take explicit seeds and chunk them
-deterministically.
+materialized on demand for hull, intersection and area work and stored
+back as atoms; the polar is the radial hull of u / h(K, u).  Every
+operation is a pure function of immutable values; Monte Carlo ones take
+explicit seeds and chunk them deterministically.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import _kernels
 from .spectral import (
     ATOM_TOL,
     DiscreteSpectralMeasure,
+    _ByKey,
     make_measure,
     polygon_from_spectral,
     rebase_reference,
@@ -39,8 +40,8 @@ EPS = 1e-9
 # representations
 
 
-@dataclass(frozen=True)
-class Polygon2D:
+@dataclass(frozen=True, eq=False)
+class Polygon2D(_ByKey):
     """Anticlockwise vertex chain of a planar body, from a point on the
     positive x-axis to a point on the positive y-axis.  The body is the
     convex hull of the chain and the origin.  A view of a planar atom
@@ -85,20 +86,8 @@ class Polygon2D:
             raise ValueError("chain is not monotone: an edge runs right or down")
         return _ne_chain(v)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and np.array_equal(self.vertices, other.vertices)
-
-    def __hash__(self):
-        return hash((self.vertices + 0.0).tobytes())
-
-    @property
-    def is_dependency(self):
-        v = self.vertices
-        return (
-            np.abs(v[0] - (1.0, 0.0)).max() <= EPS
-            and np.abs(v[-1] - (0.0, 1.0)).max() <= EPS
-            and v.max() <= 1.0 + EPS
-        )
+    def _key(self):  # finite, so bytes agree as np.array_equal does
+        return self.vertices.shape, (self.vertices + 0.0).tobytes()
 
     def support(self, points):
         vals = points @ self.vertices.T
@@ -162,11 +151,15 @@ class DependencySet(MaxZonoid):
 
     def __post_init__(self):
         super().__post_init__()
-        marg = self.marginals()
-        if np.abs(marg - 1.0).max() > 1e-9:
+        if not _unit_marginals(self):
             raise ValueError(
-                f"not normalized: support at basis vectors is {marg}, expected all 1"
+                f"not normalized: support at basis vectors is {self.marginals()}, expected all 1"
             )
+
+
+def _unit_marginals(K):
+    """Whether h(K, e_i) = 1 within 1e-9 for every i; NaN fails."""
+    return bool((np.abs(K.marginals() - 1.0) <= 1e-9).all())
 
 
 def _fields(K):
@@ -225,7 +218,7 @@ def unit_cross_polytope(d):
 def zonoid_from_polygon(polygon):
     """The planar body of a vertex chain, stored as its edge atoms."""
     K = MaxZonoid(d=2, spectral=spectral_from_polygon_2d(polygon))
-    return as_dependency(K) if polygon.is_dependency else K
+    return as_dependency(K) if _unit_marginals(K) else K
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +394,15 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
     d = K1.d
     if mode == "sum":
         lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (d,))
-        if np.any(lam_v < 0) or np.any(lam_v > 1):
+        if not ((0 <= lam_v) & (lam_v <= 1)).all():  # NaN fails
             raise ValueError("weights must lie in [0, 1]")
         idx = np.arange(d)
         out = _image([(K1, idx, idx, lam_v), (K2, idx, idx, 1.0 - lam_v)], d)
         return _rewrap(out, K1, K2)
     if mode == "difference":
         lam_s = float(lam)
-        if lam_s <= 0:
-            raise ValueError("difference weight must be positive")
+        if not 0 < lam_s < math.inf:
+            raise ValueError(f"difference weight must be positive and finite, got {lam_s!r}")
         s1, s2 = K1.spectral, K2.spectral
         if s1 is None or s2 is None:
             raise ValueError("spectral difference needs discrete representations")
@@ -532,14 +525,17 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
 
 
 def polar_2d(K, directions=4096):
-    """The polar set {x in E : h(K, x) <= 1} as a planar chain; exact for
-    atom lists, radially sampled for analytic norms."""
+    """The polar set {x in E : h(K, x) <= 1}, the chain of the points
+    u / h(K, u): exact for an atom list, with u on the axes and the edge
+    normals of its chain (the scaled atoms reversed), where every polar
+    vertex lies; inscribed for a norm, with u on the quarter circle."""
     if K.d != 2:
         raise ValueError("polar materialization requires d = 2")
     if K.norm is not None:
         U = _quarter_circle(directions)
-        return _ne_chain(U / _support_finite(K, U)[:, None])
-    return _envelope_polygon(_polygon_of(K).vertices, 1.0)
+    else:
+        U = np.vstack([np.eye(2), K.spectral.scaled_atoms[:, ::-1]])
+    return _ne_chain(U / _support_finite(K, U)[:, None])
 
 
 class Estimate(float):
@@ -681,12 +677,16 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     return mean, math.sqrt(var / n)
 
 
+def subset_indicator_lattice(d, include_origin=True):
+    """The 0/1 indicator points of all subsets, a max-closed lattice: row
+    mask (from 1 without the origin) holds bit i of mask in column i."""
+    masks = np.arange(0 if include_origin else 1, 2**d)
+    return ((masks[:, None] >> np.arange(d)) & 1).astype(float)
+
+
 def _corner_directions(d):
     """All 0/1 indicator directions (2^d - 1 of them) for small d."""
-    if d > 12:
-        return np.eye(d)
-    corners = ((np.arange(1, 2**d)[:, None] >> np.arange(d)) & 1).astype(float)
-    return corners
+    return np.eye(d) if d > 12 else subset_indicator_lattice(d, include_origin=False)
 
 
 def _as_count(n, name):

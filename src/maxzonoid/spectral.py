@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import planar_chain
+
 ATOM_TOL = 1e-9
 DEP_TOL = 1e-6
 
@@ -32,8 +34,19 @@ def reference_norm_of(points, reference):
     raise ValueError(f"unknown reference norm {reference!r}")
 
 
-@dataclass(frozen=True)
-class DiscreteSpectralMeasure:
+class _ByKey:
+    """Equality and hash by self._key(), for frozen dataclasses declared
+    with eq=False that hold arrays."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteSpectralMeasure(_ByKey):
     """Weighted atoms on the reference sphere in the nonnegative orthant.
 
     atoms : (m, d) array, each row with unit reference norm
@@ -72,12 +85,6 @@ class DiscreteSpectralMeasure:
         masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _key(self):  # bytes agree as np.array_equal does: finite, and -0.0 + 0.0 is 0.0
         return self.reference, self.atoms.shape, (self.atoms + 0.0).tobytes(), self.masses.tobytes()
@@ -222,14 +229,5 @@ def polygon_from_spectral(sigma):
 
     if sigma.d != 2:
         raise ValueError("polygon materialization requires d = 2")
-    ts = sigma.scaled_atoms  # rows (t_k, s_k): x-extent and y-extent per edge
-    # anticlockwise from the x-axis: edge normals (s, t) sorted by slope t/s
-    with np.errstate(over="ignore"):  # a tiny t_k gives inf, the right slope
-        ratio = np.divide(ts[:, 0], ts[:, 1], out=np.full(len(ts), np.inf), where=ts[:, 1] > 0)
-    order = np.argsort(ratio, kind="stable")
-    ts = ts[order]
-    # x from a reversed cumsum, not total minus prefix: no cancellation,
-    # and the chain ends on the y-axis exactly
-    x = np.append(np.cumsum(ts[::-1, 0])[::-1], 0.0)
-    y = np.concatenate([[0.0], np.cumsum(ts[:, 1])])
+    _, _, x, y = planar_chain(sigma.scaled_atoms)
     return Polygon2D(np.column_stack([x, y]))

@@ -19,6 +19,7 @@ from maxzonoid import (
     unit_cube,
 )
 from maxzonoid.alternation import subset_indicator_lattice
+from maxzonoid.geometry import _corner_directions
 
 from conftest import random_model
 
@@ -82,6 +83,24 @@ class TestCheckAlternation:
         pts = subset_indicator_lattice(3)
         with pytest.raises(ValueError, match="budget"):
             check_alternation(counterexample_support, pts, max_order=3, budget=10)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tol would accept every difference and hide every witness
+        pts = subset_indicator_lattice(3)
+        with pytest.raises(ValueError, match="tol"):
+            check_alternation(counterexample_support, pts, tol=tol)
+        table = ExtremalTable(2, {(0,): 1.0, (1,): 1.0, (0, 1): 2.5})
+        with pytest.raises(ValueError, match="tol"):
+            check_extremal_consistency(table, tol=tol)
+
+    def test_subset_indicators_are_mask_ordered(self):
+        # reference: row mask, column i is bit i of mask
+        for d in range(1, 10):
+            ref = np.array([[float((mask >> i) & 1) for i in range(d)] for mask in range(2**d)])
+            assert np.array_equal(subset_indicator_lattice(d), ref)
+            assert np.array_equal(subset_indicator_lattice(d, include_origin=False), ref[1:])
+            assert np.array_equal(_corner_directions(d), ref[1:])
 
     def test_not_closed_rejected(self):
         with pytest.raises(ValueError, match="closed"):

@@ -179,6 +179,18 @@ class TestTheta:
         assert not doc["consistent"]
         assert doc["witness_subset"] == "1,2"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exit2(self, tmp_path, tol, capsys):
+        # a NaN tol would pass the -0.5 weight on {1,2} and report the
+        # table consistent
+        spec = write_model(
+            tmp_path, "bad.json",
+            {"extremal": {"d": 2, "theta": {"1,2": 2.5}}},
+        )
+        assert main(["check-theta", "--model", spec, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol" in captured.err and "consistent" not in captured.out
+
     def test_construct_emits_model(self, tmp_path):
         spec = write_model(
             tmp_path, "t.json",

@@ -202,6 +202,31 @@ class TestKendall:
             1.0 - total, abs=1e-12
         )
 
+    def test_chain_sums_equal_breakpoint_sums(self, rng, log2):
+        # reference: the atoms sorted by breakpoint a_2/(a_1 + a_2), P a
+        # prefix and Q a suffix sum in that order; the planar chain adds the
+        # same terms in the same order, so tau is equal bit for bit
+        def by_breakpoint(sigma):
+            a, w = sigma.atoms, sigma.masses
+            brk = a[:, 1] / (a[:, 0] + a[:, 1])
+            order = np.argsort(brk, kind="stable")
+            brk, wa = brk[order], w[order, None] * a[order]
+            P_at = np.concatenate([[0.0], np.cumsum(wa[:, 0])])
+            Q_at = np.append(np.cumsum(wa[::-1, 1])[::-1], 0.0)
+            ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
+            j = np.searchsorted(brk, ts[:-1], "right")
+            P, Q = P_at[j], Q_at[j]
+            live = (P > 0.0) & (Q > 0.0)
+            P, Q, ta, tb = P[live], Q[live], ts[:-1][live], ts[1:][live]
+            ha, hb = P * ta + Q * (1.0 - ta), P * tb + Q * (1.0 - tb)
+            return float(1.0 - (P * Q * (tb - ta) / (ha * hb)).sum())
+
+        sigmas = [discretize(log2.K, 1000).measure, unit_cube(2).spectral,
+                  make_family("marshall_olkin", 2, alpha1=0.3, alpha2=0.7).spectral]
+        sigmas += [random_model(rng, 2, m).discrete for m in (1, 2, 5, 40, 200)]
+        for sigma in sigmas:
+            assert kendall_tau_2d(zonoid_from_spectral(sigma)) == by_breakpoint(sigma)
+
     def test_fd_gradient_fallback_on_smooth_norm(self):
         from maxzonoid import AnalyticNorm, MaxZonoid, as_dependency
 

@@ -291,6 +291,18 @@ class TestMinkowski:
         with pytest.raises(ValueError, match="0, 1"):
             minkowski_combine(unit_cube(2), unit_cube(2), 1.5)
 
+    def test_nan_weight_rejected(self):
+        # NaN passes a test for lam < 0 or lam > 1, and would give a body
+        # whose support is NaN everywhere, or a misleading error
+        nan = float("nan")
+        for K in (make_family("logistic", 2, p=2.0), unit_cross_polytope(2)):
+            for lam in (nan, [0.5, nan]):
+                with pytest.raises(ValueError, match="0, 1"):
+                    minkowski_combine(K, unit_cube(2), lam)
+        for lam in (nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                minkowski_combine(unit_cube(2), unit_cube(2), lam, mode="difference")
+
     def test_cdf_power_relation(self, rng):
         from maxzonoid import MaxStableModel, cdf
 
@@ -532,6 +544,27 @@ class TestPolar:
                 got, ref = _envelope_polygon(dirs, h).vertices, _envelope_by_solve(dirs, h)
                 assert got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_radial_polar_matches_envelope_of_chain(self):
+        # the envelope of the chain's lines <v, x> = 1 is the polar by the
+        # other route, kept for intersection and the half-plane estimator
+        fits = [("logistic", {"p": 2.0}), ("neg_logistic", {"lam": 1.0, "p": -1.0}),
+                ("husler_reiss", {"lam": 1.0})]
+        sigmas = [discretize(make_family(name, 2, **params), 1000).measure for name, params in fits]
+        gen = np.random.default_rng(18)
+        for _ in range(200):
+            m = int(gen.integers(1, 40))
+            pts = gen.random((m, 2))
+            zero = gen.random((m, 2)) < 0.15
+            zero[0] = False  # both extents stay positive
+            pts[zero & ~zero[:, ::-1]] = 0.0  # atoms on the axes, none at the origin
+            sigmas.append(make_measure(pts, gen.random(m) + 0.1))
+        for sigma in sigmas:
+            got = polar_2d(zonoid_from_spectral(sigma))
+            ref = _envelope_polygon(polygon_from_spectral(sigma).vertices, 1.0)
+            assert got.vertices.shape == ref.vertices.shape
+            np.testing.assert_allclose(got.vertices, ref.vertices, rtol=0, atol=1e-12)
+            assert abs(got.area_with_origin() / ref.area_with_origin() - 1.0) <= 1e-14
 
     def test_monte_carlo_needs_a_sample(self):
         K = unit_cross_polytope(3)
@@ -1026,6 +1059,15 @@ class TestNeChain:
 
 
 class TestPolygon2D:
+    def test_unit_marginals_decide_the_type(self):
+        # zonoid_from_polygon and DependencySet share one predicate, which NaN fails
+        unit = zonoid_from_polygon(Polygon2D(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        wide = zonoid_from_polygon(Polygon2D(np.array([[2.0, 0.0], [0.0, 1.0]])))
+        assert isinstance(unit, DependencySet) and not isinstance(wide, DependencySet)
+        nan_norm = geometry.AnalyticNorm("nan", 2, lambda X: np.full(X.shape[0], np.nan))
+        with pytest.raises(ValueError, match="not normalized"):
+            DependencySet(d=2, norm=nan_norm)
+
     def test_chain_endpoints_enforced(self):
         with pytest.raises(ValueError, match="axis"):
             Polygon2D(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -1128,6 +1170,26 @@ class TestValueEquality:
         assert scale(K1, [2.0, 3.0]) != scale(K1, [2.0, 4.0])
         assert cartesian_product(K1, K2) == cartesian_product(K2, K1)
         assert cartesian_product(K1, K1) != cartesian_product(K1, make_family("logistic", 2, p=3.0))
+
+    def test_samples_and_family_specs(self):
+        from maxzonoid.distribution import SampleMatrix
+        from maxzonoid.families import FamilySpec
+
+        v = np.array([[1.0, 2.0], [3.0, 4.0]])
+        S = SampleMatrix(v, 3, "poisson-stop", 10)
+        T = SampleMatrix(v.copy(), 3, "poisson-stop", 10)
+        assert S == T and hash(S) == hash(T) and len({S, T}) == 1
+        assert S != SampleMatrix(v, 4, "poisson-stop", 10)
+        assert S != SampleMatrix(v, 3, "poisson-stop", 11)
+        assert S != SampleMatrix(v + 1e-15, 3, "poisson-stop", 10)
+        assert S != SampleMatrix(v.reshape(1, 4), 3, "poisson-stop", 10)
+        F = FamilySpec("marshall_olkin", 2, {"alpha1": 0.3, "alpha2": 0.7})
+        G = FamilySpec("marshall_olkin", 2, {"alpha2": 0.7, "alpha1": 0.3})
+        assert F == G and hash(F) == hash(G) and len({F, G}) == 1
+        assert F != FamilySpec("marshall_olkin", 2, {"alpha1": 0.3, "alpha2": 0.6})
+        assert FamilySpec("logistic", 2, {"p": 2.0}) != FamilySpec("logistic", 3, {"p": 2.0})
+        W = FamilySpec("matrix_weights", 2, {"matrix": [[1.0, 0.0], [0.0, 1.0]]})
+        assert hash(W) == hash(FamilySpec("matrix_weights", 2, {"matrix": [[1.0, 0.0], [0.0, 1.0]]}))
 
     def test_polygon_chains(self):
         P = Polygon2D(np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0]]))
