@@ -142,21 +142,21 @@ def _support_sum_3d(B, X):
 
 def planar_chain(B):
     """The boundary chain of the planar body of atoms B, the one sort of
-    planar atoms: the slopes B[:,0]/B[:,1] stably sorted, their order, and
-    vertices (vx[j], vy[j]), j = 0..m, from the x-axis to the y-axis: vx[j]
-    sums B[:,0] over atoms j.. of the order by a reversed cumsum (no
-    cancellation; the chain ends on the y-axis), vy[j] B[:,1] over ..j-1."""
+    planar atoms: the slopes B[:,0]/B[:,1] stably sorted, and vertices
+    (vx[j], vy[j]), j = 0..m, from the x-axis to the y-axis: vx[j] sums
+    B[:,0] over sorted atoms j.. by a reversed cumsum (no cancellation;
+    the chain ends on the y-axis), vy[j] B[:,1] over ..j-1."""
     r = _slopes(B[:, 0], B[:, 1])
     order = np.argsort(r, kind="stable")
     vx = np.append(np.cumsum(B[order[::-1], 0])[::-1], 0.0)
     vy = np.concatenate([[0.0], np.cumsum(B[order, 1])])
-    return r[order], order, vx, vy
+    return r[order], vx, vy
 
 
 def _support_sum_planar(B, X):
     """h at points X >= 0: x_1 vx[j] + x_2 vy[j] at the chain vertex j where
     x_2/x_1 falls among the slopes, as atoms j.. add B[k,0] x_1."""
-    r, _, vx, vy = planar_chain(B)
+    r, vx, vy = planar_chain(B)
     j = np.searchsorted(r, _slopes(X[:, 1], X[:, 0]), "left")
     return X[:, 0] * vx[j] + X[:, 1] * vy[j]
 

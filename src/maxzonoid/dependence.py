@@ -103,19 +103,15 @@ def spearman_rho(model, method="auto", n=200_000, seed=0):
 
 
 def _tau_discrete(sigma):
-    """Closed-form segment integration: between breakpoints the support
-    point y = (P, Q) is constant and h(t) = P t + Q (1 - t), so the
-    integrand P Q / h^2 integrates to P Q (tb - ta) / (h(ta) h(tb)).  The
-    j atoms with breakpoint a_2/(a_1 + a_2) <= ta, the j of highest slope,
-    face direction 1 on [ta, tb], so (P, Q) is planar chain vertex m - j."""
-    a = sigma.atoms
-    _, order, P_at, Q_at = planar_chain(sigma.scaled_atoms)
-    brk = (a[:, 1] / (a[:, 0] + a[:, 1]))[order[::-1]]  # ascending
-    ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
-    j = len(a) - np.searchsorted(brk, ts[:-1], "right")
-    P, Q = P_at[j], Q_at[j]
-    live = (P > 0.0) & (Q > 0.0)
-    P, Q, ta, tb = P[live], Q[live], ts[:-1][live], ts[1:][live]
+    """Closed-form segment integration: planar chain vertex (P, Q) is the
+    support point in direction (t, 1 - t) while t lies between the
+    breakpoints 1/(1 + r) of the slopes r of its two edges, where
+    h(t) = P t + Q (1 - t), so the integrand P Q / h^2 integrates to
+    P Q (tb - ta) / (h(ta) h(tb)).  Read from the y-axis, t ascends."""
+    r, P, Q = planar_chain(sigma.scaled_atoms)
+    P, Q, t = P[::-1], Q[::-1], np.concatenate([[0.0], 1.0 / (1.0 + r[::-1]), [1.0]])
+    live = (P > 0.0) & (Q > 0.0) & (t[:-1] < t[1:])  # tied slopes leave empty segments
+    P, Q, ta, tb = P[live], Q[live], t[:-1][live], t[1:][live]
     ha = P * ta + Q * (1.0 - ta)
     hb = P * tb + Q * (1.0 - tb)
     return float(1.0 - (P * Q * (tb - ta) / (ha * hb)).sum())

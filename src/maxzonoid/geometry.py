@@ -496,18 +496,18 @@ def _norm_chain(K, U):
 
 def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
     """Planar-only closure operations: convex hull, intersection by
-    polarity, (K1 & K2)° = conv(K1° | K2°), and the power mean
-    h = (lam*h1^p + (1-lam)*h2^p)^(1/p) materialized as a
+    polarity, (K1 & K2)° = conv(K1° | K2°) with each K° from polar_2d
+    and the body read back as the envelope of that hull's lines, and the
+    power mean h = (lam*h1^p + (1-lam)*h2^p)^(1/p) materialized as a
     supporting-line envelope."""
     if K1.d != 2 or K2.d != 2:
         raise ValueError("planar combination requires d = 2")
-    V1, V2 = _polygon_of(K1, directions).vertices, _polygon_of(K2, directions).vertices
     if mode == "hull":
-        return as_dependency(zonoid_from_polygon(_ne_chain(np.vstack([V1, V2]))))
+        V = [_polygon_of(K, directions).vertices for K in (K1, K2)]
+        return as_dependency(zonoid_from_polygon(_ne_chain(np.vstack(V))))
     if mode == "intersection":
-        polars = [_envelope_polygon(V, 1.0).vertices for V in (V1, V2)]
-        polar = _ne_chain(np.vstack(polars)).vertices
-        return as_dependency(zonoid_from_polygon(_envelope_polygon(polar, 1.0)))
+        polar = _ne_chain(np.vstack([polar_2d(K, directions).vertices for K in (K1, K2)]))
+        return as_dependency(zonoid_from_polygon(_envelope_polygon(polar.vertices, 1.0)))
     if mode == "power_mean":
         if p < 1:
             raise ValueError("power-mean exponent must be >= 1")

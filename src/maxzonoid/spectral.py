@@ -229,5 +229,5 @@ def polygon_from_spectral(sigma):
 
     if sigma.d != 2:
         raise ValueError("polygon materialization requires d = 2")
-    _, _, x, y = planar_chain(sigma.scaled_atoms)
+    _, x, y = planar_chain(sigma.scaled_atoms)
     return Polygon2D(np.column_stack([x, y]))

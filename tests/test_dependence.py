@@ -204,8 +204,9 @@ class TestKendall:
 
     def test_chain_sums_equal_breakpoint_sums(self, rng, log2):
         # reference: the atoms sorted by breakpoint a_2/(a_1 + a_2), P a
-        # prefix and Q a suffix sum in that order; the planar chain adds the
-        # same terms in the same order, so tau is equal bit for bit
+        # prefix and Q a suffix sum in that order.  The planar chain takes
+        # the breakpoints as 1/(1 + a_1/a_2) of its sorted slopes and sums
+        # tied atoms in another order, so the two agree to rounding only
         def by_breakpoint(sigma):
             a, w = sigma.atoms, sigma.masses
             brk = a[:, 1] / (a[:, 0] + a[:, 1])
@@ -225,7 +226,25 @@ class TestKendall:
                   make_family("marshall_olkin", 2, alpha1=0.3, alpha2=0.7).spectral]
         sigmas += [random_model(rng, 2, m).discrete for m in (1, 2, 5, 40, 200)]
         for sigma in sigmas:
-            assert kendall_tau_2d(zonoid_from_spectral(sigma)) == by_breakpoint(sigma)
+            tau = kendall_tau_2d(zonoid_from_spectral(sigma))
+            assert tau == pytest.approx(by_breakpoint(sigma), rel=0, abs=1e-15)
+
+    def test_tied_atoms_act_as_one(self, rng):
+        # repeated rows, which only a measure built directly can hold, give
+        # the tau of the merged atom: a tie leaves an empty segment
+        from maxzonoid.spectral import DiscreteSpectralMeasure
+
+        for m in (1, 3, 20):
+            pts = rng.random((m, 2))
+            pts /= pts.sum(axis=1, keepdims=True)
+            pts[0] = (1.0, 0.0)  # an axis atom ties with its copy too
+            w = rng.random(m) + 0.1
+            k = rng.integers(0, m, size=4)
+            tied = DiscreteSpectralMeasure(np.vstack([pts, pts[k]]), np.concatenate([w, w[k]]))
+            np.add.at(w, k, w[k])
+            merged = DiscreteSpectralMeasure(pts, w)
+            got = kendall_tau_2d(zonoid_from_spectral(tied))
+            assert got == pytest.approx(kendall_tau_2d(zonoid_from_spectral(merged)), rel=0, abs=1e-15)
 
     def test_fd_gradient_fallback_on_smooth_norm(self):
         from maxzonoid import AnalyticNorm, MaxZonoid, as_dependency

@@ -445,6 +445,21 @@ class TestCombine2D:
             I = combine_2d(A, B, "intersection")
             np.testing.assert_allclose(_support_finite(I, U), U.max(axis=1), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name, params", [
+        ("logistic", {"p": 2.0}), ("neg_logistic", {"lam": 1.0, "p": -1.0}),
+    ])
+    def test_intersection_of_norms(self, name, params):
+        # each body's polar is polar_2d: exact for atoms, inscribed for a
+        # norm, so a fit inside the norm is its intersection with it
+        F = make_family(name, 2, **params)
+        A = zonoid_from_spectral(discretize(F, 300).measure)
+        U = _quarter_circle(4096)
+        for X, Y in ((F, A), (A, F)):
+            I = combine_2d(X, Y, "intersection")
+            np.testing.assert_allclose(_support_finite(I, U), _support_finite(A, U), rtol=0, atol=1e-13)
+        I = combine_2d(F, F, "intersection")
+        np.testing.assert_allclose(_support_finite(I, U), _support_finite(F, U), rtol=0, atol=1e-5)
+
     def test_hull_is_pointwise_max(self, rng):
         K1, K2 = random_dependency(rng, 2, 4), random_dependency(rng, 2, 4)
         H = combine_2d(K1, K2, "hull")
@@ -547,7 +562,8 @@ class TestPolar:
 
     def test_radial_polar_matches_envelope_of_chain(self):
         # the envelope of the chain's lines <v, x> = 1 is the polar by the
-        # other route, kept for intersection and the half-plane estimator
+        # other route, kept where a chain of points is polarized: the hull
+        # of polars in intersection, and the half-plane estimator
         fits = [("logistic", {"p": 2.0}), ("neg_logistic", {"lam": 1.0, "p": -1.0}),
                 ("husler_reiss", {"lam": 1.0})]
         sigmas = [discretize(make_family(name, 2, **params), 1000).measure for name, params in fits]
