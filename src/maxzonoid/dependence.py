@@ -10,7 +10,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import planar_chain
 from .geometry import (
     Estimate,
     _simplex_quadrature,
@@ -37,6 +36,8 @@ class ExtremalTable:
             if not A or min(A) < 0 or max(A) >= self.d:
                 raise ValueError(f"invalid subset {sorted(key)}")
             vals[A] = float(v)
+            if not math.isfinite(vals[A]):
+                raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")
         object.__setattr__(self, "values", vals)
 
     def theta(self, subset):
@@ -108,8 +109,8 @@ def _tau_discrete(sigma):
     breakpoints 1/(1 + r) of the slopes r of its two edges, where
     h(t) = P t + Q (1 - t), so the integrand P Q / h^2 integrates to
     P Q (tb - ta) / (h(ta) h(tb)).  Read from the y-axis, t ascends."""
-    r, P, Q = planar_chain(sigma.scaled_atoms)
-    P, Q, t = P[::-1], Q[::-1], np.concatenate([[0.0], 1.0 / (1.0 + r[::-1]), [1.0]])
+    r, P, Q = sigma.chain[:3]  # r ends in +inf, the y-axis's t = 0
+    P, Q, t = P[::-1], Q[::-1], np.append(1.0 / (1.0 + r[::-1]), 1.0)
     live = (P > 0.0) & (Q > 0.0) & (t[:-1] < t[1:])  # tied slopes leave empty segments
     P, Q, ta, tb = P[live], Q[live], t[:-1][live], t[1:][live]
     ha = P * ta + Q * (1.0 - ta)

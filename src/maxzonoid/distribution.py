@@ -37,8 +37,8 @@ class SampleMatrix(_ByKey):
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if np.any(v <= 0):
-            raise ValueError("samples must be strictly positive")
+        if not ((v > 0) & (v < np.inf)).all():  # NaN fails both
+            raise ValueError("samples must be finite and strictly positive")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import SampleMatrix
 from .geometry import (
     Polygon2D,
     _envelope_polygon,
@@ -39,13 +40,9 @@ def direction_estimate(direction, value):
 def empirical_spectral(samples, s, reference="l1"):
     """Empirical exceedance measure: one atom z/|z| of mass s/n per
     observation with |z| >= s."""
-    X = samples.values if hasattr(samples, "values") else np.atleast_2d(
-        np.asarray(samples, dtype=float)
-    )
+    X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
     if s <= 0:
         raise ValueError("threshold must be positive")
-    if np.any(X <= 0):
-        raise ValueError("samples must be strictly positive")
     norms = reference_norm_of(X, reference)
     hit = norms >= s
     n_exc = int(hit.sum())
@@ -98,9 +95,7 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     or whose exceedances leave a coordinate empty, are flagged; bad data,
     grids, dimensions or a threshold that is not positive and finite
     fail the whole sweep."""
-    X = samples.values if hasattr(samples, "values") else np.atleast_2d(
-        np.asarray(samples, dtype=float)
-    )
+    X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
     s_grid = np.asarray(s_grid, dtype=float)
     if not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
         raise ValueError("thresholds must be positive and finite")

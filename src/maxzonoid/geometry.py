@@ -234,7 +234,7 @@ def _coordinate_extent(K):
 
 def _support_finite(K, X):
     if K.spectral is not None:
-        return _kernels.support_sum(K.spectral.scaled_atoms, X)
+        return _kernels.support_sum(K.spectral.chain if K.d == 2 else K.spectral.scaled_atoms, X)
     return np.asarray(K.norm.fn(X), dtype=float)
 
 

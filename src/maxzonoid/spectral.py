@@ -108,6 +108,10 @@ class DiscreteSpectralMeasure(_ByKey):
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def chain(self):  # of a planar measure, built once; read by h, the polygon and tau
+        return planar_chain(self.scaled_atoms)
+
     def marginal_sums(self):
         """sum_k mass_k * atom_{k,i} for each coordinate i."""
         return self.scaled_atoms.sum(axis=0)
@@ -218,16 +222,12 @@ def spectral_from_polygon_2d(polygon, reference="l1"):
 
 
 def polygon_from_spectral(sigma):
-    """Materialize the planar body of a 2-D measure as its vertex chain.
-
-    Edges are the scaled atoms sorted by direction, so the chain is
-    convex by construction and has one vertex per atom plus one.  It is
-    the exact inverse of spectral_from_polygon_2d: every atom comes back,
-    its edge within the rounding of the vertex sums.
-    """
+    """The planar body of a 2-D measure as its vertex chain, sigma.chain's
+    vertices: one per atom plus one, convex by construction, and the exact
+    inverse of spectral_from_polygon_2d (every atom comes back, its edge
+    within the rounding of the vertex sums)."""
     from .geometry import Polygon2D
 
     if sigma.d != 2:
         raise ValueError("polygon materialization requires d = 2")
-    _, x, y = planar_chain(sigma.scaled_atoms)
-    return Polygon2D(np.column_stack([x, y]))
+    return Polygon2D(np.column_stack([sigma.chain.vx, sigma.chain.vy]))

@@ -191,6 +191,13 @@ class TestTheta:
         captured = capsys.readouterr()
         assert "tol" in captured.err and "consistent" not in captured.out
 
+    def test_check_nan_theta_exit2(self, tmp_path, capsys):
+        # json reads the NaN literal; NaN would pass every weight test
+        spec = write_model(tmp_path, "nan.json", {"extremal": {"d": 2, "theta": {"1,2": math.nan}}})
+        assert main(["check-theta", "--model", spec]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "consistent" not in captured.out
+
     def test_construct_emits_model(self, tmp_path):
         spec = write_model(
             tmp_path, "t.json",
@@ -227,6 +234,13 @@ class TestEstimateAndConverge:
         doc = read_json(out)["results"]
         assert doc["n_exceedances"] >= 1
         assert "normalized_polygon" in doc
+
+    def test_estimate_nan_row_exit2(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("x1,x2\n1.5,2.0\nnan,30.0\n40.0,3.0\n50.0,60.0\n")
+        assert main(["estimate", "--data", str(data), "--threshold", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "n_exceedances" not in captured.out
 
     def test_converge(self, tmp_path, sample_csv):
         spec = write_model(

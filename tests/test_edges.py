@@ -205,6 +205,12 @@ class TestDependenceGuards:
         with pytest.raises(ValueError, match="invalid subset"):
             mz.ExtremalTable(2, {frozenset([3]): 1.0})
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_extremal_table_rejects_nonfinite(self, theta):
+        # a NaN coefficient would pass every consistency test
+        with pytest.raises(ValueError, match="must be finite"):
+            mz.ExtremalTable(2, {frozenset([0, 1]): theta})
+
 
 _BAD_COUNTS = [2.5, float("nan"), 10.0, float("inf"), "10"]
 
@@ -294,6 +300,15 @@ class TestEstimateGuards:
     def test_samples_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             mz.empirical_spectral(np.zeros((5, 2)), 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_samples_finite(self, bad):
+        X = np.full((5, 2), 30.0)
+        X[2, 0] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            mz.empirical_spectral(X, 1.0)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            mz.SampleMatrix(X)
 
     def test_estimator_is_planar(self):
         est = mz.direction_estimate([1.0, 0.0, 0.0], 1.0)

@@ -9,12 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxzonoid import (
+    MaxStableModel,
     _kernels,
+    cdf,
+    copula,
     discretize,
     hausdorff_distance,
+    kendall_tau_2d,
     m_distance,
     make_family,
+    make_measure,
+    pickands,
     polar_volume,
+    polygon_from_spectral,
+    spectral,
     unit_cross_polytope,
     unit_cube,
     zonoid_from_spectral,
@@ -84,6 +92,68 @@ def test_planar_support_tiny_coordinates_do_not_warn():
         warnings.simplefilter("error")
         got = _kernels._support_sum_planar(B, X)
     np.testing.assert_array_equal(got, dense_support(B, X))
+
+
+# axis slopes, subnormals and ties among ordinary slopes
+_slope = st.one_of(
+    st.sampled_from([0.0, np.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0]),
+    st.floats(0.0, np.inf, allow_nan=False),
+    st.floats(1e-3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes=st.lists(_slope, min_size=1, max_size=40), crowd=st.booleans())
+def test_chain_position_is_searchsorted(slopes, crowd):
+    r = np.array(slopes)
+    if crowd:  # 1000 slopes one ulp apart, between two far ones, fill one bucket
+        r = np.concatenate([r, 1.0 + np.arange(1000) * np.finfo(float).eps, [1e-300, 1e300]])
+    B = np.where(np.isinf(r)[:, None], [1.0, 0.0], np.column_stack([r, np.ones_like(r)]))
+    with np.errstate(over="ignore"):  # sums and neighbours of slopes near the largest float
+        chain = _kernels.planar_chain(B)
+        q = np.concatenate([r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf), [0.0, np.inf]])
+    assert np.array_equal(chain.r, np.append(np.sort(r), np.inf))
+    if crowd:
+        assert np.diff(chain.first).max() > _kernels._WALK  # the walk's cap is reached
+    got = _kernels._chain_position(chain, q)
+    assert np.array_equal(got, np.searchsorted(chain.r[:-1], q, "left"))
+
+
+def test_support_sum_takes_atoms_or_their_chain(rng):
+    B = rng.random((50, 2)) ** 3
+    X = rng.random((200, 2)) * 4.0 - 1.0
+    chain = _kernels.planar_chain(B)
+    assert chain.shape == B.shape
+    assert np.array_equal(_kernels.support_sum(chain, X), _kernels.support_sum(B, X))
+
+
+def test_chain_is_read_only():
+    chain = make_measure([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]], [1.0, 0.5, 0.5]).chain
+    for a in (chain.r, chain.vx, chain.vy, chain.first):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_chain_is_built_once_per_measure(monkeypatch):
+    calls, build = [], _kernels.planar_chain
+
+    def counted(B):
+        calls.append(B)
+        return build(B)
+
+    for mod in (_kernels, spectral):
+        monkeypatch.setattr(mod, "planar_chain", counted)
+    model = MaxStableModel(random_dependency(np.random.default_rng(3), 2, 40))
+    U = np.random.default_rng(4).random((100, 2))
+    for _ in range(3):
+        cdf(model, 1.0 / U), copula(model, U), pickands(model, U[:, 0])
+        kendall_tau_2d(model), polygon_from_spectral(model.spectral)
+    # construction builds the chains of the measures it normalizes on the way
+    assert [B is model.spectral.scaled_atoms for B in calls].count(True) == 1
+    built = len(calls)
+    cdf(model, 1.0 / U), kendall_tau_2d(model)
+    assert len(calls) == built
 
 
 @settings(max_examples=300, deadline=None)
