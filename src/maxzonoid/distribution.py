@@ -15,6 +15,7 @@ import numpy as np
 from .geometry import (
     DependencySet,
     _as_count,
+    _as_points,
     _fields,
     _mc_chunks,
     _support_finite,
@@ -87,22 +88,13 @@ def model_from_zonoid(K, discrete=None):
     return MaxStableModel(K, discrete)
 
 
-def _as_points(x, d):
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != d:
-        raise ValueError(f"points have dimension {X.shape[1]}, model has {d}")
-    return X, single
-
-
 def cdf(model, x):
     """F(x) = exp(-h(K, x*)); coordinates may be 0 (gives 0) or +inf
     (marginalizes that coordinate)."""
     X, single = _as_points(x, model.d)
     if np.any(X < 0):
         raise ValueError("the law lives on the nonnegative orthant")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(X == 0, np.inf, 1.0 / X)
     vals = np.exp(-np.atleast_1d(support_function(model, inv)))
     return float(vals[0]) if single else vals
@@ -132,12 +124,12 @@ def pickands(model, t):
     else:
         single = T.ndim == 1
         T = np.atleast_2d(T)
-    if T.shape[1] != model.d - 1:
-        raise ValueError(f"need {model.d - 1} simplex coordinates per point")
-    last = 1.0 - T.sum(axis=1)
+    if T.ndim != 2 or T.shape[1] != model.d - 1:
+        raise ValueError(f"need {model.d - 1} simplex coordinates per point: shape (n, {model.d - 1}), not {T.shape}")
+    last = 1.0 - sum(T.T)  # column by column, as numpy sums a row of < 8 terms
     if np.any(T < -1e-12) or np.any(last < -1e-12):
         raise ValueError("coordinates must lie in the unit simplex")
-    X = np.column_stack([T, np.clip(last, 0.0, None)])
+    X = np.column_stack([*T.T, np.clip(last, 0.0, None)])
     vals = np.atleast_1d(support_function(model, X))
     return float(vals[0]) if single else vals
 
@@ -255,7 +247,7 @@ def max_stability_check(model, n_fold=2, grid=None):
         axes = np.linspace(0.6, 3.0, 5)
         grid = np.array(np.meshgrid(*[axes] * model.d)).reshape(model.d, -1).T
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(grid == 0, np.inf, 1.0 / grid)
     F1 = np.exp(-np.atleast_1d(support_function(model, inv)))
     Fn = np.exp(-np.atleast_1d(support_function(model, inv / n_fold)))

@@ -24,6 +24,7 @@ from .geometry import (
     MaxZonoid,
     Polygon2D,
     _as_count,
+    _fold,
     _norm_chain,
     _quarter_circle,
     _simplex_lattice,
@@ -66,23 +67,20 @@ class FamilySpec:
 
 
 def _lp_norm_rows(X, p):
-    """Row-wise (sum x_i^p)^(1/p), overflow-safe for large |p|."""
-    M = X.max(axis=1)
-    out = np.zeros(X.shape[0])
-    pos = M > 0
+    """Row-wise (sum x_i^p)^(1/p), overflow-safe for large |p|, in whole-column
+    passes: M = max_i x_i, then (x_i / M)^p folded left to right; 0 where M = 0."""
+    M = _fold(np.maximum, X.T)
     if np.isinf(p):
-        return M if p > 0 else X.min(axis=1)
-    R = X[pos] / M[pos, None]
+        return M if p > 0 else _fold(np.minimum, X.T)
+    den = np.where(M > 0, M, 1.0)
+    R = [c / den for c in X.T]
     if p < 0:
         # convention: zero whenever a coordinate vanishes (limit from p < 0)
-        zero = (X[pos] <= 0).any(axis=1)
+        zero = _fold(np.logical_or, [c <= 0 for c in X.T])
         with np.errstate(divide="ignore", over="ignore"):
-            vals = M[pos] * (np.where(R > 0, R, 1.0) ** p).sum(axis=1) ** (1.0 / p)
-        vals[zero] = 0.0
-        out[pos] = vals
-    else:
-        out[pos] = M[pos] * (R**p).sum(axis=1) ** (1.0 / p)
-    return out
+            S = _fold(np.add, [np.where(r > 0, r, 1.0) ** p for r in R])
+            return np.where(zero, 0.0, M * S ** (1.0 / p))
+    return np.where(M > 0, M * _fold(np.add, [r**p for r in R]) ** (1.0 / p), 0.0)
 
 
 def _logistic_norm(d, p):
@@ -91,17 +89,14 @@ def _logistic_norm(d, p):
 
     def grad(X, _p=p):
         h = _lp_norm_rows(X, _p)
-        out = np.zeros_like(X)
-        pos = h > 0
-        out[pos] = (X[pos] / h[pos, None]) ** (_p - 1.0)
-        return out
+        return (X / np.where(h > 0, h, 1.0)[:, None]) ** (_p - 1.0)  # 0 where h = 0, as p > 1
 
     return AnalyticNorm("logistic", d, fn, grad, (p,))
 
 
 def _neg_logistic_norm(lam, p):
     def fn(X, _l=lam, _p=p):
-        return X.sum(axis=1) - _l * _lp_norm_rows(X, _p)
+        return X[:, 0] + X[:, 1] - _l * _lp_norm_rows(X, _p)
 
     def grad(X, _l=lam, _p=p):
         out = np.ones_like(X)
@@ -135,7 +130,7 @@ def _normal_cdf(x):
 def _husler_reiss_norm(lam):
     def _parts(X, _l=lam):
         x1, x2 = X[:, 0], X[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r = np.log(np.where(x2 > 0, x1, 1.0) / np.where(x2 > 0, x2, 1.0))
         a = _l + r / (2.0 * _l)
         b = _l - r / (2.0 * _l)
@@ -143,11 +138,8 @@ def _husler_reiss_norm(lam):
 
     def fn(X, _l=lam):
         x1, x2, a, b = _parts(X)
-        interior = (x1 > 0) & (x2 > 0)
-        out = x1 + x2  # axis limit
-        out[interior] = (x1[interior] * _normal_cdf(a[interior])
-                         + x2[interior] * _normal_cdf(b[interior]))
-        return out
+        interior = (x1 > 0) & (x2 > 0)  # else the axis limit x1 + x2
+        return np.where(interior, x1 * _normal_cdf(a) + x2 * _normal_cdf(b), x1 + x2)
 
     def grad(X, _l=lam):
         x1, x2, a, b = _parts(X)

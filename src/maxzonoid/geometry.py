@@ -225,11 +225,23 @@ def zonoid_from_polygon(polygon):
 # support evaluation
 
 
-def _coordinate_extent(K):
-    """Boolean mask of coordinates where the body has positive extent."""
-    if K.spectral is not None:
-        return (K.spectral.scaled_atoms > ATOM_TOL).any(axis=0)
-    return np.ones(K.d, dtype=bool)
+def _fold(f, cols):
+    """f(...f(c_0, c_1)..., c_k) left to right into a new array; for np.add the
+    order in which numpy sums a row of fewer than 8 terms, so the same bits."""
+    out = np.array(cols[0])
+    for c in cols[1:]:
+        f(out, c, out=out)
+    return out
+
+
+def _as_points(x, d, what="points"):
+    """x as an (n, d) float array, and whether it was one point (d,)."""
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"{what} of dimension {d} have shape (n, {d}) or ({d},), not {X.shape}")
+    return X, single
 
 
 def _support_finite(K, X):
@@ -241,30 +253,27 @@ def _support_finite(K, X):
 def support_function(K, x):
     """h(K, x) = sup over the body of the scalar product with x.
 
-    x takes nonnegative coordinates, +inf allowed (the convention
-    0 * inf = 0 applies in atom products, matching marginalization).
+    x is one direction (d,) or a batch (n, d) of nonnegative coordinates,
+    +inf allowed; a batch is one kernel call on whole columns.  A row with
+    +inf on a coordinate where the body has extent gives +inf: every
+    coordinate of an analytic norm, those of an atom list where some scaled
+    atom exceeds ATOM_TOL.  Any other +inf counts as 0 (0 * inf = 0 in atom
+    products, matching marginalization).
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != K.d:
-        raise ValueError(f"direction has dimension {X.shape[1]}, body has {K.d}")
+    X, single = _as_points(x, K.d, "directions")
     if np.isnan(X).any():
         raise ValueError("directions must not be NaN")
     if np.any(X < 0):
         raise ValueError("directions must be nonnegative")
-    out = np.empty(X.shape[0])
-    inf_rows = np.isinf(X).any(axis=1)
-    if inf_rows.any():
-        extent = _coordinate_extent(K)
-        hit = (np.isinf(X) & extent[None, :]).any(axis=1)
+    inf = np.isinf(X)
+    if not inf.any():
+        out = _support_finite(K, X)
+    else:
+        out = _support_finite(K, np.where(inf, 0.0, X))
+        hit = np.zeros(len(X), dtype=bool)
+        for i in range(K.d) if K.spectral is None else np.flatnonzero(K.spectral.extent):
+            hit |= inf[:, i]
         out[hit] = np.inf
-        rest = inf_rows & ~hit
-        if rest.any():
-            out[rest] = _support_finite(K, np.where(np.isinf(X[rest]), 0.0, X[rest]))
-    fin = ~inf_rows
-    if fin.any():
-        out[fin] = _support_finite(K, np.ascontiguousarray(X[fin]))
     return float(out[0]) if single else out
 
 

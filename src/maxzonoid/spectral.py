@@ -112,6 +112,13 @@ class DiscreteSpectralMeasure(_ByKey):
     def chain(self):  # of a planar measure, built once; read by h, the polygon and tau
         return planar_chain(self.scaled_atoms)
 
+    @cached_property
+    def extent(self):
+        """Coordinates where the body has positive extent: some scaled atom exceeds ATOM_TOL."""
+        arr = (self.scaled_atoms > ATOM_TOL).any(axis=0)
+        arr.setflags(write=False)
+        return arr
+
     def marginal_sums(self):
         """sum_k mass_k * atom_{k,i} for each coordinate i."""
         return self.scaled_atoms.sum(axis=0)
