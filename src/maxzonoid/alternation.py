@@ -11,16 +11,39 @@ directly build a model with atoms on the 0/1 directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, inf
 
 import numpy as np
 
 from .distribution import MaxStableModel
 from .geometry import MaxZonoid, subset_indicator_lattice
-from .spectral import make_measure
+from .spectral import _normalized, make_measure
 
 ALT_TOL = 1e-9
+
+
+def _point_key(p):
+    """A lattice point's identity: its coordinates rounded to 9 decimals."""
+    return tuple(np.round(p, 9))
+
+
+def _max_table(pts):
+    """table[i, j] = index in pts of max(pts[i], pts[j]), the last of the
+    points with its key; ValueError at the first pairwise maximum missing."""
+    keys = {_point_key(p): i for i, p in enumerate(pts)}
+    table = np.empty((len(pts), len(pts)), dtype=np.intp)
+    for i, j in combinations_with_replacement(range(len(pts)), 2):
+        k = keys.get(_point_key(np.maximum(pts[i], pts[j])))
+        if k is None:
+            raise ValueError("point set is not closed under maxima")
+        table[i, j] = table[j, i] = k
+    return table
+
+
+def _subset(mask, d):
+    """The coordinate subset of a bitmask over d coordinates."""
+    return frozenset(i for i in range(d) if (mask >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -34,24 +57,18 @@ class FiniteMaxLattice:
     scaling_ok: bool = field(init=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.array(self.points, dtype=float))  # a copy, made read-only
         if np.any(pts < 0):
             raise ValueError("lattice points must be nonnegative")
-        keys = {tuple(np.round(p, 9)) for p in pts}
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if tuple(np.round(np.maximum(pts[i], pts[j]), 9)) not in keys:
-                    raise ValueError("point set is not closed under maxima")
-        pts = pts.copy()
+        _max_table(pts)  # raises unless closed; the table is not kept
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.values is not None:
-            vals = np.asarray(self.values, dtype=float)
+            vals = np.array(self.values, dtype=float)
             if vals.shape != (len(pts),):
                 raise ValueError("need one value per lattice point")
             if np.any(vals < 0):
                 raise ValueError("lattice values must be nonnegative")
-            vals = vals.copy()
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
         object.__setattr__(self, "scaling_ok", _scaling_condition(pts))
@@ -70,14 +87,14 @@ def _scaling_condition(pts):
 def max_closure(points, max_size=100_000):
     """Close a point set under coordinatewise maxima."""
     pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
-    seen = {tuple(np.round(p, 9)) for p in pts}
+    seen = {_point_key(p) for p in pts}
     frontier = list(pts)
     while frontier:
         new = []
         for q in frontier:
             for p in pts:
                 m = np.maximum(p, q)
-                key = tuple(np.round(m, 9))
+                key = _point_key(m)
                 if key not in seen:
                     seen.add(key)
                     new.append(m)
@@ -118,22 +135,13 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
         if f is None:
             if points.values is None:
                 raise ValueError("lattice carries no values and f is None")
-            table_vals = points.values
-            f = lambda X, _v=table_vals: _v
+            f = lambda X, _v=points.values: _v
         points = points.points
     elif f is None:
         raise ValueError("f is required unless a value-carrying lattice is given")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
-    keys = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
-    # index table of pairwise maxima; fails fast when not closed
-    table = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i, n):
-            key = tuple(np.round(np.maximum(pts[i], pts[j]), 9))
-            if key not in keys:
-                raise ValueError("point set is not closed under maxima")
-            table[i, j] = table[j, i] = keys[key]
+    table = _max_table(pts)
     values = np.asarray(f(pts), dtype=float)
     if values.shape != (n,):
         raise ValueError("f must map (n, d) points to (n,) values")
@@ -200,11 +208,7 @@ def _theta_array(table):
     if not table.is_complete():
         raise ValueError("need theta_A for every nonempty subset")
     d = table.d
-    theta = np.zeros(2**d)
-    for A, v in table.values.items():
-        mask = sum(1 << i for i in A)
-        theta[mask] = v
-    return theta
+    return np.array([0.0] + [table.values[_subset(mask, d)] for mask in range(1, 2**d)])
 
 
 def check_extremal_consistency(table, tol=ALT_TOL):
@@ -218,22 +222,17 @@ def check_extremal_consistency(table, tol=ALT_TOL):
     theta = _theta_array(table)
     full = 2**d - 1
     for i in range(d):
-        if abs(theta[1 << i] - 1.0) > 1e-9:
+        if not _normalized(theta[[1 << i]]):
             raise ValueError(f"theta of coordinate {i} must be 1 (unit Frechet)")
-    g = theta[full] - theta[full ^ np.arange(2**d)]
-    c = g.copy()
+    c = theta[full] - theta[full ^ np.arange(2**d)]  # g, inverted in place below
     for i in range(d):
         bit = 1 << i
         has = (np.arange(2**d) & bit).astype(bool)
         c[has] -= c[np.arange(2**d)[has] ^ bit]
     worst = int(np.argmin(c[1:])) + 1
     if c[worst] < -tol:
-        subset = frozenset(i for i in range(d) if (worst >> i) & 1)
-        return ConsistencyResult(False, None, subset, float(c[worst]))
-    weights = {
-        frozenset(i for i in range(d) if (mask >> i) & 1): float(c[mask])
-        for mask in range(1, 2**d)
-    }
+        return ConsistencyResult(False, None, _subset(worst, d), float(c[worst]))
+    weights = {_subset(mask, d): float(c[mask]) for mask in range(1, 2**d)}
     return ConsistencyResult(True, MobiusWeights(d, weights))
 
 
@@ -264,12 +263,7 @@ def construct_from_extremal(table):
 def theta_alternation_check(table, max_order=None):
     """Direct successive-difference check of A -> theta_A on the subset
     lattice; agrees with check_extremal_consistency."""
-    d = table.d
     theta = _theta_array(table)
-    pts = subset_indicator_lattice(d, include_origin=True)
-
-    def f(X):
-        masks = (X > 0.5).astype(int) @ (1 << np.arange(d))
-        return theta[masks]
-
-    return check_alternation(f, pts, max_order=max_order or d)
+    pts = subset_indicator_lattice(table.d, include_origin=True)
+    # row m of the lattice indicates the subset of mask m, so f is theta on every row
+    return check_alternation(lambda X: theta, pts, max_order=max_order or table.d)

@@ -46,6 +46,7 @@ from .estimate import convergence_diagnostic, empirical_spectral
 from .families import FamilySpec, discretize
 from .geometry import Polygon2D, normalize_dependency, support_function
 from .spectral import (
+    _close_to_normalized,
     make_measure,
     polygon_from_spectral,
     spectral_from_polygon_2d,
@@ -71,6 +72,11 @@ def _subset_key(A):
     return ",".join(str(i + 1) for i in sorted(A))
 
 
+def _by_subset(values):
+    """{subset key: value}, smaller subsets first, lexicographic within a size."""
+    return {_subset_key(A): values[A] for A in sorted(values, key=lambda A: (len(A), sorted(A)))}
+
+
 def _parse_subset(key, d):
     idx = [int(tok) - 1 for tok in str(key).split(",")]
     if any(i < 0 or i >= d for i in idx):
@@ -92,17 +98,11 @@ def load_spec(path):
 
 def parse_extremal(body):
     d = int(body["d"])
-    values = {}
-    for key, v in body["theta"].items():
-        values[_parse_subset(key, d)] = float(v)
+    values = {_parse_subset(key, d): float(v) for key, v in body["theta"].items()}
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
-    missing = [
-        _subset_key(A)
-        for k in range(2, d + 1)
-        for A in combinations(range(d), k)
-        if frozenset(A) not in values
-    ]
+    subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
+    missing = [_subset_key(A) for A in subsets if A not in values]
     if missing:
         raise ValueError(f"extremal table is missing subsets {missing}")
     return ExtremalTable(d, values)
@@ -123,7 +123,7 @@ def build_model(spec, form):
             vertices = np.asarray(spec["polygon"]["vertices"], float)
             sigma = spectral_from_polygon_2d(Polygon2D.from_chain(vertices))
         K = zonoid_from_spectral(sigma)
-        if np.abs(K.marginals() - 1.0).max() > 1e-6:
+        if not _close_to_normalized(K.marginals()):
             raise ValueError(
                 f"{form} model is not a dependency set: marginal sums "
                 f"{K.marginals().tolist()}"
@@ -137,6 +137,14 @@ def build_model(spec, form):
 def load_model(path):
     spec, form = load_spec(path)
     return build_model(spec, form), spec
+
+
+def _load_extremal(args):
+    """The spec and ExtremalTable of args.model, which must be an extremal file."""
+    spec, form = load_spec(args.model)
+    if form != "extremal":
+        raise ValueError(f"{args.command} needs an extremal model file")
+    return spec, parse_extremal(spec["extremal"])
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +279,7 @@ def cmd_measures(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     table = extremal_table(model, max_size=cap)
-    results = {
-        "theta": {_subset_key(A): v for A, v in sorted(table.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-    }
+    results = {"theta": _by_subset(table.values)}
     if d == 2:
         results["chi"] = chi(model)
         results["kendall_tau"] = kendall_tau_2d(model)
@@ -317,18 +323,11 @@ def cmd_spectral(args):
 
 
 def cmd_check_theta(args):
-    spec, form = load_spec(args.model)
-    if form != "extremal":
-        raise ValueError("check-theta needs an extremal model file")
-    table = parse_extremal(spec["extremal"])
+    spec, table = _load_extremal(args)
     res = check_extremal_consistency(table, tol=args.tol)
     if res.ok:
-        results = {
-            "consistent": True,
-            "weights": {_subset_key(B): c for B, c in sorted(
-                res.weights.c.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            ) if c > 1e-12},
-        }
+        weights = {B: c for B, c in res.weights.c.items() if c > 1e-12}
+        results = {"consistent": True, "weights": _by_subset(weights)}
     else:
         results = {
             "consistent": False,
@@ -340,14 +339,9 @@ def cmd_check_theta(args):
 
 
 def cmd_construct_theta(args):
-    spec, form = load_spec(args.model)
-    if form != "extremal":
-        raise ValueError("construct-theta needs an extremal model file")
-    model = construct_from_extremal(parse_extremal(spec["extremal"]))
-    doc = result_document(
-        "construct-theta", spec, {"spectral": _measure_to_spec(model.discrete)}
-    )
-    write_json(args.out, doc)
+    spec, table = _load_extremal(args)
+    results = {"spectral": _measure_to_spec(construct_from_extremal(table).discrete)}
+    write_json(args.out, result_document("construct-theta", spec, results))
     return 0
 
 

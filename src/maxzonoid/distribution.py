@@ -23,7 +23,7 @@ from .geometry import (
     subset_indicator_lattice,
     support_function,
 )
-from .spectral import DiscreteSpectralMeasure, _ByKey
+from .spectral import DiscreteSpectralMeasure, _ByKey, _close_to_normalized
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +175,7 @@ def simulate(model, n, seed):
         )
     A = sigma.scaled_atoms
     colsum = A.sum(axis=0)
-    if np.abs(colsum - 1.0).max() > 1e-6:
+    if not _close_to_normalized(colsum):
         raise ValueError(f"atom list is not normalized: marginal sums {colsum}")
     w = A.max(axis=1)
     A, w = A[w > 0], w[w > 0]
@@ -241,7 +241,7 @@ def exponent_density(model, z):
 def max_stability_check(model, n_fold=2, grid=None):
     """Max deviation of F(n x)^n from F(x) over a grid; zero (up to
     floating error) exactly when the support function is homogeneous."""
-    if n_fold < 2:
+    if not n_fold >= 2:  # NaN fails
         raise ValueError("need n_fold >= 2")
     if grid is None:
         axes = np.linspace(0.6, 3.0, 5)

@@ -41,7 +41,7 @@ def empirical_spectral(samples, s, reference="l1"):
     """Empirical exceedance measure: one atom z/|z| of mass s/n per
     observation with |z| >= s."""
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
-    if s <= 0:
+    if not s > 0:  # NaN fails
         raise ValueError("threshold must be positive")
     norms = reference_norm_of(X, reference)
     hit = norms >= s
@@ -103,12 +103,8 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     out = []
     for s in s_grid:
         n_exc = int((norms >= s).sum())
-        if n_exc == 0:
-            out.append(ConvergencePoint(float(s), float("nan"), 0, False))
-            continue
-        sigma = empirical_spectral(X, s, reference)
-        try:
-            K = normalize_dependency(zonoid_from_spectral(sigma))
+        try:  # no exceedances, or a coordinate without any
+            K = normalize_dependency(zonoid_from_spectral(empirical_spectral(X, s, reference)))
         except ValueError:
             out.append(ConvergencePoint(float(s), float("nan"), n_exc, False))
             continue

@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .spectral import (
     DiscreteSpectralMeasure,
+    _normalized,
     make_measure,
     rebase_reference,
     spectral_from_points,
@@ -220,7 +221,7 @@ def make_family(name, d=2, **params):
         if not np.all(A >= 0):
             raise ValueError("weights must be nonnegative")
         colsum = A.sum(axis=0)
-        if not np.abs(colsum - 1.0).max() <= 1e-9:
+        if not _normalized(colsum):
             raise ValueError(f"column sums must be 1, got {colsum}")
         sigma = spectral_from_points(A, np.ones(A.shape[0]))
         return as_dependency(MaxZonoid(d=d, spectral=sigma))

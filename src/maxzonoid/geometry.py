@@ -26,6 +26,9 @@ from .spectral import (
     ATOM_TOL,
     DiscreteSpectralMeasure,
     _ByKey,
+    _close_to_normalized,
+    _nondegenerate,
+    _normalized,
     make_measure,
     polygon_from_spectral,
     rebase_reference,
@@ -151,15 +154,10 @@ class DependencySet(MaxZonoid):
 
     def __post_init__(self):
         super().__post_init__()
-        if not _unit_marginals(self):
+        if not _normalized(self.marginals()):
             raise ValueError(
                 f"not normalized: support at basis vectors is {self.marginals()}, expected all 1"
             )
-
-
-def _unit_marginals(K):
-    """Whether h(K, e_i) = 1 within 1e-9 for every i; NaN fails."""
-    return bool((np.abs(K.marginals() - 1.0) <= 1e-9).all())
 
 
 def _fields(K):
@@ -177,7 +175,7 @@ def normalize_dependency(K):
     """Coordinatewise rescale onto unit marginals (always possible for a
     max-zonoid with positive coordinate extents)."""
     marg = K.marginals()
-    if np.any(marg <= EPS):
+    if not _nondegenerate(marg):
         raise ValueError("body has a degenerate coordinate, cannot normalize")
     if np.abs(marg - 1.0).max() <= 1e-12:
         return as_dependency(K)
@@ -218,7 +216,7 @@ def unit_cross_polytope(d):
 def zonoid_from_polygon(polygon):
     """The planar body of a vertex chain, stored as its edge atoms."""
     K = MaxZonoid(d=2, spectral=spectral_from_polygon_2d(polygon))
-    return as_dependency(K) if _unit_marginals(K) else K
+    return as_dependency(K) if _normalized(K.marginals()) else K
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +622,8 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     atom list.  mc: rejection sampling on the bounding box
     prod [0, 1/h(e_i)] with a binomial standard error taken at
     p = (accepted + 1)/(n + 2): of order box_vol/n even if p^ is 0 or 1.
-    auto: quadrature for d <= 3, else mc.
+    auto: quadrature for d <= 3, else mc.  A body with some h(K, e_i) at
+    most 1e-9 has an unbounded polar: it, or a NaN h(K, e_i), raises ValueError.
     """
     if method == "auto":
         method = "quadrature" if K.d in (2, 3) else "mc"
@@ -635,33 +634,31 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
     extents = K.marginals()
-    if np.any(extents <= EPS):
+    if not _nondegenerate(extents):
         raise ValueError("degenerate body: polar set is unbounded")
     if method == "quadrature":
         if K.d == 2 and K.spectral is not None:
             return Estimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
         return _simplex_quadrature(lambda T: _support_finite(K, T) ** -K.d / K.d, K.d)
     n = _as_count(n, "n")
-    if n < 1:
-        raise ValueError("Monte Carlo needs at least one sample")
     box = 1.0 / extents
     box_vol = float(np.prod(box))
+    K_box = scale(K, box)  # h(K_box, u) = h(K, box * u): u in the unit cube is x in the box
     accepted = 0
-    for chunk_lo, chunk_n, rng in _mc_chunks(n, seed):
-        X = rng.random((chunk_n, K.d)) * box
-        accepted += int((_support_finite(K, X) <= 1.0).sum())
+    for _, chunk_n, rng in _mc_chunks(n, seed):
+        accepted += int((_support_finite(K_box, rng.random((chunk_n, K.d))) <= 1.0).sum())
     p_tilde = (accepted + 1) / (n + 2)
     se = box_vol * math.sqrt(p_tilde * (1.0 - p_tilde) / n)
     return Estimate(box_vol * accepted / n, se, "mc", n, seed)
 
 
 def _mc_chunks(n, seed, chunk=65536):
-    """Deterministic chunked RNG streams: one spawned child per chunk index."""
-    n_chunks = (n + chunk - 1) // chunk
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for idx in range(n_chunks):
-        lo = idx * chunk
-        yield lo, min(chunk, n - lo), np.random.default_rng(children[idx])
+    """Deterministic chunked RNG streams for n >= 1 draws: one spawned child per chunk."""
+    if n < 1:
+        raise ValueError("Monte Carlo needs at least one sample")
+    children = np.random.SeedSequence(seed).spawn(-(-n // chunk))
+    for lo, child in zip(range(0, n, chunk), children):
+        yield lo, min(chunk, n - lo), np.random.default_rng(child)
 
 
 def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
@@ -671,11 +668,8 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     if not 0.0 < beta < 1.0:
         raise ValueError("the proposal rate beta must lie in (0, 1)")
     n = _as_count(n, "n")
-    if n < 1:
-        raise ValueError("Monte Carlo needs at least one sample")
     d = K.d
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     for _, chunk_n, rng in _mc_chunks(n, seed):
         X = rng.exponential(1.0 / beta, size=(chunk_n, d))
         w = beta**-d * np.exp(beta * X.sum(axis=1) - _support_finite(K, X))
@@ -727,12 +721,16 @@ def hausdorff_distance(K1, K2, grid_n=None):
     unit length otherwise; the value is a lower bound that can only rise
     under nested refinement (doubling grid_n in d = 2, a lattice whose
     resolution is a multiple of the old one in d >= 3).  Returned as an
-    Estimate with method "grid-lower-bound" and the direction count."""
+    Estimate with method "grid-lower-bound" and the direction count.  The
+    bodies need not be normalized, but a NaN support value on the grid
+    raises ValueError."""
     if K1.d != K2.d:
         raise ValueError("bodies must share a dimension")
     U = _distance_grid(K1.d, grid_n)
     U = U / np.linalg.norm(U, axis=1, keepdims=True)
     gap = np.abs(_support_finite(K1, U) - _support_finite(K2, U)).max()
+    if np.isnan(gap):
+        raise ValueError("support function is NaN on the direction grid")
     return Estimate(gap, 0.0, "grid-lower-bound", len(U))
 
 
@@ -741,6 +739,8 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     sets, log inf prod(lam_i) over lam with K1 in lam*K2 and K2 in lam*K1,
     searched with containment tested on a direction grid: the quarter
     circle in d = 2, else the simplex lattice, plus the 0/1 corners.
+    Each body's h(K, e_i) must be within DEP_TOL = 1e-6 of 1, which NaN
+    fails; otherwise ValueError.
 
     The value, an Estimate with method "grid-infimum-upper-bound" and the
     direction count, is log prod(lam) where one pass of coordinate
@@ -779,7 +779,7 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
         raise ValueError(f"lam_tol must be positive and finite, got {lam_tol!r}")
     d = K1.d
     for K in (K1, K2):
-        if np.abs(K.marginals() - 1.0).max() > 1e-6:
+        if not _close_to_normalized(K.marginals()):
             raise ValueError("m-distance is defined for dependency sets")
     U = np.vstack([_distance_grid(d, grid_n), _corner_directions(d)])
     h1 = _support_finite(K1, U)

@@ -22,6 +22,21 @@ DEP_TOL = 1e-6
 REFERENCE_NORMS = ("l1", "l2", "linf")
 
 
+def _normalized(marginals):
+    """Every h(K, e_i) is 1 within 1e-9, as in a dependency set; NaN fails."""
+    return bool((np.abs(marginals - 1.0) <= 1e-9).all())
+
+
+def _close_to_normalized(marginals):
+    """Every h(K, e_i) is 1 within DEP_TOL, close enough to use as one; NaN fails."""
+    return bool((np.abs(marginals - 1.0) <= DEP_TOL).all())
+
+
+def _nondegenerate(marginals):
+    """Every h(K, e_i) exceeds 1e-9, so the body has extent; NaN fails."""
+    return bool((marginals > 1e-9).all())
+
+
 def reference_norm_of(points, reference):
     """Row-wise reference norm of nonnegative points, shape (m,)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -200,8 +215,7 @@ def rebase_reference(sigma, new_reference):
 def validate_dependency(sigma):
     """Check the marginal normalization sum_k mass_k*atom_{k,i} = 1."""
     marg = sigma.marginal_sums()
-    ok = bool(np.abs(marg - 1.0).max() <= DEP_TOL)
-    return DependencyReport(ok, marg, sigma.total_mass)
+    return DependencyReport(_close_to_normalized(marg), marg, sigma.total_mass)
 
 
 def zonoid_from_spectral(sigma):

@@ -18,7 +18,7 @@ from maxzonoid import (
     unit_cross_polytope,
     unit_cube,
 )
-from maxzonoid.alternation import subset_indicator_lattice
+from maxzonoid.alternation import _max_table, subset_indicator_lattice
 from maxzonoid.geometry import _corner_directions
 
 from conftest import random_model
@@ -45,6 +45,25 @@ class TestLattice:
         pts = max_closure([[1.0, 0.5], [0.5, 1.0]])
         lat = FiniteMaxLattice(pts)
         assert not lat.scaling_ok  # t*(1, .5) <= (.5, 1) for t = 1/2 but not u <= v
+
+    def test_max_table_is_the_dict_construction(self):
+        def by_dict(pts):  # the index table as a dict of rounded keys builds it
+            n = len(pts)
+            keys = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
+            table = np.empty((n, n), dtype=np.intp)
+            for i in range(n):
+                for j in range(i, n):
+                    table[i, j] = table[j, i] = keys[tuple(np.round(np.maximum(pts[i], pts[j]), 9))]
+            return table
+
+        gen = np.random.default_rng(21)
+        for _ in range(5):
+            pts = np.round(gen.random((6, 3)) * 4.0) / 4.0  # ties in every coordinate
+            pts = np.vstack([pts, pts[:2], pts[2] + 1e-11])  # repeats, one within the rounding
+            closed = max_closure(pts)
+            np.testing.assert_array_equal(_max_table(closed), by_dict(closed))
+            lat = FiniteMaxLattice(closed)
+            assert set(vars(lat)) == {"points", "values", "scaling_ok"}  # no table kept
 
     def test_value_carrying_lattice(self):
         pts = max_closure([[1.0, 0.0], [0.0, 1.0]])

@@ -145,6 +145,39 @@ class TestGeometryGuards:
             mz.m_distance(unit_cube(2), unit_cube(3))
 
 
+def _nan_on_e1_axis():
+    """A planar body whose norm is NaN where x_2 = 0, so h(K, e_1) is NaN."""
+    def fn(X):
+        return np.where(X[:, 1] > 0, X.sum(axis=1), np.nan)
+
+    return MaxZonoid(d=2, norm=AnalyticNorm("nan-axis", 2, fn))
+
+
+class TestNaNIsNoAnswer:
+    """NaN fails every judgement of h(K, e_i) and every guard it meets."""
+
+    def test_m_distance_rejects_a_nan_marginal(self):
+        with pytest.raises(ValueError, match="defined for dependency sets"):
+            mz.m_distance(_nan_on_e1_axis(), unit_cube(2))
+
+    def test_polar_volume_rejects_a_nan_marginal(self):
+        for method in ("quadrature", "mc"):
+            with pytest.raises(ValueError, match="degenerate body"):
+                mz.polar_volume(_nan_on_e1_axis(), method=method)
+
+    def test_hausdorff_rejects_a_nan_grid_value(self):
+        with pytest.raises(ValueError, match="NaN on the direction grid"):
+            mz.hausdorff_distance(_nan_on_e1_axis(), unit_cube(2))
+
+    def test_empirical_spectral_rejects_a_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            mz.empirical_spectral(np.full((5, 2), 30.0), float("nan"))
+
+    def test_max_stability_check_rejects_a_nan_fold(self):
+        with pytest.raises(ValueError, match="n_fold >= 2"):
+            mz.max_stability_check(MaxStableModel(unit_cube(2)), float("nan"))
+
+
 class TestDistributionGuards:
     def test_model_from_zonoid(self):
         model = mz.model_from_zonoid(unit_cube(2))

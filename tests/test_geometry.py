@@ -590,6 +590,16 @@ class TestPolar:
             with pytest.raises(ValueError, match="at least one sample"):
                 exp_support_integral_mc(K, n=n)
 
+    def test_monte_carlo_volume_draws_are_pinned(self):
+        # accepted draws of 200 000 in the unit box at seeds 0-4: the polar
+        # of the cube is the simplex (1/6), that of the cross polytope the cube
+        accepted = {3: [33398, 33391, 33376, 33298, 33561], 1: [200_000] * 5}
+        for K in (unit_cube(3), unit_cross_polytope(3)):
+            for seed, count in enumerate(accepted[K.spectral.n_atoms]):
+                est = polar_volume(K, method="mc", seed=seed)
+                assert float(est) == count / 200_000
+                assert (est.method, est.n_samples, est.seed) == ("mc", 200_000, seed)
+
     def test_exp_integral_needs_beta_in_unit_interval(self):
         # beta >= 1 gives the weights infinite variance; beta = 0 divides by zero
         K = make_family("logistic", 2, p=2.0)
