@@ -10,7 +10,8 @@ four weighted 2-D dominance sums (Bentley 1980); one (b+1)^2 table per
 sum and block of b <= 512 atoms answers every point in
 O(m b + n (m/b) log b).  Otherwise, and for d >= 4, a running maximum of
 one outer product per coordinate fills cache-sized (rows, m) tiles in
-O(n m d), summed along the rows; they fill the NNLS design matrix too.
+O(n m d), summed along the rows; the NNLS design adds such products of
+one atom per symmetry orbit at a time (families._fit_nnls).
 Bodies of fewer than 8 atoms take (m, rows) tiles summed down the point
 columns, as rows of 1-7 terms pay numpy's per-row overhead on every
 point; numpy adds fewer than 8 terms of a row in order, as a column sum

@@ -11,7 +11,7 @@ directly build a model with atoms on the 0/1 directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, inf
 
 import numpy as np
@@ -23,21 +23,29 @@ from .spectral import _normalized, make_measure
 ALT_TOL = 1e-9
 
 
-def _point_key(p):
-    """A lattice point's identity: its coordinates rounded to 9 decimals."""
-    return tuple(np.round(p, 9))
+def _point_keys(P):
+    """Lattice points' identities: coordinates rounded to 9 decimals, -0.0
+    as the 0.0 it equals.  Rounding is monotone, so it commutes with max."""
+    return np.round(P, 9) + 0.0
 
 
 def _max_table(pts):
     """table[i, j] = index in pts of max(pts[i], pts[j]), the last of the
-    points with its key; ValueError at the first pairwise maximum missing."""
-    keys = {_point_key(p): i for i, p in enumerate(pts)}
+    points with its key; ValueError at a pairwise maximum missing.  The key
+    of a maximum is the maximum of the keys: row i is matched to the sorted
+    keys, by their bytes, in one searchsorted."""
+    keys = _point_keys(pts)
+    if np.isnan(keys).any():  # NaN equals no key
+        raise ValueError("point set is not closed under maxima")
+    rows = lambda K: np.ascontiguousarray(K).view(np.dtype((np.void, 8 * K.shape[1])))[:, 0]
+    uniq, first = np.unique(rows(keys)[::-1], return_index=True)  # the first from the end
     table = np.empty((len(pts), len(pts)), dtype=np.intp)
-    for i, j in combinations_with_replacement(range(len(pts)), 2):
-        k = keys.get(_point_key(np.maximum(pts[i], pts[j])))
-        if k is None:
+    for i, key in enumerate(keys):
+        q = rows(np.maximum(key, keys))
+        at = np.minimum(np.searchsorted(uniq, q), len(uniq) - 1)
+        if not np.all(uniq[at] == q):
             raise ValueError("point set is not closed under maxima")
-        table[i, j] = table[j, i] = k
+        table[i] = len(pts) - 1 - first[at]
     return table
 
 
@@ -87,14 +95,14 @@ def _scaling_condition(pts):
 def max_closure(points, max_size=100_000):
     """Close a point set under coordinatewise maxima."""
     pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
-    seen = {_point_key(p) for p in pts}
+    seen = {tuple(_point_keys(p)) for p in pts}
     frontier = list(pts)
     while frontier:
         new = []
         for q in frontier:
             for p in pts:
                 m = np.maximum(p, q)
-                key = _point_key(m)
+                key = tuple(_point_keys(m))
                 if key not in seen:
                     seen.add(key)
                     new.append(m)

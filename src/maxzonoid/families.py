@@ -12,6 +12,7 @@ to 2e-13 relative wherever Phi exceeds 1e-300.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -271,7 +272,9 @@ def discretize(K, m=1000, n_eval=2048):
     d >= 3 the masses of a simplex lattice of at most m atoms (so m >= d)
     are fit by nonnegative least squares to h on a finer simplex lattice
     ("nnls-bpp"): block principal pivoting returns the exact NNLS
-    minimizer, a KKT point, after one step of iterative refinement.
+    minimizer, a KKT point, after one step of iterative refinement, with
+    one weight per orbit of the coordinate swaps that keep h on the lattice
+    (91 orbits of 496 atoms for an exchangeable d = 3 body), which is exact.
     Marginal sums are renormalized to 1; the error is the largest support
     gap over n_eval directions (the simplex lattice of at most n_eval
     points in d >= 3).
@@ -298,14 +301,54 @@ def discretize(K, m=1000, n_eval=2048):
 
 
 def _fit_nnls(K, m):
+    """Masses of the lattice of at most m atoms fit to b = h(K, X) on a finer
+    lattice X, one per orbit (_orbit_labels), the design's columns summed
+    over orbits.  Exact: the full design has full column rank, so its NNLS
+    minimizer is unique, so kept by each swap, so constant on orbits; for b
+    symmetric to rounding, this fits b's orbit average.  With no symmetry
+    the design is max_products(atoms, X) bit for bit."""
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = _simplex_lattice(K.d, n_fit)
-    w = _nnls_bpp(_kernels.max_products(atoms, X), _support_finite(K, X))
+    b = _support_finite(K, X)
+    label = _orbit_labels(atoms, X, b)
+    order = np.argsort(label, kind="stable")
+    within = np.empty_like(label)  # each atom's place in its orbit, in lattice order
+    within[order] = np.arange(len(label)) - np.searchsorted(label[order], label[order])
+    # layer k: the k-th atom of each orbit of more than k atoms, a prefix of the orbits
+    layers = np.split(atoms[np.lexsort((label, within))], np.cumsum(np.bincount(within))[:-1])
+    A = _kernels.max_products(layers[0], X)  # the N x m design is never held
+    for B in layers[1:]:
+        A[:, : len(B)] += _kernels.max_products(B, X)
+    w = _nnls_bpp(A, b)[label]
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
     return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+
+
+def _orbit_labels(atoms, X, b):
+    """Each atom's orbit under the swaps of coordinates that map the rows of
+    X onto themselves, matched exactly (k/r is one float per integer k), and
+    keep b to 4 ulps of max|b|: the product of the symmetric groups on blocks
+    of coordinates, an orbit the coordinates sorted within blocks, numbered
+    from the largest orbit down, in lattice order among orbits of one size."""
+    block = np.arange(X.shape[1])
+    for i, j in itertools.combinations(range(X.shape[1]), 2):
+        if block[i] == block[j]:
+            continue  # the swaps found already generate this one
+        Y = X.copy()
+        Y[:, [i, j]] = X[:, [j, i]]
+        o = np.lexsort(Y.T[::-1])  # Y[o] = X: the swap of row o[k] is row k
+        if np.array_equal(Y[o], X) and np.abs(b[o] - b).max() <= 4 * np.spacing(np.abs(b).max()):
+            block[block == block[j]] = block[i]
+    S = atoms.copy()
+    for c in set(block):
+        S[:, block == c] = np.sort(S[:, block == c], axis=1)
+    o = np.lexsort(S.T[::-1])  # np.unique(S, axis=0) takes 3-5 times as long
+    label = np.empty(len(S), dtype=np.intp)
+    label[o] = np.cumsum(np.r_[True, (S[o][1:] != S[o][:-1]).any(axis=1)]) - 1
+    return np.argsort(np.argsort(-np.bincount(label), kind="stable"))[label]
 
 
 def _nnls_bpp(A, b):

@@ -30,6 +30,18 @@ def counterexample_support(X):
     return np.maximum(X.max(axis=1), (2.0 / 3.0) * X.sum(axis=1))
 
 
+def _max_table_by_dict(pts):
+    """The index table as a dict of rounded keys builds it, the last point
+    with a key winning."""
+    n = len(pts)
+    keys = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
+    table = np.empty((n, n), dtype=np.intp)
+    for i in range(n):
+        for j in range(i, n):
+            table[i, j] = table[j, i] = keys[tuple(np.round(np.maximum(pts[i], pts[j]), 9))]
+    return table
+
+
 class TestLattice:
     def test_closure(self):
         pts = max_closure([[1.0, 0.0], [0.0, 1.0]])
@@ -47,23 +59,26 @@ class TestLattice:
         assert not lat.scaling_ok  # t*(1, .5) <= (.5, 1) for t = 1/2 but not u <= v
 
     def test_max_table_is_the_dict_construction(self):
-        def by_dict(pts):  # the index table as a dict of rounded keys builds it
-            n = len(pts)
-            keys = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
-            table = np.empty((n, n), dtype=np.intp)
-            for i in range(n):
-                for j in range(i, n):
-                    table[i, j] = table[j, i] = keys[tuple(np.round(np.maximum(pts[i], pts[j]), 9))]
-            return table
-
         gen = np.random.default_rng(21)
         for _ in range(5):
             pts = np.round(gen.random((6, 3)) * 4.0) / 4.0  # ties in every coordinate
             pts = np.vstack([pts, pts[:2], pts[2] + 1e-11])  # repeats, one within the rounding
             closed = max_closure(pts)
-            np.testing.assert_array_equal(_max_table(closed), by_dict(closed))
+            np.testing.assert_array_equal(_max_table(closed), _max_table_by_dict(closed))
             lat = FiniteMaxLattice(closed)
             assert set(vars(lat)) == {"points", "values", "scaling_ok"}  # no table kept
+
+    def test_max_table_on_a_large_planar_lattice(self):
+        # 359 points, the max-closure of 40 random points on a 0.01 grid
+        closed = max_closure(np.round(np.random.default_rng(0).random((40, 2)), 2))
+        assert len(closed) == 359
+        np.testing.assert_array_equal(_max_table(closed), _max_table_by_dict(closed))
+
+    def test_max_table_keys_signed_zero_and_nan(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 0.5], [1.0, 0.5], [1.0, 1.0], [0.0, 0.5]])
+        np.testing.assert_array_equal(_max_table(pts), _max_table_by_dict(pts))
+        with pytest.raises(ValueError, match="not closed"):
+            _max_table(np.array([[0.0, 1.0], [np.nan, 1.0]]))
 
     def test_value_carrying_lattice(self):
         pts = max_closure([[1.0, 0.0], [0.0, 1.0]])

@@ -21,7 +21,9 @@ from maxzonoid import (
     unit_cube,
     zonoid_from_spectral,
 )
-from maxzonoid.geometry import AnalyticNorm, MaxZonoid, _simplex_lattice
+from maxzonoid import _kernels
+from maxzonoid.geometry import AnalyticNorm, MaxZonoid, _simplex_lattice, _support_finite, scale
+from maxzonoid.spectral import make_measure
 
 
 def simplex_grid(n=201):
@@ -447,6 +449,48 @@ class TestNnlsBpp:
         assert np.array_equal(res.measure.masses, ref.measure.masses)
         assert float(res.max_support_error) == float(ref.max_support_error)
 
+    # the orbit fit against the fit on the full lattice design, by block
+    # principal pivoting and by scipy: the same atoms, masses and error
+    @pytest.mark.parametrize(
+        "p, d, m, orbits", [(1.5, 3, 500, 91), (2.5, 3, 500, 91), (1.2, 3, 1000, 176), (2.5, 4, 500, 34)]
+    )
+    def test_orbit_fit_matches_full_design(self, monkeypatch, p, d, m, orbits):
+        K = make_family("logistic", d, p=p)
+        res, (A, _) = _recorded_fit(monkeypatch, K, m)
+        assert A.shape == (len(_fit_lattice(d, m)), orbits)
+        monkeypatch.setattr(families, "_orbit_labels", lambda atoms, X, b: np.arange(len(atoms)))
+        for solve in (families._nnls_bpp, lambda A, b: nnls(A, b)[0]):
+            monkeypatch.setattr(families, "_nnls_bpp", solve)
+            ref = discretize(K, m)
+            _assert_same_atoms(res.measure, ref.measure)
+            assert res.max_support_error == pytest.approx(ref.max_support_error, rel=1e-11)
+
+    def test_asymmetric_body_keeps_the_full_design(self, monkeypatch):
+        K = scale(make_family("logistic", 3, p=1.5), (1.0, 2.0, 3.0))
+        res, (A, _) = _recorded_fit(monkeypatch, K, 500)
+        atoms, X = _simplex_lattice(3, 500), _fit_lattice(3, 500)
+        assert np.array_equal(A, _kernels.max_products(atoms, X))
+        # the fit as written before orbits: one mass per lattice atom
+        w = families._nnls_bpp(A, _support_finite(K, X))
+        keep = w > 1e-12
+        ref = families._renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+        assert np.array_equal(res.measure.atoms, ref.atoms)
+        assert np.array_equal(res.measure.masses, ref.masses)
+        assert (res.measure.n_atoms, res.measure.masses.sum().hex()) == (366, "0x1.8000000000004p+1")
+
+    # two equal scale factors make a block of two coordinates.  d = 3, r = 30:
+    # a third coordinate c and an unordered pair summing to 30 - c, so
+    # sum over s = 0..30 of (s // 2 + 1) = 256 orbits; d = 4, r = 12: two
+    # unordered pairs summing to s and 12 - s, 140 orbits
+    @pytest.mark.parametrize("lam, orbits", [((1.0, 1.0, 2.0), 256), ((1.0, 2.0, 1.0, 2.0), 140)])
+    def test_equal_scale_factors_give_block_orbits(self, monkeypatch, lam, orbits):
+        K = scale(make_family("logistic", len(lam), p=2.5), lam)
+        res, (A, _) = _recorded_fit(monkeypatch, K, 500)
+        assert A.shape[1] == orbits
+        monkeypatch.setattr(families, "_orbit_labels", lambda atoms, X, b: np.arange(len(atoms)))
+        ref = discretize(K, 500)
+        _assert_same_atoms(res.measure, ref.measure)
+
     def test_rank_deficient_design_raises(self):
         # two equal columns, both in the first passive set: an exactly
         # singular block, never a set of weights
@@ -461,6 +505,37 @@ class TestNnlsBpp:
         monkeypatch.setattr(np.linalg, "solve", lambda G, rhs: -np.ones_like(rhs))
         with pytest.raises(ValueError, match="did not terminate"):
             families._nnls_bpp(rng.random((12, 5)), rng.random(12))
+
+
+def _fit_lattice(d, m):
+    """The lattice the d >= 3 fit is made on, for the atom lattice of at most m."""
+    return _simplex_lattice(d, min(max(4 * len(_simplex_lattice(d, m)), 1024), 8192))
+
+
+def _assert_same_atoms(sigma, ref):
+    """The same kept lattice atoms, as a set, and masses within 1e-12.  The
+    marginal renormalization moves atoms by ulps, and make_measure sorts
+    them as they are, so both are compared in the order of rounded atoms."""
+    order = [np.lexsort(np.round(s.atoms, 9).T[::-1]) for s in (sigma, ref)]
+    a, b = (s.atoms[o] for s, o in zip((sigma, ref), order))
+    assert a.shape == b.shape
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sigma.masses[order[0]], ref.masses[order[1]], rtol=0, atol=1e-12)
+
+
+def _recorded_fit(monkeypatch, K, m):
+    """discretize(K, m) and the one (design, data) pair it handed the solver."""
+    fits = []
+
+    def recording(A, b, _solve=families._nnls_bpp):
+        fits.append((A, b))
+        return _solve(A, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_nnls_bpp", recording)
+        res = discretize(K, m)
+    (fit,) = fits
+    return res, fit
 
 
 def _nnls_bpp_cholesky(A, b):
