@@ -18,15 +18,9 @@ import numpy as np
 
 from .distribution import MaxStableModel
 from .geometry import MaxZonoid, subset_indicator_lattice
-from .spectral import _normalized, make_measure
+from .spectral import _normalized, _point_keys, make_measure
 
 ALT_TOL = 1e-9
-
-
-def _point_keys(P):
-    """Lattice points' identities: coordinates rounded to 9 decimals, -0.0
-    as the 0.0 it equals.  Rounding is monotone, so it commutes with max."""
-    return np.round(P, 9) + 0.0
 
 
 def _max_table(pts):
@@ -84,11 +78,16 @@ class FiniteMaxLattice:
 
 def _scaling_condition(pts):
     """tu <= v for some t > 0 must imply u <= v (needed only for the
-    lattice-extension construction, not for difference checks)."""
-    for u in pts:
-        for v in pts:
-            if np.all(v[u > 0] > 0) and not np.all(u <= v + 1e-12):
-                return False
+    lattice-extension construction, not for difference checks): where v > 0
+    on the support of u, u <= v + 1e-12.  Checked on boolean (u, v, i)
+    arrays, a chunk of u at a time, of about 2**20 entries each."""
+    pos = pts > 0
+    rows = max(1, 2**20 // max(pts.size, 1))
+    for lo in range(0, len(pts), rows):
+        inside = ~(pos[lo : lo + rows, None] & ~pos).any(axis=2)
+        below = (pts[lo : lo + rows, None] <= pts + 1e-12).all(axis=2)
+        if (inside & ~below).any():
+            return False
     return True
 
 

@@ -274,14 +274,22 @@ def discretize(K, m=1000, n_eval=2048):
     ("nnls-bpp"): block principal pivoting returns the exact NNLS
     minimizer, a KKT point, after one step of iterative refinement, with
     one weight per orbit of the coordinate swaps that keep h on the lattice
-    (91 orbits of 496 atoms for an exchangeable d = 3 body), which is exact.
+    and one row per orbit of fit points, weighted by its size (91 atom
+    orbits of 496 and 341 point orbits of 1,953 for an exchangeable d = 3
+    body), which is exact: the weighted fit has the full fit's minimizer.
     Marginal sums are renormalized to 1; the error is the largest support
-    gap over n_eval directions (the simplex lattice of at most n_eval
-    points in d >= 3).
+    gap over n_eval directions (equally spaced on the quarter circle in
+    d = 2, the simplex lattice of at most n_eval points in d >= 3).  That
+    set must hold a direction off the axes, so n_eval is at least 3 in
+    d = 2 and d(d + 1)/2 in d >= 3; a smaller one raises ValueError, as
+    the gap would be read on the axes alone, where every fit is exact.
     """
     m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
     if m < 2:
         raise ValueError("need at least two atoms")
+    least = K.d * (K.d + 1) // 2  # 3 on the quarter circle, the resolution-2 lattice in d >= 3
+    if K.d > 1 and n_eval < least:
+        raise ValueError(f"n_eval = {n_eval} holds no off-axis direction in d = {K.d}; need {least}")
     if K.spectral is not None:
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
         return DiscretizeResult(sigma, Estimate(0.0, 0.0, "atoms", 0))
@@ -302,16 +310,22 @@ def discretize(K, m=1000, n_eval=2048):
 
 def _fit_nnls(K, m):
     """Masses of the lattice of at most m atoms fit to b = h(K, X) on a finer
-    lattice X, one per orbit (_orbit_labels), the design's columns summed
-    over orbits.  Exact: the full design has full column rank, so its NNLS
-    minimizer is unique, so kept by each swap, so constant on orbits; for b
-    symmetric to rounding, this fits b's orbit average.  With no symmetry
-    the design is max_products(atoms, X) bit for bit."""
+    lattice X: one weight per atom orbit and one row per point orbit under
+    the swaps _swap_blocks finds (_orbit_labels), the columns summed over
+    atom orbits, each row and b's orbit mean scaled by the root of the
+    orbit's size.  Exact: the full design has full column rank, so its
+    NNLS minimizer is unique, so kept by each swap, so constant on atom
+    orbits, where each row is constant on its point orbit: the weighted sum
+    of squares is the full one less a constant.  For b symmetric to
+    rounding, this fits b's orbit average.  With no symmetry the design is
+    max_products(atoms, X) bit for bit, its rows in lattice order."""
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = _simplex_lattice(K.d, n_fit)
     b = _support_finite(K, X)
-    label = _orbit_labels(atoms, X, b)
+    block = _swap_blocks(X, b)
+    label, row = _orbit_labels(atoms, block), _orbit_labels(X, block)
+    X, size = X[np.unique(row, return_index=True)[1]], np.bincount(row)  # each orbit's first point
     order = np.argsort(label, kind="stable")
     within = np.empty_like(label)  # each atom's place in its orbit, in lattice order
     within[order] = np.arange(len(label)) - np.searchsorted(label[order], label[order])
@@ -320,19 +334,19 @@ def _fit_nnls(K, m):
     A = _kernels.max_products(layers[0], X)  # the N x m design is never held
     for B in layers[1:]:
         A[:, : len(B)] += _kernels.max_products(B, X)
-    w = _nnls_bpp(A, b)[label]
+    A *= np.sqrt(size)[:, None]  # n (A w - mean b)^2 = (sqrt(n) A w - sum b / sqrt(n))^2
+    w = _nnls_bpp(A, np.bincount(row, weights=b) / np.sqrt(size))[label]
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
     return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
 
 
-def _orbit_labels(atoms, X, b):
-    """Each atom's orbit under the swaps of coordinates that map the rows of
-    X onto themselves, matched exactly (k/r is one float per integer k), and
-    keep b to 4 ulps of max|b|: the product of the symmetric groups on blocks
-    of coordinates, an orbit the coordinates sorted within blocks, numbered
-    from the largest orbit down, in lattice order among orbits of one size."""
+def _swap_blocks(X, b):
+    """Blocks of coordinates, one number each, whose swaps map the rows of X
+    onto themselves, matched exactly (k/r is one float per integer k), and
+    keep b to 4 ulps of max|b|: the swaps generate the product of the
+    symmetric groups on the blocks."""
     block = np.arange(X.shape[1])
     for i, j in itertools.combinations(range(X.shape[1]), 2):
         if block[i] == block[j]:
@@ -342,7 +356,14 @@ def _orbit_labels(atoms, X, b):
         o = np.lexsort(Y.T[::-1])  # Y[o] = X: the swap of row o[k] is row k
         if np.array_equal(Y[o], X) and np.abs(b[o] - b).max() <= 4 * np.spacing(np.abs(b).max()):
             block[block == block[j]] = block[i]
-    S = atoms.copy()
+    return block
+
+
+def _orbit_labels(P, block):
+    """Each row's orbit under the swaps within blocks, its coordinates sorted
+    within blocks, numbered from the largest orbit down and in lattice order
+    among orbits of one size: with no swaps, each row is its own, in order."""
+    S = P.copy()
     for c in set(block):
         S[:, block == c] = np.sort(S[:, block == c], axis=1)
     o = np.lexsort(S.T[::-1])  # np.unique(S, axis=0) takes 3-5 times as long

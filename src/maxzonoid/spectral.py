@@ -37,6 +37,12 @@ def _nondegenerate(marginals):
     return bool((marginals > 1e-9).all())
 
 
+def _point_keys(P):
+    """Points' identities: coordinates rounded to 9 decimals, -0.0 as the
+    0.0 it equals.  Rounding is monotone, so it commutes with max."""
+    return np.round(P, 9) + 0.0
+
+
 def reference_norm_of(points, reference):
     """Row-wise reference norm of nonnegative points, shape (m,)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -149,14 +155,18 @@ class DependencyReport:
 def make_measure(points, masses, reference="l1"):
     """Build a measure, merging atoms closer than ATOM_TOL on the sphere.
 
-    The atoms are sorted lexicographically, and a row joins the group of
-    the row before it when no coordinate differs from that row by more
-    than ATOM_TOL; a group's mass is the sum of its masses in sorted
-    order.  Grouping chains through neighbours, so a group of k rows
-    spans at most (k - 1) * ATOM_TOL.  Near-duplicates that the sort
-    puts apart stay separate atoms, which can happen in d >= 3 and at
-    the corner (1, 1) of the l-infinity circle.  Atoms of zero mass are
-    dropped; a negative mass raises ValueError."""
+    The atoms are sorted lexicographically by their 9-decimal keys
+    (_point_keys), so moving atoms by ulps reorders them only across a
+    rounding boundary; atoms of one key, by their coordinates, so such a
+    group starts at its least member whatever the input order; equal
+    atoms stay in input order.  A row joins the group of the row before
+    it when no coordinate differs from that row by more than ATOM_TOL; a
+    group's mass is the sum of its masses in sorted order.  Grouping
+    chains through neighbours, so a group of k rows spans at most
+    (k - 1) * ATOM_TOL.  Near-duplicates that the sort puts apart stay
+    separate atoms, which can happen in d >= 3 and at the corner (1, 1)
+    of the l-infinity circle.  Atoms of zero mass are dropped; a negative
+    mass raises ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     w = np.atleast_1d(np.asarray(masses, dtype=float)).copy()
     if not (np.isfinite(pts).all() and np.isfinite(w).all()):
@@ -170,7 +180,7 @@ def make_measure(points, masses, reference="l1"):
     norms = reference_norm_of(pts, reference)
     pts = pts / norms[:, None]
     if pts.shape[0] > 1:
-        order = np.lexsort(pts.T[::-1])
+        order = np.lexsort(np.vstack([_point_keys(pts).T, pts.T])[::-1])
         pts, w = pts[order], w[order]
         start = np.ones(pts.shape[0], dtype=bool)
         start[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > ATOM_TOL

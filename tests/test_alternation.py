@@ -18,7 +18,7 @@ from maxzonoid import (
     unit_cross_polytope,
     unit_cube,
 )
-from maxzonoid.alternation import _max_table, subset_indicator_lattice
+from maxzonoid.alternation import _max_table, _scaling_condition, subset_indicator_lattice
 from maxzonoid.geometry import _corner_directions
 
 from conftest import random_model
@@ -28,6 +28,15 @@ def counterexample_support(X):
     """Support of conv{0, e1, e2, e3, (2/3, 2/3, 2/3)}: a planar-looking
     body that is not a max-zonoid."""
     return np.maximum(X.max(axis=1), (2.0 / 3.0) * X.sum(axis=1))
+
+
+def _scaling_condition_by_loop(pts):
+    """The scaling condition as a loop over pairs builds it; a reference."""
+    for u in pts:
+        for v in pts:
+            if np.all(v[u > 0] > 0) and not np.all(u <= v + 1e-12):
+                return False
+    return True
 
 
 def _max_table_by_dict(pts):
@@ -57,6 +66,29 @@ class TestLattice:
         pts = max_closure([[1.0, 0.5], [0.5, 1.0]])
         lat = FiniteMaxLattice(pts)
         assert not lat.scaling_ok  # t*(1, .5) <= (.5, 1) for t = 1/2 but not u <= v
+
+    def test_scaling_condition_is_the_loop(self):
+        gen = np.random.default_rng(5)
+        seen = set()
+        for k in range(40):
+            # one level per coordinate keeps the condition; a raised entry may break it
+            pts = (gen.random((5, 3)) < 0.6) * np.round(1.0 + gen.random(3) * 3.0) / 3.0
+            pts[gen.integers(5), gen.integers(3)] += k % 2 / 3.0
+            closed = max_closure(pts)
+            ok = _scaling_condition(closed)
+            assert ok == _scaling_condition_by_loop(closed)
+            assert FiniteMaxLattice(closed).scaling_ok == ok
+            seen.add(ok)
+        assert seen == {True, False}
+
+    def test_scaling_condition_in_a_later_chunk(self):
+        # 512 points in d = 9 take three chunks of u; only u = 2 * (0, 1, ..., 1),
+        # next to last, breaks the condition, against v = (1, ..., 1)
+        pts = subset_indicator_lattice(9)
+        assert _scaling_condition(pts)
+        pts[-2] *= 2.0
+        assert not _scaling_condition(pts)
+        assert _scaling_condition(pts[:-1])
 
     def test_max_table_is_the_dict_construction(self):
         gen = np.random.default_rng(21)

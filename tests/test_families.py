@@ -12,10 +12,12 @@ from scipy.special import ndtr
 from maxzonoid import (
     DependencySet,
     FamilySpec,
+    MaxStableModel,
     discretize,
     families,
     make_family,
     polygon_from_spectral,
+    simulate,
     support_function,
     unit_cross_polytope,
     unit_cube,
@@ -254,6 +256,25 @@ class TestDiscretize:
             with pytest.raises(ValueError, match="n_eval must be an integer"):
                 discretize(K, 10, bad)
 
+    # the gap measured on the axes alone reads 0 for every fit: the first
+    # set with an off-axis direction has 3 points on the quarter circle and
+    # d(d + 1)/2 points, the resolution-2 simplex lattice, in d >= 3
+    @pytest.mark.parametrize("d, least", [(2, 3), (3, 6), (4, 10)])
+    def test_n_eval_needs_an_off_axis_direction(self, d, least):
+        K = make_family("logistic", d, p=1.5)
+        for bad in (0, 1, least - 1):
+            with pytest.raises(ValueError, match=f"n_eval = {bad} .*need {least}"):
+                discretize(K, 60, n_eval=bad)
+            with pytest.raises(ValueError, match="n_eval"):
+                discretize(unit_cube(d), 60, n_eval=bad)
+        res = discretize(K, 60, n_eval=least)
+        assert res.n_eval_directions == least
+        assert res.max_support_error > 1e-4
+
+    def test_one_dimension_takes_any_n_eval(self):
+        res = discretize(make_family("logistic", 1, p=2.0), 10, n_eval=0)
+        assert res.max_support_error == 0.0
+
     @pytest.mark.parametrize("d, m", [(3, 2), (4, 2), (4, 3), (5, 4)])
     def test_lattice_needs_d_atoms(self, d, m):
         with pytest.raises(ValueError, match=f"at least {d} atoms"):
@@ -331,6 +352,24 @@ class TestDiscretize:
         np.testing.assert_allclose(
             support_function(approx, X), support_function(K, X), atol=0.05
         )
+
+
+def test_ulp_moves_keep_fitted_atom_order_and_draws():
+    # the positive coordinates of each atom move up 1-4 ulps, as a refit's
+    # marginal renormalization moves them: sorted by their 9-decimal keys
+    # the atoms keep their order, so a simulation at a fixed seed keeps its
+    # rows.  One atom's coordinates move alike: a draw of an atom whose
+    # coordinates tie at its maximum may end its row's draws sooner, which
+    # would move the random stream of the rows after it
+    sigma = discretize(make_family("logistic", 3, p=1.5), 500).measure
+    P = sigma.atoms
+    ulps = np.random.default_rng(0).integers(1, 5, (len(P), 1))
+    moved = np.where(P > 0, P + ulps * np.spacing(P), 0.0)
+    ref, got = make_measure(P, sigma.masses), make_measure(moved, sigma.masses)
+    assert got.n_atoms == ref.n_atoms == sigma.n_atoms
+    np.testing.assert_allclose(got.atoms, ref.atoms, rtol=0, atol=1e-14)
+    draws = [simulate(MaxStableModel(zonoid_from_spectral(s)), 200, seed=7).values for s in (ref, got)]
+    np.testing.assert_allclose(draws[0], draws[1], rtol=1e-13, atol=0)
 
 
 def _simplex_lattice_by_list(d, m):
@@ -450,20 +489,20 @@ class TestNnlsBpp:
         assert float(res.max_support_error) == float(ref.max_support_error)
 
     # the orbit fit against the fit on the full lattice design, by block
-    # principal pivoting and by scipy: the same atoms, masses and error
+    # principal pivoting and by scipy: the same atoms, masses and error.
+    # The point orbits of the resolution-r fit lattice under all swaps are
+    # the partitions of r into at most d parts: round((r + 3)^2 / 12) in
+    # d = 3, so 341 at r = 61 (1,953 points) and 675 at r = 87 (3,916);
+    # in d = 4, r = 20 (1,771 points), 108 partitions of 20
     @pytest.mark.parametrize(
-        "p, d, m, orbits", [(1.5, 3, 500, 91), (2.5, 3, 500, 91), (1.2, 3, 1000, 176), (2.5, 4, 500, 34)]
+        "p, d, m, orbits, rows",
+        [(1.5, 3, 500, 91, 341), (2.5, 3, 500, 91, 341), (1.2, 3, 1000, 176, 675), (2.5, 4, 500, 34, 108)],
     )
-    def test_orbit_fit_matches_full_design(self, monkeypatch, p, d, m, orbits):
+    def test_orbit_fit_matches_full_design(self, monkeypatch, p, d, m, orbits, rows):
         K = make_family("logistic", d, p=p)
         res, (A, _) = _recorded_fit(monkeypatch, K, m)
-        assert A.shape == (len(_fit_lattice(d, m)), orbits)
-        monkeypatch.setattr(families, "_orbit_labels", lambda atoms, X, b: np.arange(len(atoms)))
-        for solve in (families._nnls_bpp, lambda A, b: nnls(A, b)[0]):
-            monkeypatch.setattr(families, "_nnls_bpp", solve)
-            ref = discretize(K, m)
-            _assert_same_atoms(res.measure, ref.measure)
-            assert res.max_support_error == pytest.approx(ref.max_support_error, rel=1e-11)
+        assert A.shape == (rows, orbits)
+        _assert_fit_matches_full_design(monkeypatch, K, m, res)
 
     def test_asymmetric_body_keeps_the_full_design(self, monkeypatch):
         K = scale(make_family("logistic", 3, p=1.5), (1.0, 2.0, 3.0))
@@ -481,15 +520,32 @@ class TestNnlsBpp:
     # two equal scale factors make a block of two coordinates.  d = 3, r = 30:
     # a third coordinate c and an unordered pair summing to 30 - c, so
     # sum over s = 0..30 of (s // 2 + 1) = 256 orbits; d = 4, r = 12: two
-    # unordered pairs summing to s and 12 - s, 140 orbits
-    @pytest.mark.parametrize("lam, orbits", [((1.0, 1.0, 2.0), 256), ((1.0, 2.0, 1.0, 2.0), 140)])
-    def test_equal_scale_factors_give_block_orbits(self, monkeypatch, lam, orbits):
+    # unordered pairs summing to s and 12 - s, 140 orbits.  The fit points,
+    # by the same count: sum over s = 0..61 of (s // 2 + 1) = 992 in d = 3,
+    # r = 61; sum over s = 0..20 of (s // 2 + 1)((20 - s) // 2 + 1) = 506
+    # in d = 4, r = 20
+    @pytest.mark.parametrize(
+        "lam, orbits, rows", [((1.0, 1.0, 2.0), 256, 992), ((1.0, 2.0, 1.0, 2.0), 140, 506)]
+    )
+    def test_equal_scale_factors_give_block_orbits(self, monkeypatch, lam, orbits, rows):
         K = scale(make_family("logistic", len(lam), p=2.5), lam)
         res, (A, _) = _recorded_fit(monkeypatch, K, 500)
-        assert A.shape[1] == orbits
-        monkeypatch.setattr(families, "_orbit_labels", lambda atoms, X, b: np.arange(len(atoms)))
-        ref = discretize(K, 500)
-        _assert_same_atoms(res.measure, ref.measure)
+        assert A.shape == (rows, orbits)
+        _assert_fit_matches_full_design(monkeypatch, K, 500, res)
+
+    def test_point_orbits_are_sorted_coordinates(self):
+        # one label per point, equal exactly on points equal after sorting
+        # within blocks, numbered from the largest orbit down
+        X = _fit_lattice(3, 500)
+        for block in (np.array([0, 1, 2]), np.array([0, 0, 2]), np.array([0, 0, 0])):
+            label = families._orbit_labels(X, block)
+            S = X.copy()
+            for c in set(block):
+                S[:, block == c] = np.sort(S[:, block == c], axis=1)
+            _, ref = np.unique(S, axis=0, return_inverse=True)
+            assert np.array_equal(label[:, None] == label, ref[:, None] == ref)
+            assert np.all(np.diff(np.bincount(label)) <= 0)
+        assert np.array_equal(families._orbit_labels(X, np.arange(3)), np.arange(len(X)))
 
     def test_rank_deficient_design_raises(self):
         # two equal columns, both in the first passive set: an exactly
@@ -512,15 +568,30 @@ def _fit_lattice(d, m):
     return _simplex_lattice(d, min(max(4 * len(_simplex_lattice(d, m)), 1024), 8192))
 
 
+def _assert_fit_matches_full_design(monkeypatch, K, m, res):
+    """res, the orbit fit of K, against the fit on the full lattice design:
+    with the swap blocks reported as single coordinates, every atom is a
+    column and every fit point a row of weight 1; that design is solved by
+    block principal pivoting and by scipy.  The same kept atoms, masses
+    within 1e-12, and errors within 1e-11 relative."""
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_swap_blocks", lambda X, b: np.arange(X.shape[1]))
+        _, (A, _) = _recorded_fit(patch, K, m)
+        assert A.shape == (len(_fit_lattice(K.d, m)), len(_simplex_lattice(K.d, m)))
+        for solve in (families._nnls_bpp, lambda A, b: nnls(A, b)[0]):
+            patch.setattr(families, "_nnls_bpp", solve)
+            ref = discretize(K, m)
+            _assert_same_atoms(res.measure, ref.measure)
+            assert res.max_support_error == pytest.approx(ref.max_support_error, rel=1e-11)
+
+
 def _assert_same_atoms(sigma, ref):
-    """The same kept lattice atoms, as a set, and masses within 1e-12.  The
-    marginal renormalization moves atoms by ulps, and make_measure sorts
-    them as they are, so both are compared in the order of rounded atoms."""
-    order = [np.lexsort(np.round(s.atoms, 9).T[::-1]) for s in (sigma, ref)]
-    a, b = (s.atoms[o] for s, o in zip((sigma, ref), order))
-    assert a.shape == b.shape
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sigma.masses[order[0]], ref.masses[order[1]], rtol=0, atol=1e-12)
+    """The same kept lattice atoms in the same order, and masses within
+    1e-12: the marginal renormalization moves atoms by ulps, which do not
+    move them in make_measure's order of 9-decimal keys."""
+    assert sigma.atoms.shape == ref.atoms.shape
+    np.testing.assert_allclose(sigma.atoms, ref.atoms, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sigma.masses, ref.masses, rtol=0, atol=1e-12)
 
 
 def _recorded_fit(monkeypatch, K, m):
