@@ -37,7 +37,6 @@ from .distribution import (
     copula,
     exponent_density,
     max_stability_check,
-    model_from_zonoid,
     pickands,
     quantile_curve,
     simulate,
@@ -68,21 +67,20 @@ from .geometry import (
     normalize_dependency,
     polar_2d,
     polar_volume,
+    polygon_from_spectral,
     project,
     scale,
     support_function,
     unit_cross_polytope,
     unit_cube,
-    zonoid_from_atoms,
     zonoid_from_polygon,
+    zonoid_from_spectral,
 )
 from .spectral import (
     DiscreteSpectralMeasure,
     make_measure,
-    polygon_from_spectral,
     rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
     validate_dependency,
-    zonoid_from_spectral,
 )

@@ -44,14 +44,18 @@ from .distribution import (
 )
 from .estimate import convergence_diagnostic, empirical_spectral
 from .families import FamilySpec, discretize
-from .geometry import Polygon2D, normalize_dependency, support_function
+from .geometry import (
+    Polygon2D,
+    normalize_dependency,
+    polygon_from_spectral,
+    support_function,
+    zonoid_from_spectral,
+)
 from .spectral import (
     _close_to_normalized,
     make_measure,
-    polygon_from_spectral,
     spectral_from_polygon_2d,
     validate_dependency,
-    zonoid_from_spectral,
 )
 
 
@@ -242,10 +246,11 @@ def _dependency_report(sigma):
 def _model_with_atoms(model, m_atoms, notes):
     if model.discrete is None:
         res = discretize(model, m_atoms)
-        notes["discretize_method"] = res.method
+        err = res.max_support_error
+        notes["discretize_method"] = err.method
         notes["discretize_atoms"] = res.measure.n_atoms
-        notes["discretize_directions"] = res.n_eval_directions
-        notes["discretize_error"] = f"{res.max_support_error:.3g}"
+        notes["discretize_directions"] = err.n_samples
+        notes["discretize_error"] = f"{err:.3g}"
         return MaxStableModel(model, res.measure)
     return model
 

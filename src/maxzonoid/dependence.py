@@ -87,16 +87,13 @@ def chi(model):
 def spearman_rho(model, method="auto", n=200_000, seed=0):
     """Spearman correlation rho = c (d! V_d(L°) - 1), c = (d+1)/(2^d - d - 1),
     from the polar volume of L = (K + cube)/2 (3(2 V_2(L°) - 1) in the
-    plane).  method is a polar_volume method ("exact" stands for
-    "exact_2d"); by default the shoelace for planar atom lists, else
-    quadrature for d <= 3 (error O(N^-2) on d = 3 atom lists) and Monte
-    Carlo beyond.
+    plane).  method is a polar_volume method; by default the shoelace for
+    planar atom lists, else quadrature for d <= 3 (error O(N^-2) on d = 3
+    atom lists) and Monte Carlo beyond.
     """
     d = model.d
     if d < 2:
         raise ValueError("Spearman's rho needs d >= 2")
-    if method == "exact":
-        method = "exact_2d"
     L = minkowski_combine(model, unit_cube(d), 0.5, mode="sum")
     V = polar_volume(L, method=method, n=n, seed=seed)
     c = (d + 1.0) / (2.0**d - d - 1.0)
@@ -148,13 +145,12 @@ def kendall_tau_2d(model):
     return _simplex_quadrature(integrand, 2).affine(-1.0, 1.0)
 
 
-def inverted_pearson_2d(model, method="exact", n=200_000, seed=0):
-    """Covariance of (1/xi_1, 1/xi_2), equal to 2 V_2(K°) - 1."""
+def inverted_pearson_2d(model, method="auto", n=200_000, seed=0):
+    """Covariance of (1/xi_1, 1/xi_2), equal to 2 V_2(K°) - 1; method is a
+    polar_volume method."""
     if model.d != 2:
         raise ValueError("defined for bivariate models")
-    if method not in ("exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    V = polar_volume(model, method="exact_2d" if method == "exact" else "mc", n=n, seed=seed)
+    V = polar_volume(model, method=method, n=n, seed=seed)
     return V.affine(2.0, -1.0)
 
 

@@ -71,10 +71,6 @@ class MaxStableModel(DependencySet):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    @property
-    def K(self):
-        return self
-
     def with_discrete(self, m=1000):
         """Attach an atom list, discretizing analytic norms on demand."""
         if self.discrete is not None:
@@ -82,10 +78,6 @@ class MaxStableModel(DependencySet):
         from .families import discretize
 
         return MaxStableModel(self, discretize(self, m).measure)
-
-
-def model_from_zonoid(K, discrete=None):
-    return MaxStableModel(K, discrete)
 
 
 def cdf(model, x):
@@ -247,8 +239,4 @@ def max_stability_check(model, n_fold=2, grid=None):
         axes = np.linspace(0.6, 3.0, 5)
         grid = np.array(np.meshgrid(*[axes] * model.d)).reshape(model.d, -1).T
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = np.where(grid == 0, np.inf, 1.0 / grid)
-    F1 = np.exp(-np.atleast_1d(support_function(model, inv)))
-    Fn = np.exp(-np.atleast_1d(support_function(model, inv / n_fold)))
-    return float(np.abs(Fn**n_fold - F1).max())
+    return float(np.abs(cdf(model, n_fold * grid) ** n_fold - cdf(model, grid)).max())

@@ -15,8 +15,9 @@ from .geometry import (
     _ne_chain,
     hausdorff_distance,
     normalize_dependency,
+    zonoid_from_spectral,
 )
-from .spectral import make_measure, reference_norm_of, zonoid_from_spectral
+from .spectral import make_measure, reference_norm_of
 
 
 @dataclass(frozen=True)

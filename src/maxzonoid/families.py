@@ -102,8 +102,6 @@ def _neg_logistic_norm(lam, p):
 
     def grad(X, _l=lam, _p=p):
         out = np.ones_like(X)
-        if _l == 0:
-            return out
         if np.isinf(_p):
             idx = np.argmin(X, axis=1)
             sub = np.zeros_like(X)
@@ -246,14 +244,6 @@ class DiscretizeResult:
 
     measure: DiscreteSpectralMeasure
     max_support_error: Estimate
-
-    @property
-    def method(self):
-        return self.max_support_error.method
-
-    @property
-    def n_eval_directions(self):
-        return self.max_support_error.n_samples
 
 
 def _renormalize_marginals(sigma):

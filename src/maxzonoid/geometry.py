@@ -30,7 +30,6 @@ from .spectral import (
     _nondegenerate,
     _normalized,
     make_measure,
-    polygon_from_spectral,
     rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
@@ -134,9 +133,6 @@ class MaxZonoid:
         if self.norm is not None and self.norm.d != self.d:
             raise ValueError("dimension mismatch between norm and body")
 
-    def support(self, x):
-        return support_function(self, x)
-
     def marginals(self):
         """Support values at the basis vectors."""
         return support_function(self, np.eye(self.d))
@@ -192,8 +188,9 @@ def _rewrap(result, *inputs):
 # constructors
 
 
-def zonoid_from_atoms(points, masses, reference="l1"):
-    sigma = make_measure(points, masses, reference)
+def zonoid_from_spectral(sigma):
+    """The max-zonoid whose support function is
+    h(x) = sum_k mass_k * max_i atom_{k,i} x_i (exact)."""
     return MaxZonoid(d=sigma.d, spectral=sigma)
 
 
@@ -217,6 +214,16 @@ def zonoid_from_polygon(polygon):
     """The planar body of a vertex chain, stored as its edge atoms."""
     K = MaxZonoid(d=2, spectral=spectral_from_polygon_2d(polygon))
     return as_dependency(K) if _normalized(K.marginals()) else K
+
+
+def polygon_from_spectral(sigma):
+    """The planar body of a 2-D measure as its vertex chain, sigma.chain's
+    vertices: one per atom plus one, convex by construction, and the exact
+    inverse of spectral_from_polygon_2d (every atom comes back, its edge
+    within the rounding of the vertex sums)."""
+    if sigma.d != 2:
+        raise ValueError("polygon materialization requires d = 2")
+    return Polygon2D(np.column_stack([sigma.chain.vx, sigma.chain.vy]))
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +621,19 @@ def _simplex_quadrature(f, d):
 def polar_volume(K, method="auto", n=200_000, seed=0):
     """Lebesgue volume of the polar set, V(K°) = (1/d) int_simplex h(K, t)^-d dt.
 
-    quadrature (2 <= d <= 3; "exact_2d" is its planar-only spelling): the
-    exact shoelace area of the polar chain for a planar atom list, whose
-    kinks the graded rule's error estimate can miss; otherwise
-    _simplex_quadrature, whose error |Q_64 - Q_128| is pessimistic for
-    analytic norms, and O(N^-2) in the N x N rule on the kinks of a d = 3
-    atom list.  mc: rejection sampling on the bounding box
-    prod [0, 1/h(e_i)] with a binomial standard error taken at
-    p = (accepted + 1)/(n + 2): of order box_vol/n even if p^ is 0 or 1.
-    auto: quadrature for d <= 3, else mc.  A body with some h(K, e_i) at
-    most 1e-9 has an unbounded polar: it, or a NaN h(K, e_i), raises ValueError.
+    quadrature (2 <= d <= 3): the exact shoelace area of the polar chain
+    for a planar atom list, labelled "exact_2d", whose kinks the graded
+    rule's error estimate can miss; otherwise _simplex_quadrature, whose
+    error |Q_64 - Q_128| is pessimistic for analytic norms, and O(N^-2) in
+    the N x N rule on the kinks of a d = 3 atom list.  mc: rejection
+    sampling on the bounding box prod [0, 1/h(e_i)] with a binomial
+    standard error taken at p = (accepted + 1)/(n + 2): of order box_vol/n
+    even if p^ is 0 or 1.  auto: quadrature for d <= 3, else mc.  A body
+    with some h(K, e_i) at most 1e-9 has an unbounded polar: it, or a NaN
+    h(K, e_i), raises ValueError.
     """
     if method == "auto":
         method = "quadrature" if K.d in (2, 3) else "mc"
-    if method == "exact_2d":
-        if K.d != 2:
-            raise ValueError("exact polar area requires d = 2")
-        method = "quadrature"
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
     extents = K.marginals()
@@ -704,11 +707,17 @@ def _as_count(n, name):
 def _distance_grid(d, grid_n):
     """Orthant directions for the distances: grid_n + 1 of the quarter
     circle in d = 2, else the simplex lattice of at most grid_n points
-    (default sizes 4096 and 20,000)."""
+    (default sizes 4096 and 20,000).  The grid must hold a direction off
+    the axes, as any two dependency sets agree on the axes: grid_n is at
+    least 2 in d = 2 and d(d + 1)/2 in d >= 3, else ValueError."""
     if grid_n is None:
         grid_n = 4096 if d == 2 else 20_000
-    if _as_count(grid_n, "grid_n") < 1:
+    grid_n = _as_count(grid_n, "grid_n")
+    if grid_n < 1:
         raise ValueError("direction grid needs at least one direction")
+    least = 2 if d == 2 else d * (d + 1) // 2  # the angle pi/4, the resolution-2 lattice
+    if grid_n < least:
+        raise ValueError(f"grid_n = {grid_n} holds no off-axis direction in d = {d}; need {least}")
     return _quarter_circle(grid_n) if d == 2 else _simplex_lattice(d, grid_n)
 
 

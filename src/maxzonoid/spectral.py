@@ -228,14 +228,6 @@ def validate_dependency(sigma):
     return DependencyReport(_close_to_normalized(marg), marg, sigma.total_mass)
 
 
-def zonoid_from_spectral(sigma):
-    """The max-zonoid whose support function is
-    h(x) = sum_k mass_k * max_i atom_{k,i} x_i (exact)."""
-    from .geometry import MaxZonoid
-
-    return MaxZonoid(d=sigma.d, spectral=sigma)
-
-
 def spectral_from_polygon_2d(polygon, reference="l1"):
     """Edge measure of a planar chain polygon.
 
@@ -250,15 +242,3 @@ def spectral_from_polygon_2d(polygon, reference="l1"):
     if np.any(u < -ATOM_TOL):
         raise ValueError("polygon chain is not anticlockwise monotone")
     return spectral_from_points(np.clip(u, 0.0, None), reference=reference)
-
-
-def polygon_from_spectral(sigma):
-    """The planar body of a 2-D measure as its vertex chain, sigma.chain's
-    vertices: one per atom plus one, convex by construction, and the exact
-    inverse of spectral_from_polygon_2d (every atom comes back, its edge
-    within the rounding of the vertex sums)."""
-    from .geometry import Polygon2D
-
-    if sigma.d != 2:
-        raise ValueError("polygon materialization requires d = 2")
-    return Polygon2D(np.column_stack([sigma.chain.vx, sigma.chain.vy]))

@@ -41,7 +41,7 @@ def test_criterion_01_kendall_tau_logistic():
 def test_criterion_02_inverted_pearson_logistic():
     model = mz.MaxStableModel(mz.make_family("logistic", 2, p=2.0))
     target = math.pi / 2 - 1
-    exact = mz.inverted_pearson_2d(model, method="exact").value
+    exact = mz.inverted_pearson_2d(model).value
     mc = mz.inverted_pearson_2d(model, method="mc", n=200_000, seed=2)
     ok = abs(exact - target) <= 1e-6 and abs(mc.value - target) <= 3 * mc.stderr
     report(
@@ -81,7 +81,7 @@ def test_criterion_04_exponential_integral_identity():
             K = random_dependency(rng, d=d, m=rng.integers(2, 7))
             est, se_est = mz.exp_support_integral_mc(K, n=200_000, seed=100 + i)
             if d == 2:
-                vol = mz.polar_volume(K, method="exact_2d")
+                vol = mz.polar_volume(K)
             else:
                 vol = mz.polar_volume(K, method="mc", n=300_000, seed=200 + i)
             target = gamma(d + 1) * vol.value
@@ -233,7 +233,7 @@ def test_criterion_11_convergence_diagnostic():
     for seed in seeds:
         for i, n in enumerate((10**3, 10**4, 10**5)):
             s = mz.simulate(model, n, seed=seed)
-            pts = mz.convergence_diagnostic(s, [2 * n ** (1 / 3)], model.K)
+            pts = mz.convergence_diagnostic(s, [2 * n ** (1 / 3)], model)
             dists[i] += pts[0].distance / len(seeds)
     ok = dists[0] > dists[1] > dists[2] and dists[-1] < 0.05
     report(

@@ -198,6 +198,37 @@ class TestTheta:
         captured = capsys.readouterr()
         assert "finite" in captured.err and "consistent" not in captured.out
 
+    # the extremal form read as a model by load_model, as every model subcommand reads it
+    def test_extremal_model_cdf(self, tmp_path, points_csv):
+        spec = write_model(tmp_path, "t.json", {"extremal": {"d": 2, "theta": {"1,2": 1.5}}})
+        out = str(tmp_path / "cdf.csv")
+        assert main(["eval", "--model", spec, "--points", points_csv, "--op", "cdf", "--out", out]) == 0
+        assert read_csv(out)[1][0, 2] == pytest.approx(math.exp(-1.5), rel=1e-12)
+
+    def test_extremal_model_measures_and_simulate(self, tmp_path):
+        theta = {"1,2": 1.5, "1,3": 1.5, "2,3": 1.5, "1,2,3": 2.0}
+        spec = write_model(tmp_path, "t3.json", {"extremal": {"d": 3, "theta": theta}})
+        out = str(tmp_path / "m.json")
+        assert main(["measures", "--model", spec, "--samples", "2000", "--out", out]) == 0
+        got = read_json(out)["results"]["theta"]
+        assert {k: got[k] for k in theta} == pytest.approx(theta, abs=1e-12)
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", "--model", spec, "--samples", "300", "--out", out]) == 0
+        assert read_csv(out)[1].shape == (300, 3)
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}}, "out of range"),
+            ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5}}}, "missing subsets"),
+            ("check-theta", {"family": {"name": "independence", "d": 2}}, "needs an extremal model file"),
+        ],
+    )
+    def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):
+        spec = write_model(tmp_path, "t.json", doc)
+        assert main([command, "--model", spec]) == 2
+        assert message in capsys.readouterr().err
+
     def test_construct_emits_model(self, tmp_path):
         spec = write_model(
             tmp_path, "t.json",
@@ -287,6 +318,19 @@ class TestEstimateAndConverge:
         argv = ["converge", "--model", spec, "--data", sample_csv, "--s-grid", s_grid]
         assert main(argv + ["--out", out]) == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    def test_grid_needs_an_off_axis_direction(self, tmp_path, capsys):
+        # independent Pareto data against complete dependence: a grid on the
+        # axes alone would read the two sets as equal
+        spec = write_model(tmp_path, "dep.json", {"family": {"name": "dependence", "d": 2}})
+        data = tmp_path / "ind.csv"
+        write_csv(str(data), ["x1", "x2"], 1.0 / np.random.default_rng(4).random((2000, 2)), {})
+        out = str(tmp_path / "conv.csv")
+        argv = ["converge", "--model", spec, "--data", str(data), "--s-grid", "5,10", "--out", out]
+        assert main(argv + ["--grid", "1"]) == 2
+        assert "off-axis" in capsys.readouterr().err
+        assert main(argv + ["--grid", "2"]) == 0
+        assert np.all(read_csv(out)[1][:, 2] > 0.3)
 
     def test_decreasing_grid_rejected(self, tmp_path, sample_csv):
         spec = write_model(

@@ -113,7 +113,7 @@ class TestSpearman:
     def test_quadrature_oracle_logistic(self, log2):
         J, _ = quad(lambda t: (1 + np.hypot(t, 1 - t)) ** -2, 0, 1, epsabs=1e-13)
         oracle = 12 * J - 3
-        assert spearman_rho(log2, method="exact").value == pytest.approx(
+        assert spearman_rho(log2).value == pytest.approx(
             oracle, abs=1e-9
         )
         assert spearman_rho(log2, method="quadrature").value == pytest.approx(
@@ -123,7 +123,7 @@ class TestSpearman:
     def test_mc_agrees_with_exact(self, rng):
         for seed in range(3):
             model = random_model(rng, 2, 4)
-            exact = spearman_rho(model, method="exact").value
+            exact = spearman_rho(model).value
             mc = spearman_rho(model, method="mc", n=50_000, seed=seed)
             assert mc.value == pytest.approx(exact, abs=3 * max(mc.stderr, 1e-4))
 
@@ -180,7 +180,7 @@ class TestKendall:
     def test_sorted_sums_match_segment_loop(self, log2):
         # reference: the closed form summed one segment at a time, with the
         # support point taken from the atom sides at the segment midpoint
-        sigma = discretize(log2.K, 1000).measure
+        sigma = discretize(log2, 1000).measure
         a, w = sigma.atoms, sigma.masses
         brk = a[:, 1] / (a[:, 0] + a[:, 1])
         ts = np.unique(np.concatenate([[0.0, 1.0], brk[(brk > 0) & (brk < 1)]]))
@@ -222,7 +222,7 @@ class TestKendall:
             ha, hb = P * ta + Q * (1.0 - ta), P * tb + Q * (1.0 - tb)
             return float(1.0 - (P * Q * (tb - ta) / (ha * hb)).sum())
 
-        sigmas = [discretize(log2.K, 1000).measure, unit_cube(2).spectral,
+        sigmas = [discretize(log2, 1000).measure, unit_cube(2).spectral,
                   make_family("marshall_olkin", 2, alpha1=0.3, alpha2=0.7).spectral]
         sigmas += [random_model(rng, 2, m).discrete for m in (1, 2, 5, 40, 200)]
         for sigma in sigmas:
@@ -292,8 +292,9 @@ class TestInvertedPearson:
         assert val == pytest.approx(0.5 * beta(0.5, 0.5) - 1, abs=1e-9)
 
     def test_unknown_method(self, log2):
-        with pytest.raises(ValueError, match="method"):
-            inverted_pearson_2d(log2, method="bogus")
+        for method in ("bogus", "exact", "exact_2d"):
+            with pytest.raises(ValueError, match="unknown method"):
+                inverted_pearson_2d(log2, method=method)
 
     def test_reports_volume_method(self, log2):
         est = inverted_pearson_2d(log2)

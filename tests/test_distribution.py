@@ -61,7 +61,7 @@ class TestCdf:
         from maxzonoid import project
 
         model = random_model(rng, d=3, m=5)
-        sub = MaxStableModel(project(model.K, [0, 2]))
+        sub = MaxStableModel(project(model, [0, 2]))
         x = rng.random(2) + 0.3
         padded = np.array([x[0], np.inf, x[1]])
         assert cdf(model, padded) == pytest.approx(cdf(sub, x), rel=1e-12)
@@ -322,7 +322,7 @@ class TestExponentDensity:
         model = MaxStableModel(make_family("logistic", 2, p=2.0))
 
         def nu(x1, x2):
-            return support_function(model.K, [1.0 / x1, 1.0 / x2])
+            return support_function(model, [1.0 / x1, 1.0 / x2])
 
         boxes = [(1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 2.0, 3.0)]
         for a1, b1, a2, b2 in boxes:

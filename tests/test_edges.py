@@ -90,13 +90,11 @@ class TestAnalyticMaterialization:
 
 
 class TestGeometryGuards:
-    def test_exact_polar_volume_needs_plane(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            mz.polar_volume(unit_cube(3), method="exact_2d")
-
     def test_unknown_volume_method(self):
-        with pytest.raises(ValueError, match="method"):
-            mz.polar_volume(unit_cube(2), method="shoelace")
+        # "exact_2d" labels the planar shoelace area; it is not an input
+        for method in ("shoelace", "exact_2d"):
+            with pytest.raises(ValueError, match="unknown method"):
+                mz.polar_volume(unit_cube(2), method=method)
 
     def test_unknown_minkowski_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -121,10 +119,6 @@ class TestGeometryGuards:
         K = MaxZonoid(d=2, spectral=make_measure([[1.0, 0.0]], [1.0]))
         with pytest.raises(ValueError, match="degenerate"):
             mz.normalize_dependency(K)
-
-    def test_zonoid_from_atoms(self):
-        K = mz.zonoid_from_atoms(np.eye(2), [1.0, 1.0])
-        assert mz.support_function(K, [1.0, 1.0]) == pytest.approx(2.0)
 
     def test_representation_exclusivity(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -179,10 +173,6 @@ class TestNaNIsNoAnswer:
 
 
 class TestDistributionGuards:
-    def test_model_from_zonoid(self):
-        model = mz.model_from_zonoid(unit_cube(2))
-        assert model.discrete is not None
-
     def test_simulate_needs_positive_n(self):
         with pytest.raises(ValueError, match="positive"):
             mz.simulate(MaxStableModel(unit_cube(2)), 0, seed=0)
@@ -374,12 +364,35 @@ class TestPolygonRepresentationOps:
 
 class TestSpearmanMethodGuards:
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            mz.spearman_rho(MaxStableModel(unit_cube(2)), method="bootstrap")
+        for method in ("bootstrap", "exact", "exact_2d"):
+            with pytest.raises(ValueError, match="unknown method"):
+                mz.spearman_rho(MaxStableModel(unit_cube(2)), method=method)
 
-    def test_exact_needs_plane(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            mz.spearman_rho(MaxStableModel(unit_cube(3)), method="exact")
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_family("logistic", 0, p=2.0), "dimension must be at least 1"),
+        (lambda: make_family("neg_logistic", 3, lam=0.5, p=-2.0), "negative logistic family is bivariate"),
+        (lambda: make_family("husler_reiss", 3, lam=1.0), "Husler-Reiss family is bivariate"),
+        (lambda: make_family("marshall_olkin", 3, alpha1=0.5, alpha2=0.5), "Marshall-Olkin family is bivariate"),
+        (lambda: make_family("matrix_weights", 3, matrix=np.eye(2)), "weight matrix must have 3 columns"),
+        (lambda: make_family("gumbel", 2), "unknown family 'gumbel'"),
+        (lambda: make_family("logistic", 2, p=2.0, q=1.0), r"unexpected parameters \['q'\]"),
+        (lambda: mz.spectral_from_points([[1.0, -0.5]]), "points must be nonnegative"),
+        (lambda: mz.spectral_from_points([[1.0, 0.5]], [0.0]), "weights must be positive"),
+        (lambda: MaxZonoid(d=3, spectral=make_measure(np.eye(2), np.ones(2))), "dimension mismatch between measure and body"),
+        (lambda: mz.Polygon2D(np.array([[1.0, 0.0]])), "at least two 2-D vertices"),
+        (lambda: mz.Polygon2D(np.array([[1.0, 0.0], [-0.5, 0.5], [0.0, 1.0]])), "vertices must be nonnegative"),
+        (
+            lambda: mz.minkowski_combine(unit_cube(2), unit_cube(2), 2.0, mode="difference"),
+            r"negative mass -1 at atom \[0.0, 1.0\]",
+        ),
+    ],
+)
+def test_constructor_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _fresh_python(code, *args, **kwargs):

@@ -134,7 +134,7 @@ class TestConvergenceDiagnostic:
         for seed in seeds:
             for i, n in enumerate((10**3, 10**4, 10**5)):
                 s = simulate(model, n, seed=seed)
-                pts = convergence_diagnostic(s, [2 * n ** (1 / 3)], model.K)
+                pts = convergence_diagnostic(s, [2 * n ** (1 / 3)], model)
                 assert pts[0].ok
                 dists[i] += pts[0].distance / len(seeds)
         assert dists[0] > dists[1] > dists[2]
@@ -149,13 +149,13 @@ class TestConvergenceDiagnostic:
     def test_complete_dependence_close_at_1e5(self):
         model = MaxStableModel(unit_cross_polytope(2))
         s = simulate(model, 100_000, seed=21)
-        pts = convergence_diagnostic(s, [2 * 100_000 ** (1 / 3)], model.K)
+        pts = convergence_diagnostic(s, [2 * 100_000 ** (1 / 3)], model)
         assert pts[0].distance < 0.02
 
     def test_flagged_when_no_exceedances(self):
         model = MaxStableModel(unit_cube(2))
         s = simulate(model, 100, seed=5)
-        pts = convergence_diagnostic(s, [1.0, 1e9], model.K)
+        pts = convergence_diagnostic(s, [1.0, 1e9], model)
         assert pts[0].ok and not pts[1].ok
         assert np.isnan(pts[1].distance)
 
@@ -168,6 +168,6 @@ class TestConvergenceDiagnostic:
     def test_deterministic(self):
         model = MaxStableModel(unit_cross_polytope(2))
         s = simulate(model, 5000, seed=9)
-        a = convergence_diagnostic(s, [5.0, 10.0], model.K)
-        b = convergence_diagnostic(s, [5.0, 10.0], model.K)
+        a = convergence_diagnostic(s, [5.0, 10.0], model)
+        b = convergence_diagnostic(s, [5.0, 10.0], model)
         assert [p.distance for p in a] == [p.distance for p in b]

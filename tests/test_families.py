@@ -268,7 +268,7 @@ class TestDiscretize:
             with pytest.raises(ValueError, match="n_eval"):
                 discretize(unit_cube(d), 60, n_eval=bad)
         res = discretize(K, 60, n_eval=least)
-        assert res.n_eval_directions == least
+        assert res.max_support_error.n_samples == least
         assert res.max_support_error > 1e-4
 
     def test_one_dimension_takes_any_n_eval(self):
@@ -289,11 +289,11 @@ class TestDiscretize:
         assert res.max_support_error < 2e-6
 
     def test_method_is_reported(self):
-        assert discretize(unit_cube(3), 10).method == "atoms"
-        assert discretize(make_family("logistic", 2, p=2.0), 50).method == "planar-chain"
-        res = discretize(make_family("logistic", 3, p=2.0), 50)
-        assert res.method == "nnls-bpp"
-        assert res.n_eval_directions == len(_simplex_lattice(3, 2048)) == 2016
+        assert discretize(unit_cube(3), 10).max_support_error.method == "atoms"
+        assert discretize(make_family("logistic", 2, p=2.0), 50).max_support_error.method == "planar-chain"
+        err = discretize(make_family("logistic", 3, p=2.0), 50).max_support_error
+        assert err.method == "nnls-bpp"
+        assert err.n_samples == len(_simplex_lattice(3, 2048)) == 2016
 
     def test_logistic_error_bound(self):
         res = discretize(make_family("logistic", 2, p=2.0), 1000)

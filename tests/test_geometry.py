@@ -654,14 +654,14 @@ class TestPolar:
             K = as_dependency(
                 zonoid_from_polygon(random_dependency_polygon(rng))
             )
-            exact = polar_volume(K, method="exact_2d").value
+            exact = polar_volume(K).value
             mc = polar_volume(K, method="mc", n=60_000, seed=seed)
             assert mc.value == pytest.approx(exact, abs=3 * mc.stderr)
 
     def test_exp_integral_identity_2d(self, rng):
         K = random_dependency(rng, 2, 4)
         est, se = exp_support_integral_mc(K, n=150_000, seed=5)
-        target = math.gamma(3) * polar_volume(K, method="exact_2d").value
+        target = math.gamma(3) * polar_volume(K).value
         assert est == pytest.approx(target, abs=3 * se)
 
     def test_polar_boundary_vertices_on_unit_level(self, rng):
@@ -740,7 +740,7 @@ class TestSimplexQuadrature:
     def test_planar_atoms_keep_the_shoelace(self, rng):
         # the graded rule's |Q_64 - Q_128| under-reads its error on kinked h
         K = random_dependency(rng, 2, 5)
-        for method in ("auto", "quadrature", "exact_2d"):
+        for method in ("auto", "quadrature"):
             v = polar_volume(K, method=method)
             assert (v.method, v.stderr) == ("exact_2d", 0.0)
             assert v.value == polar_2d(K).area_with_origin()
@@ -838,6 +838,16 @@ class TestHausdorff:
         for dist in (hausdorff_distance, m_distance):
             with pytest.raises(ValueError, match="at least one direction"):
                 dist(unit_cube(2), unit_cross_polytope(2), grid_n=grid_n)
+
+    # the supports of two dependency sets agree on the axes: the least grid
+    # with an off-axis direction is the angle pi/4 on the quarter circle and
+    # the d(d + 1)/2 points of the resolution-2 lattice in d >= 3
+    @pytest.mark.parametrize("d, least", [(2, 2), (3, 6), (4, 10)])
+    def test_grid_needs_an_off_axis_direction(self, d, least):
+        for dist in (hausdorff_distance, m_distance):
+            with pytest.raises(ValueError, match=f"grid_n = {least - 1} .*need {least}"):
+                dist(unit_cube(d), unit_cross_polytope(d), grid_n=least - 1)
+            assert dist(unit_cube(d), unit_cross_polytope(d), grid_n=least) > 0.1
 
 
 class TestMDistance:

@@ -94,7 +94,6 @@ class TestModelIsBody:
         K = make_family("logistic", 2, p=2.0)
         model = MaxStableModel(K)
         assert isinstance(model, DependencySet)
-        assert model.K is model
         assert mz.as_dependency(model) is model
         assert (model.d, model.spectral, model.norm) == (K.d, K.spectral, K.norm)
 
@@ -114,7 +113,6 @@ class TestModelIsBody:
     def test_rewrap_keeps_discrete(self):
         model = MaxStableModel(make_family("logistic", 2, p=2.0)).with_discrete(64)
         assert MaxStableModel(model).discrete is model.discrete
-        assert mz.model_from_zonoid(model).discrete is model.discrete
         assert model.with_discrete(8) is model
         other = mz.discretize(model, 16).measure
         assert MaxStableModel(model, other).discrete is other
@@ -202,7 +200,7 @@ class TestEstimateAnswers:
     def test_discretize_provenance_lives_in_the_error(self):
         res = mz.discretize(make_family("logistic", 3, p=1.5), 60, n_eval=300)
         err = res.max_support_error
-        assert (res.method, res.n_eval_directions) == (err.method, err.n_samples)
+        assert err.method == "nnls-bpp"
         assert err.n_samples == len(_simplex_lattice(3, 300))
         exact = mz.discretize(unit_cube(3), 10).max_support_error
         assert (exact, exact.method, exact.n_samples) == (0.0, "atoms", 0)

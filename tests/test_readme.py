@@ -16,4 +16,4 @@ def test_library_quickstart_runs():
     namespace = {}
     exec(compile(_quickstart(), "README.md quickstart", "exec"), namespace)
     assert namespace["dist"].method == "grid-lower-bound"
-    assert namespace["model"].K is namespace["model"]
+    assert isinstance(namespace["model"], namespace["mz"].DependencySet)
