@@ -7,8 +7,10 @@ bucket finds its chain vertex in O(1) expected, O(log m) at worst.  In d = 3,
 when many points meet many atoms, each atom is assigned the coordinate
 that wins at x by a fixed decision tree on three slopes, which makes h
 four weighted 2-D dominance sums (Bentley 1980); one (b+1)^2 table per
-sum and block of b <= 512 atoms answers every point in
-O(m b + n (m/b) log b).  Otherwise, and for d >= 4, a running maximum of
+sum and block of b atoms answers every point in O(m b + n (m/b) log b).
+The block is sized to the batch, b ~ sqrt(8 n) up to 512, which balances
+a block's table cells against its point reads, so n points cost
+O(m sqrt n).  Otherwise, and for d >= 4, a running maximum of
 one outer product per coordinate fills cache-sized (rows, m) tiles in
 O(n m d), summed along the rows; the NNLS design adds such products of
 one atom per symmetry orbit at a time (families._fit_nnls).
@@ -17,11 +19,12 @@ columns, as rows of 1-7 terms pay numpy's per-row overhead on every
 point; numpy adds fewer than 8 terms of a row in order, as a column sum
 runs, and longer rows pairwise.  So the values equal the dense definition
 bit for bit on the dense path; within a few ulps on the d = 3 table path
-(at most 1.5e-15 relative on the NNLS fits measured; a table entry sums
-at most b nonnegative terms, so the worst case is of order b*eps =
-5.7e-14).
+(at most 1.5e-15 relative on the NNLS fits measured; a value sums at most
+b nonnegative terms in a table and 4 ceil(m/b) table reads, so the worst
+case is of order (b + 4 m/b) eps).
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 _TILE = 2**16
 _FEW = 8  # bodies of fewer atoms take (m, rows) tiles
 _WALK = 2  # steps of the planar bucket walk before a point is searched
-# Atoms per block of the d = 3 table path: a table of at most 513^2
+# Most atoms per block of the d = 3 table path: a table of at most 513^2
 # float64 (2.1 MB) is built at a time.
 _BLOCK = 512
 # Coordinate pairs (i, j) whose slopes the d = 3 decision tree compares:
@@ -82,18 +85,22 @@ def support_sum(scaled_atoms, points):
 def _tables_pay(m, n):
     """Whether the d = 3 table path beats the tiled one on n points and m
     atoms.  In units of one point-atom pair of the tiled kernel, a block
-    of b atoms costs about 5 per table cell and 64 per point: fit to
-    timings of both paths for m = 48 to 3,000 and n = 2 m to 64 m on a
-    2-core Xeon, where a pair costs about 3 ns.  So blocks of fewer than
-    about 64 atoms never pay, and 512 atoms pay from about 6 m points."""
-    b = _block(m)
-    return -(-m // b) * (5 * (b + 1) ** 2 + 64 * n) < m * n
+    of b atoms costs about 8 per table cell and 25 per point: fit to
+    timings of both paths for m = 64 to 3,000 and n = 16 to 20,000 on a
+    2-core Xeon, where a pair costs about 3-6 ns.  With b = _block(m, n)
+    a block costs about 89 n, so tables pay from about 1,000 points once
+    m exceeds about 90 atoms, and from about 900 points at m = 64."""
+    b = _block(m, n)
+    return -(-m // b) * (8 * (b + 1) ** 2 + 25 * n) < m * n
 
 
-def _block(m):
-    """Atoms per block of the table path: m split evenly into as few
-    blocks as hold at most _BLOCK atoms each."""
-    return -(-m // -(-m // _BLOCK))
+def _block(m, n):
+    """Atoms per block of the table path on n points: m split evenly into
+    as few blocks as hold at most sqrt(8 n) atoms each (at least 1, at
+    most _BLOCK), where a block's (b+1)^2 table cells cost about what
+    its n point reads do."""
+    size = min(_BLOCK, max(1, math.isqrt(8 * n)))
+    return -(-m // -(-m // size))
 
 
 def _slopes(num, den):
@@ -116,7 +123,7 @@ def _support_sum_3d(B, X):
     other: sums of at most b nonnegative terms, with no subtraction."""
     t = [_slopes(X[:, i], X[:, j]) for i, j in _PAIRS]
     out = np.zeros(X.shape[0])
-    size = _block(B.shape[0])
+    size = _block(B.shape[0], X.shape[0])
     for lo in range(0, B.shape[0], size):
         A = B[lo : lo + size]
         b = A.shape[0]

@@ -157,18 +157,33 @@ def _load_extremal(args):
 
 def read_csv(path):
     """'#' lines and blank lines are skipped; a first row that is not
-    numeric is the header."""
+    numeric is the header.  Python reads lines only up to the first data
+    row; np.loadtxt parses the file itself from there, skipping empty
+    lines, '#' lines and trailing '#' comments.  It fails on a line of
+    spaces or an indented '#', and the rest is then filtered in Python:
+    stripped lines parse as the raw ones do, so either way the rows agree."""
+    header, first = None, None
     with open(path) as fh:
-        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
-    header = None
-    if lines:
-        try:
-            [float(p) for p in lines[0].split(",")]
-        except ValueError:
-            header = [p.strip() for p in lines.pop(0).split(",")]
-    if not lines:
+        for k, line in enumerate(fh):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                try:
+                    [float(p) for p in line.split(",")]
+                except ValueError:
+                    header = [p.strip() for p in line.split(",")]
+                    continue
+            first = k
+            break
+    if first is None:
         raise ValueError(f"no data rows in {path}")
-    return header, np.loadtxt(lines, delimiter=",", ndmin=2)
+    try:
+        return header, np.loadtxt(path, delimiter=",", comments="#", skiprows=first, ndmin=2)
+    except ValueError:
+        with open(path) as fh:
+            lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        return header, np.loadtxt(lines[1:] if header else lines, delimiter=",", ndmin=2)
 
 
 def _open_out(path):

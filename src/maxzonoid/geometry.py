@@ -29,6 +29,7 @@ from .spectral import (
     _close_to_normalized,
     _nondegenerate,
     _normalized,
+    _point_keys,
     make_measure,
     rebase_reference,
     spectral_from_points,
@@ -311,6 +312,108 @@ def _simplex_lattice(d, m):
     lattice = (np.diff(bars, axis=1) - 1) / r
     lattice.setflags(write=False)
     return lattice
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_swap(d, m, i, j):
+    """The permutation o of the rows of _simplex_lattice(d, m) under the swap
+    of columns i and j: row o[k] is row k swapped, matched exactly, as a
+    coordinate k/r is one float per integer k.  Cached read-only, as int32:
+    80 KB a swap on the 19,900-point default distance grid."""
+    o = np.lexsort(_swapped(_simplex_lattice(d, m), i, j).T[::-1]).astype(np.int32)  # sorted: the rows
+    o.setflags(write=False)
+    return o
+
+
+def _swapped(A, i, j):
+    """A with columns i and j swapped."""
+    c = np.arange(A.shape[1])
+    c[[i, j]] = j, i
+    return A[:, c]
+
+
+def _blocks(d, keeps):
+    """Blocks of the d coordinates, each labelled by a number, generated by
+    the swaps (i, j) for which keeps(i, j): they generate the product of the
+    symmetric groups on the blocks, and a swap already generated is not
+    tested."""
+    block = np.arange(d)
+    for i, j in itertools.combinations(range(d), 2):
+        if block[i] != block[j] and keeps(i, j):
+            block[block == block[j]] = block[i]
+    return block
+
+
+def _swap_blocks(d, m, b):
+    """The blocks of the swaps that keep the values b on the rows of
+    _simplex_lattice(d, m) to 4 ulps of max|b|; a NaN in b keeps none."""
+    tol = 4 * np.spacing(np.abs(b).max())
+    return _blocks(d, lambda i, j: np.abs(b[_lattice_swap(d, m, i, j)] - b).max() <= tol)
+
+
+def _atom_blocks(B):
+    """The blocks of the swaps that keep an atom list, read on its scaled
+    atoms B: the swapped rows match B's row for row, both sorted by
+    _point_keys, to 16 ulps of max B (the marginal renormalization of an
+    NNLS fit moves them by up to 7).  Atoms that tie in their keys but not
+    in their bits may sort apart and fail the test, never pass it wrongly."""
+
+    def rows(A):
+        return A[np.lexsort(_point_keys(A).T[::-1])]
+
+    S, tol = rows(B), 16 * np.spacing(B.max())
+    return _blocks(B.shape[1], lambda i, j: np.abs(rows(_swapped(B, i, j)) - S).max() <= tol)
+
+
+def _meet(*blocks):
+    """The blocks of the swaps that every partition given generates: the
+    coordinates together in all of them, each labelled by its block's first."""
+    return functools.reduce(operator.and_, (b[:, None] == b for b in blocks)).argmax(1)
+
+
+def _orbit_labels(P, block):
+    """Each row's orbit under the swaps within blocks, its coordinates sorted
+    within blocks, numbered from the largest orbit down and in lattice order
+    among orbits of one size: with no swaps, each row is its own, in order."""
+    S = P.copy()
+    for c in set(block):
+        S[:, block == c] = np.sort(S[:, block == c], axis=1)
+    o = np.lexsort(S.T[::-1])  # np.unique(S, axis=0) takes 3-5 times as long
+    label = np.empty(len(S), dtype=np.intp)
+    label[o] = np.cumsum(np.r_[True, (S[o][1:] != S[o][:-1]).any(axis=1)]) - 1
+    return np.argsort(np.argsort(-np.bincount(label), kind="stable"))[label]
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice_orbits(d, m, block):
+    """One row of _simplex_lattice(d, m) per orbit of the swaps within the
+    blocks, block a tuple of labels as _meet gives them: each orbit's first
+    row, in ascending order.  Cached read-only; read on the exact lattice,
+    whose rows a swap maps onto rows."""
+    label = _orbit_labels(_simplex_lattice(d, m), np.array(block))
+    rows = np.sort(np.unique(label, return_index=True)[1])
+    rows.setflags(write=False)
+    return rows
+
+
+def _grid_gap(K1, K2, U, m):
+    """max over the rows u of U of |h(K1, u) - h(K2, u)|.  In d >= 3, for U
+    the lattice _simplex_lattice(d, m) with its rows scaled, an atom list
+    is read on one row per orbit of the swaps that keep both bodies: an
+    analytic norm is tested on its values on all of U (_swap_blocks), an
+    atom list on its atoms (_atom_blocks).  Bodies keep their swaps to
+    rounding, so this is the maximum over all of U up to rounding."""
+    bodies = (K1, K2)
+    h = [None if K.spectral is not None and K.d >= 3 else _support_finite(K, U) for K in bodies]
+    if all(v is not None for v in h):
+        return np.abs(h[0] - h[1]).max()
+    kept = [
+        _swap_blocks(K.d, m, v) if v is not None else _atom_blocks(K.spectral.scaled_atoms)
+        for K, v in zip(bodies, h)
+    ]
+    rows = _lattice_orbits(K1.d, m, tuple(_meet(*kept)))
+    h = [_support_finite(K, U[rows]) if v is None else v[rows] for K, v in zip(bodies, h)]
+    return np.abs(h[0] - h[1]).max()
 
 
 def _polygon_of(K, directions=512):
@@ -647,9 +750,10 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     box = 1.0 / extents
     box_vol = float(np.prod(box))
     K_box = scale(K, box)  # h(K_box, u) = h(K, box * u): u in the unit cube is x in the box
-    accepted = 0
-    for _, chunk_n, rng in _mc_chunks(n, seed):
-        accepted += int((_support_finite(K_box, rng.random((chunk_n, K.d))) <= 1.0).sum())
+    accepted, U = 0, None
+    for _, chunk_n, rng in _mc_chunks(n, seed):  # the first chunk's array, refilled by the rest
+        U = rng.random((chunk_n, K.d)) if U is None else rng.random(out=U[:chunk_n])
+        accepted += int((_support_finite(K_box, U) <= 1.0).sum())
     p_tilde = (accepted + 1) / (n + 2)
     se = box_vol * math.sqrt(p_tilde * (1.0 - p_tilde) / n)
     return Estimate(box_vol * accepted / n, se, "mc", n, seed)
@@ -704,12 +808,11 @@ def _as_count(n, name):
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
 
 
-def _distance_grid(d, grid_n):
-    """Orthant directions for the distances: grid_n + 1 of the quarter
-    circle in d = 2, else the simplex lattice of at most grid_n points
-    (default sizes 4096 and 20,000).  The grid must hold a direction off
-    the axes, as any two dependency sets agree on the axes: grid_n is at
-    least 2 in d = 2 and d(d + 1)/2 in d >= 3, else ValueError."""
+def _grid_size(d, grid_n):
+    """grid_n of the distances' direction grid, by default 4096 in d = 2 and
+    20,000 otherwise.  The grid must hold a direction off the axes, as any
+    two dependency sets agree on the axes: grid_n is at least 2 in d = 2
+    and d(d + 1)/2 in d >= 3, else ValueError."""
     if grid_n is None:
         grid_n = 4096 if d == 2 else 20_000
     grid_n = _as_count(grid_n, "grid_n")
@@ -718,6 +821,13 @@ def _distance_grid(d, grid_n):
     least = 2 if d == 2 else d * (d + 1) // 2  # the angle pi/4, the resolution-2 lattice
     if grid_n < least:
         raise ValueError(f"grid_n = {grid_n} holds no off-axis direction in d = {d}; need {least}")
+    return grid_n
+
+
+def _distance_grid(d, grid_n):
+    """Orthant directions for the distances: grid_n + 1 of the quarter circle
+    in d = 2, else the simplex lattice of at most grid_n points (_grid_size)."""
+    grid_n = _grid_size(d, grid_n)
     return _quarter_circle(grid_n) if d == 2 else _simplex_lattice(d, grid_n)
 
 
@@ -729,15 +839,19 @@ def hausdorff_distance(K1, K2, grid_n=None):
     are the quarter circle in d = 2 and the simplex lattice scaled to
     unit length otherwise; the value is a lower bound that can only rise
     under nested refinement (doubling grid_n in d = 2, a lattice whose
-    resolution is a multiple of the old one in d >= 3).  Returned as an
-    Estimate with method "grid-lower-bound" and the direction count.  The
-    bodies need not be normalized, but a NaN support value on the grid
-    raises ValueError."""
+    resolution is a multiple of the old one in d >= 3).  In d >= 3 an atom
+    list is read on one direction per orbit of the coordinate swaps that
+    keep both bodies (_grid_gap): the maximum over those representatives,
+    still a lower bound, equals the maximum over the whole grid up to
+    rounding.  Returned as an Estimate with method "grid-lower-bound" and
+    the count of the whole grid.  The bodies need not be normalized, but a
+    NaN support value on the grid raises ValueError."""
     if K1.d != K2.d:
         raise ValueError("bodies must share a dimension")
+    grid_n = _grid_size(K1.d, grid_n)
     U = _distance_grid(K1.d, grid_n)
     U = U / np.linalg.norm(U, axis=1, keepdims=True)
-    gap = np.abs(_support_finite(K1, U) - _support_finite(K2, U)).max()
+    gap = _grid_gap(K1, K2, U, grid_n)
     if np.isnan(gap):
         raise ValueError("support function is NaN on the direction grid")
     return Estimate(gap, 0.0, "grid-lower-bound", len(U))

@@ -366,6 +366,40 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "text, header, rows",
+        [
+            ("x1,x2\n\n1,2\n\n\n3,4\n\n", ["x1", "x2"], [[1, 2], [3, 4]]),
+            ("x1,x2\n# after the header\n1,2\n#\n3,4\n", ["x1", "x2"], [[1, 2], [3, 4]]),
+            ("# seed=1\r\nx1,x2\r\n1.5,2\r\n\r\n3,4\r\n", ["x1", "x2"], [[1.5, 2], [3, 4]]),
+            (" a , b \n  1.5 ,  2.5  \n\t3\t,\t4\t\n", ["a", "b"], [[1.5, 2.5], [3, 4]]),
+            ("a,b\n1,2 # a note\n3,4#\n", ["a", "b"], [[1, 2], [3, 4]]),
+            ("a,b\nnan,1\n2,NaN\ninf,-inf\n", ["a", "b"], [[np.nan, 1], [2, np.nan], [np.inf, -np.inf]]),
+            ("\n# no header\n1,2\n3,4", None, [[1, 2], [3, 4]]),
+            # a line of spaces and an indented '#': the rows filtered in Python
+            ("a,b\n1,2\n   \n  # indented\n3,4\n", ["a", "b"], [[1, 2], [3, 4]]),
+        ],
+    )
+    def test_read_edge_cases(self, tmp_path, text, header, rows):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        got_header, got = read_csv(str(path))
+        assert got_header == header
+        np.testing.assert_array_equal(got, rows)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n#\n", "x1,x2\n\n# more\n  \n"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(str(path))
+
+    def test_bad_row_raises(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("a,b\n1,2\n3,x\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            read_csv(str(path))
+
     def test_write_then_read_special_values(self, tmp_path):
         out = str(tmp_path / "out.csv")
         rows = [[np.nan, np.inf], [-np.inf, -0.0], [1 / 3, 5]]

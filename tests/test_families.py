@@ -575,7 +575,7 @@ def _assert_fit_matches_full_design(monkeypatch, K, m, res):
     block principal pivoting and by scipy.  The same kept atoms, masses
     within 1e-12, and errors within 1e-11 relative."""
     with monkeypatch.context() as patch:
-        patch.setattr(families, "_swap_blocks", lambda X, b: np.arange(X.shape[1]))
+        patch.setattr(families, "_swap_blocks", lambda d, m, b: np.arange(d))
         _, (A, _) = _recorded_fit(patch, K, m)
         assert A.shape == (len(_fit_lattice(K.d, m)), len(_simplex_lattice(K.d, m)))
         for solve in (families._nnls_bpp, lambda A, b: nnls(A, b)[0]):

@@ -644,6 +644,22 @@ class TestPolar:
         assert v.value == 1.0
         assert 0.5 / n <= v.stderr <= 2.0 / n
 
+    @pytest.mark.parametrize("n", [1, 1000, 65_536, 65_537, 200_001])
+    def test_mc_reused_buffer_is_the_fresh_draw(self, n):
+        # each chunk refills one buffer: the same draws, so the same bits,
+        # as a fresh array per chunk
+        def fresh(K, seed):
+            box = 1.0 / K.marginals()
+            K_box, accepted = scale(K, box), 0
+            for _, chunk_n, gen in geometry._mc_chunks(n, seed):
+                accepted += int((_support_finite(K_box, gen.random((chunk_n, K.d))) <= 1.0).sum())
+            return float(np.prod(box)) * accepted / n
+
+        bodies = (unit_cube(3), make_family("logistic", 3, p=2.0), random_dependency(np.random.default_rng(4), 4, 6))
+        for K in bodies:
+            for seed in (0, 3):
+                assert polar_volume(K, method="mc", n=n, seed=seed).value == fresh(K, seed)
+
     def test_polar_volume_l2_ball_3d(self):
         K = make_family("logistic", 3, p=2.0)
         v = polar_volume(K, method="mc", n=300_000, seed=7)
@@ -848,6 +864,127 @@ class TestHausdorff:
             with pytest.raises(ValueError, match=f"grid_n = {least - 1} .*need {least}"):
                 dist(unit_cube(d), unit_cross_polytope(d), grid_n=least - 1)
             assert dist(unit_cube(d), unit_cross_polytope(d), grid_n=least) > 0.1
+
+
+def _full_grid_gap(K1, K2, U):
+    """The support gap over every row of U, one kernel call per body."""
+    return np.abs(_support_finite(K1, U) - _support_finite(K2, U)).max()
+
+
+def _unit_grid(d):
+    U = _distance_grid(d, None)
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _fit_case(name):
+    """A body, its 500-atom NNLS fit (an atom list) and the blocks of the
+    swaps the orbit grids should find for the pair."""
+    d, p, lam = {
+        "logistic3 p=1.5": (3, 1.5, None),
+        "logistic3 p=2.5": (3, 2.5, None),
+        "logistic4 p=2.5": (4, 2.5, None),
+        "logistic3 scaled (1, 1, 2)": (3, 2.5, (1.0, 1.0, 2.0)),
+        "logistic3 scaled (1, 2, 3)": (3, 1.5, (1.0, 2.0, 3.0)),
+    }[name]
+    K = make_family("logistic", d, p=p)
+    K = K if lam is None else scale(K, lam)
+    res = discretize(K, 500)
+    block = np.zeros(d, dtype=int) if lam is None else geometry._meet(np.array(lam))
+    return K, res, block
+
+
+class TestOrbitGrids:
+    """discretize's error and the d >= 3 Hausdorff distance read an atom
+    list on one lattice direction per orbit of the coordinate swaps that
+    keep both bodies; the reference reads every direction."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["logistic3 p=1.5", "logistic3 p=2.5", "logistic4 p=2.5", "logistic3 scaled (1, 1, 2)"],
+    )
+    def test_symmetric_fits_agree_with_the_full_grid(self, name):
+        K, res, block = _fit_case(name)
+        fit = zonoid_from_spectral(res.measure)
+        assert np.array_equal(geometry._atom_blocks(res.measure.scaled_atoms), block)
+        E = geometry._simplex_lattice(K.d, 2048)
+        err = res.max_support_error
+        assert err == pytest.approx(_full_grid_gap(K, fit, E), rel=1e-12, abs=0)
+        assert err.n_samples == len(E)
+        U = _unit_grid(K.d)
+        for K1, K2 in ((fit, K), (K, fit)):
+            d = hausdorff_distance(K1, K2)
+            assert d == pytest.approx(_full_grid_gap(K1, K2, U), rel=1e-12, abs=0)
+            assert d.n_samples == len(U)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_cube_against_cross_polytope(self, d):
+        K1, K2 = unit_cube(d), unit_cross_polytope(d)
+        ref = _full_grid_gap(K1, K2, _unit_grid(d))
+        assert hausdorff_distance(K1, K2) == pytest.approx(ref, rel=1e-12, abs=0)
+        if d == 3:  # the sup sits on the diagonal, its own orbit: the same bits
+            assert hausdorff_distance(K1, K2) == ref
+
+    def test_asymmetric_body_reads_the_full_grid(self):
+        K, res, block = _fit_case("logistic3 scaled (1, 2, 3)")
+        assert np.array_equal(block, [0, 1, 2])
+        fit = zonoid_from_spectral(res.measure)
+        E = geometry._simplex_lattice(3, 2048)
+        assert res.max_support_error == _full_grid_gap(K, fit, E)
+        assert hausdorff_distance(fit, K) == _full_grid_gap(fit, K, _unit_grid(3))
+
+    def test_atom_moved_by_1e9_reads_the_full_grid(self):
+        # the swap test's tolerance is ulps of the atoms, not ATOM_TOL
+        K, res, _ = _fit_case("logistic3 p=1.5")
+        atoms = res.measure.atoms.copy()
+        k = np.flatnonzero((atoms > 0.1).all(axis=1))[0]
+        atoms[k] += [1e-9, -1e-9, 0.0]
+        moved = zonoid_from_spectral(make_measure(atoms, res.measure.masses))
+        assert np.array_equal(geometry._atom_blocks(moved.spectral.scaled_atoms), [0, 1, 2])
+        U = _unit_grid(3)
+        for other in (K, unit_cross_polytope(3), zonoid_from_spectral(res.measure)):
+            assert hausdorff_distance(moved, other) == _full_grid_gap(moved, other, U)
+
+    @pytest.mark.parametrize("name", ["cube-cross 3", "nnls-cube"])
+    def test_m_distance_reads_the_full_grid(self, monkeypatch, name):
+        # lam * u breaks the swaps' symmetry: no orbit grid
+        K1, K2, grid_n = _search_pair(name)
+        ref = _full_grid_m_distance(K1, K2, grid_n, passes=1)
+
+        def refuse(*args):
+            raise AssertionError("m_distance read an orbit grid")
+
+        monkeypatch.setattr(geometry, "_lattice_orbits", refuse)
+        assert m_distance(K1, K2, grid_n) == ref
+
+    @pytest.mark.parametrize(
+        "d, m, block, count",
+        [
+            # partitions of r = 198 into at most 3 parts: round(201^2 / 12)
+            (3, 20_000, (0, 0, 0), 3367),
+            # r = 62: a third coordinate c and an unordered pair summing to 62 - c
+            (3, 2048, (0, 0, 2), 1024),
+            (3, 2048, (0, 1, 2), 2016),
+            (4, 20_000, (0, 0, 0, 0), None),
+            (4, 500, (0, 1, 0, 1), None),
+        ],
+    )
+    def test_representatives_cover_every_orbit(self, d, m, block, count):
+        L = geometry._simplex_lattice(d, m)
+        rows = geometry._lattice_orbits(d, m, block)
+        label = geometry._orbit_labels(L, np.array(block))
+        assert np.array_equal(np.sort(label[rows]), np.arange(label.max() + 1))
+        assert np.all(np.diff(rows) > 0) and not rows.flags.writeable
+        assert count is None or len(rows) == count
+        assert geometry._lattice_orbits(d, m, block) is rows
+
+    def test_swap_blocks_read_values_on_the_lattice(self):
+        L = geometry._simplex_lattice(3, 2048)
+        for w, block in (((1.0, 1.0, 1.0), [0, 0, 0]), ((1.0, 2.0, 1.0), [0, 1, 0]), ((1.0, 2.0, 3.0), [0, 1, 2])):
+            b = L @ np.array(w)
+            assert np.array_equal(geometry._swap_blocks(3, 2048, b), block)
+            b[5] = np.nan
+            assert np.array_equal(geometry._swap_blocks(3, 2048, b), [0, 1, 2])
 
 
 class TestMDistance:

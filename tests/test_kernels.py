@@ -1,6 +1,7 @@
 """The numpy kernels against their dense definitions."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -46,9 +47,10 @@ def test_support_sum_zero_floor(rng):
 
 
 def test_support_sum_dense_path_is_definition(rng):
-    # d >= 3 keeps the tiled dense product: bit-identical across tiles
-    atoms = rng.random((37, 3)) * rng.random((37, 1))
-    points = rng.random((_kernels._TILE // 37 + 211, 3)) * 3.0 - 0.5
+    # d = 3 bodies of at most 25 atoms keep the tiled dense product (the
+    # table path never pays for them): bit-identical across tiles
+    atoms = rng.random((20, 3)) * rng.random((20, 1))
+    points = rng.random((_kernels._TILE // 20 + 211, 3)) * 3.0 - 0.5
     got = _kernels.support_sum(atoms, points)
     assert np.array_equal(got, dense_support(atoms, points))
 
@@ -263,6 +265,33 @@ def test_table_support_across_blocks(rng, m):
     assert _kernels._support_sum_3d(B, np.empty((0, 3))).shape == (0,)
 
 
+@pytest.mark.parametrize("m", [64, 406, 1000, 3000])
+def test_batch_sized_blocks_match_dense(rng, m):
+    # blocks of about sqrt(8 n) atoms; a value sums at most b terms in a
+    # table and 4 ceil(m/b) table reads, each a sum of nonnegative terms
+    B = rng.random((m, 3)) * rng.random((m, 1))
+    B[::7, 0] = 0.0
+    for n in (1, 7, 100, 1000, 2016, 3367, 20_000):
+        X = rng.random((n, 3))
+        b = _kernels._block(m, n)
+        cap = min(_kernels._BLOCK, max(1, math.isqrt(8 * n)))
+        assert b <= cap and -(-m // b) == -(-m // cap)
+        # the dense definition by max_products, equal to it bit for bit and faster
+        ref = np.concatenate([_kernels.max_products(B, X[lo : lo + 1024]).sum(1) for lo in range(0, n, 1024)])
+        bound = (b + 4 * -(-m // b)) * np.finfo(float).eps
+        np.testing.assert_allclose(_kernels._support_sum_3d(B, X), ref, rtol=bound, atol=0)
+
+
+def test_tables_pay_from_about_a_thousand_points():
+    # the d = 3 grids of discretize and the distances: an orbit error check
+    # (352 directions) stays dense, the asymmetric one (2,016) and the
+    # Hausdorff orbits (3,367) take tables; bodies of 25 atoms or fewer never do
+    assert not _kernels._tables_pay(406, 352)
+    assert _kernels._tables_pay(406, 2016) and _kernels._tables_pay(406, 3367)
+    assert not _kernels._tables_pay(406, 768) and _kernels._tables_pay(406, 1280)
+    assert not any(_kernels._tables_pay(25, n) for n in (10, 1000, 10**6))
+
+
 def _count_table_calls(monkeypatch):
     calls = []
     table = _kernels._support_sum_3d
@@ -282,16 +311,19 @@ def test_support_sum_takes_tables_where_they_pay(rng, monkeypatch):
     np.testing.assert_allclose(_kernels.support_sum(B, X), dense_support(B, X), rtol=1e-13, atol=0)
     assert calls == [(400, 8000)]
     # few points, few atoms, d = 4: the tiled path, bit for bit
-    for B, X in ((B, X[:400]), (B[:40], X), (rng.random((400, 4)), rng.random((8000, 4)))):
+    for B, X in ((B, X[:400]), (B[:20], X), (rng.random((400, 4)), rng.random((8000, 4)))):
         assert np.array_equal(_kernels.support_sum(B, X), dense_support(B, X))
     assert calls == [(400, 8000)]
 
 
 def test_hausdorff_of_nnls_fit_takes_tables(monkeypatch):
+    # the fit is read on one grid direction per orbit of the coordinate
+    # swaps: 3,367 of 19,900, which the batch-sized blocks make pay
     fit = zonoid_from_spectral(discretize(make_family("logistic", 3, p=1.5), 500).measure)
     calls = _count_table_calls(monkeypatch)
     hausdorff_distance(fit, make_family("logistic", 3, p=1.5))
-    assert calls == [(fit.spectral.n_atoms, len(_distance_grid(3, None)))]
+    assert calls == [(fit.spectral.n_atoms, 3367)]
+    assert len(_distance_grid(3, None)) == 19900
 
 
 def test_few_atom_bodies_stay_dense(monkeypatch):
