@@ -49,7 +49,7 @@ from .estimate import (
     empirical_spectral,
     estimate_zonoid_2d,
 )
-from .families import DiscretizeResult, FamilySpec, discretize, make_family
+from .families import DiscretizeResult, discretize, make_family
 from .geometry import (
     AnalyticNorm,
     DependencySet,

@@ -12,8 +12,9 @@ The block is sized to the batch, b ~ sqrt(8 n) up to 512, which balances
 a block's table cells against its point reads, so n points cost
 O(m sqrt n).  Otherwise, and for d >= 4, a running maximum of
 one outer product per coordinate fills cache-sized (rows, m) tiles in
-O(n m d), summed along the rows; the NNLS design adds such products of
-one atom per symmetry orbit at a time (families._fit_nnls).
+O(n m d), summed along the rows; the NNLS design of an exchangeable body
+adds such products of one atom per permutation orbit at a time
+(families._fit_nnls).
 Bodies of fewer than 8 atoms take (m, rows) tiles summed down the point
 columns, as rows of 1-7 terms pay numpy's per-row overhead on every
 point; numpy adds fewer than 8 terms of a row in order, as a column sum

@@ -43,7 +43,7 @@ from .distribution import (
     simulate,
 )
 from .estimate import convergence_diagnostic, empirical_spectral
-from .families import FamilySpec, discretize
+from .families import discretize, make_family
 from .geometry import (
     Polygon2D,
     normalize_dependency,
@@ -88,21 +88,39 @@ def _parse_subset(key, d):
     return frozenset(idx)
 
 
+def _json_object(value, what):
+    """value, which must be a JSON object, else ValueError naming what."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {json.dumps(value)}")
+    return value
+
+
+def _dimension(value):
+    """A model file's "d", a JSON number of integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f'"d" must be an integer, not {json.dumps(value)}')
+    return value
+
+
 def load_spec(path):
     with open(path) as fh:
-        spec = json.load(fh)
+        spec = _json_object(json.load(fh), "a model file")
     forms = [k for k in ("family", "spectral", "polygon", "extremal") if k in spec]
     if len(forms) != 1:
         raise ValueError(
             f"model file must contain exactly one of family/spectral/polygon/"
             f"extremal, found {forms or 'none'}"
         )
+    _json_object(spec[forms[0]], f'"{forms[0]}"')
     return spec, forms[0]
 
 
 def parse_extremal(body):
-    d = int(body["d"])
-    values = {_parse_subset(key, d): float(v) for key, v in body["theta"].items()}
+    d = _dimension(body["d"])
+    theta = _json_object(body["theta"], '"theta"')
+    values = {_parse_subset(key, d): float(v) for key, v in theta.items()}
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
     subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
@@ -115,8 +133,8 @@ def parse_extremal(body):
 def build_model(spec, form):
     if form == "family":
         body = spec["family"]
-        fam = FamilySpec(body["name"], int(body.get("d", 2)), body.get("params", {}))
-        return MaxStableModel(fam.build())
+        params = _json_object(body.get("params", {}), '"params"')
+        return MaxStableModel(make_family(body["name"], _dimension(body.get("d", 2)), **params))
     if form in ("spectral", "polygon"):
         if form == "spectral":
             body = spec["spectral"]

@@ -13,7 +13,7 @@ to 2e-13 relative wherever Phi exceeds 1e-300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,13 @@ from .geometry import (
     Polygon2D,
     _as_count,
     _fold,
-    _lattice_orbits,
-    _meet,
+    _grid_gap,
     _norm_chain,
     _orbit_labels,
     _quarter_circle,
     _simplex_lattice,
     _support_finite,
-    _swap_blocks,
+    _values_exchangeable,
     as_dependency,
     unit_cross_polytope,
     unit_cube,
@@ -56,19 +55,6 @@ FAMILY_NAMES = (
     "marshall_olkin",
     "matrix_weights",
 )
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    d: int = 2
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        return make_family(self.name, self.d, **self.params)
-
-    def __hash__(self):  # equal specs have equal params, whose values may be lists
-        return hash((self.name, self.d, tuple(sorted(self.params))))
 
 
 def _lp_norm_rows(X, p):
@@ -265,23 +251,23 @@ def discretize(K, m=1000, n_eval=2048):
     d >= 3 the masses of a simplex lattice of at most m atoms (so m >= d)
     are fit by nonnegative least squares to h on a finer simplex lattice
     ("nnls-bpp"): block principal pivoting returns the exact NNLS
-    minimizer, a KKT point, after one step of iterative refinement, with
-    one weight per orbit of the coordinate swaps that keep h on the lattice
-    and one row per orbit of fit points, weighted by its size (91 atom
-    orbits of 496 and 341 point orbits of 1,953 for an exchangeable d = 3
-    body), which is exact: the weighted fit has the full fit's minimizer.
+    minimizer, a KKT point, after one step of iterative refinement.  When
+    every coordinate permutation keeps h on the lattice, the fit has one
+    weight per atom orbit and one row per orbit of fit points, weighted by
+    its size (91 atom orbits of 496 and 341 point orbits of 1,953 in
+    d = 3), which is exact: the weighted fit has the full fit's minimizer.
     Marginal sums are renormalized to 1; the error is the largest support
     gap over n_eval directions (equally spaced on the quarter circle in
     d = 2, the simplex lattice of at most n_eval points in d >= 3).  That
     set must hold a direction off the axes, so n_eval is at least 3 in
     d = 2 and d(d + 1)/2 in d >= 3; a smaller one raises ValueError, as
     the gap would be read on the axes alone, where every fit is exact.
-    In d >= 3 the fit is read on one lattice direction per orbit of the
-    swaps that keep both it (the fit's blocks) and K (_swap_blocks on K's
-    values): 352 of 2,016 for an exchangeable d = 3 body.  The maximum
-    over those representatives is still a lower bound on the sup of the
-    gap, and equals the maximum over the whole lattice up to rounding;
-    n_samples stays the whole lattice's count.
+    The gap is _grid_gap's, which in d >= 3 reads the fit on one lattice
+    direction per orbit when K and the fit are both exchangeable: 352 of
+    2,016 in d = 3.  The maximum over those representatives is still a
+    lower bound on the sup of the gap, and equals the maximum over the
+    whole lattice up to rounding; n_samples stays the whole lattice's
+    count.  A NaN support value of K on the lattice raises ValueError.
     """
     m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
     if m < 2:
@@ -300,37 +286,30 @@ def discretize(K, m=1000, n_eval=2048):
     else:
         if m < K.d:
             raise ValueError(f"the simplex lattice in d = {K.d} needs at least {K.d} atoms")
-        sigma, block = _fit_nnls(K, m)
+        sigma = _fit_nnls(K, m)
         E, method = _simplex_lattice(K.d, n_eval), "nnls-bpp"
-    approx = MaxZonoid(d=K.d, spectral=sigma)
-    h = _support_finite(K, E)
-    if K.d == 2:
-        err = np.abs(h - _support_finite(approx, E)).max()
-    else:  # the fit on one direction per orbit of the swaps that keep it and K
-        rows = _lattice_orbits(K.d, n_eval, tuple(_meet(block, _swap_blocks(K.d, n_eval, h))))
-        err = np.abs(h[rows] - _support_finite(approx, E[rows])).max()
+    err = _grid_gap(K, MaxZonoid(d=K.d, spectral=sigma), E, n_eval)
     return DiscretizeResult(sigma, Estimate(err, 0.0, method, len(E)))
 
 
 def _fit_nnls(K, m):
     """Masses of the lattice of at most m atoms fit to b = h(K, X) on a finer
-    lattice X: one weight per atom orbit and one row per point orbit under
-    the swaps _swap_blocks finds (_orbit_labels), the columns summed over
-    atom orbits, each row and b's orbit mean scaled by the root of the
-    orbit's size.  Exact: the full design has full column rank, so its
-    NNLS minimizer is unique, so kept by each swap, so constant on atom
-    orbits, where each row is constant on its point orbit: the weighted sum
-    of squares is the full one less a constant.  For b symmetric to
-    rounding, this fits b's orbit average.  With no symmetry the design is
-    max_products(atoms, X) bit for bit, its rows in lattice order.  Returns
-    the measure and the blocks, whose swaps keep it up to the rounding of
-    its marginal renormalization."""
+    lattice X.  When every coordinate permutation keeps b
+    (_values_exchangeable), one weight per atom orbit and one row per point
+    orbit (_orbit_labels), the columns summed over atom orbits, each row
+    and b's orbit mean scaled by the root of the orbit's size.  Exact: the
+    full design has full column rank, so its NNLS minimizer is unique, so
+    kept by each permutation, so constant on atom orbits, where each row is
+    constant on its point orbit: the weighted sum of squares is the full
+    one less a constant.  For b symmetric to rounding, this fits b's orbit
+    average.  Otherwise the design is max_products(atoms, X) bit for bit,
+    its rows in lattice order."""
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     X = _simplex_lattice(K.d, n_fit)
     b = _support_finite(K, X)
-    block = _swap_blocks(K.d, n_fit, b)
-    label, row = _orbit_labels(atoms, block), _orbit_labels(X, block)
+    symmetric = _values_exchangeable(K.d, n_fit, b)
+    label, row = _orbit_labels(atoms, symmetric), _orbit_labels(X, symmetric)
     X, size = X[np.unique(row, return_index=True)[1]], np.bincount(row)  # each orbit's first point
     order = np.argsort(label, kind="stable")
     within = np.empty_like(label)  # each atom's place in its orbit, in lattice order
@@ -345,7 +324,7 @@ def _fit_nnls(K, m):
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
-    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1")), block
+    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
 
 
 def _nnls_bpp(A, b):

@@ -315,69 +315,51 @@ def _simplex_lattice(d, m):
 
 
 @functools.lru_cache(maxsize=32)
-def _lattice_swap(d, m, i, j):
+def _lattice_swap(d, m, j):
     """The permutation o of the rows of _simplex_lattice(d, m) under the swap
-    of columns i and j: row o[k] is row k swapped, matched exactly, as a
+    of columns 0 and j: row o[k] is row k swapped, matched exactly, as a
     coordinate k/r is one float per integer k.  Cached read-only, as int32:
     80 KB a swap on the 19,900-point default distance grid."""
-    o = np.lexsort(_swapped(_simplex_lattice(d, m), i, j).T[::-1]).astype(np.int32)  # sorted: the rows
+    o = np.lexsort(_swapped(_simplex_lattice(d, m), j).T[::-1]).astype(np.int32)  # sorted: the rows
     o.setflags(write=False)
     return o
 
 
-def _swapped(A, i, j):
-    """A with columns i and j swapped."""
+def _swapped(A, j):
+    """A with columns 0 and j swapped."""
     c = np.arange(A.shape[1])
-    c[[i, j]] = j, i
+    c[[0, j]] = j, 0
     return A[:, c]
 
 
-def _blocks(d, keeps):
-    """Blocks of the d coordinates, each labelled by a number, generated by
-    the swaps (i, j) for which keeps(i, j): they generate the product of the
-    symmetric groups on the blocks, and a swap already generated is not
-    tested."""
-    block = np.arange(d)
-    for i, j in itertools.combinations(range(d), 2):
-        if block[i] != block[j] and keeps(i, j):
-            block[block == block[j]] = block[i]
-    return block
-
-
-def _swap_blocks(d, m, b):
-    """The blocks of the swaps that keep the values b on the rows of
-    _simplex_lattice(d, m) to 4 ulps of max|b|; a NaN in b keeps none."""
+def _values_exchangeable(d, m, b):
+    """Whether the swaps (0, j), which generate every permutation of the d
+    coordinates, keep the values b on the rows of _simplex_lattice(d, m) to
+    4 ulps of max|b|; a NaN in b keeps none."""
     tol = 4 * np.spacing(np.abs(b).max())
-    return _blocks(d, lambda i, j: np.abs(b[_lattice_swap(d, m, i, j)] - b).max() <= tol)
+    return all(np.abs(b[_lattice_swap(d, m, j)] - b).max() <= tol for j in range(1, d))
 
 
-def _atom_blocks(B):
-    """The blocks of the swaps that keep an atom list, read on its scaled
-    atoms B: the swapped rows match B's row for row, both sorted by
-    _point_keys, to 16 ulps of max B (the marginal renormalization of an
-    NNLS fit moves them by up to 7).  Atoms that tie in their keys but not
-    in their bits may sort apart and fail the test, never pass it wrongly."""
+def _atoms_exchangeable(B):
+    """Whether the swaps (0, j) keep an atom list, read on its scaled atoms
+    B: the swapped rows match B's row for row, both sorted by _point_keys,
+    to 16 ulps of max B (the marginal renormalization of an NNLS fit moves
+    them by up to 7).  Atoms that tie in their keys but not in their bits
+    may sort apart and fail the test, never pass it wrongly."""
 
     def rows(A):
         return A[np.lexsort(_point_keys(A).T[::-1])]
 
     S, tol = rows(B), 16 * np.spacing(B.max())
-    return _blocks(B.shape[1], lambda i, j: np.abs(rows(_swapped(B, i, j)) - S).max() <= tol)
+    return all(np.abs(rows(_swapped(B, j)) - S).max() <= tol for j in range(1, B.shape[1]))
 
 
-def _meet(*blocks):
-    """The blocks of the swaps that every partition given generates: the
-    coordinates together in all of them, each labelled by its block's first."""
-    return functools.reduce(operator.and_, (b[:, None] == b for b in blocks)).argmax(1)
-
-
-def _orbit_labels(P, block):
-    """Each row's orbit under the swaps within blocks, its coordinates sorted
-    within blocks, numbered from the largest orbit down and in lattice order
-    among orbits of one size: with no swaps, each row is its own, in order."""
-    S = P.copy()
-    for c in set(block):
-        S[:, block == c] = np.sort(S[:, block == c], axis=1)
+def _orbit_labels(P, symmetric):
+    """Each row's orbit under every coordinate permutation when symmetric,
+    its coordinates sorted, numbered from the largest orbit down and in
+    lattice order among orbits of one size; otherwise each row is its own,
+    in order."""
+    S = np.sort(P, axis=1) if symmetric else P
     o = np.lexsort(S.T[::-1])  # np.unique(S, axis=0) takes 3-5 times as long
     label = np.empty(len(S), dtype=np.intp)
     label[o] = np.cumsum(np.r_[True, (S[o][1:] != S[o][:-1]).any(axis=1)]) - 1
@@ -385,35 +367,39 @@ def _orbit_labels(P, block):
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice_orbits(d, m, block):
-    """One row of _simplex_lattice(d, m) per orbit of the swaps within the
-    blocks, block a tuple of labels as _meet gives them: each orbit's first
-    row, in ascending order.  Cached read-only; read on the exact lattice,
-    whose rows a swap maps onto rows."""
-    label = _orbit_labels(_simplex_lattice(d, m), np.array(block))
+def _lattice_orbits(d, m):
+    """One row of _simplex_lattice(d, m) per orbit of the coordinate
+    permutations: each orbit's first row, in ascending order.  Cached
+    read-only; read on the exact lattice, whose rows a swap maps onto rows."""
+    label = _orbit_labels(_simplex_lattice(d, m), True)
     rows = np.sort(np.unique(label, return_index=True)[1])
     rows.setflags(write=False)
     return rows
 
 
 def _grid_gap(K1, K2, U, m):
-    """max over the rows u of U of |h(K1, u) - h(K2, u)|.  In d >= 3, for U
-    the lattice _simplex_lattice(d, m) with its rows scaled, an atom list
-    is read on one row per orbit of the swaps that keep both bodies: an
-    analytic norm is tested on its values on all of U (_swap_blocks), an
-    atom list on its atoms (_atom_blocks).  Bodies keep their swaps to
-    rounding, so this is the maximum over all of U up to rounding."""
+    """max over the rows u of U of |h(K1, u) - h(K2, u)|; a NaN support
+    value raises ValueError.  In d >= 3, for U the lattice
+    _simplex_lattice(d, m) with its rows scaled, an atom list is read on one
+    row per orbit of the coordinate permutations when both bodies are
+    exchangeable: an analytic norm is tested on its values on all of U
+    (_values_exchangeable), an atom list on its atoms (_atoms_exchangeable).
+    Such bodies keep every permutation to rounding, so this is the maximum
+    over all of U up to rounding.  Otherwise every row is read."""
     bodies = (K1, K2)
     h = [None if K.spectral is not None and K.d >= 3 else _support_finite(K, U) for K in bodies]
-    if all(v is not None for v in h):
-        return np.abs(h[0] - h[1]).max()
-    kept = [
-        _swap_blocks(K.d, m, v) if v is not None else _atom_blocks(K.spectral.scaled_atoms)
-        for K, v in zip(bodies, h)
-    ]
-    rows = _lattice_orbits(K1.d, m, tuple(_meet(*kept)))
-    h = [_support_finite(K, U[rows]) if v is None else v[rows] for K, v in zip(bodies, h)]
-    return np.abs(h[0] - h[1]).max()
+    if any(v is None for v in h):
+        symmetric = all(
+            _values_exchangeable(K.d, m, v) if v is not None
+            else _atoms_exchangeable(K.spectral.scaled_atoms)
+            for K, v in zip(bodies, h)
+        )
+        rows = _lattice_orbits(K1.d, m) if symmetric else slice(None)
+        h = [_support_finite(K, U[rows]) if v is None else v[rows] for K, v in zip(bodies, h)]
+    gap = np.abs(h[0] - h[1]).max()
+    if np.isnan(gap):
+        raise ValueError("support function is NaN on the direction grid")
+    return gap
 
 
 def _polygon_of(K, directions=512):
@@ -716,7 +702,8 @@ def _simplex_quadrature(f, d):
     never below the rounding level n_nodes * eps * |Q_128|."""
     (T64, w64), (T, w) = _simplex_rule(d, 64), _simplex_rule(d, 128)
     vals = f(np.vstack([T64, T]))
-    q64, q = float(w64 @ vals[: len(w64)]), float(w @ vals[len(w64) :])
+    # elementwise, not w @ vals: a threaded BLAS dot can stall for milliseconds
+    q64, q = float((w64 * vals[: len(w64)]).sum()), float((w * vals[len(w64) :]).sum())
     err = max(abs(q - q64), len(w) * float(np.finfo(float).eps) * abs(q))
     return Estimate(q, err, "quadrature", len(w))
 
@@ -831,6 +818,17 @@ def _distance_grid(d, grid_n):
     return _quarter_circle(grid_n) if d == 2 else _simplex_lattice(d, grid_n)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_distance_grid(d, grid_n):
+    """_distance_grid(d, grid_n) with its rows scaled to unit length, for
+    Hausdorff.  Cached read-only: the rescale of the 19,900-point d = 3 grid
+    costs about half a millisecond, the cached grid 0.5 MB."""
+    U = _distance_grid(d, grid_n)
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    U.setflags(write=False)
+    return U
+
+
 def hausdorff_distance(K1, K2, grid_n=None):
     """Grid-limited Hausdorff distance: max over unit directions u of
     |h(K1, u) - h(K2, u)|.  Both bodies contain the origin and are
@@ -839,22 +837,18 @@ def hausdorff_distance(K1, K2, grid_n=None):
     are the quarter circle in d = 2 and the simplex lattice scaled to
     unit length otherwise; the value is a lower bound that can only rise
     under nested refinement (doubling grid_n in d = 2, a lattice whose
-    resolution is a multiple of the old one in d >= 3).  In d >= 3 an atom
-    list is read on one direction per orbit of the coordinate swaps that
-    keep both bodies (_grid_gap): the maximum over those representatives,
-    still a lower bound, equals the maximum over the whole grid up to
-    rounding.  Returned as an Estimate with method "grid-lower-bound" and
-    the count of the whole grid.  The bodies need not be normalized, but a
+    resolution is a multiple of the old one in d >= 3).  In d >= 3, when
+    both bodies are exchangeable, an atom list is read on one direction per
+    orbit of the coordinate permutations (_grid_gap): the maximum over those
+    representatives, still a lower bound, equals the maximum over the whole
+    grid up to rounding.  Returned as an Estimate with method
+    "grid-lower-bound" and the count of the whole grid.  The bodies need not be normalized, but a
     NaN support value on the grid raises ValueError."""
     if K1.d != K2.d:
         raise ValueError("bodies must share a dimension")
     grid_n = _grid_size(K1.d, grid_n)
-    U = _distance_grid(K1.d, grid_n)
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
-    gap = _grid_gap(K1, K2, U, grid_n)
-    if np.isnan(gap):
-        raise ValueError("support function is NaN on the direction grid")
-    return Estimate(gap, 0.0, "grid-lower-bound", len(U))
+    U = _unit_distance_grid(K1.d, grid_n)
+    return Estimate(_grid_gap(K1, K2, U, grid_n), 0.0, "grid-lower-bound", len(U))
 
 
 def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):

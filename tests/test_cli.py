@@ -501,6 +501,29 @@ class TestExitCodes:
         assert main(["measures", "--model", spec, "--samples", "100", "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # JSON of the wrong type: a one-line message, never a TypeError or
+    # AttributeError traceback, and a d of 2.5 is not read as 2
+    @pytest.mark.parametrize("doc, message", [
+        ({"family": {"name": "logistic", "d": 2, "params": None}}, '"params" must be a JSON object, not null'),
+        ({"family": {"name": "logistic", "d": 2, "params": [2.0]}}, '"params" must be a JSON object, not [2.0]'),
+        ({"family": ["logistic"]}, '"family" must be a JSON object, not ["logistic"]'),
+        ({"extremal": {"d": 2, "theta": [1.5]}}, '"theta" must be a JSON object, not [1.5]'),
+        ({"family": {"name": "logistic", "d": 2.5, "params": {"p": 2.0}}}, '"d" must be an integer, not 2.5'),
+        (5, "a model file must be a JSON object, not 5"),
+    ])
+    def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
+        spec = write_model(tmp_path, "bad.json", doc)
+        assert main(["measures", "--model", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_dimension_may_be_written_as_a_float(self, tmp_path, capsys):
+        docs = [{"family": {"name": "independence", "d": d}} for d in (3, 3.0)]
+        outs = []
+        for doc in docs:
+            assert main(["spectral", "--model", write_model(tmp_path, "m.json", doc), "--to-atoms"]) == 0
+            outs.append(json.loads(capsys.readouterr().out)["results"])
+        assert outs[0] == outs[1]
+
     def test_unnormalized_atoms_rejected(self, tmp_path, points_csv):
         spec = write_model(
             tmp_path, "un.json",

@@ -11,7 +11,6 @@ from scipy.special import ndtr
 
 from maxzonoid import (
     DependencySet,
-    FamilySpec,
     MaxStableModel,
     discretize,
     families,
@@ -24,7 +23,15 @@ from maxzonoid import (
     zonoid_from_spectral,
 )
 from maxzonoid import _kernels
-from maxzonoid.geometry import AnalyticNorm, MaxZonoid, _simplex_lattice, _support_finite, scale
+from maxzonoid.geometry import (
+    AnalyticNorm,
+    MaxZonoid,
+    _distance_grid,
+    _simplex_lattice,
+    _support_finite,
+    hausdorff_distance,
+    scale,
+)
 from maxzonoid.spectral import make_measure
 
 
@@ -77,17 +84,17 @@ class TestMakeFamily:
 
     def test_every_family_is_dependency(self):
         specs = [
-            FamilySpec("independence", 3),
-            FamilySpec("dependence", 3),
-            FamilySpec("logistic", 3, {"p": 2.5}),
-            FamilySpec("neg_logistic", 2, {"lam": 0.6, "p": -1.0}),
-            FamilySpec("husler_reiss", 2, {"lam": 0.7}),
-            FamilySpec("marshall_olkin", 2, {"alpha1": 0.2, "alpha2": 0.8}),
-            FamilySpec("matrix_weights", 2, {"matrix": [[0.5, 0.3], [0.5, 0.7]]}),
+            ("independence", 3, {}),
+            ("dependence", 3, {}),
+            ("logistic", 3, {"p": 2.5}),
+            ("neg_logistic", 2, {"lam": 0.6, "p": -1.0}),
+            ("husler_reiss", 2, {"lam": 0.7}),
+            ("marshall_olkin", 2, {"alpha1": 0.2, "alpha2": 0.8}),
+            ("matrix_weights", 2, {"matrix": [[0.5, 0.3], [0.5, 0.7]]}),
         ]
-        for spec in specs:
-            K = spec.build()
-            assert isinstance(K, DependencySet), spec.name
+        for name, d, params in specs:
+            K = make_family(name, d, **params)
+            assert isinstance(K, DependencySet), name
             np.testing.assert_allclose(K.marginals(), 1.0, atol=1e-9)
 
     def test_family_sandwich_on_rays(self, rng):
@@ -255,6 +262,24 @@ class TestDiscretize:
         for bad in (math.nan, 2.5, math.inf):
             with pytest.raises(ValueError, match="n_eval must be an integer"):
                 discretize(K, 10, bad)
+
+    # a norm that is NaN at one interior direction of the resolution-62 error
+    # lattice, which the resolution-61 fit lattice misses: the fit succeeds,
+    # and its error is never a NaN
+    def test_nan_on_the_error_lattice_raises(self):
+        base = make_family("logistic", 3, p=1.5).norm
+        bad = _simplex_lattice(3, 2048)[100]
+        assert (bad > 0).all()
+
+        def fn(X):
+            out = base.fn(X)
+            out[(X == bad).all(axis=1)] = np.nan
+            return out
+
+        K = MaxZonoid(d=3, norm=AnalyticNorm("nan-at-one-direction", 3, fn, base.grad))
+        assert not np.isnan(families._fit_nnls(K, 500).masses).any()
+        with pytest.raises(ValueError, match="support function is NaN on the direction grid"):
+            discretize(K, 500)
 
     # the gap measured on the axes alone reads 0 for every fit: the first
     # set with an off-axis direction has 3 points on the quarter circle and
@@ -517,35 +542,36 @@ class TestNnlsBpp:
         assert np.array_equal(res.measure.masses, ref.masses)
         assert (res.measure.n_atoms, res.measure.masses.sum().hex()) == (366, "0x1.8000000000004p+1")
 
-    # two equal scale factors make a block of two coordinates.  d = 3, r = 30:
-    # a third coordinate c and an unordered pair summing to 30 - c, so
-    # sum over s = 0..30 of (s // 2 + 1) = 256 orbits; d = 4, r = 12: two
-    # unordered pairs summing to s and 12 - s, 140 orbits.  The fit points,
-    # by the same count: sum over s = 0..61 of (s // 2 + 1) = 992 in d = 3,
-    # r = 61; sum over s = 0..20 of (s // 2 + 1)((20 - s) // 2 + 1) = 506
-    # in d = 4, r = 20
-    @pytest.mark.parametrize(
-        "lam, orbits, rows", [((1.0, 1.0, 2.0), 256, 992), ((1.0, 2.0, 1.0, 2.0), 140, 506)]
-    )
-    def test_equal_scale_factors_give_block_orbits(self, monkeypatch, lam, orbits, rows):
-        K = scale(make_family("logistic", len(lam), p=2.5), lam)
-        res, (A, _) = _recorded_fit(monkeypatch, K, 500)
-        assert A.shape == (rows, orbits)
-        _assert_fit_matches_full_design(monkeypatch, K, 500, res)
+    # two equal scale factors keep a swap, but not every permutation: the
+    # fit takes the full design and data, and the error and the Hausdorff
+    # distance read every direction of their grids, bit for bit
+    @pytest.mark.parametrize("lam", [(1.0, 1.0, 2.0), (1.0, 2.0, 1.0, 2.0)])
+    def test_partially_symmetric_body_keeps_the_full_design(self, monkeypatch, lam):
+        d = len(lam)
+        K = scale(make_family("logistic", d, p=2.5), lam)
+        res, (A, b) = _recorded_fit(monkeypatch, K, 500)
+        atoms, X = _simplex_lattice(d, 500), _fit_lattice(d, 500)
+        assert np.array_equal(A, _kernels.max_products(atoms, X))
+        assert np.array_equal(b, _support_finite(K, X))
+        fit = zonoid_from_spectral(res.measure)
+        E = _simplex_lattice(d, 2048)
+        assert res.max_support_error == np.abs(_support_finite(K, E) - _support_finite(fit, E)).max()
+        U = _distance_grid(d, None)
+        U = U / np.linalg.norm(U, axis=1, keepdims=True)
+        assert hausdorff_distance(fit, K) == np.abs(_support_finite(fit, U) - _support_finite(K, U)).max()
 
     def test_point_orbits_are_sorted_coordinates(self):
-        # one label per point, equal exactly on points equal after sorting
-        # within blocks, numbered from the largest orbit down
+        # one label per point, equal exactly on points equal after sorting,
+        # numbered from the largest orbit down; without symmetry each point
+        # is its own orbit, in lattice order
         X = _fit_lattice(3, 500)
-        for block in (np.array([0, 1, 2]), np.array([0, 0, 2]), np.array([0, 0, 0])):
-            label = families._orbit_labels(X, block)
-            S = X.copy()
-            for c in set(block):
-                S[:, block == c] = np.sort(S[:, block == c], axis=1)
+        for symmetric in (False, True):
+            label = families._orbit_labels(X, symmetric)
+            S = np.sort(X, axis=1) if symmetric else X
             _, ref = np.unique(S, axis=0, return_inverse=True)
             assert np.array_equal(label[:, None] == label, ref[:, None] == ref)
             assert np.all(np.diff(np.bincount(label)) <= 0)
-        assert np.array_equal(families._orbit_labels(X, np.arange(3)), np.arange(len(X)))
+        assert np.array_equal(families._orbit_labels(X, False), np.arange(len(X)))
 
     def test_rank_deficient_design_raises(self):
         # two equal columns, both in the first passive set: an exactly
@@ -570,12 +596,12 @@ def _fit_lattice(d, m):
 
 def _assert_fit_matches_full_design(monkeypatch, K, m, res):
     """res, the orbit fit of K, against the fit on the full lattice design:
-    with the swap blocks reported as single coordinates, every atom is a
-    column and every fit point a row of weight 1; that design is solved by
+    with the fit data reported as not exchangeable, every atom is a column
+    and every fit point a row of weight 1; that design is solved by
     block principal pivoting and by scipy.  The same kept atoms, masses
     within 1e-12, and errors within 1e-11 relative."""
     with monkeypatch.context() as patch:
-        patch.setattr(families, "_swap_blocks", lambda d, m, b: np.arange(d))
+        patch.setattr(families, "_values_exchangeable", lambda d, m, b: False)
         _, (A, _) = _recorded_fit(patch, K, m)
         assert A.shape == (len(_fit_lattice(K.d, m)), len(_simplex_lattice(K.d, m)))
         for solve in (families._nnls_bpp, lambda A, b: nnls(A, b)[0]):
