@@ -95,6 +95,25 @@ def _json_object(value, what):
     return value
 
 
+def _number(value, what):
+    """value, which must be a JSON number (true and false are not) that a
+    float can hold, else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {json.dumps(value)}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} is an integer beyond the float range")
+    return value
+
+
+def _numbers(value, what):
+    """value, which must be a JSON number or a nested list of them."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(v, what)
+        return value
+    return _number(value, what)
+
+
 def _dimension(value):
     """A model file's "d", a JSON number of integral value, as an int."""
     if isinstance(value, float) and value.is_integer():
@@ -120,7 +139,7 @@ def load_spec(path):
 def parse_extremal(body):
     d = _dimension(body["d"])
     theta = _json_object(body["theta"], '"theta"')
-    values = {_parse_subset(key, d): float(v) for key, v in theta.items()}
+    values = {_parse_subset(k, d): float(_number(v, f'theta "{k}"')) for k, v in theta.items()}
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
     subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
@@ -134,12 +153,18 @@ def build_model(spec, form):
     if form == "family":
         body = spec["family"]
         params = _json_object(body.get("params", {}), '"params"')
+        for key, v in params.items():
+            _numbers(v, f'param "{key}"')
         return MaxStableModel(make_family(body["name"], _dimension(body.get("d", 2)), **params))
     if form in ("spectral", "polygon"):
         if form == "spectral":
             body = spec["spectral"]
-            pts = [a["point"] for a in body["atoms"]]
-            masses = [a["mass"] for a in body["atoms"]]
+            atoms = body["atoms"]
+            if not isinstance(atoms, list):
+                raise ValueError(f'"atoms" must be a JSON list, not {json.dumps(atoms)}')
+            atoms = [_json_object(a, "an atom") for a in atoms]
+            pts = [_numbers(a["point"], 'an atom\'s "point"') for a in atoms]
+            masses = [_number(a["mass"], 'an atom\'s "mass"') for a in atoms]
             sigma = make_measure(pts, masses, body.get("reference_norm", "l1"))
         else:
             vertices = np.asarray(spec["polygon"]["vertices"], float)
@@ -245,24 +270,58 @@ def result_document(operation, spec, results, **extra):
     return doc
 
 
+class _JSONText:
+    """A value that write_json writes as this JSON text, as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+_SPLICE = "\u0000JSON text\u0000"
+
+
+def _json_rows(template, *columns):
+    """The JSON list of template % row for each row of the float columns:
+    the bytes json.dumps writes for that list of sorted objects or lists,
+    as a finite float's %r is its repr, which json writes too.  One %
+    over the whole list, not a dict per row (about 2/3 of the time)."""
+    values = np.column_stack(columns).ravel().tolist()
+    return _JSONText("[" + ", ".join([template] * len(columns[0])) % tuple(values) + "]")
+
+
 def write_json(path, doc):
     """One line with sorted keys: json.dumps without indent runs the C
-    encoder, where json.dump and any indent take the pure-Python one."""
+    encoder, where json.dump and any indent take the pure-Python one.
+    Each _JSONText goes in as a placeholder string, replaced by its text;
+    if the document already holds that string, the texts are parsed."""
+    texts = []
+
+    def splice(obj):
+        if not isinstance(obj, _JSONText):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        texts.append(obj.text)
+        return _SPLICE
+
+    parts = json.dumps(doc, sort_keys=True, default=splice).split(json.dumps(_SPLICE))
+    if len(parts) == len(texts) + 1:
+        out = parts[0] + "".join(t + rest for t, rest in zip(texts, parts[1:]))
+    else:
+        out = json.dumps(doc, sort_keys=True, default=lambda obj: json.loads(obj.text))
     fh = _open_out(path)
     try:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write(out + "\n")
     finally:
         if fh is not sys.stdout:
             fh.close()
 
 
 def _measure_to_spec(sigma):
+    point = ", ".join(["%r"] * sigma.d)
     return {
         "reference_norm": sigma.reference,
-        "atoms": [
-            {"point": p.tolist(), "mass": float(m)}
-            for p, m in zip(sigma.atoms, sigma.masses)
-        ],
+        "atoms": _json_rows('{"mass": %r, "point": [' + point + "]}", sigma.masses, sigma.atoms),
     }
 
 
@@ -393,7 +452,8 @@ def cmd_estimate(args):
     }
     if X.shape[1] == 2:
         K = normalize_dependency(zonoid_from_spectral(sigma))
-        results["normalized_polygon"] = polygon_from_spectral(K.spectral).vertices.tolist()
+        vertices = polygon_from_spectral(K.spectral).vertices
+        results["normalized_polygon"] = _json_rows("[%r, %r]", vertices)
     doc = result_document(
         "estimate", {"data": args.data, "threshold": args.threshold}, results
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import maxzonoid as mz
 from maxzonoid import cli
 from maxzonoid.cli import main, read_csv, write_csv
 
@@ -502,13 +503,26 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     # JSON of the wrong type: a one-line message, never a TypeError or
-    # AttributeError traceback, and a d of 2.5 is not read as 2
+    # AttributeError traceback, and a d of 2.5 is not read as 2; params are
+    # numbers or nested lists of them, theta values numbers, atoms a list
     @pytest.mark.parametrize("doc, message", [
         ({"family": {"name": "logistic", "d": 2, "params": None}}, '"params" must be a JSON object, not null'),
         ({"family": {"name": "logistic", "d": 2, "params": [2.0]}}, '"params" must be a JSON object, not [2.0]'),
         ({"family": ["logistic"]}, '"family" must be a JSON object, not ["logistic"]'),
         ({"extremal": {"d": 2, "theta": [1.5]}}, '"theta" must be a JSON object, not [1.5]'),
         ({"family": {"name": "logistic", "d": 2.5, "params": {"p": 2.0}}}, '"d" must be an integer, not 2.5'),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": None}}}, 'param "p" must be a number, not null'),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": True}}}, 'param "p" must be a number, not true'),
+        ({"family": {"name": "matrix_weights", "d": 2, "params": {"matrix": [[1, None], [0, 1]]}}},
+         'param "matrix" must be a number, not null'),
+        ({"extremal": {"d": 2, "theta": {"1,2": None}}}, 'theta "1,2" must be a number, not null'),
+        ({"extremal": {"d": 2, "theta": {"1,2": 10**400}}}, 'theta "1,2" is an integer beyond the float range'),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": -(10**400)}}},
+         'param "p" is an integer beyond the float range'),
+        ({"extremal": {"d": 2, "theta": {"1,2": [1.5]}}}, 'theta "1,2" must be a number, not [1.5]'),
+        ({"spectral": {"atoms": None}}, '"atoms" must be a JSON list, not null'),
+        ({"spectral": {"atoms": [1]}}, "an atom must be a JSON object, not 1"),
+        ({"spectral": {"atoms": [{"point": [1, None], "mass": 1}]}}, 'an atom\'s "point" must be a number, not null'),
         (5, "a model file must be a JSON object, not 5"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
@@ -763,3 +777,53 @@ class TestOneDimension:
         assert main(["spectral", "--to-atoms", "--model", spec, "--out", out]) == 0
         atoms = read_json(out)["results"]["spectral"]["atoms"]
         assert atoms == [{"mass": 1.0, "point": [1.0]}]
+
+
+def _dict_spec(sigma):
+    """The atoms as json.dumps writes them from one dict per atom."""
+    return {
+        "reference_norm": sigma.reference,
+        "atoms": [{"point": p.tolist(), "mass": float(m)} for p, m in zip(sigma.atoms, sigma.masses)],
+    }
+
+
+def _json_case(name):
+    if name == "logistic fit":
+        return mz.discretize(mz.make_family("logistic", 2, p=2.0), 1000).measure
+    if name == "d = 3 fit":
+        return mz.discretize(mz.make_family("logistic", 3, p=1.5), 500).measure
+    if name == "one atom":
+        return mz.make_measure([[0.25, 0.75]], [4.0 / 3.0])
+    X = 1.0 / -np.log(np.random.default_rng(4).random((3000, 2)))
+    return mz.empirical_spectral(X, 20.0)
+
+
+class TestJsonRows:
+    """Atom lists and polygon vertices go to JSON through one % template."""
+
+    @pytest.mark.parametrize("name", ["logistic fit", "empirical", "one atom", "d = 3 fit"])
+    def test_atoms_are_the_bytes_of_the_dict_path(self, tmp_path, name):
+        sigma = _json_case(name)
+        out = tmp_path / "doc.json"
+        spec = {"zeta": [1.5, -0.0], "alpha": {"b": 2, "a": "x"}}
+        cli.write_json(str(out), {"spec": spec, "results": {"spectral": cli._measure_to_spec(sigma)}})
+        want = {"spec": spec, "results": {"spectral": _dict_spec(sigma)}}
+        assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
+        assert name != "logistic fit" or sigma.n_atoms == 1001
+
+    def test_polygon_vertices_are_the_bytes_of_the_dict_path(self, tmp_path):
+        sigma = _json_case("empirical")
+        vertices = mz.polygon_from_spectral(sigma).vertices
+        out = tmp_path / "doc.json"
+        doc = {"n": sigma.n_atoms, "normalized_polygon": cli._json_rows("[%r, %r]", vertices)}
+        cli.write_json(str(out), doc)
+        want = {"n": sigma.n_atoms, "normalized_polygon": vertices.tolist()}
+        assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
+
+    def test_a_document_holding_the_placeholder_is_parsed(self, tmp_path):
+        sigma = _json_case("one atom")
+        out = tmp_path / "doc.json"
+        spec = {"note": cli._SPLICE}
+        cli.write_json(str(out), {"spec": spec, "spectral": cli._measure_to_spec(sigma)})
+        want = {"spec": spec, "spectral": _dict_spec(sigma)}
+        assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"

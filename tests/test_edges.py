@@ -147,8 +147,24 @@ def _nan_on_e1_axis():
     return MaxZonoid(d=2, norm=AnalyticNorm("nan-axis", 2, fn))
 
 
+def _nan_at_centre(d):
+    """The logistic p = 2 norm, but NaN along the diagonal direction."""
+    h = mz.make_family("logistic", d, p=2.0).norm.fn
+
+    def fn(X):
+        return np.where(np.ptp(X, axis=1) <= 1e-12 * X.max(axis=1), np.nan, h(X))
+
+    return MaxZonoid(d=d, norm=AnalyticNorm("nan-centre", d, fn))
+
+
 class TestNaNIsNoAnswer:
     """NaN fails every judgement of h(K, e_i) and every guard it meets."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_m_distance_rejects_a_nan_grid_value(self, d):
+        for K1, K2 in ((_nan_at_centre(d), unit_cube(d)), (unit_cube(d), _nan_at_centre(d))):
+            with pytest.raises(ValueError, match="NaN on the direction grid"):
+                mz.m_distance(K1, K2)
 
     def test_m_distance_rejects_a_nan_marginal(self):
         with pytest.raises(ValueError, match="defined for dependency sets"):

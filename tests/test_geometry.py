@@ -940,15 +940,16 @@ class TestOrbitGrids:
 
     @pytest.mark.parametrize("name", ["cube-cross 3", "nnls-cube"])
     def test_m_distance_reads_the_full_grid(self, monkeypatch, name):
-        # lam * u breaks the swaps' symmetry: no orbit grid
+        # both bodies are exchangeable, yet the ratio's maximum is read on
+        # every row: no orbit grid
         K1, K2, grid_n = _search_pair(name)
-        ref = _full_grid_m_distance(K1, K2, grid_n, passes=1)
+        ref = _on_grid_m_distance(K1, K2, grid_n, np.zeros((1, K1.d)))
 
         def refuse(*args):
             raise AssertionError("m_distance read an orbit grid")
 
         monkeypatch.setattr(geometry, "_lattice_orbits", refuse)
-        assert m_distance(K1, K2, grid_n) == ref
+        assert m_distance(K1, K2, grid_n) == pytest.approx(ref, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "d, m, count",
@@ -1007,9 +1008,9 @@ class TestMDistance:
 
     def test_cube_cross_3d_at_least_lattice_value(self):
         # 3.2423 on the Sobol simplex grid this lattice replaced; the
-        # relaxation stays below 3 log 3 up to the binary-search tolerance
+        # on-grid optimum is a lower bound of 3 log 3
         d = m_distance(unit_cube(3), unit_cross_polytope(3))
-        assert 3.2423 <= d <= 3 * math.log(3.0) + 1e-5
+        assert 3.2423 <= d <= 3 * math.log(3.0) + 1e-12
 
     def test_requires_dependency_sets(self):
         K = scale(unit_cube(2), [2.0, 2.0])
@@ -1018,22 +1019,30 @@ class TestMDistance:
 
     def test_lam_tol_must_be_positive_and_finite(self):
         # nan and inf first: 0, a negative value and 1e-300 never ended the
-        # old bisection, which raised nothing for nan or inf
-        for lam_tol in (math.nan, math.inf, 0.0, -1e-6):
-            with pytest.raises(ValueError, match="lam_tol"):
-                m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64, lam_tol=lam_tol)
+        # old bisection, which raised nothing for nan or inf; checked on the
+        # exchangeable pair, which needs no search, as on the searched one
+        searched = _search_pair("random 2 0")[:2]
+        for K1, K2 in ((unit_cube(2), unit_cross_polytope(2)), searched):
+            for lam_tol in (math.nan, math.inf, 0.0, -1e-6):
+                with pytest.raises(ValueError, match="lam_tol"):
+                    m_distance(K1, K2, grid_n=64, lam_tol=lam_tol)
         # a bisection also ends once no float lies strictly inside its bracket
         got = m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64, lam_tol=1e-300)
         want = m_distance(unit_cube(2), unit_cross_polytope(2), grid_n=64)
         assert want - 2e-6 <= got <= want
+        got = m_distance(*searched, grid_n=64, lam_tol=1e-300)
+        assert got.method == "grid-infimum-upper-bound"
+        assert got == _full_grid_m_distance(*searched, 64, lam_tol=1e-300, passes=1)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_grid_size_must_be_an_integer(self, d):
         # inf last: it hung the old lattice loop, which raised nothing for nan
+        searched = _search_pair(f"random {d} 0")[:2]
         for grid_n in (math.nan, 2.5, math.inf):
             for dist in (hausdorff_distance, m_distance):
-                with pytest.raises(ValueError, match="grid_n must be an integer"):
-                    dist(unit_cube(d), unit_cross_polytope(d), grid_n=grid_n)
+                for K1, K2 in ((unit_cube(d), unit_cross_polytope(d)), searched):
+                    with pytest.raises(ValueError, match="grid_n must be an integer"):
+                        dist(K1, K2, grid_n=grid_n)
 
     def test_signature_has_no_passes(self):
         assert list(inspect.signature(m_distance).parameters) == ["K1", "K2", "grid_n", "lam_tol"]
@@ -1042,7 +1051,8 @@ class TestMDistance:
 def _full_grid_m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
     """The coordinate descent before the active-set search: every trial
     tests both containments on the whole grid, each bisection starts
-    from the lower end 1e-9, and `passes` rounds run over the coordinates."""
+    from the lower end 1e-9 and ends as the search's does, and `passes`
+    rounds run over the coordinates."""
     d = K1.d
     U = np.vstack([_distance_grid(d, grid_n), _corner_directions(d)])
     h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
@@ -1063,6 +1073,8 @@ def _full_grid_m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
             lo, hi = 1e-9, lam[i]
             while hi - lo > lam_tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
                 trial = lam.copy()
                 trial[i] = mid
                 if feasible(trial):
@@ -1085,25 +1097,106 @@ def _search_pair(name):
     """A pair of dependency sets and the grid size to compare them on."""
     if name.startswith("cube-cross"):
         d = int(name[-1])
-        return unit_cube(d), unit_cross_polytope(d), None
+        return unit_cube(d), unit_cross_polytope(d), None if d < 4 else 2000
     if name == "logistic-cube":
         return make_family("logistic", 3, p=1.5), unit_cube(3), 2000
     if name == "nnls-cube":
         return _nnls_fit(), unit_cube(3), 2000
+    if name == "husler_reiss-cube":
+        return make_family("husler_reiss", 2, lam=1.0), unit_cube(2), None
+    if name.startswith("logistic "):
+        d = int(name[-1])
+        return make_family("logistic", d, p=1.5), make_family("logistic", d, p=3.0), None
     d, seed = int(name[-3]), int(name[-1])
     rng = np.random.default_rng(seed)
     return random_dependency(rng, d, 4), random_dependency(rng, d, 7), 2000
 
 
-_ATOM_PAIRS = ["cube-cross 2", "cube-cross 3", "nnls-cube"] + [
-    f"random {d} {seed}" for d in (2, 3) for seed in range(3)
+def _on_grid_m_distance(K1, K2, grid_n, Z):
+    """The exhaustive on-grid reference: the least, over the rows z of Z
+    (each summing to 0), of the m-distance with log mu = tau + z, mu = 1/lam,
+    tau as large as every containment h(K1, mu v) <= h(K2, v) and
+    h(K2, mu v) <= h(K1, v) on the grid rows v allows."""
+    d = K1.d
+    U = np.vstack([_distance_grid(d, grid_n), _corner_directions(d)])
+    h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
+    best = math.inf
+    for z in Z:
+        V = np.ascontiguousarray(U * np.exp(z))
+        worst = max(
+            np.max(np.log(_support_finite(K1, V)) - np.log(h2)),
+            np.max(np.log(_support_finite(K2, V)) - np.log(h1)),
+        )
+        best = min(best, d * worst)
+    return best
+
+
+def _z_scan(d):
+    """Directions z with sum(z) = 0 for the exhaustive reference: a grid on
+    [-1/2, 1/2] of an orthonormal basis of that plane, and the same grid
+    scaled by 1e-3, which holds z = 0."""
+    basis = np.linalg.svd(np.eye(d) - 1.0 / d)[0][:, : d - 1]
+    t = np.linspace(-0.5, 0.5, {2: 21, 3: 11}.get(d, 5))
+    coef = np.stack(np.meshgrid(*[t] * (d - 1)), axis=-1).reshape(-1, d - 1)
+    Z = np.vstack([coef, 1e-3 * coef]) @ basis.T
+    return Z - Z.mean(axis=1, keepdims=True)
+
+
+_ATOM_PAIRS = [f"random {d} {seed}" for d in (2, 3) for seed in range(3)]
+_EXCHANGEABLE_PAIRS = [
+    "cube-cross 2", "cube-cross 3", "cube-cross 4", "nnls-cube", "logistic-cube",
+    "husler_reiss-cube", "logistic 2", "logistic 3",
 ]
 
 
-class TestMDistanceSearch:
-    """The active-set, one-pass search against the full-grid search."""
+class TestMDistanceExchangeable:
+    """Both bodies exchangeable: the constant lam read off the grid, against
+    an exhaustive scan of the program on the same grid."""
 
-    @pytest.mark.parametrize("name", _ATOM_PAIRS + ["logistic-cube"])
+    @pytest.mark.parametrize("name", _EXCHANGEABLE_PAIRS)
+    def test_matches_the_exhaustive_on_grid_optimum(self, name):
+        K1, K2, grid_n = _search_pair(name)
+        Z = _z_scan(K1.d)
+        at_zero = _on_grid_m_distance(K1, K2, grid_n, np.zeros((1, K1.d)))
+        got = m_distance(K1, K2, grid_n)
+        assert got.method == "grid-lower-bound"
+        assert got == pytest.approx(at_zero, rel=0, abs=1e-9)
+        assert _on_grid_m_distance(K1, K2, grid_n, Z) >= at_zero - 1e-9
+        assert m_distance(K2, K1, grid_n) == got
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cube_against_cross_polytope_is_d_log_d(self, d):
+        got = m_distance(unit_cube(d), unit_cross_polytope(d))
+        assert got == pytest.approx(d * math.log(d), rel=1e-12, abs=0)
+        assert got.method == "grid-lower-bound"
+        assert got.n_samples == len(_distance_grid(d, None)) + 2**d - 1
+
+    def test_closed_forms_of_logistic_pairs(self):
+        # the ratio of two logistic norms peaks on the diagonal (d = 2) or
+        # at the centre (d = 3), where ||u||_1.5 / ||u||_3 = d^(1/3)
+        assert m_distance(*_search_pair("logistic 2")[:2]) == pytest.approx(
+            2 * math.log(2 ** (1 / 1.5 - 1 / 3)), rel=1e-12, abs=0
+        )
+        assert m_distance(*_search_pair("logistic 3")[:2]) == pytest.approx(
+            math.log(3), rel=1e-12, abs=0
+        )
+
+    def test_self_distance_is_exactly_zero(self):
+        for K in (make_family("logistic", 3, p=1.5), _nnls_fit(), unit_cube(4)):
+            assert m_distance(K, K) == 0.0
+
+    def test_one_asymmetric_body_takes_the_search(self):
+        K = minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8])
+        got = m_distance(K, unit_cross_polytope(3), grid_n=500)
+        assert got.method == "grid-infimum-upper-bound"
+        assert got == _full_grid_m_distance(K, unit_cross_polytope(3), 500, passes=1)
+
+
+class TestMDistanceSearch:
+    """The active-set, one-pass search against the full-grid search, on
+    pairs that are not exchangeable."""
+
+    @pytest.mark.parametrize("name", _ATOM_PAIRS)
     def test_within_d_lam_tol_above_four_passes(self, name):
         K1, K2, grid_n = _search_pair(name)
         ref = _full_grid_m_distance(K1, K2, grid_n)
@@ -1112,16 +1205,24 @@ class TestMDistanceSearch:
     @pytest.mark.parametrize("name", _ATOM_PAIRS)
     def test_active_set_is_bit_identical_to_full_grid(self, name):
         K1, K2, grid_n = _search_pair(name)
-        assert m_distance(K1, K2, grid_n) == _full_grid_m_distance(K1, K2, grid_n, passes=1)
+        got = m_distance(K1, K2, grid_n)
+        assert got.method == "grid-infimum-upper-bound"
+        assert got == _full_grid_m_distance(K1, K2, grid_n, passes=1)
 
-    def test_benchmark_pairs_keep_their_values(self):
-        assert m_distance(unit_cube(3), unit_cross_polytope(3)) == 3.265984119608888
-        assert m_distance(unit_cube(2), unit_cross_polytope(2)) == 1.3859113875570308
-        K = make_family("logistic", 3, p=1.5)
-        assert m_distance(K, K) == 0.0
+    def test_random_pairs_keep_their_values(self):
+        want = {
+            "random 2 0": "0x1.65499ed881544p-1",
+            "random 2 1": "0x1.2a9b088d494c7p-1",
+            "random 2 2": "0x1.eeb9f916ff8f2p-3",
+            "random 3 0": "0x1.77004516f7ac3p+0",
+            "random 3 1": "0x1.b42cd92759720p+0",
+            "random 3 2": "0x1.fcad4dc7dffc8p-1",
+        }
+        assert {name: float(m_distance(*_search_pair(name))).hex() for name in want} == want
 
     def test_rows_stay_near_the_grid_size(self, monkeypatch):
-        # the full-grid search passes about 270 grids' worth of rows
+        # one pass of the full-grid search passes 101 grids' worth of rows
+        # on this pair, the active set about 15
         rows = []
 
         def counting(K, X):
@@ -1129,9 +1230,14 @@ class TestMDistanceSearch:
             return _support_finite(K, X)
 
         monkeypatch.setattr(geometry, "_support_finite", counting)
-        m_distance(unit_cube(3), unit_cross_polytope(3))
-        n_grid = len(_distance_grid(3, None)) + len(_corner_directions(3))
-        assert sum(rows) < 10 * n_grid
+        K1, K2, grid_n = _search_pair("random 3 0")
+        m_distance(K1, K2, grid_n)
+        n_grid = len(_distance_grid(3, grid_n)) + len(_corner_directions(3))
+        assert sum(rows) < 20 * n_grid
+        K1, K2 = unit_cube(3), unit_cross_polytope(3)
+        rows.clear()
+        m_distance(K1, K2)  # the marginals and the two supports: no search
+        assert sum(rows) == 2 * (3 + len(_distance_grid(3, None)) + len(_corner_directions(3)))
 
 
 _TOL, _TAN = Fraction(1e-9), Fraction(math.tan(1e-9))

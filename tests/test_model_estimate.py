@@ -4,6 +4,7 @@ Estimate: a float with its method and resolution attached."""
 import copy
 import inspect
 import json
+import math
 import pickle
 
 import numpy as np
@@ -137,8 +138,10 @@ class TestModelIsBody:
 PINNED = {
     "hausdorff_2d": ("0x1.a827999fcef30p-2", "grid-lower-bound"),
     "hausdorff_3d": ("0x1.35958c6800dafp-1", "grid-lower-bound"),
-    "m_distance_2d": ("0x1.ac899c6648e7ap-1", "grid-infimum-upper-bound"),
-    "m_distance_3d": ("0x1.1c8000a1286b9p+1", "grid-infimum-upper-bound"),
+    # exchangeable pairs, read as the constant lam of the on-grid optimum:
+    # log 2 less 1 ulp and log 3 plus 1 ulp (test_m_distances_take_their_closed_forms)
+    "m_distance_2d": ("0x1.62e42fefa39eep-1", "grid-lower-bound"),
+    "m_distance_3d": ("0x1.193ea7aad030cp+0", "grid-lower-bound"),
     "chi": ("0x1.b1e13e432c828p-2", "exact"),
     "extremal_coefficient": ("0x1.965fea53d6e3cp+0", "exact"),
     "kendall_quadrature": ("0x1.66a620cf545c0p-2", "quadrature"),
@@ -193,6 +196,11 @@ class TestEstimateAnswers:
         assert answers["hausdorff_2d"].n_samples == 4097
         assert answers["m_distance_2d"].n_samples == 4097 + 3
         assert answers["convergence"].n_samples == 257
+
+    def test_m_distances_take_their_closed_forms(self, answers):
+        # sum(u) / ||u||_p peaks on the diagonal, at d^(1 - 1/p): d log of it
+        assert answers["m_distance_2d"] == pytest.approx(math.log(2), rel=1e-15, abs=0)
+        assert answers["m_distance_3d"] == pytest.approx(math.log(3), rel=1e-15, abs=0)
 
     def test_quadrature_kendall_keeps_its_error(self, answers):
         est = answers["kendall_quadrature"]
