@@ -15,14 +15,14 @@ one outer product per coordinate fills cache-sized (rows, m) tiles in
 O(n m d), summed along the rows; the NNLS design of an exchangeable body
 adds such products of one atom per permutation orbit at a time
 (families._fit_nnls).
-Bodies of fewer than 8 atoms take (m, rows) tiles summed down the point
-columns, as rows of 1-7 terms pay numpy's per-row overhead on every
-point; numpy adds fewer than 8 terms of a row in order, as a column sum
-runs, and longer rows pairwise.  So the values equal the dense definition
-bit for bit on the dense path; within a few ulps on the d = 3 table path
-(at most 1.5e-15 relative on the NNLS fits measured; a value sums at most
-b nonnegative terms in a table and 4 ceil(m/b) table reads, so the worst
-case is of order (b + 4 m/b) eps).
+Bodies of fewer than 8 atoms in d >= 3 fold the point columns instead,
+each atom a running max over its B[k,i] > 0 only, in nnz(B) products per
+point, not m d.  numpy adds fewer than 8 terms of a row in order, as the
+fold adds its atoms, and longer rows pairwise, as the (rows, m) tiles do.
+So the values equal the dense definition bit for bit on both paths; within
+a few ulps on the d = 3 table path (at most 1.5e-15 relative on the NNLS
+fits measured; a value sums at most b nonnegative terms in a table and
+4 ceil(m/b) table reads, so the worst case is of order (b + 4 m/b) eps).
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 # Elements in one tile of the dense path: 512 KB of float64, which stays
 # in cache while the coordinates are folded in.
 _TILE = 2**16
-_FEW = 8  # bodies of fewer atoms take (m, rows) tiles
+_FEW = 8  # bodies of fewer atoms fold the point columns
 _WALK = 2  # steps of the planar bucket walk before a point is searched
 # Most atoms per block of the d = 3 table path: a table of at most 513^2
 # float64 (2.1 MB) is built at a time.
@@ -68,18 +68,38 @@ def max_products(B, X):
 
 def support_sum(scaled_atoms, points):
     """h(x) = sum_k max(0, max_i B[k,i]*x[i]) for each row x of points."""
-    X = np.maximum(points, 0.0)  # exact: B >= 0, so max(0, B x) = max(B x_+)
     m, d = scaled_atoms.shape
+    if d > 2 and m < _FEW:
+        return _support_sum_fold(scaled_atoms, points)
+    X = np.maximum(points, 0.0)  # exact: B >= 0, so max(0, B x) = max(B x_+)
     if d == 2:
         return _support_sum_planar(scaled_atoms, X)
     if d == 3 and _tables_pay(m, X.shape[0]):
         return _support_sum_3d(scaled_atoms, X)
     rows = max(1, _TILE // m)
     out = np.empty(X.shape[0])
-    B, few = scaled_atoms, m < _FEW
     for lo in range(0, X.shape[0], rows):
-        Xt = X[lo : lo + rows]
-        out[lo : lo + rows] = max_products(Xt, B).sum(0) if few else max_products(B, Xt).sum(1)
+        out[lo : lo + rows] = max_products(scaled_atoms, X[lo : lo + rows]).sum(1)
+    return out
+
+
+def _support_sum_fold(B, points):
+    """h for a few atoms B on one clamped column per coordinate: each
+    atom's running max over its B[k,i] > 0 (a zero cannot raise a max of
+    nonnegative terms; a 1.0 reads the column), added in atom order."""
+    n, d = points.shape
+    # columns and scratch rows in one block: as four arrays, glibc gave their
+    # pages back between calls (about 4,000 faults a 400,000-draw volume)
+    W = np.empty((d + 2, n))
+    C, T, P = np.maximum(points.T, 0.0, out=W[:d]), W[d], W[d + 1]
+    out = np.zeros(n)
+    for row in B:
+        t = None
+        for i in np.flatnonzero(row > 0):
+            c = C[i] if row[i] == 1.0 else np.multiply(C[i], row[i], out=P if t is not None else T)
+            t = c if t is None else np.maximum(t, c, out=T)
+        if t is not None:
+            out += t
     return out
 
 

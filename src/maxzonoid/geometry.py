@@ -740,7 +740,7 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     accepted, U = 0, None
     for _, chunk_n, rng in _mc_chunks(n, seed):  # the first chunk's array, refilled by the rest
         U = rng.random((chunk_n, K.d)) if U is None else rng.random(out=U[:chunk_n])
-        accepted += int((_support_finite(K_box, U) <= 1.0).sum())
+        accepted += np.count_nonzero(_support_finite(K_box, U) <= 1.0)
     p_tilde = (accepted + 1) / (n + 2)
     se = box_vol * math.sqrt(p_tilde * (1.0 - p_tilde) / n)
     return Estimate(box_vol * accepted / n, se, "mc", n, seed)
@@ -858,8 +858,9 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     d = 2, else the simplex lattice, plus the 0/1 corners.  Each body's
     h(K, e_i) must be within DEP_TOL = 1e-6 of 1, which NaN fails, and a
     NaN support value on the grid raises; both give ValueError.  The value
-    is an Estimate carrying its method and the direction count; it is 0.0
-    when every grid test passes at lam = 1.
+    is an Estimate carrying its method and the direction count.  It is 0.0,
+    method "grid-lower-bound", when every grid test passes at lam = 1: the
+    grid corners e_i force lam_i >= max(r_i, 1/r_i) >= 1, r_i = h(K1, e_i)/h(K2, e_i).
 
     Both bodies exchangeable (an atom list by _atoms_exchangeable, a norm
     by its values: _values_exchangeable on the lattice in d >= 3, h at the
@@ -918,7 +919,7 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     # the rows that fail at lam = 1, where the supports are h2 and h1
     fail_at_one = (h2 < tests[0][1], h1 < tests[1][1])
     if not (fail_at_one[0].any() or fail_at_one[1].any()):
-        return Estimate(0.0, 0.0, "grid-infimum-upper-bound", len(U))
+        return Estimate(0.0, 0.0, "grid-lower-bound", len(U))
 
     def exchangeable(K, h):
         if K.spectral is not None:

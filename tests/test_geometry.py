@@ -600,6 +600,23 @@ class TestPolar:
                 assert float(est) == count / 200_000
                 assert (est.method, est.n_samples, est.seed) == ("mc", 200_000, seed)
 
+    def test_monte_carlo_volumes_of_the_extreme_bodies_are_pinned(self):
+        # 400 000 draws in d = 3 and 4 at seeds 0-2, through the few-atom
+        # fold of the support kernel: the cross polytope hits every draw
+        want = {
+            (3, 0): "0x1.563b256ffc116p-3",
+            (3, 1): "0x1.55e353f7ced91p-3",
+            (3, 2): "0x1.55f06f6944674p-3",
+            (4, 0): "0x1.5945b6c3760bfp-5",
+            (4, 1): "0x1.584f4c6e6d9bep-5",
+            (4, 2): "0x1.567caea747d80p-5",
+        }
+        for (d, seed), cube in want.items():
+            got = polar_volume(unit_cube(d), method="mc", n=400_000, seed=seed)
+            assert float(got).hex() == cube
+            got = polar_volume(unit_cross_polytope(d), method="mc", n=400_000, seed=seed)
+            assert float(got).hex() == "0x1.0000000000000p+0"
+
     def test_exp_integral_needs_beta_in_unit_interval(self):
         # beta >= 1 gives the weights infinite variance; beta = 0 divides by zero
         K = make_family("logistic", 2, p=2.0)
@@ -1182,8 +1199,13 @@ class TestMDistanceExchangeable:
         )
 
     def test_self_distance_is_exactly_zero(self):
-        for K in (make_family("logistic", 3, p=1.5), _nnls_fit(), unit_cube(4)):
-            assert m_distance(K, K) == 0.0
+        # every test passes at lam = 1, and the corners force lam >= 1: the
+        # on-grid optimum, whether or not the body is exchangeable
+        asymmetric = minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8])
+        for K in (make_family("logistic", 3, p=1.5), _nnls_fit(), unit_cube(4), asymmetric):
+            got = m_distance(K, K)
+            assert got == 0.0
+            assert got.method == "grid-lower-bound"
 
     def test_one_asymmetric_body_takes_the_search(self):
         K = minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8])

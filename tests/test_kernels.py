@@ -13,8 +13,10 @@ from maxzonoid import (
     MaxStableModel,
     _kernels,
     cdf,
+    construct_from_extremal,
     copula,
     discretize,
+    extremal_table,
     hausdorff_distance,
     kendall_tau_2d,
     m_distance,
@@ -174,8 +176,8 @@ def test_dense_support_matches_definition(data, d, repeat):
     assert np.array_equal(_kernels.support_sum(B, X), dense_support(B, X))
 
 
-# fewer than 8 atoms take (m, rows) tiles summed down the columns, 8 or
-# more (rows, m) tiles summed along the rows; both cross a tile here
+# fewer than 8 atoms fold whole point columns, 8 or more take (rows, m)
+# tiles summed along the rows, which cross a tile here
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize(
     "m, n",
@@ -185,7 +187,7 @@ def test_dense_support_matches_definition(data, d, repeat):
         (1000, 3 * (_kernels._TILE // 1000) + 17),
         (_kernels._TILE + 3, 5),
     ],
-    ids=["m1-n0", "m3-columns", "m7-columns", "m8-rows", "partial-tile", "one-row-tiles"],
+    ids=["m1-n0", "m3-fold", "m7-fold", "m8-rows", "partial-tile", "one-row-tiles"],
 )
 def test_dense_support_across_tiles(rng, d, m, n):
     B = rng.random((m, d)) * rng.random((m, 1))
@@ -194,6 +196,48 @@ def test_dense_support_across_tiles(rng, d, m, n):
     got = _kernels.support_sum(B, X)
     assert got.shape == (n,)
     assert np.array_equal(got, dense_support(B, X))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(3, 6), m=st.integers(1, _kernels._FEW - 1))
+def test_fold_support_is_exact_on_small_integers(data, d, m):
+    # every sum is an exact integer, so a coefficient the fold skips or
+    # counts twice shows as an inequality; zeros and ones take its shortcuts
+    row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    B = np.array(data.draw(st.lists(row, min_size=m, max_size=m)), dtype=float)
+    points = data.draw(st.lists(st.lists(st.integers(-2, 4), min_size=d, max_size=d), max_size=20))
+    X = np.vstack([np.array(points, dtype=float).reshape(-1, d), B, np.eye(d), np.zeros((1, d))])
+    assert np.array_equal(_kernels._support_sum_fold(B, X), dense_support(B, X))
+
+
+@functools.cache
+def _few_atom_bodies():
+    """Sparse bodies of fewer than 8 atoms, each tested at its own d."""
+    logistic = construct_from_extremal(extremal_table(make_family("logistic", 3, p=2.0)))
+    return {
+        "cube": unit_cube(4).spectral.scaled_atoms,
+        "cross": unit_cross_polytope(4).spectral.scaled_atoms,
+        # axis atoms and one atom on a pair, as a Marshall-Olkin body's
+        "axis-and-pair": np.array([[0.6, 0, 0], [0, 0.3, 0], [0, 0, 1.0], [0.4, 0.7, 0]]),
+        "extremal-logistic": logistic.spectral.scaled_atoms,  # 7 atoms, one per subset
+        # no atom touches coordinate 3
+        "untouched": np.array([[0.5, 0, 0, 0.5], [1.0, 0.25, 0, 0], [0, 0, 0, 0]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["cube", "cross", "axis-and-pair", "extremal-logistic", "untouched"])
+def test_few_atom_bodies_fold_to_the_definition(rng, monkeypatch, name):
+    B = _few_atom_bodies()[name]
+    m, d = B.shape
+    calls = []
+    fold = _kernels._support_sum_fold
+    monkeypatch.setattr(_kernels, "_support_sum_fold", lambda B, X: calls.append(len(B)) or fold(B, X))
+    X = rng.random((3000, d)) * 3.0 - 0.5
+    X[::3, 0] = 0.0
+    X[1::5] = -X[1::5]
+    X = np.vstack([X, 1.5 * B, np.eye(d), np.zeros((1, d)), -np.ones((1, d))])
+    assert np.array_equal(_kernels.support_sum(B, X), dense_support(B, X))
+    assert calls == [m]
 
 
 @pytest.mark.parametrize(
