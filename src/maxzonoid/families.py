@@ -12,6 +12,7 @@ to 2e-13 relative wherever Phi exceeds 1e-300.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,6 +257,11 @@ def discretize(K, m=1000, n_eval=2048):
     weight per atom orbit and one row per orbit of fit points, weighted by
     its size (91 atom orbits of 496 and 341 point orbits of 1,953 in
     d = 3), which is exact: the weighted fit has the full fit's minimizer.
+    The design and A'A depend on (d, m, exchangeable or not) alone and are
+    cached, four entries at most, each 8 (rows + columns) columns bytes:
+    0.31 MB exchangeable at d = 3, m = 500, 39 MB in full at m = 1000.  Only
+    a lattice's first fit forms A'A with BLAS; solves of blocks of 100 or
+    more columns (176 at d = 3, m = 1000) still wake OpenBLAS's threads.
     Marginal sums are renormalized to 1; the error is the largest support
     gap over n_eval directions (equally spaced on the quarter circle in
     d = 2, the simplex lattice of at most n_eval points in d >= 3).  That
@@ -294,23 +300,33 @@ def discretize(K, m=1000, n_eval=2048):
 
 def _fit_nnls(K, m):
     """Masses of the lattice of at most m atoms fit to b = h(K, X) on a finer
-    lattice X.  When every coordinate permutation keeps b
-    (_values_exchangeable), one weight per atom orbit and one row per point
-    orbit (_orbit_labels), the columns summed over atom orbits, each row
-    and b's orbit mean scaled by the root of the orbit's size.  Exact: the
+    lattice X, on _fit_design's design for whether every coordinate
+    permutation keeps b (_values_exchangeable): if so, to b's orbit means."""
+    atoms = _simplex_lattice(K.d, m)
+    n_fit = min(max(4 * len(atoms), 1024), 8192)
+    b = _support_finite(K, _simplex_lattice(K.d, n_fit))
+    label, row, root, A, G = _fit_design(K.d, m, n_fit, _values_exchangeable(K.d, n_fit, b))
+    w = _nnls_bpp(A, np.bincount(row, weights=b) / root, G)[label]
+    keep = w > 1e-12
+    if not keep.any():
+        raise ValueError("nonnegative fit degenerated to the zero measure")
+    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+
+
+@functools.lru_cache(maxsize=4)
+def _fit_design(d, m, n_fit, symmetric):
+    """The part of the fit that reads the lattices alone, cached read-only:
+    the atom and point orbit labels (_orbit_labels), the roots of the point
+    orbits' sizes, the design A, its columns summed over atom orbits and its
+    rows scaled by those roots, and G = A'A.  Symmetric, this is exact: the
     full design has full column rank, so its NNLS minimizer is unique, so
     kept by each permutation, so constant on atom orbits, where each row is
     constant on its point orbit: the weighted sum of squares is the full
-    one less a constant.  For b symmetric to rounding, this fits b's orbit
-    average.  Otherwise the design is max_products(atoms, X) bit for bit,
-    its rows in lattice order."""
-    atoms = _simplex_lattice(K.d, m)
-    n_fit = min(max(4 * len(atoms), 1024), 8192)
-    X = _simplex_lattice(K.d, n_fit)
-    b = _support_finite(K, X)
-    symmetric = _values_exchangeable(K.d, n_fit, b)
+    one less a constant.  Otherwise A is max_products(atoms, X) bit for
+    bit, its rows in lattice order."""
+    atoms, X = _simplex_lattice(d, m), _simplex_lattice(d, n_fit)
     label, row = _orbit_labels(atoms, symmetric), _orbit_labels(X, symmetric)
-    X, size = X[np.unique(row, return_index=True)[1]], np.bincount(row)  # each orbit's first point
+    X, root = X[np.unique(row, return_index=True)[1]], np.sqrt(np.bincount(row))  # each orbit's first point
     order = np.argsort(label, kind="stable")
     within = np.empty_like(label)  # each atom's place in its orbit, in lattice order
     within[order] = np.arange(len(label)) - np.searchsorted(label[order], label[order])
@@ -319,26 +335,25 @@ def _fit_nnls(K, m):
     A = _kernels.max_products(layers[0], X)  # the N x m design is never held
     for B in layers[1:]:
         A[:, : len(B)] += _kernels.max_products(B, X)
-    A *= np.sqrt(size)[:, None]  # n (A w - mean b)^2 = (sqrt(n) A w - sum b / sqrt(n))^2
-    w = _nnls_bpp(A, np.bincount(row, weights=b) / np.sqrt(size))[label]
-    keep = w > 1e-12
-    if not keep.any():
-        raise ValueError("nonnegative fit degenerated to the zero measure")
-    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+    A *= root[:, None]  # n (A w - mean b)^2 = (sqrt(n) A w - sum b / sqrt(n))^2
+    G = A.T @ A
+    for a in (label, row, root, A, G):
+        a.setflags(write=False)
+    return label, row, root, A, G
 
 
-def _nnls_bpp(A, b):
+def _nnls_bpp(A, b, G=None):
     """argmin ||A x - b|| over x >= 0 for full-column-rank A, by block
     principal pivoting (Portugal, Judice & Vicente 1994) with the backup
     rule of Kim & Park 2011: every infeasible variable changes side while
     their count falls; after 3 steps without a fall only the last one does.
     Each step is one LU solve (numpy.linalg.solve) of the passive block of
-    G = A'A; the final solution is refined once against A itself, by one
-    more solve of that block, which recovers the accuracy that squaring
-    cond(A) in G costs.  An exactly singular block raises
+    G = A'A, formed here unless given; the final solution is refined once
+    against A itself, by one more solve of that block, which recovers the
+    accuracy that squaring cond(A) in G costs.  An exactly singular block raises
     numpy.linalg.LinAlgError, a ValueError.  The rule terminates in exact arithmetic; should rounding
     make it cycle, 3n steps raise ValueError."""
-    G, c = A.T @ A, A.T @ b
+    G, c = A.T @ A if G is None else G, A.T @ b
     n = len(c)
     tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)  # rounding in G x - c
     P = np.zeros(n, dtype=bool)  # passive (free) variables
