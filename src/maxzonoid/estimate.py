@@ -44,7 +44,11 @@ def empirical_spectral(samples, s, reference="l1"):
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
     if not s > 0:  # NaN fails
         raise ValueError("threshold must be positive")
-    norms = reference_norm_of(X, reference)
+    return _exceedance_measure(X, reference_norm_of(X, reference), s, reference)
+
+
+def _exceedance_measure(X, norms, s, reference):
+    """empirical_spectral on checked data X with its reference norms."""
     hit = norms >= s
     n_exc = int(hit.sum())
     if n_exc == 0:
@@ -52,9 +56,7 @@ def empirical_spectral(samples, s, reference="l1"):
             f"no exceedances above s={s:g} (max norm {norms.max():g}); "
             "lower the threshold"
         )
-    atoms = X[hit] / norms[hit, None]
-    mass = s / X.shape[0]
-    return make_measure(atoms, np.full(n_exc, mass), reference)
+    return make_measure(X[hit] / norms[hit, None], np.full(n_exc, s / X.shape[0]), reference)
 
 
 def estimate_zonoid_2d(estimates):
@@ -105,7 +107,7 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     for s in s_grid:
         n_exc = int((norms >= s).sum())
         try:  # no exceedances, or a coordinate without any
-            K = normalize_dependency(zonoid_from_spectral(empirical_spectral(X, s, reference)))
+            K = normalize_dependency(zonoid_from_spectral(_exceedance_measure(X, norms, s, reference)))
         except ValueError:
             out.append(ConvergencePoint(float(s), float("nan"), n_exc, False))
             continue

@@ -106,13 +106,11 @@ def _neg_logistic_norm(lam, p):
     return AnalyticNorm("neg_logistic", 2, fn, grad, (lam, p))
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def _normal_cdf(x):
     """Standard normal cdf, elementwise; the shape of x is kept."""
     # times 1/sqrt 2, not over sqrt 2: the argument rounds as in ndtr
-    out = np.asarray(_erfc(np.multiply(x, -math.sqrt(0.5))), dtype=float)
+    z = np.multiply(x, -math.sqrt(0.5))
+    out = np.fromiter(map(math.erfc, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
     out *= 0.5
     return out
 

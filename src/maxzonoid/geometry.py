@@ -135,7 +135,10 @@ class MaxZonoid:
             raise ValueError("dimension mismatch between norm and body")
 
     def marginals(self):
-        """Support values at the basis vectors."""
+        """h(K, e_i): an atom list's column sums sum_k mass_k * atom_{k,i}
+        (K is the expected random cross-polytope), else the norm at e_i."""
+        if self.spectral is not None:
+            return self.spectral.marginal_sums()
         return support_function(self, np.eye(self.d))
 
     @property
@@ -543,7 +546,14 @@ def _ne_chain(points):
     the last one kept is skipped; a vertex is popped while its signed
     turn angle atan2(cross, dot) is <= EPS.  The angle, not the cross
     product or the sine: it does not shrink with the edges of a fine
-    chain, and a reversal, whose sine is about 0, turns by about pi."""
+    chain, and a reversal, whose sine is about 0, turns by about pi.
+
+    A certificate reads the pass without its loop, as on every family's
+    support chain.  If y never falls along the anchors and sorted points,
+    a step longer than EPS lands on a point the pass keeps: only runs of
+    short steps take the near-duplicate test.  If every turn of the kept
+    points, by the loop's own products, exceeds 2 EPS (np.arctan2 is within
+    ulps of math.atan2), the pass pops nothing and they are its output."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.isfinite(pts).all():
         raise ValueError("planar chain points must be finite")
@@ -552,6 +562,21 @@ def _ne_chain(points):
     if xmax <= EPS or ymax <= EPS:
         raise ValueError("degenerate point set for a planar chain")
     pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
+    q = np.vstack([[xmax, 0.0], pts, [0.0, ymax]])
+    step = np.diff(q, axis=0)
+    if (step[:, 1] >= 0.0).all():
+        new = np.concatenate([[True], step.any(axis=1)])  # a repeat is never kept
+        q, step = q[new], step[new[1:]]
+        keep = np.concatenate([[True], np.abs(step).max(axis=1) > EPS])
+        short = np.flatnonzero(~keep)
+        for i, (x, y), (bx, by) in zip(short.tolist(), q[short].tolist(), q[short - 1].tolist()):
+            lx, ly = (bx, by) if keep[i - 1] else (lx, ly)  # the last point kept
+            keep[i] = abs(x - lx) > EPS or abs(y - ly) > EPS
+        k = q[keep]
+        u, v = k[1:-1] - k[:-2], k[2:] - k[1:-1]
+        turn = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
+        if (turn > 2 * EPS).all():
+            return Polygon2D(k)
     chain = [(xmax, 0.0)]
     for x, y in pts.tolist() + [(0.0, ymax)]:
         bx, by = chain[-1]

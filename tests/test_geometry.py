@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from maxzonoid import (
     polygon_from_spectral,
     project,
     scale,
+    spectral_from_points,
     support_function,
     unit_cross_polytope,
     unit_cube,
@@ -105,6 +107,19 @@ class TestSupportFunction:
     def test_dependency_marginals_are_one(self, rng):
         K = random_dependency(rng, d=3, m=6)
         np.testing.assert_allclose(K.marginals(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("reference", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_atom_marginals_are_column_sums(self, rng, d, reference):
+        # K is the expected random cross-polytope: h(K, e_i) = sum_k mass_k atom_{k,i}
+        pts = rng.random((60, d)) ** 3
+        pts[:5] = np.eye(d)[rng.integers(0, d, 5)]  # atoms on the axes
+        sigma = spectral_from_points(pts, rng.random(60) + 0.1, reference)
+        K = zonoid_from_spectral(sigma)
+        marg = K.marginals()
+        np.testing.assert_array_equal(marg, sigma.marginal_sums())
+        h = support_function(K, np.eye(d))
+        assert np.all(np.abs(marg - h) <= 16 * np.spacing(h))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -1258,8 +1273,8 @@ class TestMDistanceSearch:
         assert sum(rows) < 20 * n_grid
         K1, K2 = unit_cube(3), unit_cross_polytope(3)
         rows.clear()
-        m_distance(K1, K2)  # the marginals and the two supports: no search
-        assert sum(rows) == 2 * (3 + len(_distance_grid(3, None)) + len(_corner_directions(3)))
+        m_distance(K1, K2)  # the two supports, no search; atom-list marginals are column sums
+        assert sum(rows) == 2 * (len(_distance_grid(3, None)) + len(_corner_directions(3)))
 
 
 _TOL, _TAN = Fraction(1e-9), Fraction(math.tan(1e-9))
@@ -1293,6 +1308,73 @@ def _hull_by_fractions(points):
         if not near(q, chain[-1]):
             chain.append(q)
     return np.array(chain, dtype=float)
+
+
+def _hull_by_loop(points):
+    """_ne_chain's pass as the plain float loop, with no certificate: the
+    output the certified reading must equal bit for bit."""
+    pts = np.where(np.asarray(points, dtype=float) <= 1e-9, 0.0, points)
+    xmax, ymax = float(pts[:, 0].max()), float(pts[:, 1].max())
+    chain = [(xmax, 0.0)]
+    for x, y in pts[np.lexsort((pts[:, 1], -pts[:, 0]))].tolist() + [(0.0, ymax)]:
+        if abs(x - chain[-1][0]) <= 1e-9 and abs(y - chain[-1][1]) <= 1e-9:
+            continue
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2:]
+            ux, uy, vx, vy = bx - ax, by - ay, x - bx, y - by
+            if math.atan2(ux * vy - uy * vx, ux * vx + uy * vy) > 1e-9:
+                break
+            chain.pop()
+        if abs(x - chain[-1][0]) > 1e-9 or abs(y - chain[-1][1]) > 1e-9:
+            chain.append((x, y))
+    return np.array(chain)
+
+
+@pytest.fixture
+def loop_turns(monkeypatch):
+    """The turns _ne_chain's loop computes, one entry each: none while the
+    certificate holds."""
+    turns = []
+
+    def atan2(y, x):
+        turns.append((y, x))
+        return math.atan2(y, x)
+
+    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    fake.atan2 = atan2
+    monkeypatch.setattr(geometry, "math", fake)
+    return turns
+
+
+def _support_chain_points(name, params, m):
+    """The points _norm_chain passes to _ne_chain for discretize(K, m)."""
+    K = make_family(name, 2, **params)
+    t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
+    h_e = support_function(K, np.eye(2))
+    return np.vstack([[h_e[0], 0.0], K.norm.grad(np.column_stack([t, 1.0 - t])[::-1]), [0.0, h_e[1]]])
+
+
+def _monotone_set(rng, n, fine):
+    """Points of a convex chain up and to the left, shuffled, with exact
+    repeats.  Each edge turns from the last by 0.005 to 1.4 / n, or for 30 %
+    of them by fine to 3e-9.  A run of 1 to 3 collinear steps of 2e-10 to
+    6e-10 (near-duplicates the pass keeps at most one of) is entered and
+    left by a large turn."""
+    length, turn = [], []
+    big = functools.partial(rng.uniform, 0.005, 1.4 / n)
+    while len(length) < n:
+        if rng.random() < 0.2:
+            k = int(rng.integers(1, 4))
+            length += [*rng.uniform(2e-10, 6e-10, k), rng.uniform(0.01, 0.1)]
+            turn += [big(), *[0.0] * (k - 1), big()]
+        else:
+            length.append(rng.uniform(0.01, 0.1))
+            turn.append(rng.uniform(fine, 3e-9) if rng.random() < 0.3 else big())
+    angle = np.pi / 2 + 0.05 + np.cumsum(turn)
+    steps = np.array(length)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    pts = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+    pts = pts - [pts[:, 0].min(), 0.0] + [0.0, rng.uniform(0.0, 0.5)]
+    return rng.permutation(np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 10)]]))
 
 
 class TestNeChain:
@@ -1341,6 +1423,43 @@ class TestNeChain:
         chain = _ne_chain(pts).vertices
         np.testing.assert_array_equal(chain[0], [1.0, 0.0])
         np.testing.assert_array_equal(chain[-1], [0.0, 1.0])
+
+    @pytest.mark.parametrize("m", [10, 100, 1000])
+    @pytest.mark.parametrize("name, params", [
+        ("logistic", {"p": 1.2}), ("logistic", {"p": 2.0}), ("logistic", {"p": 8.0}),
+        ("logistic", {"p": 30.0}), ("neg_logistic", {"lam": 0.5, "p": -2.0}),
+        ("husler_reiss", {"lam": 0.1}), ("husler_reiss", {"lam": 0.5}),
+        ("husler_reiss", {"lam": 1.0}), ("husler_reiss", {"lam": 3.0}),
+    ])
+    def test_certified_support_chains_equal_the_loop(self, loop_turns, name, params, m):
+        pts = _support_chain_points(name, params, m)
+        chain = _ne_chain(pts).vertices
+        assert loop_turns == []  # the certificate held
+        np.testing.assert_array_equal(chain, _hull_by_loop(pts))
+        if m <= 100:
+            np.testing.assert_array_equal(chain, _hull_by_fractions(pts))
+
+    @pytest.mark.parametrize("fine", [2.05e-9, -3e-9])
+    def test_random_monotone_sets_equal_the_loop(self, rng, loop_turns, fine):
+        # fine turns above 2 EPS certify; down to -3 EPS, most sets take the loop
+        looped = 0
+        for _ in range(40):
+            pts = _monotone_set(rng, int(rng.integers(5, 80)), fine)
+            loop_turns.clear()
+            chain = _ne_chain(pts).vertices
+            looped += loop_turns != []
+            np.testing.assert_array_equal(chain, _hull_by_loop(pts))
+            np.testing.assert_array_equal(chain, _hull_by_fractions(pts))
+        assert looped == 0 if fine > 0 else looped >= 20
+
+    @pytest.mark.parametrize("name, params", [
+        ("logistic", {"p": 2.0}), ("neg_logistic", {"lam": 1.0, "p": -1.0}),
+        ("husler_reiss", {"lam": 1.0}), ("husler_reiss", {"lam": 0.5}),
+    ])
+    def test_simstudy_families_take_the_certified_path(self, loop_turns, name, params):
+        # the bivariate families of the benchmark's simulation study, at --atoms 1000
+        discretize(make_family(name, 2, **params), 1000)
+        assert loop_turns == []
 
     def test_chain_is_monotone_between_anchors(self, rng):
         for _ in range(20):
