@@ -59,11 +59,15 @@ def max_products(B, X):
     rows = max(1, _TILE // B.shape[0])
     T = np.empty((rows, B.shape[0]))
     for lo in range(0, len(M), rows):
-        Mt, Xt = M[lo : lo + rows], X[lo : lo + rows]
-        np.multiply.outer(Xt[:, 0], B[:, 0], out=Mt)
-        for i in range(1, B.shape[1]):
-            np.maximum(Mt, np.multiply.outer(Xt[:, i], B[:, i], out=T[: len(Mt)]), out=Mt)
+        _max_products_into(B, X[lo : lo + rows], M[lo : lo + rows], T)
     return M
+
+
+def _max_products_into(B, X, M, T):
+    """M = max_products(B, X) in place, T a scratch tile of at least len(X) rows."""
+    np.multiply.outer(X[:, 0], B[:, 0], out=M)
+    for i in range(1, B.shape[1]):
+        np.maximum(M, np.multiply.outer(X[:, i], B[:, i], out=T[: len(M)]), out=M)
 
 
 def support_sum(scaled_atoms, points):
@@ -71,15 +75,30 @@ def support_sum(scaled_atoms, points):
     m, d = scaled_atoms.shape
     if d > 2 and m < _FEW:
         return _support_sum_fold(scaled_atoms, points)
-    X = np.maximum(points, 0.0)  # exact: B >= 0, so max(0, B x) = max(B x_+)
     if d == 2:
-        return _support_sum_planar(scaled_atoms, X)
-    if d == 3 and _tables_pay(m, X.shape[0]):
-        return _support_sum_3d(scaled_atoms, X)
-    rows = max(1, _TILE // m)
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], rows):
-        out[lo : lo + rows] = max_products(scaled_atoms, X[lo : lo + rows]).sum(1)
+        return _support_sum_planar(scaled_atoms, np.maximum(points, 0.0))
+    if d == 3 and _tables_pay(m, points.shape[0]):
+        return _support_sum_3d(scaled_atoms, np.maximum(points, 0.0))
+    return _support_sum_dense(scaled_atoms, points)
+
+
+def _support_sum_dense(B, points):
+    """h by max_products on (rows, m) tiles, each summed along its rows.
+    The clamped points (exact: B >= 0, so max(0, B x) = max(B x_+)) and
+    both tiles share one block, as in _support_sum_fold: a fresh pair of
+    tiles a tile gave about 1,300 page faults a 400,000-draw volume of 20
+    atoms in d = 4, the block about 50.  The output stays apart, so that
+    it does not hold the block."""
+    (n, d), m = points.shape, B.shape[0]
+    rows = max(1, min(n, _TILE // m))
+    W = np.empty(n * d + 2 * rows * m)
+    X = np.maximum(points, 0.0, out=W[: n * d].reshape(n, d))
+    out = np.empty(n)
+    M, T = W[n * d :].reshape(2, rows, m)
+    for lo in range(0, n, rows):
+        Xt = X[lo : lo + rows]
+        _max_products_into(B, Xt, M[: len(Xt)], T)
+        M[: len(Xt)].sum(1, out=out[lo : lo + rows])
     return out
 
 

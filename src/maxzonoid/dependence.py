@@ -65,16 +65,17 @@ def extremal_coefficient(model, A):
 
 
 def extremal_table(model, max_size=None):
-    """All theta_A up to the given subset size (default: every subset)."""
+    """All theta_A up to the given subset size (default: every subset),
+    read in one support_function batch of the subsets asked for."""
     d = model.d
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be at least 1")
     max_size = d if max_size is None else min(max_size, d)
-    values = {}
-    for k in range(1, max_size + 1):
-        for A in combinations(range(d), k):
-            values[frozenset(A)] = extremal_coefficient(model, A)
-    return ExtremalTable(d, values)
+    subsets = [A for k in range(1, max_size + 1) for A in combinations(range(d), k)]
+    E = np.zeros((len(subsets), d))
+    for e, A in zip(E, subsets):
+        e[list(A)] = 1.0
+    return ExtremalTable(d, dict(zip(map(frozenset, subsets), support_function(model, E))))
 
 
 def chi(model):

@@ -92,10 +92,6 @@ class Polygon2D(_ByKey):
     def _key(self):  # finite, so bytes agree as np.array_equal does
         return self.vertices.shape, (self.vertices + 0.0).tobytes()
 
-    def support(self, points):
-        vals = points @ self.vertices.T
-        return np.maximum(vals.max(axis=1), 0.0)
-
     def area_with_origin(self):
         """Area of the body conv({0} | chain) by the shoelace fan."""
         a, b = self.vertices[:-1], self.vertices[1:]
@@ -372,10 +368,10 @@ def _orbit_labels(P, symmetric):
 @functools.lru_cache(maxsize=8)
 def _lattice_orbits(d, m):
     """One row of _simplex_lattice(d, m) per orbit of the coordinate
-    permutations: each orbit's first row, in ascending order.  Cached
-    read-only; read on the exact lattice, whose rows a swap maps onto rows."""
-    label = _orbit_labels(_simplex_lattice(d, m), True)
-    rows = np.sort(np.unique(label, return_index=True)[1])
+    permutations, in ascending order: the rows whose coordinates do not
+    decrease.  Bar order is the lexicographic order of the coordinates, so
+    that row is its orbit's first.  No sort; cached read-only."""
+    rows = np.flatnonzero((np.diff(_simplex_lattice(d, m), axis=1) >= 0).all(axis=1))
     rows.setflags(write=False)
     return rows
 
@@ -697,17 +693,52 @@ class Estimate(float):
 
 
 @functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes, ascending, and weights on [-1, 1]:
+    Newton's method on the three-term recurrence
+    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}) from Tricomi's guess
+    (1 - (n-1)/(8n^3)) cos(pi (4k-1)/(4n+2)) for the positive nodes, then
+    w = 2/((1 - x^2) P_n'(x)^2), mirrored; odd n keeps the node 0.  O(n^2)
+    with no eigensolve (Hale & Townsend 2013); cached read-only."""
+    k = np.arange(1, n // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.append(x, [0.0] * (n % 2))  # P_n(0) = 0 exactly for odd n: Newton keeps it
+
+    def legendre(x):  # P_n(x), P_n'(x)
+        p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
+        for j in range(1, n):
+            np.multiply(x, p1, out=t)
+            np.subtract(t, p0, out=p0)
+            p0 *= j / (j + 1)
+            p0 += t
+            p0, p1 = p1, p0
+        return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 4 * np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
+    x, w = np.concatenate([-x, x[::-1][n % 2 :]]), np.concatenate([w, w[::-1][n % 2 :]])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache(maxsize=None)
 def _simplex_rule(d, n):
     """Nodes on the unit simplex (rows of t >= 0 summing to 1) and
-    weights for dt_1 ... dt_{d-1}, from n-point Gauss-Legendre on [0, 1].
-    d = 2: graded by t = 10u^3 - 15u^4 + 6u^5, which flattens the
-    endpoint singularities of analytic norms.  d = 3: the Duffy-collapsed
-    n x n product t_1 = u, t_2 = (1 - u) v with weight factor 1 - u
-    (Duffy 1982), ungraded.  Nodes are symmetric, so 1 - u is u reversed.
-    Cached read-only: the Gauss-Legendre eigensolve costs milliseconds."""
+    weights for dt_1 ... dt_{d-1}, from n-point Gauss-Legendre on [0, 1]
+    (_gauss_legendre, shared by both d).  d = 2: graded by
+    t = 10u^3 - 15u^4 + 6u^5, which flattens the endpoint singularities of
+    analytic norms.  d = 3: the Duffy-collapsed n x n product t_1 = u,
+    t_2 = (1 - u) v with weight factor 1 - u (Duffy 1982), ungraded.
+    Nodes are symmetric, so 1 - u is u reversed.  Cached read-only."""
     if d not in (2, 3):
         raise ValueError("quadrature needs 2 <= d <= 3")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     u, w = (x + 1.0) / 2.0, w / 2.0
     if d == 2:
         t = u**3 * (10.0 - 15.0 * u + 6.0 * u**2)

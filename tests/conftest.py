@@ -27,6 +27,12 @@ def random_dependency_polygon(rng, k=6):
     return _ne_chain(pts)
 
 
+def polygon_support(poly, X):
+    """h of conv({0} | chain) at the rows of X, by its definition: the
+    largest product with a vertex, at least 0."""
+    return np.maximum((X[:, None, :] * poly.vertices[None]).sum(axis=2).max(axis=1), 0.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -23,7 +23,9 @@ from maxzonoid import (
     zonoid_from_spectral,
 )
 
-from conftest import random_model
+from maxzonoid import dependence
+
+from conftest import random_dependency, random_model
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,40 @@ class TestExtremalCoefficients:
                 for B, w in table.values.items():
                     if A < B:
                         assert v <= w + 1e-9
+
+    @pytest.mark.parametrize(
+        "name",
+        ["logistic3", "logistic4", "cube4", "cross3", "fit406", "husler_reiss", "mo_atoms", "few_atoms5", "atoms5"],
+    )
+    def test_table_is_one_batch_equal_to_each_coefficient(self, monkeypatch, rng, name):
+        K = {
+            "logistic3": lambda: make_family("logistic", 3, p=1.5),
+            "logistic4": lambda: make_family("logistic", 4, p=2.5),
+            "cube4": lambda: unit_cube(4),
+            "cross3": lambda: unit_cross_polytope(3),
+            # the 406 atoms of a d = 3 NNLS fit, read by the dense kernel
+            "fit406": lambda: zonoid_from_spectral(discretize(make_family("logistic", 3, p=1.5), 500).measure),
+            "husler_reiss": lambda: make_family("husler_reiss", 2, lam=0.8),
+            "mo_atoms": lambda: zonoid_from_spectral(make_family("marshall_olkin", 2, alpha1=0.3, alpha2=0.7).spectral),
+            "few_atoms5": lambda: random_dependency(rng, d=5, m=4),
+            "atoms5": lambda: random_dependency(rng, d=5, m=30),
+        }[name]()
+        model = MaxStableModel(K)
+        calls = []
+        batch = dependence.support_function
+
+        def recording(K, x):
+            calls.append(np.shape(x))
+            return batch(K, x)
+
+        monkeypatch.setattr(dependence, "support_function", recording)
+        for max_size in (None, 1, 2):
+            calls.clear()
+            table = extremal_table(model, max_size)
+            want = sum(math.comb(K.d, k) for k in range(1, (max_size or K.d) + 1))
+            assert calls == [(want, K.d)] and len(table.values) == want
+            for A, v in table.values.items():
+                assert v == float(extremal_coefficient(model, sorted(A)))
 
     def test_full_theta_d_iff_pairwise_two(self, rng):
         # axis atoms: both sides hold

@@ -43,6 +43,7 @@ from maxzonoid.geometry import (
     _corner_directions,
     _distance_grid,
     _envelope_polygon,
+    _gauss_legendre,
     _ne_chain,
     _quarter_circle,
     _simplex_rule,
@@ -739,6 +740,38 @@ class TestSimplexQuadrature:
         val = w @ (T[:, 0] ** 2 * T[:, 1] ** 3 * T[:, -1] ** (d - 2))
         assert val == pytest.approx(2 * 6 / math.factorial(2 + 2 * d), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 64, 128, 600])
+    def test_gauss_legendre_is_exact_to_degree_2n_minus_1(self, n):
+        x, w = _gauss_legendre(n)
+        k = np.arange(2 * n)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        err = np.abs((w[:, None] * x[:, None] ** k).sum(axis=0) - exact)
+        # numpy's Golub-Welsch rule, the reference in tests only
+        X, W = np.polynomial.legendre.leggauss(n)
+        ref = np.abs((W[:, None] * X[:, None] ** k).sum(axis=0) - exact)
+        assert err.max() <= max(ref.max(), 4 * np.finfo(float).eps)
+        # its weights err by up to 1.3e-12 relative at n = 64, these by 1e-13
+        np.testing.assert_allclose(x, X, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, W, rtol=0, atol=1e-14)
+        # ascending, mirrored, the node 0 kept for odd n; cached read-only
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert n % 2 == 0 or x[n // 2] == 0.0
+        assert not x.flags.writeable and not w.flags.writeable
+        assert _gauss_legendre(n)[0] is x
+
+    def test_rules_run_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadrature rule called numpy.linalg")
+
+        for name in ("eigvalsh", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        _gauss_legendre.cache_clear()
+        _simplex_rule.cache_clear()
+        for d in (2, 3):
+            T, w = _simplex_rule(d, 128)
+            assert T.shape == (128 ** (d - 1), d)
+            assert w.sum() == pytest.approx(1.0 / math.factorial(d - 1), rel=1e-14)
+
     def test_needs_plane_or_space(self):
         for d in (1, 4):
             with pytest.raises(ValueError, match="2 <= d <= 3"):
@@ -1001,6 +1034,13 @@ class TestOrbitGrids:
         assert np.all(np.diff(rows) > 0) and not rows.flags.writeable
         assert count is None or len(rows) == count
         assert geometry._lattice_orbits(d, m) is rows
+
+    @pytest.mark.parametrize("d, m", [(2, 100), (3, 500), (3, 2048), (3, 20_000), (4, 2048), (5, 2048), (6, 4096)])
+    def test_representatives_are_each_orbits_first_row(self, d, m):
+        # the orbit labels' first rows, as the representatives were once read
+        label = geometry._orbit_labels(geometry._simplex_lattice(d, m), True)
+        ref = np.sort(np.unique(label, return_index=True)[1])
+        assert np.array_equal(geometry._lattice_orbits(d, m), ref)
 
     def test_swaps_read_values_on_the_lattice(self):
         # the swaps (0, j) generate every permutation: one that keeps only

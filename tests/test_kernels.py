@@ -249,6 +249,18 @@ def test_max_products_across_tiles(rng, m, n):
     assert np.array_equal(_kernels.max_products(B, X), (X[:, None] * B[None]).max(2))
 
 
+@pytest.mark.parametrize(
+    "m, n", [(20, 0), (20, 1), (20, 3 * (_kernels._TILE // 20) + 17), (_kernels._TILE + 3, 5)]
+)
+def test_dense_support_across_tiles_of_one_block(rng, m, n):
+    # the clamped points and both tiles share one block; the output is its own
+    B = rng.random((m, 4)) * (rng.random((m, 4)) > 0.3)
+    X = rng.random((n, 4)) - 0.1
+    h = _kernels.support_sum(B, X)
+    assert h.base is None and h.shape == (n,)
+    assert np.array_equal(h, dense_support(B, X))
+
+
 # the d = 3 table path, called directly: the dispatch rule is tested apart
 _PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 

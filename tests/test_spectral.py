@@ -18,7 +18,7 @@ from maxzonoid.estimate import empirical_spectral
 from maxzonoid.geometry import Polygon2D, hausdorff_distance
 from maxzonoid.spectral import ATOM_TOL, reference_norm_of
 
-from conftest import random_dependency_polygon
+from conftest import polygon_support, random_dependency_polygon
 
 SQRT2 = np.sqrt(2.0)
 
@@ -215,7 +215,7 @@ class TestPolygonConversion:
             K = zonoid_from_spectral(sigma)
             U = grid_2d(1024)
             np.testing.assert_allclose(
-                support_function(K, U), poly.support(U), rtol=0, atol=1e-9
+                support_function(K, U), polygon_support(poly, U), rtol=0, atol=1e-9
             )
 
     def test_support_exact_at_edge_normals(self, rng):
@@ -226,7 +226,7 @@ class TestPolygonConversion:
         a, b = poly.vertices[:-1], poly.vertices[1:]
         normals = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
         np.testing.assert_allclose(
-            support_function(K, normals), poly.support(normals), rtol=0, atol=1e-12
+            support_function(K, normals), polygon_support(poly, normals), rtol=0, atol=1e-12
         )
 
     def test_exact_round_trip_of_a_fine_measure(self, rng):
