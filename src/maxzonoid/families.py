@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .spectral import (
     DiscreteSpectralMeasure,
+    _close_to_normalized,
     _normalized,
     make_measure,
     rebase_reference,
@@ -244,11 +245,14 @@ def _renormalize_marginals(sigma):
 def discretize(K, m=1000, n_eval=2048):
     """Atom-list approximation of a dependency set on the l1 simplex.
 
-    Exact (zero reported error, method "atoms") for bodies that already
-    carry atoms.  Analytic planar norms are inscribed via their support
-    points at m Chebyshev-spaced simplex directions ("planar-chain").  In
-    d >= 3 the masses of a simplex lattice of at most m atoms (so m >= d)
-    are fit by nonnegative least squares to h on a finer simplex lattice
+    A body that already carries atoms is returned as it is, its marginal
+    sums renormalized to 1 (zero reported error, method "atoms"); they
+    must be 1 within DEP_TOL = 1e-6 already, else ValueError, as the
+    renormalized list would be another body.  Analytic planar norms are
+    inscribed via their support points at m Chebyshev-spaced simplex
+    directions ("planar-chain").  In d >= 3 the masses of a simplex
+    lattice of at most m atoms (so m >= d) are fit by nonnegative least
+    squares to h on a finer simplex lattice
     ("nnls-bpp"): block principal pivoting returns the exact NNLS
     minimizer, a KKT point, after one step of iterative refinement.  When
     every coordinate permutation keeps h on the lattice, the fit has one
@@ -257,12 +261,16 @@ def discretize(K, m=1000, n_eval=2048):
     d = 3), which is exact: the weighted fit has the full fit's minimizer.
     The design and A'A depend on (d, m, exchangeable or not) alone and are
     cached, four entries at most, each 8 (rows + columns) columns bytes:
-    0.31 MB exchangeable at d = 3, m = 500, 39 MB in full at m = 1000.  Only
-    a lattice's first fit forms A'A with BLAS; solves of blocks of 100 or
-    more columns (176 at d = 3, m = 1000) still wake OpenBLAS's threads.
-    Marginal sums are renormalized to 1; the error is the largest support
-    gap over n_eval directions (equally spaced on the quarter circle in
-    d = 2, the simplex lattice of at most n_eval points in d >= 3).  That
+    0.31 MB exchangeable at d = 3, m = 500, 39 MB in full at m = 1000.  A
+    lattice's first fit forms A'A on the calling thread (_gram); solves of
+    blocks of 100 or more columns (176 at d = 3, m = 1000) still wake
+    OpenBLAS's threads, and those fits' bits follow the thread count.
+    Marginal sums are renormalized to 1: an orbit fit's by one factor, the
+    mean of its sums, which keeps its masses equal on each atom orbit;
+    any other fit's coordinate by coordinate.  The error is the largest
+    support gap over n_eval directions (equally spaced on the quarter
+    circle in d = 2, the simplex lattice of at most n_eval points in
+    d >= 3).  That
     set must hold a direction off the axes, so n_eval is at least 3 in
     d = 2 and d(d + 1)/2 in d >= 3; a smaller one raises ValueError, as
     the gap would be read on the axes alone, where every fit is exact.
@@ -280,6 +288,8 @@ def discretize(K, m=1000, n_eval=2048):
     if K.d > 1 and n_eval < least:
         raise ValueError(f"n_eval = {n_eval} holds no off-axis direction in d = {K.d}; need {least}")
     if K.spectral is not None:
+        if not _close_to_normalized(K.marginals()):
+            raise ValueError(f"an atom list needs marginal sums 1 within DEP_TOL, got {K.marginals()}")
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
         return DiscretizeResult(sigma, Estimate(0.0, 0.0, "atoms", 0))
     if K.d == 2:
@@ -303,12 +313,19 @@ def _fit_nnls(K, m):
     atoms = _simplex_lattice(K.d, m)
     n_fit = min(max(4 * len(atoms), 1024), 8192)
     b = _support_finite(K, _simplex_lattice(K.d, n_fit))
-    label, row, root, A, G = _fit_design(K.d, m, n_fit, _values_exchangeable(K.d, n_fit, b))
+    symmetric = _values_exchangeable(K.d, n_fit, b)
+    label, row, root, A, G = _fit_design(K.d, m, n_fit, symmetric)
     w = _nnls_bpp(A, np.bincount(row, weights=b) / root, G)[label]
     keep = w > 1e-12
     if not keep.any():
         raise ValueError("nonnegative fit degenerated to the zero measure")
-    return _renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+    sigma = make_measure(atoms[keep], w[keep], "l1")
+    if not symmetric:
+        return _renormalize_marginals(sigma)
+    # the marginal sums are equal in exact arithmetic: one common factor keeps
+    # the masses equal on each atom orbit, where a factor per coordinate would
+    # carry their rounding (up to 7.8e-16 apart at d = 3, m = 500) into the fit
+    return make_measure(atoms[keep], w[keep] / sigma.marginal_sums().mean(), "l1")
 
 
 @functools.lru_cache(maxsize=4)
@@ -321,7 +338,8 @@ def _fit_design(d, m, n_fit, symmetric):
     kept by each permutation, so constant on atom orbits, where each row is
     constant on its point orbit: the weighted sum of squares is the full
     one less a constant.  Otherwise A is max_products(atoms, X) bit for
-    bit, its rows in lattice order."""
+    bit, its rows in lattice order.  G is _gram(A): formed on the calling
+    thread, exactly symmetric, the same bits under any BLAS thread count."""
     atoms, X = _simplex_lattice(d, m), _simplex_lattice(d, n_fit)
     label, row = _orbit_labels(atoms, symmetric), _orbit_labels(X, symmetric)
     X, root = X[np.unique(row, return_index=True)[1]], np.sqrt(np.bincount(row))  # each orbit's first point
@@ -334,10 +352,35 @@ def _fit_design(d, m, n_fit, symmetric):
     for B in layers[1:]:
         A[:, : len(B)] += _kernels.max_products(B, X)
     A *= root[:, None]  # n (A w - mean b)^2 = (sqrt(n) A w - sum b / sqrt(n))^2
-    G = A.T @ A
+    G = _gram(A)
     for a in (label, row, root, A, G):
         a.setflags(write=False)
     return label, row, root, A, G
+
+
+def _gram(A):
+    """G = A'A, formed on the calling thread in a fixed order: each 64 x 64
+    tile of the upper triangle is summed over 64-row blocks of A in turn,
+    from a contiguous copy of the block's transpose, then mirrored into the
+    lower half, so G is exactly symmetric and its bits do not follow the
+    BLAS thread count.  Cost on a 2-core Xeon: 0.3 ms at 341 x 91,
+    20-33 ms at 1,953 x 496 and 0.15-0.19 s at 3,916 x 990."""
+    # OpenBLAS 0.3.31 kept a product of m n k multiply-adds on the caller
+    # below 2^19 with its Haswell kernels and up to 10^6 with its SkylakeX
+    # kernels: 64 x 64 x 128 woke the thread pool under the first, 64^3 under
+    # neither.  B' @ B on one buffer goes to syrk, which woke it already at
+    # 91 x 91 x 64, hence the copy.  A pooled product leaves its workers
+    # spinning for about 0.1 s, in the way of the numpy work that follows.
+    n, k = A.shape
+    G = np.zeros((k, k))
+    for r in range(0, n, 64):
+        B = A[r : r + 64]
+        Bt = B.T.copy()
+        for i in range(0, k, 64):
+            for j in range(i, k, 64):
+                G[i : i + 64, j : j + 64] += Bt[i : i + 64] @ B[:, j : j + 64]
+    G = np.triu(G)
+    return G + np.triu(G, 1).T
 
 
 def _nnls_bpp(A, b, G=None):
@@ -346,12 +389,13 @@ def _nnls_bpp(A, b, G=None):
     rule of Kim & Park 2011: every infeasible variable changes side while
     their count falls; after 3 steps without a fall only the last one does.
     Each step is one LU solve (numpy.linalg.solve) of the passive block of
-    G = A'A, formed here unless given; the final solution is refined once
-    against A itself, by one more solve of that block, which recovers the
-    accuracy that squaring cond(A) in G costs.  An exactly singular block raises
-    numpy.linalg.LinAlgError, a ValueError.  The rule terminates in exact arithmetic; should rounding
-    make it cycle, 3n steps raise ValueError."""
-    G, c = A.T @ A if G is None else G, A.T @ b
+    G = A'A, formed here by _gram unless given; the final solution is
+    refined once against A itself, by one more solve of that block, which
+    recovers the accuracy that squaring cond(A) in G costs.  An exactly
+    singular block raises numpy.linalg.LinAlgError, a ValueError.  The rule
+    terminates in exact arithmetic; should rounding make it cycle, 3n steps
+    raise ValueError."""
+    G, c = _gram(A) if G is None else G, A.T @ b
     n = len(c)
     tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)  # rounding in G x - c
     P = np.zeros(n, dtype=bool)  # passive (free) variables

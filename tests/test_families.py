@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from maxzonoid import (
     unit_cube,
     zonoid_from_spectral,
 )
-from maxzonoid import _kernels
+from maxzonoid import _kernels, geometry
 from maxzonoid.geometry import (
     AnalyticNorm,
     MaxZonoid,
@@ -32,7 +35,7 @@ from maxzonoid.geometry import (
     hausdorff_distance,
     scale,
 )
-from maxzonoid.spectral import make_measure
+from maxzonoid.spectral import _point_keys, make_measure
 
 
 def simplex_grid(n=201):
@@ -312,6 +315,20 @@ class TestDiscretize:
         res = discretize(make_family("logistic", 2, p=2.0), 1000)
         assert res.measure.n_atoms == 1001
         assert res.max_support_error < 2e-6
+
+    # marginals (1 + drift, 1): renormalizing a drift of 0.5 is another body,
+    # h(1, 1) = 1.667 where the list has 2.0; one within DEP_TOL is rounding
+    @pytest.mark.parametrize("drift", [0.5, 2e-6, 5e-7, -5e-7])
+    def test_atom_list_needs_unit_marginals(self, drift):
+        sigma = make_measure([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], [0.5 + drift, 1.0, 0.5])
+        K = MaxZonoid(d=2, spectral=sigma)
+        if abs(drift) > 1e-6:
+            with pytest.raises(ValueError, match="marginal sums 1 within DEP_TOL"):
+                discretize(K)
+            return
+        res = discretize(K)
+        assert res.max_support_error == 0.0 and res.max_support_error.method == "atoms"
+        np.testing.assert_allclose(res.measure.marginal_sums(), 1.0, rtol=0, atol=4e-16)
 
     def test_method_is_reported(self):
         assert discretize(unit_cube(3), 10).max_support_error.method == "atoms"
@@ -639,6 +656,66 @@ class TestFitDesign:
         assert A3 is A1
 
 
+class TestOrbitFitMarginals:
+    """An orbit fit's masses are divided by one factor, the mean of its
+    marginal sums, so they stay equal on each atom orbit: the fit is as
+    symmetric as its lattice atoms, whose l1 normalization rounds."""
+
+    # the fits whose bits do not follow the BLAS thread count; d = 4 and
+    # d = 5 at m = 1000 read the largest marginal gaps, 12 ulps
+    @pytest.mark.parametrize(
+        "d, p, m", [(3, 1.2, 500), (3, 1.5, 500), (3, 2.5, 500), (4, 2.0, 1000), (5, 1.5, 500), (5, 1.5, 1000)]
+    )
+    def test_masses_equal_on_atom_orbits(self, d, p, m):
+        sigma = discretize(make_family("logistic", d, p=p), m).measure
+        _, orbit = np.unique(np.sort(_point_keys(sigma.atoms), axis=1), axis=0, return_inverse=True)
+        _, first = np.unique(orbit, return_index=True)  # each orbit's first atom
+        assert np.array_equal(sigma.masses, sigma.masses[first][orbit])
+        assert geometry._atoms_exchangeable(sigma.scaled_atoms)
+        assert np.abs(sigma.marginal_sums() - 1.0).max() <= 15 * np.spacing(1.0)
+
+
+class TestGram:
+    """_gram(A), the fit's A'A: on the calling thread, in a fixed order."""
+
+    # entries of 26 bits, so each product is exact and math.fsum of a column
+    # pair's products is that entry of A'A correctly rounded; any order of
+    # the n-term sums stays within gamma_n = n u / (1 - n u) of |A|'|A|
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 64), (65, 129), (300, 70), (40, 150)])
+    def test_within_rounding_of_fsum(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        A = np.round((2.0 * rng.random(shape) - 1.0) * 2.0**25) / 2.0**25
+        G = families._gram(A)
+        assert G.shape == (shape[1], shape[1]) and np.array_equal(G, G.T)
+        n, k = shape
+        u = 2.0**-53
+        gamma = n * u / (1.0 - n * u)
+        for i in range(k):
+            for j in range(i, k):
+                ref = math.fsum(A[:, i] * A[:, j])
+                assert abs(G[i, j] - ref) <= gamma * math.fsum(np.abs(A[:, i] * A[:, j]))
+
+    # the 1,323 x 341 orbit design at m = 2000 and the 3,916 x 990 full one
+    # at m = 1000, in fresh interpreters on 1 and 2 BLAS threads
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        code = (
+            "import hashlib, sys; from maxzonoid import families\n"
+            "for m, n_fit, symmetric in ((2000, int(sys.argv[1]), True), (1000, int(sys.argv[2]), False)):\n"
+            "    G = families._fit_design(3, m, n_fit, symmetric)[4]\n"
+            "    print(G.shape, hashlib.sha256(G.tobytes()).hexdigest())\n"
+        )
+        args = [str(len(_fit_lattice(3, m))) for m in (2000, 1000)]
+        src = os.path.dirname(os.path.dirname(families.__file__))
+        out = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+            out.append(run.stdout)
+        assert out[0].splitlines()[0].startswith("(341, 341)") and out[0].splitlines()[1].startswith("(990, 990)")
+        assert out[0] == out[1]
+
+
 def _fit_lattice(d, m):
     """The lattice the d >= 3 fit is made on, for the atom lattice of at most m."""
     return _simplex_lattice(d, min(max(4 * len(_simplex_lattice(d, m)), 1024), 8192))
@@ -716,8 +793,9 @@ def _nnls_bpp_cholesky(A, b):
 
 def _nnls_bpp_ix(A, b, G=None):
     """The block principal pivoting solver with the passive block taken by
-    G[np.ix_(P, P)]; a reference only."""
-    G, c = A.T @ A, A.T @ b
+    G[np.ix_(P, P)]; a reference for the indexing only, on the library's
+    Gram product."""
+    G, c = families._gram(A) if G is None else G, A.T @ b
     n = len(c)
     tol = n * np.finfo(float).eps * np.abs(c).max(initial=0.0)
     P = np.zeros(n, dtype=bool)
