@@ -144,10 +144,12 @@ def _block(m, n):
 
 
 def _slopes(num, den):
-    """num / den, +inf where den is 0 (tiny divisors overflow to inf,
-    which is the right slope to sort by)."""
-    with np.errstate(over="ignore"):
-        return np.divide(num, den, out=np.full(num.shape[0], np.inf), where=den > 0)
+    """num / den, +inf where den is not positive (tiny divisors overflow to
+    inf, which is the right slope to sort by)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = num / den
+    out[~(den > 0)] = np.inf
+    return out
 
 
 def _support_sum_3d(B, X):
@@ -222,7 +224,8 @@ def planar_chain(B):
 def _chain_position(chain, q):
     """searchsorted(r, q, "left"): _WALK steps from q's bucket, then a search of the rest."""
     r, first, base = chain.r, chain.first, chain.base
-    j = first[np.clip(q.view(np.int64) >> chain.shift, base, base + len(first) - 1) - base]
+    b = q.view(np.int64) >> chain.shift  # clamped in place: np.clip's wrapper costs more at 4,000 points
+    j = first[np.minimum(np.maximum(b, base, out=b), base + len(first) - 1, out=b) - base]
     for _ in range(_WALK):
         j += r[j] < q
     late = r[j] < q
@@ -235,7 +238,7 @@ def _support_sum_planar(B, X):
     vertex j where x_2/x_1 falls among the slopes, as atoms j.. add B[k,0] x_1."""
     chain = B if isinstance(B, PlanarChain) else planar_chain(B)
     j = _chain_position(chain, _slopes(X[:, 1], X[:, 0]))
-    return X[:, 0] * chain.vx[j] + X[:, 1] * chain.vy[j]
+    return X[:, 0] * chain.vx.take(j) + X[:, 1] * chain.vy.take(j)
 
 
 def backend_name():

@@ -18,10 +18,10 @@ from .geometry import (
     _as_points,
     _fields,
     _mc_chunks,
+    _support_checked,
     _support_finite,
     as_dependency,
     subset_indicator_lattice,
-    support_function,
 )
 from .spectral import DiscreteSpectralMeasure, _ByKey, _close_to_normalized
 
@@ -80,26 +80,31 @@ class MaxStableModel(DependencySet):
         return MaxStableModel(self, discretize(self, m).measure)
 
 
+def _check_domain(X, inside, message):
+    """Raise message unless inside holds everywhere (NaN is never inside),
+    or the NaN message when every entry outside is NaN."""
+    if not inside.all():
+        raise ValueError("directions must not be NaN" if np.isnan(X[~inside]).all() else message)
+
+
 def cdf(model, x):
     """F(x) = exp(-h(K, x*)); coordinates may be 0 (gives 0) or +inf
     (marginalizes that coordinate)."""
     X, single = _as_points(x, model.d)
-    if np.any(X < 0):
-        raise ValueError("the law lives on the nonnegative orthant")
+    _check_domain(X, X >= 0, "the law lives on the nonnegative orthant")
     with np.errstate(divide="ignore", over="ignore"):
-        inv = np.where(X == 0, np.inf, 1.0 / X)
-    vals = np.exp(-np.atleast_1d(support_function(model, inv)))
+        inv = 1.0 / (X + 0.0)  # -0.0 + 0.0 is +0.0, so 0 maps to +inf
+    vals = np.exp(-_support_checked(model, inv))
     return float(vals[0]) if single else vals
 
 
 def copula(model, u):
     """C(u) = exp(-h(K, (-log u_1, ..., -log u_d))) on the unit cube."""
     U, single = _as_points(u, model.d)
-    if np.any(U < 0) or np.any(U > 1):
-        raise ValueError("copula arguments must lie in [0, 1]^d")
+    _check_domain(U, (U >= 0) & (U <= 1), "copula arguments must lie in [0, 1]^d")
     with np.errstate(divide="ignore"):
         z = -np.log(U)
-    vals = np.exp(-np.atleast_1d(support_function(model, z)))
+    vals = np.exp(-_support_checked(model, z))
     return float(vals[0]) if single else vals
 
 
@@ -107,7 +112,7 @@ def pickands(model, t):
     """The norm restricted to the unit simplex: A(t) = h(K, (t, 1 - sum t)).
 
     For d = 2, t is a scalar (or array) in [0, 1]; in general t holds the
-    first d-1 simplex coordinates per row.
+    first d-1 simplex coordinates per row.  A coordinate down to -1e-12 reads as 0.
     """
     T = np.asarray(t, dtype=float)
     if model.d == 2 and (T.ndim == 0 or T.ndim == 1):
@@ -118,11 +123,9 @@ def pickands(model, t):
         T = np.atleast_2d(T)
     if T.ndim != 2 or T.shape[1] != model.d - 1:
         raise ValueError(f"need {model.d - 1} simplex coordinates per point: shape (n, {model.d - 1}), not {T.shape}")
-    last = 1.0 - sum(T.T)  # column by column, as numpy sums a row of < 8 terms
-    if np.any(T < -1e-12) or np.any(last < -1e-12):
-        raise ValueError("coordinates must lie in the unit simplex")
-    X = np.column_stack([*T.T, np.clip(last, 0.0, None)])
-    vals = np.atleast_1d(support_function(model, X))
+    X = np.column_stack([T, 1.0 - sum(T.T)])  # column by column, as numpy sums a row of < 8 terms
+    _check_domain(X, X >= -1e-12, "coordinates must lie in the unit simplex")
+    vals = _support_checked(model, np.maximum(X, 0.0, out=X))
     return float(vals[0]) if single else vals
 
 

@@ -266,20 +266,22 @@ def support_function(K, x):
     products, matching marginalization).
     """
     X, single = _as_points(x, K.d, "directions")
-    if np.isnan(X).any():
-        raise ValueError("directions must not be NaN")
-    if np.any(X < 0):
-        raise ValueError("directions must be nonnegative")
-    inf = np.isinf(X)
-    if not inf.any():
-        out = _support_finite(K, X)
-    else:
-        out = _support_finite(K, np.where(inf, 0.0, X))
-        hit = np.zeros(len(X), dtype=bool)
-        for i in range(K.d) if K.spectral is None else np.flatnonzero(K.spectral.extent):
-            hit |= inf[:, i]
-        out[hit] = np.inf
+    if not (X >= 0).all():  # NaN fails too
+        raise ValueError("directions must not be NaN" if np.isnan(X).any() else "directions must be nonnegative")
+    out = _support_checked(K, X)
     return float(out[0]) if single else out
+
+
+def _support_checked(K, X):
+    """support_function on an (n, d) batch X already checked to hold no NaN
+    and no negative entry, as an array; cdf, copula and pickands check their
+    own input and call this directly."""
+    inf = X == np.inf
+    if not inf.any():
+        return _support_finite(K, X)
+    out = _support_finite(K, np.where(inf, 0.0, X))
+    out[(inf if K.spectral is None else inf[:, K.spectral.extent]).any(axis=1)] = np.inf
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +344,10 @@ def _values_exchangeable(d, m, b):
 def _atoms_exchangeable(B):
     """Whether the swaps (0, j) keep an atom list, read on its scaled atoms
     B: the swapped rows match B's row for row, both sorted by _point_keys,
-    to 16 ulps of max B (the marginal renormalization of an NNLS fit moves
-    them by up to 7).  Atoms that tie in their keys but not in their bits
-    may sort apart and fail the test, never pass it wrongly."""
+    to 16 ulps of max B (an orbit fit's atoms differ by at most 0.5, as it
+    divides by one common factor; images and empirical bodies divide each
+    atom by its own norm, summed in an order a swap changes).  Atoms tied in
+    their keys but not their bits may sort apart and fail, never pass wrongly."""
 
     def rows(A):
         return A[np.lexsort(_point_keys(A).T[::-1])]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from maxzonoid import (
     AnalyticNorm,
     cdf,
     copula,
+    discretize,
     exponent_density,
     make_family,
     max_stability_check,
+    minkowski_combine,
     normalize_dependency,
     pickands,
     quantile_curve,
@@ -104,6 +107,88 @@ class TestNaNRejected:
             pickands(models["log2"], np.nan)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def law_bodies():
+    """An atom list, a polygon family, an analytic norm and an image."""
+    return {
+        "atoms": MaxStableModel(
+            normalize_dependency(zonoid_from_spectral(discretize(make_family("logistic", 2, p=2.0), 200).measure))
+        ),
+        "marshall_olkin": MaxStableModel(make_family("marshall_olkin", 2, alpha1=0.4, alpha2=0.7)),
+        "logistic_p3": MaxStableModel(make_family("logistic", 2, p=3.0)),
+        "image": MaxStableModel(
+            minkowski_combine(make_family("logistic", 2, p=3.0), make_family("husler_reiss", 2, lam=1.0), 0.3)
+        ),
+    }
+
+
+class TestLawPathBytes:
+    """cdf, copula and pickands are exp(-h), exp(-h) and h at the transformed
+    points, bit for bit, through the same kernel as support_function; each
+    raises its own message first on an input with both a NaN and an entry
+    out of its domain."""
+
+    def test_cdf(self, rng, law_bodies):
+        X = np.vstack([
+            [[1.0, 2.0], [0.0, 1.5], [-0.0, 2.0], [3.0, -0.0], [np.inf, 0.7], [0.4, np.inf],
+             [0.0, np.inf], [-0.0, np.inf], [np.inf, np.inf], [0.0, 0.0], [1e-310, 2.0]],
+            np.exp(rng.uniform(-2.0, 3.0, (40, 2))),
+        ])
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = np.where(X == 0, np.inf, 1.0 / X)
+        for K in law_bodies.values():
+            assert _bits(cdf(K, X)) == _bits(np.exp(-support_function(K, inv)))
+            for x, v in zip(X, inv):
+                assert _bits(cdf(K, x)) == _bits(np.exp(-support_function(K, v)))
+
+    def test_copula(self, rng, law_bodies):
+        U = np.vstack([
+            [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.3, 1.0], [1.0, 0.6], [0.0, 0.2]],
+            rng.random((40, 2)),
+        ])
+        with np.errstate(divide="ignore"):
+            z = -np.log(U)
+        for K in law_bodies.values():
+            assert _bits(copula(K, U)) == _bits(np.exp(-support_function(K, z)))
+            for u, v in zip(U, z):
+                assert _bits(copula(K, u)) == _bits(np.exp(-support_function(K, v)))
+
+    def test_pickands(self, rng, law_bodies):
+        t = np.concatenate([[0.0, 1.0, 0.5], rng.random(40)])
+        for K in law_bodies.values():
+            assert _bits(pickands(K, t)) == _bits(support_function(K, np.column_stack([t, 1.0 - t])))
+            for s in t:
+                assert _bits(pickands(K, s)) == _bits(support_function(K, [s, 1.0 - s]))
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_message_order(self, law_bodies, single):
+        K = law_bodies["logistic_p3"]
+        K3 = MaxStableModel(make_family("logistic", 3, p=2.0))
+        cases = [
+            (support_function, K, [np.nan, -1.0], "directions must not be NaN"),
+            (cdf, K, [np.nan, -1.0], "the law lives on the nonnegative orthant"),
+            (copula, K, [np.nan, -0.5], "copula arguments must lie in [0, 1]^d"),
+            (copula, K, [np.nan, 1.5], "copula arguments must lie in [0, 1]^d"),
+            (pickands, K3, [np.nan, -0.5], "coordinates must lie in the unit simplex"),
+            (support_function, K, [np.nan, 1.0], "directions must not be NaN"),
+            (cdf, K, [np.nan, 1.0], "directions must not be NaN"),
+            (copula, K, [np.nan, 0.5], "directions must not be NaN"),
+            (pickands, K3, [np.nan, 0.5], "directions must not be NaN"),
+            (support_function, K, [2.0, -1.0], "directions must be nonnegative"),
+        ]
+        for f, model, x, message in cases:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                f(model, x if single else [x, [0.5, 0.25]])
+        with pytest.raises(ValueError, match="^coordinates must lie in the unit simplex$"):
+            pickands(K, [np.nan, -0.5])
+        with pytest.raises(ValueError, match="^directions must not be NaN$"):
+            pickands(K, np.nan if single else [np.nan, 0.5])
+
+
 class TestCopula:
     def test_independence_product(self, rng):
         u = rng.random(2)
@@ -157,6 +242,18 @@ class TestPickands:
         model = MaxStableModel(make_family("logistic", 3, p=2.0))
         val = pickands(model, [1 / 3, 1 / 3])
         assert val == pytest.approx(np.sqrt(3 * (1 / 3) ** 2), rel=1e-12)
+
+    def test_tolerance_reads_as_zero(self):
+        # a coordinate within the simplex tolerance below 0 is clipped to 0,
+        # as the last one is; the last keeps 1 - sum t of the unclipped t
+        K2 = make_family("logistic", 2, p=2.0)
+        K3 = make_family("logistic", 3, p=2.0)
+        assert pickands(K2, -1e-13) == support_function(K2, [0.0, 1.0 - (-1e-13)])
+        assert pickands(K3, [-1e-13, 0.5]) == support_function(K3, [0.0, 0.5, 1.0 - (-1e-13 + 0.5)])
+        np.testing.assert_array_equal(
+            pickands(K3, [[-1e-13, 0.5], [0.5, -1e-13]]),
+            support_function(K3, [[0.0, 0.5, 1.0 - (-1e-13 + 0.5)], [0.5, 0.0, 1.0 - (0.5 + -1e-13)]]),
+        )
 
     def test_outside_simplex_rejected(self, models):
         with pytest.raises(ValueError, match="simplex"):
