@@ -48,17 +48,6 @@ from .spectral import (
     spectral_from_polygon_2d,
 )
 
-FAMILY_NAMES = (
-    "independence",
-    "dependence",
-    "logistic",
-    "neg_logistic",
-    "husler_reiss",
-    "marshall_olkin",
-    "matrix_weights",
-)
-
-
 def _lp_norm_rows(X, p):
     """Row-wise (sum x_i^p)^(1/p), overflow-safe for large |p|, in whole-column
     passes: M = max_i x_i, then (x_i / M)^p folded left to right; 0 where M = 0."""
@@ -279,7 +268,8 @@ def discretize(K, m=1000, n_eval=2048):
     2,016 in d = 3.  The maximum over those representatives is still a
     lower bound on the sup of the gap, and equals the maximum over the
     whole lattice up to rounding; n_samples stays the whole lattice's
-    count.  A NaN support value of K on the lattice raises ValueError.
+    count.  A NaN support value of K, on the fit lattice or the error
+    directions, raises ValueError (_support_finite).
     """
     m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
     if m < 2:

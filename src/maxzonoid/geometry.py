@@ -132,10 +132,11 @@ class MaxZonoid:
 
     def marginals(self):
         """h(K, e_i): an atom list's column sums sum_k mass_k * atom_{k,i}
-        (K is the expected random cross-polytope), else the norm at e_i."""
+        (K is the expected random cross-polytope), else the norm at e_i,
+        read directly so that a NaN marginal meets the predicates judging it."""
         if self.spectral is not None:
             return self.spectral.marginal_sums()
-        return support_function(self, np.eye(self.d))
+        return np.asarray(self.norm.fn(np.eye(self.d)), dtype=float)
 
     @property
     def discrete(self):
@@ -250,9 +251,15 @@ def _as_points(x, d, what="points"):
 
 
 def _support_finite(K, X):
+    """h(K, X) on an (n, d) batch of finite nonnegative points, the one read
+    of the support function.  Only a norm can give NaN, which is no answer:
+    it raises ValueError."""
     if K.spectral is not None:
         return _kernels.support_sum(K.spectral.chain if K.d == 2 else K.spectral.scaled_atoms, X)
-    return np.asarray(K.norm.fn(X), dtype=float)
+    h = np.asarray(K.norm.fn(X), dtype=float)
+    if np.isnan(h).any():
+        raise ValueError("support function is NaN on the direction grid")
+    return h
 
 
 def support_function(K, x):
@@ -263,7 +270,8 @@ def support_function(K, x):
     +inf on a coordinate where the body has extent gives +inf: every
     coordinate of an analytic norm, those of an atom list where some scaled
     atom exceeds ATOM_TOL.  Any other +inf counts as 0 (0 * inf = 0 in atom
-    products, matching marginalization).
+    products, matching marginalization).  A NaN direction, or a NaN value of
+    a norm (_support_finite), raises ValueError.
     """
     X, single = _as_points(x, K.d, "directions")
     if not (X >= 0).all():  # NaN fails too
@@ -356,6 +364,18 @@ def _atoms_exchangeable(B):
     return all(np.abs(rows(_swapped(B, j)) - S).max() <= tol for j in range(1, B.shape[1]))
 
 
+def _exchangeable(K, m, h):
+    """Whether every coordinate permutation keeps K: an atom list tested on
+    its atoms (_atoms_exchangeable), a norm on its values h on the distance
+    grid of size m: the lattice (_values_exchangeable) in d >= 3, in d = 2
+    the quarter circle, whose reversal is the coordinate swap, to 4 ulps."""
+    if K.spectral is not None:
+        return _atoms_exchangeable(K.spectral.scaled_atoms)
+    if K.d == 2:
+        return np.abs(h[::-1] - h).max() <= 4 * np.spacing(np.abs(h).max())
+    return _values_exchangeable(K.d, m, h)
+
+
 def _orbit_labels(P, symmetric):
     """Each row's orbit under every coordinate permutation when symmetric,
     its coordinates sorted, numbered from the largest orbit down and in
@@ -381,27 +401,19 @@ def _lattice_orbits(d, m):
 
 def _grid_gap(K1, K2, U, m):
     """max over the rows u of U of |h(K1, u) - h(K2, u)|; a NaN support
-    value raises ValueError.  In d >= 3, for U the lattice
+    value raises ValueError (_support_finite).  In d >= 3, for U the lattice
     _simplex_lattice(d, m) with its rows scaled, an atom list is read on one
     row per orbit of the coordinate permutations when both bodies are
-    exchangeable: an analytic norm is tested on its values on all of U
-    (_values_exchangeable), an atom list on its atoms (_atoms_exchangeable).
+    exchangeable (_exchangeable: a norm tested on its values on all of U).
     Such bodies keep every permutation to rounding, so this is the maximum
     over all of U up to rounding.  Otherwise every row is read."""
     bodies = (K1, K2)
     h = [None if K.spectral is not None and K.d >= 3 else _support_finite(K, U) for K in bodies]
     if any(v is None for v in h):
-        symmetric = all(
-            _values_exchangeable(K.d, m, v) if v is not None
-            else _atoms_exchangeable(K.spectral.scaled_atoms)
-            for K, v in zip(bodies, h)
-        )
+        symmetric = all(_exchangeable(K, m, v) for K, v in zip(bodies, h))
         rows = _lattice_orbits(K1.d, m) if symmetric else slice(None)
         h = [_support_finite(K, U[rows]) if v is None else v[rows] for K, v in zip(bodies, h)]
-    gap = np.abs(h[0] - h[1]).max()
-    if np.isnan(gap):
-        raise ValueError("support function is NaN on the direction grid")
-    return gap
+    return np.abs(h[0] - h[1]).max()
 
 
 def _polygon_of(K, directions=512):
@@ -921,10 +933,9 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     method "grid-lower-bound", when every grid test passes at lam = 1: the
     grid corners e_i force lam_i >= max(r_i, 1/r_i) >= 1, r_i = h(K1, e_i)/h(K2, e_i).
 
-    Both bodies exchangeable (an atom list by _atoms_exchangeable, a norm
-    by its values: _values_exchangeable on the lattice in d >= 3, h at the
-    swapped directions within 4 ulps in d = 2): method "grid-lower-bound",
-    the value d log c with c = max over the grid of max(h1/h2, h2/h1).
+    lam = c 1, with c = max over the grid of max(h1/h2, h2/h1), passes
+    every grid test.  Both bodies exchangeable (_exchangeable): method
+    "grid-lower-bound", the value d log c.
     With mu = 1/lam and s = log mu, K1 in lam*K2 holds when h(K1, e^s*v)
     <= h(K2, v) for every v >= 0, a constraint convex in s, and likewise
     with the bodies swapped; the objective sum(s) is linear.  The program
@@ -933,13 +944,13 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     lam = c 1.  The value is the on-grid optimum, so a lower bound of the
     true distance.  Cube against cross polytope gives d log d.
 
-    Other pairs: method "grid-infimum-upper-bound", log prod(lam) where
-    one pass of coordinate descent stops.  That lam passes every grid
-    test, so the value bounds the on-grid infimum from above, but it is
-    not that infimum: descent stops where no single lam_i can fall, while
-    the optimum can need one factor to rise as another falls.  Nor does
-    it bound the true distance either way, as a lam can pass the grid test
-    and fail between grid directions.
+    Other pairs: method "grid-infimum-upper-bound", the lesser of d log c
+    and log prod(lam) where one pass of coordinate descent stops.  Both
+    lam pass every grid test, so the value bounds the on-grid infimum from
+    above, but it is not that infimum: descent stops where no single lam_i
+    can fall, while the optimum can need one factor to rise as another
+    falls.  Nor does it bound the true distance either way, as a lam can
+    pass the grid test and fail between grid directions.
 
     From the first feasible lam = d 2^k, the pass bisects each lam_i in
     turn on [1e-9, lam_i], until the bracket is no wider than lam_tol or
@@ -971,26 +982,15 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     U = np.vstack([L, _corner_directions(d)])
     h1 = _support_finite(K1, U)
     h2 = _support_finite(K2, U)
-    if np.isnan(h1).any() or np.isnan(h2).any():
-        raise ValueError("support function is NaN on the direction grid")
     # K1 in lam*K2 holds at u when h(K2, lam*u) reaches t1(u); K2 in lam*K1 likewise
     tests = ((K2, h1 * (1.0 - 1e-12) - 1e-12), (K1, h2 * (1.0 - 1e-12) - 1e-12))
     # the rows that fail at lam = 1, where the supports are h2 and h1
     fail_at_one = (h2 < tests[0][1], h1 < tests[1][1])
     if not (fail_at_one[0].any() or fail_at_one[1].any()):
         return Estimate(0.0, 0.0, "grid-lower-bound", len(U))
-
-    def exchangeable(K, h):
-        if K.spectral is not None:
-            return _atoms_exchangeable(K.spectral.scaled_atoms)
-        if d == 2:
-            swapped = _support_finite(K, U[:, ::-1])
-            return np.abs(swapped - h).max() <= 4 * np.spacing(np.abs(h).max())
-        return _values_exchangeable(d, grid_n, h[: len(L)])
-
-    if exchangeable(K1, h1) and exchangeable(K2, h2):
-        c = max((h1 / h2).max(), (h2 / h1).max())
-        return Estimate(d * math.log(c), 0.0, "grid-lower-bound", len(U))
+    uniform = d * math.log(max((h1 / h2).max(), (h2 / h1).max()))
+    if _exchangeable(K1, grid_n, h1[: len(L)]) and _exchangeable(K2, grid_n, h2[: len(L)]):
+        return Estimate(uniform, 0.0, "grid-lower-bound", len(U))
 
     def failing(lam, active):
         """The rows of each active set that fail their containment at lam,
@@ -1032,4 +1032,4 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
             else:
                 hi = mid
         lam[i] = hi
-    return Estimate(np.log(np.prod(lam)), 0.0, "grid-infimum-upper-bound", len(U))
+    return Estimate(min(np.log(np.prod(lam)), uniform), 0.0, "grid-infimum-upper-bound", len(U))

@@ -159,8 +159,40 @@ def _nan_at_centre(d):
     return MaxZonoid(d=d, norm=AnalyticNorm("nan-centre", d, fn))
 
 
+def _nan_inside(d):
+    """The logistic p = 1.5 norm and its gradient, but NaN wherever every
+    coordinate exceeds a tenth of their sum: the marginals stay 1."""
+    base = mz.make_family("logistic", d, p=1.5).norm
+
+    def fn(X):
+        return np.where(X.min(axis=1) > 0.1 * X.sum(axis=1), np.nan, base.fn(X))
+
+    return as_dependency(MaxZonoid(d=d, norm=AnalyticNorm("nan-inside", d, fn, base.grad)))
+
+
+# each reader of the support function that returned a number, or a NaN,
+# on a norm with a NaN inside the orthant
+_NAN_READERS = {
+    "polar_volume quadrature d=3": lambda: mz.polar_volume(_nan_inside(3), method="quadrature"),
+    "polar_volume mc d=3": lambda: mz.polar_volume(_nan_inside(3), method="mc", n=1000),
+    "polar_volume mc d=4": lambda: mz.polar_volume(_nan_inside(4), method="mc", n=1000),
+    "multivariate_rho": lambda: mz.multivariate_rho(MaxStableModel(_nan_inside(3))),
+    "kendall_tau_2d": lambda: mz.kendall_tau_2d(MaxStableModel(_nan_inside(2))),
+    "exp_support_integral_mc": lambda: mz.exp_support_integral_mc(_nan_inside(3), n=1000),
+    "cdf": lambda: mz.cdf(MaxStableModel(_nan_inside(2)), [[1.0, 2.0]]),
+    "copula": lambda: mz.copula(MaxStableModel(_nan_inside(2)), [[0.5, 0.6]]),
+    "pickands": lambda: mz.pickands(MaxStableModel(_nan_inside(2)), [0.5]),
+    "support_function": lambda: mz.support_function(_nan_inside(2), [1.0, 2.0]),
+}
+
+
 class TestNaNIsNoAnswer:
     """NaN fails every judgement of h(K, e_i) and every guard it meets."""
+
+    @pytest.mark.parametrize("reader", sorted(_NAN_READERS))
+    def test_every_reader_rejects_a_nan_support_value(self, reader):
+        with pytest.raises(ValueError, match="support function is NaN"):
+            _NAN_READERS[reader]()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_distance_rejects_a_nan_grid_value(self, d):

@@ -284,6 +284,22 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="support function is NaN on the direction grid"):
             discretize(K, 500)
 
+    # a norm that is NaN at one interior point of the resolution-61 fit
+    # lattice, which the resolution-62 error lattice misses: the fit reads
+    # it, and raises before building its design
+    def test_nan_on_the_fit_lattice_alone_raises(self):
+        base = make_family("logistic", 3, p=1.5).norm
+        fit = _fit_lattice(3, 500)
+        bad = fit[100]
+        assert (bad > 0).all() and not (_simplex_lattice(3, 2048) == bad).all(axis=1).any()
+
+        def fn(X):
+            return np.where((X == bad).all(axis=1), np.nan, base.fn(X))
+
+        K = MaxZonoid(d=3, norm=AnalyticNorm("nan-on-the-fit-lattice", 3, fn, base.grad))
+        with pytest.raises(ValueError, match="support function is NaN"):
+            discretize(K, 500)
+
     # the gap measured on the axes alone reads 0 for every fit: the first
     # set with an off-axis direction has 3 points on the quarter circle and
     # d(d + 1)/2 points, the resolution-2 simplex lattice, in d >= 3

@@ -1104,7 +1104,8 @@ class TestMDistance:
         assert want - 2e-6 <= got <= want
         got = m_distance(*searched, grid_n=64, lam_tol=1e-300)
         assert got.method == "grid-infimum-upper-bound"
-        assert got == _full_grid_m_distance(*searched, 64, lam_tol=1e-300, passes=1)
+        one_pass = _full_grid_m_distance(*searched, 64, lam_tol=1e-300, passes=1)
+        assert got == min(one_pass, _uniform_m_distance(*searched, 64))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_grid_size_must_be_an_integer(self, d):
@@ -1118,6 +1119,15 @@ class TestMDistance:
 
     def test_signature_has_no_passes(self):
         assert list(inspect.signature(m_distance).parameters) == ["K1", "K2", "grid_n", "lam_tol"]
+
+
+def _uniform_m_distance(K1, K2, grid_n=None):
+    """d log c, c = max over the grid and the corners of max(h1/h2, h2/h1):
+    lam = c 1 passes every grid test, by homogeneity."""
+    d = K1.d
+    U = np.vstack([_distance_grid(d, grid_n), _corner_directions(d)])
+    h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
+    return d * math.log(max((h1 / h2).max(), (h2 / h1).max()))
 
 
 def _full_grid_m_distance(K1, K2, grid_n=None, lam_tol=1e-6, passes=4):
@@ -1174,6 +1184,9 @@ def _search_pair(name):
         return make_family("logistic", 3, p=1.5), unit_cube(3), 2000
     if name == "nnls-cube":
         return _nnls_fit(), unit_cube(3), 2000
+    if name == "mo-logistic":
+        mo = make_family("marshall_olkin", 2, alpha1=0.4, alpha2=0.7)
+        return mo, make_family("logistic", 2, p=2.0), None
     if name == "husler_reiss-cube":
         return make_family("husler_reiss", 2, lam=1.0), unit_cube(2), None
     if name.startswith("logistic "):
@@ -1269,31 +1282,91 @@ class TestMDistanceExchangeable:
         assert got == _full_grid_m_distance(K, unit_cross_polytope(3), 500, passes=1)
 
 
+_PLANAR_NORMS = {
+    "logistic 1.0001": lambda: make_family("logistic", 2, p=1.0001),
+    "logistic 2": lambda: make_family("logistic", 2, p=2.0),
+    "logistic 1e6": lambda: make_family("logistic", 2, p=1e6),
+    "neg_logistic": lambda: make_family("neg_logistic", 2, lam=0.5, p=-2.0),
+    "neg_logistic min": lambda: make_family("neg_logistic", 2, lam=0.5, p=-np.inf),
+    "husler_reiss 0.05": lambda: make_family("husler_reiss", 2, lam=0.05),
+    "husler_reiss 1": lambda: make_family("husler_reiss", 2, lam=1.0),
+    "husler_reiss 50": lambda: make_family("husler_reiss", 2, lam=50.0),
+    "sum with the square": lambda: minkowski_combine(
+        make_family("logistic", 2, p=1.5), unit_cube(2), [0.2, 0.7]
+    ),
+    "sum of two norms": lambda: minkowski_combine(
+        make_family("husler_reiss", 2, lam=1.0), make_family("logistic", 2, p=3.0), [0.3, 0.8]
+    ),
+}
+
+
+class TestPlanarExchangeable:
+    """In d = 2 a norm is tested on its quarter-circle values reversed, as
+    reversal is the coordinate swap: the decision of h at the swapped
+    directions, with no kernel call there."""
+
+    @pytest.mark.parametrize("name", sorted(_PLANAR_NORMS))
+    @pytest.mark.parametrize("grid_n", [64, 1000, 4096])
+    def test_reversal_agrees_with_swapped_evaluation(self, name, grid_n):
+        K = _PLANAR_NORMS[name]()
+        U = _distance_grid(2, grid_n)
+        h = _support_finite(K, U)
+        swapped = np.abs(_support_finite(K, U[:, ::-1]) - h).max() <= 4 * np.spacing(np.abs(h).max())
+        assert geometry._exchangeable(K, grid_n, h) == swapped
+        assert bool(swapped) != name.startswith("sum")  # the two sums are asymmetric
+
+    def test_m_distance_reads_no_swapped_direction(self, monkeypatch):
+        calls = []
+
+        def counting(K, X):
+            calls.append(np.array(X))
+            return _support_finite(K, X)
+
+        monkeypatch.setattr(geometry, "_support_finite", counting)
+        K1, K2, _ = _search_pair("logistic 2")
+        got = m_distance(K1, K2)
+        U = np.vstack([_distance_grid(2, None), _corner_directions(2)])
+        assert got.method == "grid-lower-bound"
+        assert len(calls) == 2 and all(np.array_equal(X, U) for X in calls)
+
+
 class TestMDistanceSearch:
     """The active-set, one-pass search against the full-grid search, on
-    pairs that are not exchangeable."""
+    pairs that are not exchangeable, and no more than the uniform scale."""
 
     @pytest.mark.parametrize("name", _ATOM_PAIRS)
-    def test_within_d_lam_tol_above_four_passes(self, name):
+    def test_within_d_lam_tol_of_four_passes(self, name):
         K1, K2, grid_n = _search_pair(name)
         ref = _full_grid_m_distance(K1, K2, grid_n)
-        assert ref <= m_distance(K1, K2, grid_n) < ref + K1.d * 1e-6
+        got = m_distance(K1, K2, grid_n)
+        assert got < ref + K1.d * 1e-6 and got <= _uniform_m_distance(K1, K2, grid_n)
+
+    @pytest.mark.parametrize("name", _ATOM_PAIRS + ["mo-logistic"])
+    def test_uniform_scale_passes_every_grid_test(self, name):
+        # lam = c 1 at the value d log c, as m_distance tests containment
+        K1, K2, grid_n = _search_pair(name)
+        U = np.vstack([_distance_grid(K1.d, grid_n), _corner_directions(K1.d)])
+        h1, h2 = _support_finite(K1, U), _support_finite(K2, U)
+        c = math.exp(_uniform_m_distance(K1, K2, grid_n) / K1.d)
+        assert not np.any(_support_finite(K2, U * c) < h1 * (1.0 - 1e-12) - 1e-12)
+        assert not np.any(_support_finite(K1, U * c) < h2 * (1.0 - 1e-12) - 1e-12)
 
     @pytest.mark.parametrize("name", _ATOM_PAIRS)
     def test_active_set_is_bit_identical_to_full_grid(self, name):
         K1, K2, grid_n = _search_pair(name)
         got = m_distance(K1, K2, grid_n)
         assert got.method == "grid-infimum-upper-bound"
-        assert got == _full_grid_m_distance(K1, K2, grid_n, passes=1)
+        one_pass = _full_grid_m_distance(K1, K2, grid_n, passes=1)
+        assert got == min(one_pass, _uniform_m_distance(K1, K2, grid_n))
 
     def test_random_pairs_keep_their_values(self):
         want = {
-            "random 2 0": "0x1.65499ed881544p-1",
-            "random 2 1": "0x1.2a9b088d494c7p-1",
+            "random 2 0": "0x1.266566f4f07cbp-2",
+            "random 2 1": "0x1.3308a21678856p-4",
             "random 2 2": "0x1.eeb9f916ff8f2p-3",
-            "random 3 0": "0x1.77004516f7ac3p+0",
-            "random 3 1": "0x1.b42cd92759720p+0",
-            "random 3 2": "0x1.fcad4dc7dffc8p-1",
+            "random 3 0": "0x1.b5104b66d2ac2p-2",
+            "random 3 1": "0x1.c8a7741bcaaf0p-2",
+            "random 3 2": "0x1.26ff11a5432d5p-1",
         }
         assert {name: float(m_distance(*_search_pair(name))).hex() for name in want} == want
 
