@@ -67,6 +67,8 @@ class MaxStableModel(DependencySet):
 
     def __init__(self, K, discrete=None):
         K = as_dependency(K)
+        if discrete is not None and discrete.d != K.d:
+            raise ValueError(f"the atom list is of dimension {discrete.d}, the body of {K.d}")
         fields = dict(_fields(K), discrete=K.discrete if discrete is None else discrete)
         for name, value in fields.items():
             object.__setattr__(self, name, value)

@@ -27,8 +27,8 @@ from .geometry import (
     _as_count,
     _fold,
     _grid_gap,
+    _lattice_orbits,
     _norm_chain,
-    _orbit_labels,
     _quarter_circle,
     _simplex_lattice,
     _support_finite,
@@ -234,18 +234,18 @@ def _renormalize_marginals(sigma):
 def discretize(K, m=1000, n_eval=2048):
     """Atom-list approximation of a dependency set on the l1 simplex.
 
+    K's marginals h(K, e_i) must be 1 within DEP_TOL = 1e-6, else
+    ValueError: a fit, or a renormalized atom list, would be another body.
     A body that already carries atoms is returned as it is, its marginal
-    sums renormalized to 1 (zero reported error, method "atoms"); they
-    must be 1 within DEP_TOL = 1e-6 already, else ValueError, as the
-    renormalized list would be another body.  Analytic planar norms are
-    inscribed via their support points at m Chebyshev-spaced simplex
-    directions ("planar-chain").  In d >= 3 the masses of a simplex
-    lattice of at most m atoms (so m >= d) are fit by nonnegative least
-    squares to h on a finer simplex lattice
-    ("nnls-bpp"): block principal pivoting returns the exact NNLS
-    minimizer, a KKT point, after one step of iterative refinement.  When
-    every coordinate permutation keeps h on the lattice, the fit has one
-    weight per atom orbit and one row per orbit of fit points, weighted by
+    sums renormalized to 1 (zero reported error, method "atoms").  Analytic
+    planar norms are inscribed via their support points at m
+    Chebyshev-spaced simplex directions ("planar-chain").  In d >= 3 the
+    masses of a simplex lattice of at most m atoms (so m >= d) are fit by
+    nonnegative least squares to h on a finer simplex lattice ("nnls-bpp"):
+    block principal pivoting returns the exact NNLS minimizer, a KKT point,
+    after one step of iterative refinement.  When every coordinate
+    permutation keeps h on the lattice, the fit has one weight per atom
+    orbit and one row per orbit of fit points (_lattice_orbits), weighted by
     its size (91 atom orbits of 496 and 341 point orbits of 1,953 in
     d = 3), which is exact: the weighted fit has the full fit's minimizer.
     The design and A'A depend on (d, m, exchangeable or not) alone and are
@@ -259,17 +259,16 @@ def discretize(K, m=1000, n_eval=2048):
     any other fit's coordinate by coordinate.  The error is the largest
     support gap over n_eval directions (equally spaced on the quarter
     circle in d = 2, the simplex lattice of at most n_eval points in
-    d >= 3).  That
-    set must hold a direction off the axes, so n_eval is at least 3 in
-    d = 2 and d(d + 1)/2 in d >= 3; a smaller one raises ValueError, as
-    the gap would be read on the axes alone, where every fit is exact.
-    The gap is _grid_gap's, which in d >= 3 reads the fit on one lattice
-    direction per orbit when K and the fit are both exchangeable: 352 of
-    2,016 in d = 3.  The maximum over those representatives is still a
-    lower bound on the sup of the gap, and equals the maximum over the
-    whole lattice up to rounding; n_samples stays the whole lattice's
-    count.  A NaN support value of K, on the fit lattice or the error
-    directions, raises ValueError (_support_finite).
+    d >= 3).  That set must hold a direction off the axes, so n_eval is at
+    least 3 in d = 2 and d(d + 1)/2 in d >= 3; a smaller one raises
+    ValueError, as the gap would be read on the axes alone, where every fit
+    is exact.  The gap is _grid_gap's, which in d >= 3 reads the fit on
+    each orbit's first lattice direction when K and the fit are both
+    exchangeable: 352 of 2,016 in d = 3.  The maximum over those
+    directions is still a lower bound on the sup of the gap, and equals
+    the maximum over the whole lattice up to rounding; n_samples stays the
+    whole lattice's count.  A NaN support value of K, on the fit lattice or
+    the error directions, raises ValueError (_support_finite).
     """
     m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
     if m < 2:
@@ -277,9 +276,9 @@ def discretize(K, m=1000, n_eval=2048):
     least = K.d * (K.d + 1) // 2  # 3 on the quarter circle, the resolution-2 lattice in d >= 3
     if K.d > 1 and n_eval < least:
         raise ValueError(f"n_eval = {n_eval} holds no off-axis direction in d = {K.d}; need {least}")
+    if not _close_to_normalized(K.marginals()):
+        raise ValueError(f"discretize needs marginal sums 1 within DEP_TOL (every h(K, e_i)), got {K.marginals()}")
     if K.spectral is not None:
-        if not _close_to_normalized(K.marginals()):
-            raise ValueError(f"an atom list needs marginal sums 1 within DEP_TOL, got {K.marginals()}")
         sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
         return DiscretizeResult(sigma, Estimate(0.0, 0.0, "atoms", 0))
     if K.d == 2:
@@ -307,8 +306,6 @@ def _fit_nnls(K, m):
     label, row, root, A, G = _fit_design(K.d, m, n_fit, symmetric)
     w = _nnls_bpp(A, np.bincount(row, weights=b) / root, G)[label]
     keep = w > 1e-12
-    if not keep.any():
-        raise ValueError("nonnegative fit degenerated to the zero measure")
     sigma = make_measure(atoms[keep], w[keep], "l1")
     if not symmetric:
         return _renormalize_marginals(sigma)
@@ -321,23 +318,28 @@ def _fit_nnls(K, m):
 @functools.lru_cache(maxsize=4)
 def _fit_design(d, m, n_fit, symmetric):
     """The part of the fit that reads the lattices alone, cached read-only:
-    the atom and point orbit labels (_orbit_labels), the roots of the point
-    orbits' sizes, the design A, its columns summed over atom orbits and its
-    rows scaled by those roots, and G = A'A.  Symmetric, this is exact: the
-    full design has full column rank, so its NNLS minimizer is unique, so
-    kept by each permutation, so constant on atom orbits, where each row is
-    constant on its point orbit: the weighted sum of squares is the full
-    one less a constant.  Otherwise A is max_products(atoms, X) bit for
-    bit, its rows in lattice order.  G is _gram(A): formed on the calling
-    thread, exactly symmetric, the same bits under any BLAS thread count."""
+    the atom and point orbit labels, both lattices' (_lattice_orbits) when
+    symmetric, else each row its own, the roots of the point orbits' sizes,
+    the design A on each point orbit's first row, its columns summed over
+    atom orbits and its rows scaled by those roots, and G = A'A.  Symmetric,
+    this is exact: the full design has full column rank, so its NNLS
+    minimizer is unique, so kept by each permutation, so constant on atom
+    orbits, where each row is constant on its point orbit: the weighted sum
+    of squares is the full one less a constant.  Otherwise A is
+    max_products(atoms, X) bit for bit, its rows in lattice order.  G is
+    _gram(A): formed on the calling thread, exactly symmetric, the same bits
+    under any BLAS thread count."""
     atoms, X = _simplex_lattice(d, m), _simplex_lattice(d, n_fit)
-    label, row = _orbit_labels(atoms, symmetric), _orbit_labels(X, symmetric)
-    X, root = X[np.unique(row, return_index=True)[1]], np.sqrt(np.bincount(row))  # each orbit's first point
-    order = np.argsort(label, kind="stable")
-    within = np.empty_like(label)  # each atom's place in its orbit, in lattice order
-    within[order] = np.arange(len(label)) - np.searchsorted(label[order], label[order])
+    if symmetric:
+        (label, _), (row, first) = _lattice_orbits(d, m), _lattice_orbits(d, n_fit)
+        X = X[first]
+    else:
+        label, row = np.arange(len(atoms)), np.arange(len(X))
+    root = np.sqrt(np.bincount(row))
+    order = np.argsort(label, kind="stable")  # the atoms by orbit, each orbit in lattice order
+    within = np.arange(len(label)) - np.searchsorted(label[order], label[order])  # places in orbits
     # layer k: the k-th atom of each orbit of more than k atoms, a prefix of the orbits
-    layers = np.split(atoms[np.lexsort((label, within))], np.cumsum(np.bincount(within))[:-1])
+    layers = [atoms[order[within == k]] for k in range(within.max() + 1)]
     A = _kernels.max_products(layers[0], X)  # the N x m design is never held
     for B in layers[1:]:
         A[:, : len(B)] += _kernels.max_products(B, X)

@@ -323,30 +323,41 @@ def _simplex_lattice(d, m):
     return lattice
 
 
-@functools.lru_cache(maxsize=32)
-def _lattice_swap(d, m, j):
-    """The permutation o of the rows of _simplex_lattice(d, m) under the swap
-    of columns 0 and j: row o[k] is row k swapped, matched exactly, as a
-    coordinate k/r is one float per integer k.  Cached read-only, as int32:
-    80 KB a swap on the 19,900-point default distance grid."""
-    o = np.lexsort(_swapped(_simplex_lattice(d, m), j).T[::-1]).astype(np.int32)  # sorted: the rows
-    o.setflags(write=False)
-    return o
-
-
-def _swapped(A, j):
-    """A with columns 0 and j swapped."""
-    c = np.arange(A.shape[1])
-    c[[0, j]] = j, 0
-    return A[:, c]
+@functools.lru_cache(maxsize=8)
+def _lattice_orbits(d, m):
+    """The orbits of the coordinate permutations on the rows of
+    _simplex_lattice(d, m), cached read-only: each row's label, numbered
+    from the largest orbit down and in lattice order among orbits of one
+    size, and by label each orbit's first row, its nondecreasing one.  Rows
+    k/r are sorted as integers by a network of column min/max and ranked
+    among the compositions of r in lexicographic order, the lattice's."""
+    L = _simplex_lattice(d, m)
+    r = round(1.0 / L[-2, 1]) if d > 1 else 1  # the second-last row is (r - 1, 1, 0, ...) / r
+    S = list(np.rint(L.T * r).astype(np.intp))
+    for i in range(d - 1, 0, -1):
+        for j in range(i):
+            S[j], S[j + 1] = np.minimum(S[j], S[j + 1]), np.maximum(S[j], S[j + 1])
+    rank, top = np.zeros(len(L), dtype=np.intp), r  # rank: the compositions of r before the row
+    for i, k in enumerate(S[:-1]):  # of top into d - i parts, C[top] - C[top - k] have a first part below k
+        C = np.array([math.comb(s + d - 1 - i, s) for s in range(r + 1)])  # C[s]: compositions of s into d - i parts
+        rank, top = rank + C[top] - C[top - k], top - k
+    size = np.bincount(rank, minlength=len(L))
+    first = np.flatnonzero(size)  # the nondecreasing rows, in lattice order
+    first = first[np.argsort(-size[first], kind="stable")]
+    label = np.empty(len(L), dtype=np.intp)
+    label[first] = np.arange(len(first))
+    label = label[rank]
+    for a in (label, first):
+        a.setflags(write=False)
+    return label, first
 
 
 def _values_exchangeable(d, m, b):
-    """Whether the swaps (0, j), which generate every permutation of the d
-    coordinates, keep the values b on the rows of _simplex_lattice(d, m) to
-    4 ulps of max|b|; a NaN in b keeps none."""
-    tol = 4 * np.spacing(np.abs(b).max())
-    return all(np.abs(b[_lattice_swap(d, m, j)] - b).max() <= tol for j in range(1, d))
+    """Whether every coordinate permutation keeps the values b on the rows of
+    _simplex_lattice(d, m): each within 4 ulps of max|b| of the value at its
+    orbit's first row (_lattice_orbits); a NaN in b keeps none."""
+    label, first = _lattice_orbits(d, m)
+    return np.abs(b[first][label] - b).max() <= 4 * np.spacing(np.abs(b).max())
 
 
 def _atoms_exchangeable(B):
@@ -360,58 +371,38 @@ def _atoms_exchangeable(B):
     def rows(A):
         return A[np.lexsort(_point_keys(A).T[::-1])]
 
-    S, tol = rows(B), 16 * np.spacing(B.max())
-    return all(np.abs(rows(_swapped(B, j)) - S).max() <= tol for j in range(1, B.shape[1]))
+    S, tol, d = rows(B), 16 * np.spacing(B.max()), B.shape[1]
+    return all(np.abs(rows(B[:, [j, *range(1, j), 0, *range(j + 1, d)]]) - S).max() <= tol for j in range(1, d))
 
 
-def _exchangeable(K, m, h):
+def _exchangeable(K, m, h=None):
     """Whether every coordinate permutation keeps K: an atom list tested on
     its atoms (_atoms_exchangeable), a norm on its values h on the distance
-    grid of size m: the lattice (_values_exchangeable) in d >= 3, in d = 2
-    the quarter circle, whose reversal is the coordinate swap, to 4 ulps."""
+    grid of size m, read there when h is None: the lattice
+    (_values_exchangeable) in d >= 3, in d = 2 the quarter circle, whose
+    reversal is the coordinate swap, to 4 ulps."""
     if K.spectral is not None:
         return _atoms_exchangeable(K.spectral.scaled_atoms)
+    if h is None:
+        h = _support_finite(K, _distance_grid(K.d, m))
     if K.d == 2:
         return np.abs(h[::-1] - h).max() <= 4 * np.spacing(np.abs(h).max())
     return _values_exchangeable(K.d, m, h)
 
 
-def _orbit_labels(P, symmetric):
-    """Each row's orbit under every coordinate permutation when symmetric,
-    its coordinates sorted, numbered from the largest orbit down and in
-    lattice order among orbits of one size; otherwise each row is its own,
-    in order."""
-    S = np.sort(P, axis=1) if symmetric else P
-    o = np.lexsort(S.T[::-1])  # np.unique(S, axis=0) takes 3-5 times as long
-    label = np.empty(len(S), dtype=np.intp)
-    label[o] = np.cumsum(np.r_[True, (S[o][1:] != S[o][:-1]).any(axis=1)]) - 1
-    return np.argsort(np.argsort(-np.bincount(label), kind="stable"))[label]
-
-
-@functools.lru_cache(maxsize=8)
-def _lattice_orbits(d, m):
-    """One row of _simplex_lattice(d, m) per orbit of the coordinate
-    permutations, in ascending order: the rows whose coordinates do not
-    decrease.  Bar order is the lexicographic order of the coordinates, so
-    that row is its orbit's first.  No sort; cached read-only."""
-    rows = np.flatnonzero((np.diff(_simplex_lattice(d, m), axis=1) >= 0).all(axis=1))
-    rows.setflags(write=False)
-    return rows
-
-
 def _grid_gap(K1, K2, U, m):
     """max over the rows u of U of |h(K1, u) - h(K2, u)|; a NaN support
     value raises ValueError (_support_finite).  In d >= 3, for U the lattice
-    _simplex_lattice(d, m) with its rows scaled, an atom list is read on one
-    row per orbit of the coordinate permutations when both bodies are
-    exchangeable (_exchangeable: a norm tested on its values on all of U).
-    Such bodies keep every permutation to rounding, so this is the maximum
-    over all of U up to rounding.  Otherwise every row is read."""
+    _simplex_lattice(d, m) with its rows scaled, an atom list is read on each
+    orbit's first row (_lattice_orbits) when both bodies are exchangeable
+    (_exchangeable: a norm tested on its values on all of U).  Such bodies
+    keep every permutation to rounding, so this is the maximum over all of U
+    up to rounding.  Otherwise every row is read."""
     bodies = (K1, K2)
     h = [None if K.spectral is not None and K.d >= 3 else _support_finite(K, U) for K in bodies]
     if any(v is None for v in h):
         symmetric = all(_exchangeable(K, m, v) for K, v in zip(bodies, h))
-        rows = _lattice_orbits(K1.d, m) if symmetric else slice(None)
+        rows = _lattice_orbits(K1.d, m)[1] if symmetric else slice(None)
         h = [_support_finite(K, U[rows]) if v is None else v[rows] for K, v in zip(bodies, h)]
     return np.abs(h[0] - h[1]).max()
 
@@ -934,8 +925,9 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     grid corners e_i force lam_i >= max(r_i, 1/r_i) >= 1, r_i = h(K1, e_i)/h(K2, e_i).
 
     lam = c 1, with c = max over the grid of max(h1/h2, h2/h1), passes
-    every grid test.  Both bodies exchangeable (_exchangeable): method
-    "grid-lower-bound", the value d log c.
+    every grid test.  Both bodies exchangeable (_exchangeable, a norm judged
+    on the default grid when grid_n is smaller, as a coarse grid can hold
+    too few directions to tell): method "grid-lower-bound", the value d log c.
     With mu = 1/lam and s = log mu, K1 in lam*K2 holds when h(K1, e^s*v)
     <= h(K2, v) for every v >= 0, a constraint convex in s, and likewise
     with the bodies swapped; the objective sum(s) is linear.  The program
@@ -989,7 +981,10 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     if not (fail_at_one[0].any() or fail_at_one[1].any()):
         return Estimate(0.0, 0.0, "grid-lower-bound", len(U))
     uniform = d * math.log(max((h1 / h2).max(), (h2 / h1).max()))
-    if _exchangeable(K1, grid_n, h1[: len(L)]) and _exchangeable(K2, grid_n, h2[: len(L)]):
+    # a norm is judged on no grid coarser than the default, its values read again there
+    judge_n = max(grid_n, _grid_size(d, None))
+    h = (h1[: len(L)], h2[: len(L)]) if judge_n == grid_n else (None, None)
+    if all(_exchangeable(K, judge_n, v) for K, v in zip((K1, K2), h)):
         return Estimate(uniform, 0.0, "grid-lower-bound", len(U))
 
     def failing(lam, active):

@@ -287,6 +287,14 @@ class TestQuantileCurve:
 
 
 class TestSimulate:
+    def test_atom_list_of_another_dimension_is_refused(self):
+        # a planar law sampled by trivariate atoms would draw (n, 3) samples
+        with pytest.raises(ValueError, match="atom list is of dimension 3, the body of 2"):
+            MaxStableModel(unit_cube(2), unit_cube(3).spectral)
+        K = make_family("logistic", 2, p=2.0)
+        model = MaxStableModel(K, discretize(K, 50).measure)
+        assert simulate(model, 10, seed=1).values.shape == (10, 2)
+
     def test_complete_dependence_coordinates_equal(self):
         model = MaxStableModel(unit_cross_polytope(3))
         s = simulate(model, 500, seed=3)

@@ -18,6 +18,7 @@ from maxzonoid import (
     discretize,
     families,
     make_family,
+    minkowski_combine,
     polygon_from_spectral,
     simulate,
     support_function,
@@ -247,6 +248,18 @@ class TestMatrixWeights:
 
 
 class TestDiscretize:
+    # an analytic body off unit marginals is refused as an atom list is: a
+    # fit would be of another body (the (1, 2, 3)-scaled logistic read 2.0)
+    @pytest.mark.parametrize("d, lam", [(2, (1.0, 2.0)), (3, (1.0, 2.0, 3.0)), (3, (1.0, 1.0, 1.0 + 2e-6))])
+    def test_analytic_body_needs_unit_marginals(self, d, lam):
+        with pytest.raises(ValueError, match="marginal sums 1 within DEP_TOL"):
+            discretize(scale(make_family("logistic", d, p=1.5), lam))
+
+    def test_analytic_body_within_dep_tol_is_fit(self):
+        K = scale(make_family("logistic", 3, p=1.5), (1.0, 1.0, 1.0 + 5e-7))
+        res = discretize(K, 100)
+        assert res.max_support_error.method == "nnls-bpp" and res.max_support_error < 1e-2
+
     def test_discrete_input_exact(self):
         res = discretize(unit_cube(2), 10)
         assert res.max_support_error == 0.0
@@ -495,8 +508,9 @@ class TestNnlsBpp:
             assert np.array_equal(families._nnls_bpp(A, b), np.zeros(6))
 
     def test_zero_target_degenerates_discretize(self):
+        # the zero norm's marginals are 0: refused before any fit
         zero = AnalyticNorm("zero", 3, lambda X: np.zeros(len(X)))
-        with pytest.raises(ValueError, match="degenerated"):
+        with pytest.raises(ValueError, match="marginal sums 1 within DEP_TOL"):
             discretize(MaxZonoid(d=3, norm=zero), 50)
 
     def test_exact_fit_returns_weights(self, rng):
@@ -563,7 +577,7 @@ class TestNnlsBpp:
         _assert_fit_matches_full_design(monkeypatch, K, m, res)
 
     def test_asymmetric_body_keeps_the_full_design(self, monkeypatch):
-        K = scale(make_family("logistic", 3, p=1.5), (1.0, 2.0, 3.0))
+        K = minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8])
         res, (A, _) = _recorded_fit(monkeypatch, K, 500)
         atoms, X = _simplex_lattice(3, 500), _fit_lattice(3, 500)
         assert np.array_equal(A, _kernels.max_products(atoms, X))
@@ -575,16 +589,16 @@ class TestNnlsBpp:
         assert np.array_equal(res.measure.masses, ref.masses)
         # the mass sum is the three unit marginals' 3.0 to rounding; its last
         # bits follow the BLAS thread count, so it is pinned to 16 ulps
-        assert res.measure.n_atoms == 366
+        assert res.measure.n_atoms == 350
         assert abs(res.measure.masses.sum() - 3.0) <= 16 * np.spacing(3.0)
 
-    # two equal scale factors keep a swap, but not every permutation: the
-    # fit takes the full design and data, and the error and the Hausdorff
+    # two equal weights keep a swap, but not every permutation: the fit
+    # takes the full design and data, and the error and the Hausdorff
     # distance read every direction of their grids, bit for bit
-    @pytest.mark.parametrize("lam", [(1.0, 1.0, 2.0), (1.0, 2.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("lam", [(0.3, 0.3, 0.6), (0.3, 0.6, 0.3, 0.6)])
     def test_partially_symmetric_body_keeps_the_full_design(self, monkeypatch, lam):
         d = len(lam)
-        K = scale(make_family("logistic", d, p=2.5), lam)
+        K = minkowski_combine(make_family("logistic", d, p=2.5), unit_cube(d), lam)
         res, (A, b) = _recorded_fit(monkeypatch, K, 500)
         atoms, X = _simplex_lattice(d, 500), _fit_lattice(d, 500)
         assert np.array_equal(A, _kernels.max_products(atoms, X))
@@ -597,17 +611,20 @@ class TestNnlsBpp:
         assert hausdorff_distance(fit, K) == np.abs(_support_finite(fit, U) - _support_finite(K, U)).max()
 
     def test_point_orbits_are_sorted_coordinates(self):
-        # one label per point, equal exactly on points equal after sorting,
-        # numbered from the largest orbit down; without symmetry each point
-        # is its own orbit, in lattice order
+        # the design's labels, from the orbit map when symmetric: one per
+        # point, equal exactly on points equal after sorting, numbered from
+        # the largest orbit down; without symmetry each point is its own
+        # orbit, in lattice order
         X = _fit_lattice(3, 500)
         for symmetric in (False, True):
-            label = families._orbit_labels(X, symmetric)
+            label, row = families._fit_design(3, 500, 1984, symmetric)[:2]
+            assert len(label) == len(_simplex_lattice(3, 500))
             S = np.sort(X, axis=1) if symmetric else X
             _, ref = np.unique(S, axis=0, return_inverse=True)
-            assert np.array_equal(label[:, None] == label, ref[:, None] == ref)
-            assert np.all(np.diff(np.bincount(label)) <= 0)
-        assert np.array_equal(families._orbit_labels(X, False), np.arange(len(X)))
+            ref = ref.ravel()
+            assert np.array_equal(row[:, None] == row, ref[:, None] == ref)
+            assert np.all(np.diff(np.bincount(row)) <= 0)
+        assert np.array_equal(families._fit_design(3, 500, 1984, False)[1], np.arange(len(X)))
 
     def test_rank_deficient_design_raises(self):
         # two equal columns, both in the first passive set: an exactly
@@ -625,6 +642,26 @@ class TestNnlsBpp:
             families._nnls_bpp(rng.random((12, 5)), rng.random(12))
 
 
+class TestOrbitDesignTaken:
+    """Every logistic fit in d = 3-5 at 500 and 1,000 atoms takes the orbit
+    design, as the benchmark's fits do: its G has fewer columns than the
+    lattice has atoms, so no tolerance can move them to the full design
+    unseen."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5])
+    @pytest.mark.parametrize("d, m", [(3, 500), (3, 1000), (4, 500), (4, 1000), (5, 500), (5, 1000)])
+    def test_fewer_columns_than_atoms(self, monkeypatch, d, m, p):
+        solves = []
+
+        def recording(A, b, G=None, _solve=families._nnls_bpp):
+            solves.append(G.shape[1])
+            return _solve(A, b, G)
+
+        monkeypatch.setattr(families, "_nnls_bpp", recording)
+        discretize(make_family("logistic", d, p=p), m)
+        assert solves and solves[0] < len(_simplex_lattice(d, m))
+
+
 class TestFitDesign:
     """The lattice-only part of the d >= 3 fit, cached per lattice and
     symmetry: a cold and a warm fit agree bit for bit."""
@@ -634,9 +671,9 @@ class TestFitDesign:
         [
             make_family("logistic", 3, p=1.5),
             make_family("logistic", 3, p=2.5),
-            scale(make_family("logistic", 3, p=1.5), (1.0, 2.0, 3.0)),
+            minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8]),
         ],
-        ids=["logistic-1.5", "logistic-2.5", "scaled-1-2-3"],
+        ids=["logistic-1.5", "logistic-2.5", "logistic-plus-cube-asymmetric"],
     )
     def test_cold_and_warm_fits_agree(self, K):
         families._fit_design.cache_clear()
@@ -665,7 +702,9 @@ class TestFitDesign:
     def test_exchangeable_and_asymmetric_bodies_get_their_own_designs(self, monkeypatch):
         families._fit_design.cache_clear()
         _, (A1, _) = _recorded_fit(monkeypatch, make_family("logistic", 3, p=1.5), 500)
-        _, (A2, _) = _recorded_fit(monkeypatch, scale(make_family("logistic", 3, p=1.5), (1.0, 2.0, 3.0)), 500)
+        _, (A2, _) = _recorded_fit(
+            monkeypatch, minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8]), 500
+        )
         assert (A1.shape, A2.shape) == ((341, 91), (1953, 496))
         assert families._fit_design.cache_info()[:2] == (0, 2)
         _, (A3, _) = _recorded_fit(monkeypatch, make_family("logistic", 3, p=2.5), 500)

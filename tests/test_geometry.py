@@ -948,10 +948,10 @@ def _fit_case(name):
         "logistic3 p=1.5": (3, 1.5, None),
         "logistic3 p=2.5": (3, 2.5, None),
         "logistic4 p=2.5": (4, 2.5, None),
-        "logistic3 scaled (1, 2, 3)": (3, 1.5, (1.0, 2.0, 3.0)),
+        "logistic3 + cube (0.2, 0.5, 0.8)": (3, 1.5, (0.2, 0.5, 0.8)),
     }[name]
     K = make_family("logistic", d, p=p)
-    K = K if lam is None else scale(K, lam)
+    K = K if lam is None else minkowski_combine(K, unit_cube(d), lam)
     return K, discretize(K, 500)
 
 
@@ -984,7 +984,7 @@ class TestOrbitGrids:
             assert hausdorff_distance(K1, K2) == ref
 
     def test_asymmetric_body_reads_the_full_grid(self):
-        K, res = _fit_case("logistic3 scaled (1, 2, 3)")
+        K, res = _fit_case("logistic3 + cube (0.2, 0.5, 0.8)")
         assert not geometry._atoms_exchangeable(res.measure.scaled_atoms)
         fit = zonoid_from_spectral(res.measure)
         E = geometry._simplex_lattice(3, 2048)
@@ -1028,29 +1028,99 @@ class TestOrbitGrids:
     )
     def test_representatives_cover_every_orbit(self, d, m, count):
         L = geometry._simplex_lattice(d, m)
-        rows = geometry._lattice_orbits(d, m)
-        label = geometry._orbit_labels(L, True)
-        assert np.array_equal(np.sort(label[rows]), np.arange(label.max() + 1))
-        assert np.all(np.diff(rows) > 0) and not rows.flags.writeable
-        assert count is None or len(rows) == count
-        assert geometry._lattice_orbits(d, m) is rows
+        label, first = geometry._lattice_orbits(d, m)
+        assert np.array_equal(label[first], np.arange(len(first)))
+        ref = np.flatnonzero((np.diff(L, axis=1) >= 0).all(axis=1))
+        assert np.array_equal(np.sort(first), ref)
+        assert np.array_equal(L[first][label], np.sort(L, axis=1))  # each row's orbit holds its sorted row
+        assert count is None or len(first) == count
+        assert not label.flags.writeable and not first.flags.writeable
+        assert geometry._lattice_orbits(d, m)[1] is first
 
     @pytest.mark.parametrize("d, m", [(2, 100), (3, 500), (3, 2048), (3, 20_000), (4, 2048), (5, 2048), (6, 4096)])
     def test_representatives_are_each_orbits_first_row(self, d, m):
-        # the orbit labels' first rows, as the representatives were once read
-        label = geometry._orbit_labels(geometry._simplex_lattice(d, m), True)
-        ref = np.sort(np.unique(label, return_index=True)[1])
-        assert np.array_equal(geometry._lattice_orbits(d, m), ref)
+        # the orbits of np.unique on the sorted rows, renumbered by size,
+        # largest first and in lattice order among orbits of one size
+        L = geometry._simplex_lattice(d, m)
+        sorted_rows = np.sort(L, axis=1)
+        _, first, orbit, size = np.unique(
+            sorted_rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        rank = np.argsort(np.lexsort((first, -size)))
+        label, got = geometry._lattice_orbits(d, m)
+        assert np.array_equal(label, rank[orbit.ravel()])
+        assert np.array_equal(got, first[np.lexsort((first, -size))])
 
-    def test_swaps_read_values_on_the_lattice(self):
-        # the swaps (0, j) generate every permutation: one that keeps only
-        # the swap (0, 2) keeps too little, as does a NaN anywhere
+    def test_map_reads_values_on_the_lattice(self):
+        # a body that keeps only the swap (0, 2) keeps too little, as does a
+        # NaN anywhere
         L = geometry._simplex_lattice(3, 2048)
         for w, exchangeable in (((1.0, 1.0, 1.0), True), ((1.0, 2.0, 1.0), False), ((1.0, 2.0, 3.0), False)):
             b = L @ np.array(w)
-            assert geometry._values_exchangeable(3, 2048, b) is exchangeable
+            assert geometry._values_exchangeable(3, 2048, b) == exchangeable
             b[5] = np.nan
-            assert geometry._values_exchangeable(3, 2048, b) is False
+            assert not geometry._values_exchangeable(3, 2048, b)
+
+
+def _swap_exchangeable(d, m, b):
+    """The reference symmetry test: whether the swaps (0, j), which generate
+    every permutation, keep the values b on _simplex_lattice(d, m) to 4 ulps
+    of max|b|, each swapped row matched exactly by a lexsort."""
+    L = geometry._simplex_lattice(d, m)
+    tol = 4 * np.spacing(np.abs(b).max())
+    for j in range(1, d):
+        c = np.arange(d)
+        c[[0, j]] = j, 0
+        if not np.abs(b[np.lexsort(L[:, c].T[::-1])] - b).max() <= tol:
+            return False
+    return True
+
+
+def _symmetry_cases():
+    """Norms on their fit and distance lattices: logistic bodies in d = 3-5
+    at 11 exponents, exchangeable and asymmetric Minkowski images, a scaled
+    image, a projection and planar products."""
+
+    def log(d, p):
+        return make_family("logistic", d, p=p)
+
+    exponents = (1.0001, 1.01, 1.2, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 100.0, 1e4)
+    bodies = [(f"logistic{d} p={p:g}", log(d, p)) for d in (3, 4, 5) for p in exponents]
+    bodies += [
+        ("logistic3 + cube 0.5", minkowski_combine(log(3, 1.5), unit_cube(3), 0.5)),
+        ("logistic4 + logistic4", minkowski_combine(log(4, 1.2), log(4, 3.0), 0.3)),
+        ("logistic3 + cube (0.2, 0.5, 0.8)", minkowski_combine(log(3, 1.5), unit_cube(3), [0.2, 0.5, 0.8])),
+        ("logistic3 + cube (0.3, 0.3, 0.6)", minkowski_combine(log(3, 2.5), unit_cube(3), [0.3, 0.3, 0.6])),
+        ("logistic4 + cube (0.3, 0.6, 0.3, 0.6)", minkowski_combine(log(4, 2.5), unit_cube(4), [0.3, 0.6, 0.3, 0.6])),
+        ("logistic3 scaled (1, 1, 1 + 1e-15)", scale(log(3, 1.5), (1.0, 1.0, 1.0 + 1e-15))),
+        ("logistic3 scaled (1, 2, 3)", scale(log(3, 1.5), (1.0, 2.0, 3.0))),
+        ("logistic4 projected", project(log(4, 2.0), [0, 1, 3])),
+        ("logistic2 x logistic2", cartesian_product(log(2, 2.0), log(2, 2.0))),
+        ("logistic2 x husler_reiss", cartesian_product(log(2, 2.0), make_family("husler_reiss", 2, lam=1.0))),
+        ("logistic5 + cube 0.5", minkowski_combine(log(5, 2.0), unit_cube(5), 0.5)),
+        ("logistic5 + cube (0.5, ..., 0.6)", minkowski_combine(log(5, 2.0), unit_cube(5), [0.5] * 4 + [0.6])),
+    ]
+    # the fit lattices of 500 and 2,000 atoms in d = 3 among them
+    grids = {3: (1024, 1984, 2048, 4096, 7812, 8192, 20_000), 4: (1024, 2048, 8192, 20_000),
+             5: (1024, 2048, 20_000)}
+    return [(name, K, m) for name, K in bodies for m in grids[K.d]]
+
+
+class TestMapAgainstSwaps:
+    """The orbit map's symmetry test makes the decisions of the swap test
+    it replaced, on every case and on NaN data."""
+
+    def test_same_decisions(self):
+        cases = _symmetry_cases()
+        decided = []
+        for name, K, m in cases:
+            b = _support_finite(K, geometry._simplex_lattice(K.d, m))
+            want = _swap_exchangeable(K.d, m, b)
+            assert geometry._values_exchangeable(K.d, m, b) == want, (name, m)
+            decided.append(want)
+            b[len(b) // 3] = np.nan
+            assert not geometry._values_exchangeable(K.d, m, b) and not _swap_exchangeable(K.d, m, b)
+        assert len(cases) >= 200 and 0 < sum(decided) < len(decided)
 
 
 class TestMDistance:
@@ -1274,6 +1344,25 @@ class TestMDistanceExchangeable:
             got = m_distance(K, K)
             assert got == 0.0
             assert got.method == "grid-lower-bound"
+
+    # at grid_n = 2 the quarter circle is e1, the diagonal and e2, which the
+    # swap maps onto themselves, so every norm's values pass there: a norm is
+    # judged on the default grid instead, and this asymmetric one is searched
+    @pytest.mark.parametrize("grid_n", [2, 3, 64])
+    def test_coarse_grid_judges_a_norm_on_the_default_grid(self, grid_n):
+        mixed = minkowski_combine(make_family("logistic", 2, p=1.5), unit_cube(2), [0.2, 0.7])
+        K1, K2 = normalize_dependency(mixed), make_family("logistic", 2, p=3.0)
+        got = m_distance(K1, K2, grid_n)
+        assert got.method == "grid-infimum-upper-bound"
+        uniform = _on_grid_m_distance(K1, K2, grid_n, np.zeros((1, 2)))
+        assert got == pytest.approx(min(_full_grid_m_distance(K1, K2, grid_n, passes=1), uniform), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name, grid_n", [("logistic 2", 2), ("logistic 3", 6), ("cube-cross 3", 6)])
+    def test_coarse_grid_keeps_exchangeable_pairs(self, name, grid_n):
+        K1, K2, _ = _search_pair(name)
+        got = m_distance(K1, K2, grid_n)
+        assert got.method == "grid-lower-bound"
+        assert got == pytest.approx(_on_grid_m_distance(K1, K2, grid_n, np.zeros((1, K1.d))), rel=0, abs=1e-9)
 
     def test_one_asymmetric_body_takes_the_search(self):
         K = minkowski_combine(make_family("logistic", 3, p=1.5), unit_cube(3), [0.2, 0.5, 0.8])
