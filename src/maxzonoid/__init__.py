@@ -13,12 +13,10 @@ from .alternation import (
     AlternationResult,
     ConsistencyResult,
     FiniteMaxLattice,
-    MobiusWeights,
     check_alternation,
     check_extremal_consistency,
     construct_from_extremal,
     max_closure,
-    theta_alternation_check,
 )
 from .dependence import (
     ExtremalTable,

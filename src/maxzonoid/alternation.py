@@ -8,9 +8,7 @@ the table is realizable iff all c_B are nonnegative, and the weights
 directly build a model with atoms on the 0/1 directions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 from math import comb, inf
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from .distribution import MaxStableModel
 from .geometry import MaxZonoid, subset_indicator_lattice
-from .spectral import _normalized, _point_keys, make_measure
+from .spectral import _ByKey, _normalized, _point_keys, make_measure
 
 ALT_TOL = 1e-9
 
@@ -48,32 +46,31 @@ def _subset(mask, d):
     return frozenset(i for i in range(d) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True)
-class FiniteMaxLattice:
+class FiniteMaxLattice(_ByKey):
     """Finite point set closed under coordinatewise maxima, optionally
     carrying nonnegative function values (one per point); scaling_ok is
     computed from the points (_scaling_condition), not passed in."""
 
-    points: np.ndarray
-    values: np.ndarray | None = None
-    scaling_ok: bool = field(init=False)
+    _fields = ("points", "values", "scaling_ok")
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=float))  # a copy, made read-only
+    def __init__(self, points, values=None):
+        pts = np.atleast_2d(np.array(points, dtype=float))  # a copy, made read-only
         if np.any(pts < 0):
             raise ValueError("lattice points must be nonnegative")
         _max_table(pts)  # raises unless closed; the table is not kept
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.values is not None:
-            vals = np.array(self.values, dtype=float)
-            if vals.shape != (len(pts),):
+        if values is not None:
+            values = np.array(values, dtype=float)
+            if values.shape != (len(pts),):
                 raise ValueError("need one value per lattice point")
-            if np.any(vals < 0):
+            if np.any(values < 0):
                 raise ValueError("lattice values must be nonnegative")
-            vals.setflags(write=False)
-            object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "scaling_ok", _scaling_condition(pts))
+            values.setflags(write=False)
+        self._set(pts, values, _scaling_condition(pts))
+
+    def _key(self):  # the points as np.array_equal compares them, the values bit for bit
+        values = None if self.values is None else self.values.tobytes()
+        return self.points.shape, (self.points + 0.0).tobytes(), values
 
 
 def _scaling_condition(pts):
@@ -112,19 +109,8 @@ def max_closure(points, max_size=100_000):
     return np.array(pts)
 
 
-@dataclass(frozen=True)
-class AlternationWitness:
-    base: np.ndarray
-    increments: np.ndarray
-    value: float
-
-
-@dataclass(frozen=True)
-class AlternationResult:
-    ok: bool
-    witness: AlternationWitness | None = None
-    order_checked: int = 0
-    evaluations: int = 0
+AlternationWitness = namedtuple("AlternationWitness", "base increments value")
+AlternationResult = namedtuple("AlternationResult", "ok witness order_checked")
 
 
 def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
@@ -175,40 +161,22 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
                 diff = diff + sign * values[idx]
             worst = int(np.argmax(diff))
             if diff[worst] > tol:
-                return AlternationResult(
-                    False,
-                    AlternationWitness(
-                        pts[worst], pts[np.array(args)], float(diff[worst])
-                    ),
-                    order,
-                    evals,
-                )
-    return AlternationResult(True, None, max_order, evals)
+                witness = AlternationWitness(pts[worst], pts[np.array(args)], float(diff[worst]))
+                return AlternationResult(False, witness, order)
+    return AlternationResult(True, None, max_order)
 
 
 # ---------------------------------------------------------------------------
 # extremal coefficients
 
 
-@dataclass(frozen=True)
-class MobiusWeights:
-    """Inclusion-exclusion weights c_B >= 0 reproducing a consistent
-    table via theta_A = sum_{B: B meets A} c_B."""
-
-    d: int
-    c: dict
-
-    def reproduce(self, A):
-        A = frozenset(A)
-        return sum(v for B, v in self.c.items() if B & A)
-
-
-@dataclass(frozen=True)
-class ConsistencyResult:
-    ok: bool
-    weights: MobiusWeights | None = None
-    violation_subset: frozenset | None = None
-    violation_value: float | None = None
+ConsistencyResult = namedtuple(
+    "ConsistencyResult", "ok weights violation_subset violation_value", defaults=(None, None, None)
+)
+ConsistencyResult.__doc__ = """The verdict on an extremal-coefficient table.  When ok, weights
+maps each nonempty subset B to its inclusion-exclusion weight c_B >= 0,
+and theta_A = sum over B meeting A of c_B; else violation_subset is the
+subset of the most negative weight, violation_value that weight."""
 
 
 def _theta_array(table):
@@ -239,8 +207,7 @@ def check_extremal_consistency(table, tol=ALT_TOL):
     worst = int(np.argmin(c[1:])) + 1
     if c[worst] < -tol:
         return ConsistencyResult(False, None, _subset(worst, d), float(c[worst]))
-    weights = {_subset(mask, d): float(c[mask]) for mask in range(1, 2**d)}
-    return ConsistencyResult(True, MobiusWeights(d, weights))
+    return ConsistencyResult(True, {_subset(mask, d): float(c[mask]) for mask in range(1, 2**d)})
 
 
 def construct_from_extremal(table):
@@ -256,7 +223,7 @@ def construct_from_extremal(table):
         )
     d = table.d
     points, masses = [], []
-    for B, cB in res.weights.c.items():
+    for B, cB in res.weights.items():
         if cB <= 1e-12:
             continue
         e = np.zeros(d)
@@ -265,12 +232,3 @@ def construct_from_extremal(table):
         masses.append(cB * len(B))
     sigma = make_measure(points, masses, "l1")
     return MaxStableModel(MaxZonoid(d=d, spectral=sigma))
-
-
-def theta_alternation_check(table, max_order=None):
-    """Direct successive-difference check of A -> theta_A on the subset
-    lattice; agrees with check_extremal_consistency."""
-    theta = _theta_array(table)
-    pts = subset_indicator_lattice(table.d, include_origin=True)
-    # row m of the lattice indicates the subset of mask m, so f is theta on every row
-    return check_alternation(lambda X: theta, pts, max_order=max_order or table.d)

@@ -13,8 +13,6 @@ Subset keys are sorted 1-based index lists like "1,3".  CSV outputs use
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -423,7 +421,7 @@ def cmd_check_theta(args):
     spec, table = _load_extremal(args)
     res = check_extremal_consistency(table, tol=args.tol)
     if res.ok:
-        weights = {B: c for B, c in res.weights.c.items() if c > 1e-12}
+        weights = {B: c for B, c in res.weights.items() if c > 1e-12}
         results = {"consistent": True, "weights": _by_subset(weights)}
     else:
         results = {

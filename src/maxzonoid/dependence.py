@@ -2,10 +2,7 @@
 chi, Spearman and Kendall correlations, the inverted-Pearson covariance,
 and the multivariate volume-based rho."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -19,26 +16,25 @@ from .geometry import (
     support_function,
     unit_cube,
 )
+from .spectral import _ByKey
 
 
-@dataclass(frozen=True)
-class ExtremalTable:
+class ExtremalTable(_ByKey):
     """Map from nonempty coordinate subsets (0-based frozensets) to the
     extremal coefficients theta_A = h(K, e_A)."""
 
-    d: int
-    values: dict
+    _fields = ("d", "values")
 
-    def __post_init__(self):
+    def __init__(self, d, values):
         vals = {}
-        for key, v in self.values.items():
+        for key, v in values.items():
             A = frozenset(int(i) for i in key)
-            if not A or min(A) < 0 or max(A) >= self.d:
+            if not A or min(A) < 0 or max(A) >= d:
                 raise ValueError(f"invalid subset {sorted(key)}")
             vals[A] = float(v)
             if not math.isfinite(vals[A]):
                 raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")
-        object.__setattr__(self, "values", vals)
+        self._set(d, vals)
 
     def theta(self, subset):
         return self.values[frozenset(subset)]

@@ -6,43 +6,34 @@ F(x) = exp(-h(K, x*)) with x*_i = 1/x_i, so every function here takes K
 itself or a MaxStableModel, which is K with an atom list for simulation.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
     DependencySet,
     _as_count,
     _as_points,
-    _fields,
     _mc_chunks,
     _support_checked,
     _support_finite,
     as_dependency,
     subset_indicator_lattice,
 )
-from .spectral import DiscreteSpectralMeasure, _ByKey, _close_to_normalized
+from .spectral import _ByKey, _close_to_normalized
 
 
-@dataclass(frozen=True, eq=False)
 class SampleMatrix(_ByKey):
     """n x d strictly positive observations plus the generator seed, the
     sampler that drew them and the number of Poisson points it used."""
 
-    values: np.ndarray
-    seed: int | None = None
-    method: str | None = None
-    n_points: int | None = None
+    _fields = ("values", "seed", "method", "n_points")
 
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+    def __init__(self, values, seed=None, method=None, n_points=None):
+        v = np.atleast_2d(np.asarray(values, dtype=float))
         if not ((v > 0) & (v < np.inf)).all():  # NaN fails both
             raise ValueError("samples must be finite and strictly positive")
         v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._set(v, seed, method, n_points)
 
     def _key(self):  # the values bit for bit
         return self.values.shape, self.values.tobytes(), self.seed, self.method, self.n_points
@@ -56,22 +47,20 @@ class SampleMatrix(_ByKey):
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, init=False)
 class MaxStableModel(DependencySet):
     """The simple max-stable law F(x) = exp(-h(K, x*)), which is the
     dependency set K itself plus one field: discrete, the atom list that
     samples the law.  It defaults to K.discrete: the set's own atoms, the
     list K carries if K is a model, None for an analytic norm."""
 
-    discrete: DiscreteSpectralMeasure | None = None
+    _fields = DependencySet._fields + ("discrete",)
+    discrete = None  # shadows MaxZonoid.discrete, so the field is read
 
     def __init__(self, K, discrete=None):
         K = as_dependency(K)
         if discrete is not None and discrete.d != K.d:
             raise ValueError(f"the atom list is of dimension {discrete.d}, the body of {K.d}")
-        fields = dict(_fields(K), discrete=K.discrete if discrete is None else discrete)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self._set(K.d, K.spectral, K.norm, K.discrete if discrete is None else discrete)
 
     def with_discrete(self, m=1000):
         """Attach an atom list, discretizing analytic norms on demand."""

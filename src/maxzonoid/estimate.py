@@ -2,9 +2,7 @@
 exceedances, half-plane estimation of planar dependency sets, and
 Hausdorff convergence diagnostics."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,15 +18,10 @@ from .geometry import (
 from .spectral import make_measure, reference_norm_of
 
 
-@dataclass(frozen=True)
-class DirectionEstimate:
-    """An estimated stable-tail-dependence value for one direction on
-    the reference sphere; values outside the coherent band
-    [max_i u_i, sum_i u_i] are clipped and flagged."""
-
-    direction: np.ndarray
-    value: float
-    clipped: bool = False
+DirectionEstimate = namedtuple("DirectionEstimate", "direction value clipped", defaults=(False,))
+DirectionEstimate.__doc__ = """An estimated stable-tail-dependence value for one direction on
+the reference sphere; values outside the coherent band
+[max_i u_i, sum_i u_i] are clipped and flagged."""
 
 
 def direction_estimate(direction, value):
@@ -84,12 +77,7 @@ def estimate_zonoid_2d(estimates):
     return Polygon2D(V / V.max(axis=0))
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    s: float
-    distance: float
-    n_exceedances: int
-    ok: bool
+ConvergencePoint = namedtuple("ConvergencePoint", "s distance n_exceedances ok")
 
 
 def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None):

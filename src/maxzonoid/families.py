@@ -10,11 +10,9 @@ reads the standard normal cdf as Phi(x) = erfc(-x / sqrt 2) / 2, with
 to 2e-13 relative wherever Phi exceeds 1e-300.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from .geometry import (
     zonoid_from_polygon,
 )
 from .spectral import (
-    DiscreteSpectralMeasure,
     _close_to_normalized,
     _normalized,
     make_measure,
@@ -214,14 +211,10 @@ def _no_extra(params):
 # discretization
 
 
-@dataclass(frozen=True)
-class DiscretizeResult:
-    """The atom list and its largest support gap, an Estimate whose method
-    is the fit ("atoms", "planar-chain" or "nnls-bpp") and whose
-    n_samples is the number of directions the gap was measured on."""
-
-    measure: DiscreteSpectralMeasure
-    max_support_error: Estimate
+DiscretizeResult = namedtuple("DiscretizeResult", "measure max_support_error")
+DiscretizeResult.__doc__ = """The atom list and its largest support gap, an Estimate whose
+method is the fit ("atoms", "planar-chain" or "nnls-bpp") and whose
+n_samples is the number of directions the gap was measured on."""
 
 
 def _renormalize_marginals(sigma):
@@ -232,7 +225,8 @@ def _renormalize_marginals(sigma):
 
 
 def discretize(K, m=1000, n_eval=2048):
-    """Atom-list approximation of a dependency set on the l1 simplex.
+    """Atom-list approximation of a dependency set on the l1 simplex, as
+    the named tuple DiscretizeResult(measure, max_support_error).
 
     K's marginals h(K, e_i) must be 1 within DEP_TOL = 1e-6, else
     ValueError: a fit, or a renormalized atom list, would be another body.

@@ -10,21 +10,16 @@ operation is a pure function of immutable values; Monte Carlo ones take
 explicit seeds and chunk them deterministically.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from .spectral import (
     ATOM_TOL,
-    DiscreteSpectralMeasure,
     _ByKey,
     _close_to_normalized,
     _nondegenerate,
@@ -43,7 +38,6 @@ EPS = 1e-9
 # representations
 
 
-@dataclass(frozen=True, eq=False)
 class Polygon2D(_ByKey):
     """Anticlockwise vertex chain of a planar body, from a point on the
     positive x-axis to a point on the positive y-axis.  The body is the
@@ -51,10 +45,10 @@ class Polygon2D(_ByKey):
     list (polygon_from_spectral / spectral_from_polygon_2d), not a body
     representation of its own."""
 
-    vertices: np.ndarray
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+    def __init__(self, vertices):
+        v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("polygon chain needs at least two 2-D vertices")
         if not np.isfinite(v).all():
@@ -67,7 +61,7 @@ class Polygon2D(_ByKey):
         v[0, 1] = 0.0
         v[-1, 0] = 0.0
         v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        self._set(v)
 
     @classmethod
     def from_chain(cls, vertices):
@@ -98,37 +92,37 @@ class Polygon2D(_ByKey):
         return 0.5 * float((a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum())
 
 
-@dataclass(frozen=True)
-class AnalyticNorm:
-    """Closed-form support function handle.
+class AnalyticNorm(_ByKey):
+    """Closed-form support function handle, equal to another by name,
+    dimension and params, whatever its closures.
 
     fn maps (n, d) arrays of nonnegative points to (n,) values; grad,
     when given, maps (n, d) to the (n, d) support points (gradient of
     the norm where it is smooth)."""
 
-    name: str
-    d: int
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    grad: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    params: tuple = ()
+    _fields = ("name", "d", "fn", "grad", "params")
+
+    def __init__(self, name, d, fn, grad=None, params=()):
+        self._set(name, d, fn, grad, params)
+
+    def _key(self):
+        return self.name, self.d, self.params
 
 
-@dataclass(frozen=True)
-class MaxZonoid:
+class MaxZonoid(_ByKey):
     """A max-zonoid in [0, inf)^d given by exactly one of two
     representations (atoms, analytic norm); planar chains are a view."""
 
-    d: int
-    spectral: DiscreteSpectralMeasure | None = None
-    norm: AnalyticNorm | None = None
+    _fields = ("d", "spectral", "norm")
 
-    def __post_init__(self):
-        if (self.spectral is None) == (self.norm is None):
+    def __init__(self, d, spectral=None, norm=None):
+        if (spectral is None) == (norm is None):
             raise ValueError("exactly one representation must be given")
-        if self.spectral is not None and self.spectral.d != self.d:
+        if spectral is not None and spectral.d != d:
             raise ValueError("dimension mismatch between measure and body")
-        if self.norm is not None and self.norm.d != self.d:
+        if norm is not None and norm.d != d:
             raise ValueError("dimension mismatch between norm and body")
+        self._set(d, spectral, norm)
 
     def marginals(self):
         """h(K, e_i): an atom list's column sums sum_k mass_k * atom_{k,i}
@@ -144,28 +138,23 @@ class MaxZonoid:
         return self.spectral
 
 
-@dataclass(frozen=True)
 class DependencySet(MaxZonoid):
     """A max-zonoid normalized so the support of every basis vector is 1
     (unit Frechet marginals)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, d, spectral=None, norm=None):
+        super().__init__(d, spectral, norm)
         if not _normalized(self.marginals()):
             raise ValueError(
                 f"not normalized: support at basis vectors is {self.marginals()}, expected all 1"
             )
 
 
-def _fields(K):
-    return dict(d=K.d, spectral=K.spectral, norm=K.norm)
-
-
 def as_dependency(K):
     """Assert the normalization h(e_i) = 1 and rewrap."""
     if isinstance(K, DependencySet):
         return K
-    return DependencySet(**_fields(K))
+    return DependencySet(K.d, K.spectral, K.norm)
 
 
 def normalize_dependency(K):
@@ -258,7 +247,7 @@ def _support_finite(K, X):
         return _kernels.support_sum(K.spectral.chain if K.d == 2 else K.spectral.scaled_atoms, X)
     h = np.asarray(K.norm.fn(X), dtype=float)
     if np.isnan(h).any():
-        raise ValueError("support function is NaN on the direction grid")
+        raise ValueError(f"support function is NaN at {np.isnan(h).sum()} of {h.size} points")
     return h
 
 

@@ -7,9 +7,7 @@ every finite atom list induces a valid body, and every implemented
 body operation maps atom lists to atom lists.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -56,8 +54,22 @@ def reference_norm_of(points, reference):
 
 
 class _ByKey:
-    """Equality and hash by self._key(), for frozen dataclasses declared
-    with eq=False that hold arrays."""
+    """An immutable value, the one base of the checked values and bodies.
+
+    __init__ checks its arguments and sets each field once, in the order
+    of _fields, through _set; the repr lists those fields.  Equality and
+    hash go by self._key(), the fields unless a class keys its arrays by
+    their bytes, and hold only within one type.  Fields live in the
+    instance __dict__, so cached_property, vars, copy and pickle work;
+    setting or deleting an attribute raises AttributeError."""
+
+    _fields = ()
+
+    def _set(self, *values):
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -65,8 +77,16 @@ class _ByKey:
     def __hash__(self):
         return hash(self._key())
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set {name!r}")
 
-@dataclass(frozen=True, eq=False)
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class DiscreteSpectralMeasure(_ByKey):
     """Weighted atoms on the reference sphere in the nonnegative orthant.
 
@@ -75,37 +95,34 @@ class DiscreteSpectralMeasure(_ByKey):
     reference : one of "l1", "l2", "linf"
     """
 
-    atoms: np.ndarray
-    masses: np.ndarray
-    reference: str = "l1"
+    _fields = ("atoms", "masses", "reference")
 
-    def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
+    def __init__(self, atoms, masses, reference="l1"):
+        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        masses = np.atleast_1d(np.asarray(masses, dtype=float))
         if atoms.ndim != 2 or atoms.shape[0] != masses.shape[0]:
             raise ValueError("atoms must be (m, d) with one mass per atom")
         if atoms.shape[0] == 0:
             raise ValueError("measure needs at least one atom")
         if not (np.isfinite(atoms).all() and np.isfinite(masses).all()):
             raise ValueError("atoms and masses must be finite")
-        if self.reference not in REFERENCE_NORMS:
-            raise ValueError(f"unknown reference norm {self.reference!r}")
+        if reference not in REFERENCE_NORMS:
+            raise ValueError(f"unknown reference norm {reference!r}")
         if np.any(atoms < -ATOM_TOL):
             raise ValueError("atoms must lie in the nonnegative orthant")
         if np.any(masses <= 0):
             raise ValueError("masses must be positive")
-        norms = reference_norm_of(atoms, self.reference)
+        norms = reference_norm_of(atoms, reference)
         if np.any(np.abs(norms - 1.0) > 1e-7):
             worst = float(np.abs(norms - 1.0).max())
             raise ValueError(
-                f"atoms must lie on the {self.reference} sphere (max |norm-1| = {worst:.3g})"
+                f"atoms must lie on the {reference} sphere (max |norm-1| = {worst:.3g})"
             )
         atoms = np.clip(atoms, 0.0, None) / norms[:, None]
         atoms.setflags(write=False)
         masses = masses.copy()
         masses.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
+        self._set(atoms, masses, reference)
 
     def _key(self):  # bytes agree as np.array_equal does: finite, and -0.0 + 0.0 is 0.0
         return self.reference, self.atoms.shape, (self.atoms + 0.0).tobytes(), self.masses.tobytes()
@@ -145,11 +162,7 @@ class DiscreteSpectralMeasure(_ByKey):
         return self.scaled_atoms.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class DependencyReport:
-    is_dependency: bool
-    marginal_sums: np.ndarray
-    total_mass: float
+DependencyReport = namedtuple("DependencyReport", "is_dependency marginal_sums total_mass")
 
 
 def make_measure(points, masses, reference="l1"):

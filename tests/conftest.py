@@ -3,10 +3,12 @@ import pytest
 
 from maxzonoid import (
     MaxStableModel,
+    check_alternation,
     normalize_dependency,
     spectral_from_points,
     zonoid_from_spectral,
 )
+from maxzonoid.alternation import _theta_array, subset_indicator_lattice
 from maxzonoid.geometry import _ne_chain
 
 
@@ -19,6 +21,15 @@ def random_dependency(rng, d=2, m=5):
 
 def random_model(rng, d=2, m=5):
     return MaxStableModel(random_dependency(rng, d, m))
+
+
+def theta_alternation_check(table, max_order=None):
+    """Direct successive-difference check of A -> theta_A on the subset
+    lattice, the reference check_extremal_consistency agrees with."""
+    theta = _theta_array(table)
+    pts = subset_indicator_lattice(table.d, include_origin=True)
+    # row m of the lattice indicates the subset of mask m, so f is theta on every row
+    return check_alternation(lambda X: theta, pts, max_order=max_order or table.d)
 
 
 def random_dependency_polygon(rng, k=6):

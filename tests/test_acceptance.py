@@ -11,7 +11,13 @@ from scipy.stats import kendalltau, kstest
 import maxzonoid as mz
 from maxzonoid.alternation import subset_indicator_lattice
 
-from conftest import polygon_support, random_dependency, random_dependency_polygon, random_model
+from conftest import (
+    polygon_support,
+    random_dependency,
+    random_dependency_polygon,
+    random_model,
+    theta_alternation_check,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,7 +150,7 @@ def test_criterion_07_extremal_consistency():
         model = random_model(rng, d=d, m=int(rng.integers(2, 6)))
         table = mz.extremal_table(model)
         res = mz.check_extremal_consistency(table)
-        alt = mz.theta_alternation_check(table)
+        alt = theta_alternation_check(table)
         ok &= res.ok and alt.ok
         rebuilt = mz.construct_from_extremal(table)
         for A, v in table.values.items():

@@ -14,14 +14,13 @@ from maxzonoid import (
     max_closure,
     simulate,
     support_function,
-    theta_alternation_check,
     unit_cross_polytope,
     unit_cube,
 )
 from maxzonoid.alternation import _max_table, _scaling_condition, subset_indicator_lattice
 from maxzonoid.geometry import _corner_directions
 
-from conftest import random_model
+from conftest import random_model, theta_alternation_check
 
 
 def counterexample_support(X):
@@ -180,7 +179,7 @@ class TestExtremalConsistency:
         table = extremal_table(MaxStableModel(unit_cube(3)))
         res = check_extremal_consistency(table)
         assert res.ok
-        for B, c in res.weights.c.items():
+        for B, c in res.weights.items():
             expected = 1.0 if len(B) == 1 else 0.0
             assert c == pytest.approx(expected, abs=1e-12)
 
@@ -188,8 +187,8 @@ class TestExtremalConsistency:
         table = extremal_table(MaxStableModel(unit_cross_polytope(3)))
         res = check_extremal_consistency(table)
         assert res.ok
-        assert res.weights.c[frozenset([0, 1, 2])] == pytest.approx(1.0)
-        assert sum(abs(v) for B, v in res.weights.c.items() if len(B) < 3) < 1e-12
+        assert res.weights[frozenset([0, 1, 2])] == pytest.approx(1.0)
+        assert sum(abs(v) for B, v in res.weights.items() if len(B) < 3) < 1e-12
 
     def test_too_large_theta_rejected(self):
         table = ExtremalTable(
@@ -223,7 +222,8 @@ class TestExtremalConsistency:
             res = check_extremal_consistency(table)
             assert res.ok
             for A, v in table.values.items():
-                assert res.weights.reproduce(A) == pytest.approx(v, abs=1e-9)
+                reproduced = sum(c for B, c in res.weights.items() if B & A)
+                assert reproduced == pytest.approx(v, abs=1e-9)
 
 
 class TestConstruct:

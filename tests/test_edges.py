@@ -197,7 +197,7 @@ class TestNaNIsNoAnswer:
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_distance_rejects_a_nan_grid_value(self, d):
         for K1, K2 in ((_nan_at_centre(d), unit_cube(d)), (unit_cube(d), _nan_at_centre(d))):
-            with pytest.raises(ValueError, match="NaN on the direction grid"):
+            with pytest.raises(ValueError, match=r"support function is NaN at 2 of \d+ points"):
                 mz.m_distance(K1, K2)
 
     def test_m_distance_rejects_a_nan_marginal(self):
@@ -210,7 +210,7 @@ class TestNaNIsNoAnswer:
                 mz.polar_volume(_nan_on_e1_axis(), method=method)
 
     def test_hausdorff_rejects_a_nan_grid_value(self):
-        with pytest.raises(ValueError, match="NaN on the direction grid"):
+        with pytest.raises(ValueError, match="support function is NaN at 1 of 4097 points"):
             mz.hausdorff_distance(_nan_on_e1_axis(), unit_cube(2))
 
     def test_empirical_spectral_rejects_a_nan_threshold(self):

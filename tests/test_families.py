@@ -294,7 +294,7 @@ class TestDiscretize:
 
         K = MaxZonoid(d=3, norm=AnalyticNorm("nan-at-one-direction", 3, fn, base.grad))
         assert not np.isnan(families._fit_nnls(K, 500).masses).any()
-        with pytest.raises(ValueError, match="support function is NaN on the direction grid"):
+        with pytest.raises(ValueError, match="support function is NaN at 1 of 2016 points"):
             discretize(K, 500)
 
     # a norm that is NaN at one interior point of the resolution-61 fit

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +262,81 @@ class TestEstimateType:
         out = clone(est)
         assert type(out) is Estimate and out == est
         assert (out.stderr, out.method, out.n_samples, out.seed) == (0.01, "mc", 100, 7)
+
+
+def _values():
+    """One instance of each public result record, checked value and body,
+    by name; the analytic ones hold closures, which do not pickle."""
+    cube = unit_cube(2)
+    logistic = make_family("logistic", 2, p=2.0)
+    lattice = mz.FiniteMaxLattice([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 1.0, 1.0, 1.5])
+    table = mz.extremal_table(MaxStableModel(unit_cube(3)))
+    X = mz.simulate(MaxStableModel(cube), 50, seed=3)
+    alternation = mz.check_alternation(lambda P: P.min(axis=1), lattice.points)
+    return {
+        "MaxZonoid": mz.zonoid_from_spectral(cube.spectral),
+        "DependencySet": cube,
+        "DependencySet analytic": logistic,
+        "MaxStableModel": MaxStableModel(cube),
+        "MaxStableModel analytic": MaxStableModel(logistic),
+        "AnalyticNorm": logistic.norm,
+        "DiscreteSpectralMeasure": cube.spectral,
+        "Polygon2D": mz.polygon_from_spectral(cube.spectral),
+        "SampleMatrix": X,
+        "FiniteMaxLattice": lattice,
+        "ExtremalTable": table,
+        "DiscretizeResult": mz.discretize(logistic, 20),
+        "ConvergencePoint": mz.convergence_diagnostic(X, [1.0], cube, grid_n=50)[0],
+        "DirectionEstimate": mz.direction_estimate([0.5, 0.5], 0.7),
+        "AlternationResult": alternation,
+        "AlternationWitness": alternation.witness,
+        "ConsistencyResult": mz.check_extremal_consistency(table),
+        "DependencyReport": mz.validate_dependency(cube.spectral),
+    }
+
+
+def _same_value(a, b):
+    """== for values; field by field for records, whose arrays == cannot judge."""
+    if isinstance(a, tuple) and hasattr(a, "_fields"):
+        return type(a) is type(b) and all(_same_value(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and np.array_equal(a, b)
+    return a == b
+
+
+class TestValueForms:
+    """Records are named tuples; checked values and bodies are immutable
+    classes on one base.  Neither is a dataclass."""
+
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_no_dataclass_and_immutable(self, name):
+        value = _values()[name]
+        assert not hasattr(type(value), "__dataclass_fields__")
+        for attr in (value._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_copies_are_equal(self, name):
+        value = _values()[name]
+        clones = [copy.copy, copy.deepcopy]
+        if "analytic" not in name and name != "AnalyticNorm":
+            clones.append(lambda v: pickle.loads(pickle.dumps(v)))
+        for clone in clones:
+            out = clone(value)
+            assert type(out) is type(value) and _same_value(out, value)
+
+    def test_records_and_witnesses_are_filled(self):
+        values = _values()
+        assert not values["AlternationResult"].ok and values["AlternationWitness"].value > 0
+        assert values["ConsistencyResult"].ok and isinstance(values["ConsistencyResult"].weights, dict)
+        assert values["ConvergencePoint"].ok
+
+    def test_no_class_in_the_package_is_a_dataclass(self):
+        modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "maxzonoid"]
+        classes = [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+        assert len(classes) >= 17
+        assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
 
 
 class TestSimplexLatticeCache:
