@@ -34,7 +34,7 @@ import numpy as np
 # in cache while the coordinates are folded in.
 _TILE = 2**16
 _FEW = 8  # bodies of fewer atoms fold the point columns
-_WALK = 2  # steps of the planar bucket walk before a point is searched
+_WALK = 1  # steps of the planar bucket walk before a point is searched
 # Most atoms per block of the d = 3 table path: a table of at most 513^2
 # float64 (2.1 MB) is built at a time.
 _BLOCK = 512
@@ -70,13 +70,27 @@ def _max_products_into(B, X, M, T):
         np.maximum(M, np.multiply.outer(X[:, i], B[:, i], out=T[: len(M)]), out=M)
 
 
+def _fold(f, cols):
+    """f(...f(c_0, c_1)..., c_k) left to right into a new array; for np.add the
+    order in which numpy sums a row of fewer than 8 terms, so the same bits."""
+    out = f(cols[0], cols[1]) if len(cols) > 1 else np.array(cols[0])
+    for c in cols[2:]:
+        f(out, c, out=out)
+    return out
+
+
 def support_sum(scaled_atoms, points):
-    """h(x) = sum_k max(0, max_i B[k,i]*x[i]) for each row x of points."""
+    """h(x) = sum_k max(0, max_i B[k,i]*x[i]) for each row x of points.
+
+    The points must be finite and nonnegative, X >= 0, as every caller
+    checks first (geometry._support_finite).  The planar path reads them
+    as given, so a row (-0.0, -0.0) reads -0.0; the d >= 3 paths clamp at
+    0 in the copies of the points they make anyway."""
     m, d = scaled_atoms.shape
     if d > 2 and m < _FEW:
         return _support_sum_fold(scaled_atoms, points)
     if d == 2:
-        return _support_sum_planar(scaled_atoms, np.maximum(points, 0.0))
+        return _support_sum_planar(scaled_atoms, points)
     if d == 3 and _tables_pay(m, points.shape[0]):
         return _support_sum_3d(scaled_atoms, np.maximum(points, 0.0))
     return _support_sum_dense(scaled_atoms, points)
@@ -203,7 +217,7 @@ def planar_chain(B):
     (vx[j], vy[j]), j = 0..m, x-axis to y-axis: vx[j] sums B[:,0] over sorted
     atoms j.. (a reversed cumsum, without cancellation), vy[j] B[:,1] over ..j-1.
     A float >= 0 grows with its int64 bits: (bits >> shift) - base puts the
-    finite positive slopes in at most 8m buckets, bucket b from r[first[b]]."""
+    finite positive slopes in at most 16m buckets, bucket b from r[first[b]]."""
     r = _slopes(B[:, 0], B[:, 1])
     order = np.argsort(r, kind="stable")
     r = np.append(r[order], np.inf)  # a sentinel that ends every walk
@@ -212,7 +226,7 @@ def planar_chain(B):
     bits = r[:-1].view(np.int64)
     fin = bits[(r[:-1] > 0.0) & (r[:-1] < np.inf)]
     lo, hi = (int(fin[0]), int(fin[-1])) if fin.size else (0, 0)
-    shift = max(0, (hi - lo).bit_length() - (4 * len(bits)).bit_length())
+    shift = max(0, (hi - lo).bit_length() - (8 * len(bits)).bit_length())
     base, top = lo >> shift, (hi >> shift) - (lo >> shift) + 1  # 0 and +inf: the end buckets
     count = np.bincount(np.clip(bits >> shift, base, base + top) - base, minlength=top + 1)
     first = np.cumsum(count) - count
@@ -225,20 +239,28 @@ def _chain_position(chain, q):
     """searchsorted(r, q, "left"): _WALK steps from q's bucket, then a search of the rest."""
     r, first, base = chain.r, chain.first, chain.base
     b = q.view(np.int64) >> chain.shift  # clamped in place: np.clip's wrapper costs more at 4,000 points
-    j = first[np.minimum(np.maximum(b, base, out=b), base + len(first) - 1, out=b) - base]
+    np.minimum(np.maximum(b, base, out=b), base + len(first) - 1, out=b)
+    b -= base
+    j = first.take(b)
     for _ in range(_WALK):
-        j += r[j] < q
-    late = r[j] < q
-    j[late] = np.searchsorted(r[:-1], q[late], "left")
+        j += r.take(j) < q
+    late = r.take(j) < q
+    if late.any():
+        j[late] = np.searchsorted(r[:-1], q[late], "left")
     return j
 
 
 def _support_sum_planar(B, X):
     """h at points X >= 0, B atoms or their chain: x_1 vx[j] + x_2 vy[j] at the
-    vertex j where x_2/x_1 falls among the slopes, as atoms j.. add B[k,0] x_1."""
+    vertex j where x_2/x_1 falls among the slopes, as atoms j.. add B[k,0] x_1.
+    The slopes' buffer takes the second product."""
     chain = B if isinstance(B, PlanarChain) else planar_chain(B)
-    j = _chain_position(chain, _slopes(X[:, 1], X[:, 0]))
-    return X[:, 0] * chain.vx.take(j) + X[:, 1] * chain.vy.take(j)
+    q = _slopes(X[:, 1], X[:, 0])
+    j = _chain_position(chain, q)
+    out = chain.vx.take(j)
+    out *= X[:, 0]
+    out += np.multiply(X[:, 1], chain.vy.take(j), out=q)
+    return out
 
 
 def backend_name():

@@ -10,6 +10,7 @@ import numpy as np
 
 from .geometry import (
     DependencySet,
+    _fold,
     _as_count,
     _as_points,
     _mc_chunks,
@@ -51,7 +52,8 @@ class MaxStableModel(DependencySet):
     """The simple max-stable law F(x) = exp(-h(K, x*)), which is the
     dependency set K itself plus one field: discrete, the atom list that
     samples the law.  It defaults to K.discrete: the set's own atoms, the
-    list K carries if K is a model, None for an analytic norm."""
+    list K carries if K is a model, None for an analytic norm.  A body of
+    atoms samples from its own list only; an analytic one takes any fit."""
 
     _fields = DependencySet._fields + ("discrete",)
     discrete = None  # shadows MaxZonoid.discrete, so the field is read
@@ -60,6 +62,8 @@ class MaxStableModel(DependencySet):
         K = as_dependency(K)
         if discrete is not None and discrete.d != K.d:
             raise ValueError(f"the atom list is of dimension {discrete.d}, the body of {K.d}")
+        if discrete is not None and K.spectral is not None and discrete != K.spectral:
+            raise ValueError("the atom list is not the body's own: a body of atoms samples from its own atoms")
         self._set(K.d, K.spectral, K.norm, K.discrete if discrete is None else discrete)
 
     def with_discrete(self, m=1000):
@@ -83,9 +87,10 @@ def cdf(model, x):
     (marginalizes that coordinate)."""
     X, single = _as_points(x, model.d)
     _check_domain(X, X >= 0, "the law lives on the nonnegative orthant")
+    inv = np.add(X, 0.0)  # -0.0 + 0.0 is +0.0, so 0 maps to +inf
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / (X + 0.0)  # -0.0 + 0.0 is +0.0, so 0 maps to +inf
-    vals = np.exp(-_support_checked(model, inv))
+        np.divide(1.0, inv, out=inv)
+    vals = _exp_minus(model, _support_checked(model, inv))
     return float(vals[0]) if single else vals
 
 
@@ -94,9 +99,15 @@ def copula(model, u):
     U, single = _as_points(u, model.d)
     _check_domain(U, (U >= 0) & (U <= 1), "copula arguments must lie in [0, 1]^d")
     with np.errstate(divide="ignore"):
-        z = -np.log(U)
-    vals = np.exp(-_support_checked(model, z))
+        z = np.log(U)
+    vals = _exp_minus(model, _support_checked(model, np.negative(z, out=z)))
     return float(vals[0]) if single else vals
+
+
+def _exp_minus(model, h):
+    """exp(-h), in place unless h is a norm's value, which may be its caller's."""
+    h = np.negative(h, out=h if model.spectral is not None else None)
+    return np.exp(h, out=h)
 
 
 def pickands(model, t):
@@ -163,7 +174,7 @@ def simulate(model, n, seed):
     colsum = A.sum(axis=0)
     if not _close_to_normalized(colsum):
         raise ValueError(f"atom list is not normalized: marginal sums {colsum}")
-    w = A.max(axis=1)
+    w = _fold(np.maximum, A.T)
     A, w = A[w > 0], w[w > 0]
     # coordinates first, so gathers and reductions over rows are contiguous
     BT = (A / w[:, None]).T.copy()

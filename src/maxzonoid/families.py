@@ -51,15 +51,26 @@ def _lp_norm_rows(X, p):
     M = _fold(np.maximum, X.T)
     if np.isinf(p):
         return M if p > 0 else _fold(np.minimum, X.T)
-    den = np.where(M > 0, M, 1.0)
-    R = [c / den for c in X.T]
+    pos = M > 0
+    den = np.where(pos, M, 1.0)
     if p < 0:
+        R = [c / den for c in X.T]
         # convention: zero whenever a coordinate vanishes (limit from p < 0)
         zero = _fold(np.logical_or, [c <= 0 for c in X.T])
         with np.errstate(divide="ignore", over="ignore"):
             S = _fold(np.add, [np.where(r > 0, r, 1.0) ** p for r in R])
             return np.where(zero, 0.0, M * S ** (1.0 / p))
-    return np.where(M > 0, M * _fold(np.add, [r**p for r in R]) ** (1.0 / p), 0.0)
+    # in place on one scratch column; **= takes numpy's square and sqrt, as ** does
+    S, T = X[:, 0] / den, np.empty_like(den)
+    S **= p
+    for c in X.T[1:]:
+        np.divide(c, den, out=T)
+        T **= p
+        S += T
+    S **= 1.0 / p
+    S *= M
+    S[~pos] = 0.0
+    return S
 
 
 def _logistic_norm(d, p):

@@ -18,6 +18,7 @@ import operator
 import numpy as np
 
 from . import _kernels
+from ._kernels import _fold
 from .spectral import (
     ATOM_TOL,
     _ByKey,
@@ -220,15 +221,6 @@ def polygon_from_spectral(sigma):
 # support evaluation
 
 
-def _fold(f, cols):
-    """f(...f(c_0, c_1)..., c_k) left to right into a new array; for np.add the
-    order in which numpy sums a row of fewer than 8 terms, so the same bits."""
-    out = np.array(cols[0])
-    for c in cols[1:]:
-        f(out, c, out=out)
-    return out
-
-
 def _as_points(x, d, what="points"):
     """x as an (n, d) float array, and whether it was one point (d,)."""
     X = np.asarray(x, dtype=float)
@@ -240,9 +232,10 @@ def _as_points(x, d, what="points"):
 
 
 def _support_finite(K, X):
-    """h(K, X) on an (n, d) batch of finite nonnegative points, the one read
-    of the support function.  Only a norm can give NaN, which is no answer:
-    it raises ValueError."""
+    """h(K, X) on an (n, d) batch of finite nonnegative points, X >= 0, the
+    one read of the support function; the kernel does not clamp planar
+    points (_kernels.support_sum).  Only a norm can give NaN, which is no
+    answer: it raises ValueError."""
     if K.spectral is not None:
         return _kernels.support_sum(K.spectral.chain if K.d == 2 else K.spectral.scaled_atoms, X)
     h = np.asarray(K.norm.fn(X), dtype=float)
@@ -265,6 +258,10 @@ def support_function(K, x):
     X, single = _as_points(x, K.d, "directions")
     if not (X >= 0).all():  # NaN fails too
         raise ValueError("directions must not be NaN" if np.isnan(X).any() else "directions must be nonnegative")
+    if K.spectral is not None and K.d == 2:
+        X = np.maximum(X, 0.0)  # the planar kernel reads -0.0 as given; h(-0.0, -0.0) is +0.0
+    elif np.isinf(X).any():
+        X = X.copy()  # X may be the caller's; +inf is zeroed in place
     out = _support_checked(K, X)
     return float(out[0]) if single else out
 
@@ -272,12 +269,18 @@ def support_function(K, x):
 def _support_checked(K, X):
     """support_function on an (n, d) batch X already checked to hold no NaN
     and no negative entry, as an array; cdf, copula and pickands check their
-    own input and call this directly."""
+    own input and hand over the points they made.  X is the caller's own:
+    +inf is zeroed in place, and +inf rows are found by OR-ing columns."""
     inf = X == np.inf
     if not inf.any():
         return _support_finite(K, X)
-    out = _support_finite(K, np.where(inf, 0.0, X))
-    out[(inf if K.spectral is None else inf[:, K.spectral.extent]).any(axis=1)] = np.inf
+    X[inf] = 0.0
+    out = _support_finite(K, X)
+    if K.spectral is None:  # every coordinate has extent; the value may be the norm's own
+        return np.where(_fold(np.logical_or, inf.T), np.inf, out)
+    cols = inf.T[K.spectral.extent]
+    if len(cols):  # tiny atoms may leave a body no extent
+        out[_fold(np.logical_or, cols)] = np.inf
     return out
 
 
@@ -556,9 +559,9 @@ def _ne_chain(points):
     q = np.vstack([[xmax, 0.0], pts, [0.0, ymax]])
     step = np.diff(q, axis=0)
     if (step[:, 1] >= 0.0).all():
-        new = np.concatenate([[True], step.any(axis=1)])  # a repeat is never kept
+        new = np.concatenate([[True], _fold(np.logical_or, [c != 0 for c in step.T])])  # a repeat is never kept
         q, step = q[new], step[new[1:]]
-        keep = np.concatenate([[True], np.abs(step).max(axis=1) > EPS])
+        keep = np.concatenate([[True], _fold(np.maximum, np.abs(step).T) > EPS])
         short = np.flatnonzero(~keep)
         for i, (x, y), (bx, by) in zip(short.tolist(), q[short].tolist(), q[short - 1].tolist()):
             lx, ly = (bx, by) if keep[i - 1] else (lx, ly)  # the last point kept

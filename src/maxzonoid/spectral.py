@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import planar_chain
+from ._kernels import _fold, planar_chain
 
 ATOM_TOL = 1e-9
 DEP_TOL = 1e-6
@@ -41,15 +41,21 @@ def _point_keys(P):
     return np.round(P, 9) + 0.0
 
 
+def _row_sum(P):
+    """P.sum(axis=1) bit for bit, by columns below 8 terms a row, which numpy
+    adds in order from +0.0 (longer rows pairwise)."""
+    return _fold(np.add, [0.0, *P.T]) if P.shape[1] < 8 else P.sum(axis=1)
+
+
 def reference_norm_of(points, reference):
-    """Row-wise reference norm of nonnegative points, shape (m,)."""
+    """Row-wise reference norm of nonnegative points, shape (m,), in whole columns."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if reference == "l1":
-        return pts.sum(axis=1)
+        return _row_sum(pts)
     if reference == "l2":
-        return np.sqrt((pts * pts).sum(axis=1))
+        return np.sqrt(_row_sum(pts * pts))
     if reference == "linf":
-        return pts.max(axis=1)
+        return _fold(np.maximum, pts.T)
     raise ValueError(f"unknown reference norm {reference!r}")
 
 
@@ -61,12 +67,21 @@ class _ByKey:
     hash go by self._key(), the fields unless a class keys its arrays by
     their bytes, and hold only within one type.  Fields live in the
     instance __dict__, so cached_property, vars, copy and pickle work;
-    setting or deleting an attribute raises AttributeError."""
+    setting or deleting an attribute raises AttributeError.  copy and
+    pickle restore through __setstate__, which keeps the fields only, so
+    a cached array is built again, and marks every array read-only."""
 
     _fields = ()
 
     def _set(self, *values):
         vars(self).update(zip(self._fields, values, strict=True))
+
+    def __setstate__(self, state):
+        values = [state[name] for name in self._fields]
+        for value in values:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self._set(*values)
 
     def _key(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -196,7 +211,7 @@ def make_measure(points, masses, reference="l1"):
         order = np.lexsort(np.vstack([_point_keys(pts).T, pts.T])[::-1])
         pts, w = pts[order], w[order]
         start = np.ones(pts.shape[0], dtype=bool)
-        start[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > ATOM_TOL
+        start[1:] = _fold(np.maximum, np.abs(np.diff(pts, axis=0)).T) > ATOM_TOL
         # bincount adds the weights of a group one after another, as a
         # loop would; np.add.reduceat pairs them and rounds differently
         pts, w = pts[start], np.bincount(np.cumsum(start) - 1, weights=w)

@@ -15,6 +15,7 @@ from maxzonoid import (
     discretize,
     exponent_density,
     make_family,
+    make_measure,
     max_stability_check,
     minkowski_combine,
     normalize_dependency,
@@ -164,6 +165,38 @@ class TestLawPathBytes:
             for s in t:
                 assert _bits(pickands(K, s)) == _bits(support_function(K, [s, 1.0 - s]))
 
+    def test_inf_rows_on_norms(self, rng, law_bodies):
+        # every coordinate of a norm has extent: +inf reads as 0 and makes its row +inf
+        def rule(K, Z):
+            inf = Z == np.inf
+            h = support_function(K, np.where(inf, 0.0, Z))
+            h[inf.any(axis=1)] = np.inf
+            return h
+
+        bodies = {
+            "logistic_p3": law_bodies["logistic_p3"],
+            "image": law_bodies["image"],
+            "neg_logistic": MaxStableModel(make_family("neg_logistic", 2, lam=0.5, p=-2.0)),
+            "husler_reiss": MaxStableModel(make_family("husler_reiss", 2, lam=0.5)),
+        }
+        Z = np.vstack([
+            [[np.inf, 0.7], [0.4, np.inf], [0.0, np.inf], [-0.0, np.inf], [np.inf, np.inf], [np.inf, -0.0]],
+            np.exp(rng.uniform(-2.0, 3.0, (40, 2))),
+        ])
+        X = np.where(Z == np.inf, 0.0, Z)
+        with np.errstate(divide="ignore"):
+            inv = np.where(X == 0, np.inf, 1.0 / X)
+            U = np.exp(-Z)
+            z = -np.log(U)
+        for K in bodies.values():
+            h = rule(K, Z)
+            assert np.isinf(h[:6]).all() and np.isfinite(h[6:]).all()
+            assert _bits(support_function(K, Z)) == _bits(h)
+            assert _bits(cdf(K, X)) == _bits(np.exp(-rule(K, inv)))
+            assert _bits(copula(K, U)) == _bits(np.exp(-rule(K, z)))
+            for x, v in zip(Z, h):
+                assert _bits(support_function(K, x)) == _bits(v)
+
     @pytest.mark.parametrize("single", [True, False])
     def test_message_order(self, law_bodies, single):
         K = law_bodies["logistic_p3"]
@@ -187,6 +220,69 @@ class TestLawPathBytes:
             pickands(K, [np.nan, -0.5])
         with pytest.raises(ValueError, match="^directions must not be NaN$"):
             pickands(K, np.nan if single else [np.nan, 0.5])
+
+
+def _shared_l1():
+    """Independence through a user norm that writes its values into one
+    array and returns that array on every call."""
+    shared = np.zeros(64)
+
+    def fn(X):
+        return np.add(X[:, 0], X[:, 1], out=shared[: len(X)])
+
+    return MaxStableModel(MaxZonoid(d=2, norm=AnalyticNorm("shared-l1", 2, fn))), shared
+
+
+class TestCallerArrays:
+    """The law functions and support_function work in place only on arrays
+    they made: the caller's input keeps its bytes, and a law value is not a
+    user norm's own array."""
+
+    X2 = [[1.0, 2.0], [0.0, 0.0], [-0.0, -0.0], [np.inf, np.inf], [0.0, np.inf], [-0.0, np.inf],
+          [np.inf, 0.7], [0.4, 3.0]]
+    X3 = [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [np.inf, np.inf, np.inf],
+          [0.0, np.inf, 1.0], [-0.0, 0.3, np.inf], [2.0, 0.3, 0.7]]
+    U2 = [[0.5, 0.2], [0.0, 0.0], [-0.0, -0.0], [1.0, 1.0], [0.0, 1.0], [-0.0, 0.7], [1.0, 0.3]]
+    U3 = [[0.5, 0.2, 0.9], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.4]]
+    T2 = [0.0, -0.0, 1.0, 0.25]
+    T3 = [[0.0, 0.0], [-0.0, 0.5], [1.0, 0.0], [0.2, 0.3], [-0.0, -0.0]]
+
+    @pytest.fixture(scope="class")
+    def bodies(self, law_bodies):
+        logistic3, hr3 = make_family("logistic", 3, p=3.0), make_family("husler_reiss", 2, lam=0.5)
+        return {
+            "atoms": law_bodies["atoms"],
+            "marshall_olkin": law_bodies["marshall_olkin"],
+            "logistic_p3": law_bodies["logistic_p3"],
+            "neg_logistic": MaxStableModel(make_family("neg_logistic", 2, lam=0.5, p=-2.0)),
+            "image d=2": law_bodies["image"],
+            "image d=3": MaxStableModel(minkowski_combine(logistic3, unit_cube(3), 0.4)),
+            "image of atoms d=2": MaxStableModel(minkowski_combine(hr3, unit_cross_polytope(2), 0.5)),
+            "shared norm": _shared_l1()[0],
+        }
+
+    @pytest.mark.parametrize("name", ["atoms", "marshall_olkin", "logistic_p3", "neg_logistic", "image d=2",
+                                      "image d=3", "image of atoms d=2", "shared norm"])
+    def test_input_keeps_its_bytes(self, bodies, name):
+        K = bodies[name]
+        X, U, T = (self.X2, self.U2, self.T2) if K.d == 2 else (self.X3, self.U3, self.T3)
+        for f, rows in ((cdf, X), (support_function, X), (copula, U), (pickands, T)):
+            a = np.array(rows)
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            before = a.tobytes()
+            f(K, a)
+            f(K, a[1])
+            assert a.tobytes() == before, f.__name__
+
+    def test_law_value_is_not_the_norms_array(self):
+        model, shared = _shared_l1()
+        for f, rows in ((cdf, self.X2), (copula, self.U2)):
+            a = np.array(rows)
+            vals = f(model, a)
+            keep = vals.copy()
+            assert not np.shares_memory(vals, shared)
+            support_function(model, np.ones((len(a), 2)))
+            assert vals.tobytes() == keep.tobytes(), f.__name__
 
 
 class TestCopula:
@@ -294,6 +390,20 @@ class TestSimulate:
         K = make_family("logistic", 2, p=2.0)
         model = MaxStableModel(K, discretize(K, 50).measure)
         assert simulate(model, 10, seed=1).values.shape == (10, 2)
+
+    def test_atom_list_of_another_body_is_refused(self):
+        # the cross polytope's atoms would draw equal coordinates from a law
+        # whose cdf at (1, 1) reads exp(-2), independence
+        with pytest.raises(ValueError, match="^the atom list is not the body's own"):
+            MaxStableModel(unit_cube(2), unit_cross_polytope(2).spectral)
+        with pytest.raises(ValueError, match="atom list is of dimension 3, the body of 2"):
+            MaxStableModel(unit_cube(2), unit_cross_polytope(3).spectral)
+        K = unit_cube(2)
+        own = make_measure(K.spectral.atoms, K.spectral.masses)
+        assert own is not K.spectral and MaxStableModel(K, own).discrete is own
+        model = MaxStableModel(K)
+        assert cdf(model, [1.0, 1.0]) == pytest.approx(math.exp(-2.0))
+        assert MaxStableModel(model, K.spectral).discrete is K.spectral
 
     def test_complete_dependence_coordinates_equal(self):
         model = MaxStableModel(unit_cross_polytope(3))

@@ -228,11 +228,13 @@ class TestDistributionGuards:
             mz.simulate(MaxStableModel(unit_cube(2)), 0, seed=0)
 
     def test_simulate_rejects_unbalanced_atoms(self):
-        model = MaxStableModel(
-            unit_cube(2), discrete=make_measure(np.eye(2), [0.5, 1.0])
-        )
+        # an analytic body takes any atom list; a body of atoms only its own
+        unbalanced = make_measure(np.eye(2), [0.5, 1.0])
+        model = MaxStableModel(make_family("logistic", 2, p=2.0), discrete=unbalanced)
         with pytest.raises(ValueError, match="not normalized"):
             mz.simulate(model, 10, seed=0)
+        with pytest.raises(ValueError, match="not the body's own"):
+            MaxStableModel(unit_cube(2), discrete=unbalanced)
 
     def test_pickands_needs_simplex_coordinates(self):
         model = MaxStableModel(make_family("logistic", 3, p=2.0))

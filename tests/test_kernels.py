@@ -72,11 +72,13 @@ _coord = st.one_of(
     points=st.lists(st.tuples(_coord, _coord), min_size=0, max_size=20),
 )
 def test_planar_support_matches_dense(atoms, points):
+    # the planar path reads points X >= 0 as given: the clamp at 0 that
+    # dense_support applies to any point is the caller's
     B = np.array(atoms, dtype=float).reshape(-1, 2)
     X = np.array(points, dtype=float).reshape(-1, 2)
     # add points exactly on each atom's slope, the axes and the origin
     X = np.vstack([X, 1.5 * B[:, ::-1], [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]])
-    got = _kernels.support_sum(B, X)
+    got = _kernels.support_sum(B, np.maximum(X, 0.0))
     np.testing.assert_allclose(got, dense_support(B, X), rtol=1e-13, atol=0)
 
 
@@ -85,8 +87,21 @@ def test_planar_support_edge_cases():
     one = np.array([[0.3, 0.7]])
     X = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [-1.0, 2.0], [-1.0, -1.0], [1.0, 1.0]])
     for B in (axis, one, np.vstack([axis, one, one])):
-        np.testing.assert_allclose(_kernels.support_sum(B, X), dense_support(B, X), rtol=1e-13, atol=0)
+        got = _kernels.support_sum(B, np.maximum(X, 0.0))
+        np.testing.assert_allclose(got, dense_support(B, X), rtol=1e-13, atol=0)
     assert _kernels.support_sum(one, np.empty((0, 2))).shape == (0,)
+
+
+def test_planar_support_reads_nonnegative_points_as_given():
+    # -0.0 reads as 0.0, except that a row of two reads -0.0; the points keep their -0.0
+    B = np.array([[0.3, 0.7], [1.0, 0.0], [0.2, 0.5]])
+    X = np.array([[-0.0, 2.0], [3.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, 1.0], [-0.0, -0.0]])
+    plus = X + 0.0
+    want = dense_support(B, plus)
+    want[-1] = -0.0
+    got = _kernels.support_sum(B, X)
+    assert got.tobytes() == want.tobytes()
+    assert X.tobytes() != plus.tobytes()
 
 
 def test_planar_support_tiny_coordinates_do_not_warn():

@@ -295,6 +295,26 @@ def _values():
     }
 
 
+def _checked_values(value):
+    """The checked values and bodies in value: itself, its fields, a record's fields."""
+    if isinstance(value, mz.spectral._ByKey):
+        yield value
+        for name in value._fields:
+            yield from _checked_values(getattr(value, name))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _checked_values(v)
+
+
+def _arrays(state):
+    """Every ndarray among a value's attributes, cached ones and those in tuples included."""
+    for v in state.values() if isinstance(state, dict) else state:
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, tuple):
+            yield from _arrays(v)
+
+
 def _same_value(a, b):
     """== for values; field by field for records, whose arrays == cannot judge."""
     if isinstance(a, tuple) and hasattr(a, "_fields"):
@@ -318,13 +338,21 @@ class TestValueForms:
 
     @pytest.mark.parametrize("name", sorted(_values()))
     def test_copies_are_equal(self, name):
+        # and hold read-only arrays: a writeable one could change the hash of
+        # a dict key, or leave a cached scaled_atoms or chain stale
         value = _values()[name]
+        for sigma in _checked_values(value):
+            if isinstance(sigma, mz.DiscreteSpectralMeasure):  # derived arrays cached before the copy
+                getattr(sigma, "chain" if sigma.d == 2 else "scaled_atoms")
         clones = [copy.copy, copy.deepcopy]
         if "analytic" not in name and name != "AnalyticNorm":
             clones.append(lambda v: pickle.loads(pickle.dumps(v)))
         for clone in clones:
             out = clone(value)
             assert type(out) is type(value) and _same_value(out, value)
+            arrays = [a for v in _checked_values(out) for a in _arrays(vars(v))]
+            assert not any(a.flags.writeable for a in arrays)
+            assert arrays or name not in ("DiscreteSpectralMeasure", "SampleMatrix", "Polygon2D", "FiniteMaxLattice")
 
     def test_records_and_witnesses_are_filled(self):
         values = _values()
