@@ -15,25 +15,30 @@ from math import comb, inf
 import numpy as np
 
 from .distribution import MaxStableModel
-from .geometry import MaxZonoid, subset_indicator_lattice
+from .geometry import MaxZonoid, _as_count, _indicator_rows, subset_indicator_lattice
 from .spectral import _ByKey, _normalized, _point_keys, make_measure
 
 ALT_TOL = 1e-9
 
 
+def _key_rows(P):
+    """The points' keys (_point_keys), one void item a row, which compare
+    and sort by their bytes; ValueError at NaN, which equals no key, so no
+    set holding it is closed under maxima."""
+    keys = _point_keys(P)
+    if np.isnan(keys).any():
+        raise ValueError("point set is not closed under maxima: a NaN point equals no point")
+    return np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+
+
 def _max_table(pts):
     """table[i, j] = index in pts of max(pts[i], pts[j]), the last of the
-    points with its key; ValueError at a pairwise maximum missing.  The key
-    of a maximum is the maximum of the keys: row i is matched to the sorted
-    keys, by their bytes, in one searchsorted."""
-    keys = _point_keys(pts)
-    if np.isnan(keys).any():  # NaN equals no key
-        raise ValueError("point set is not closed under maxima")
-    rows = lambda K: np.ascontiguousarray(K).view(np.dtype((np.void, 8 * K.shape[1])))[:, 0]
-    uniq, first = np.unique(rows(keys)[::-1], return_index=True)  # the first from the end
+    points with its key; ValueError at a pairwise maximum missing.  Row i
+    is matched to the sorted keys (_key_rows) in one searchsorted."""
+    uniq, first = np.unique(_key_rows(pts)[::-1], return_index=True)  # the first from the end
     table = np.empty((len(pts), len(pts)), dtype=np.intp)
-    for i, key in enumerate(keys):
-        q = rows(np.maximum(key, keys))
+    for i, p in enumerate(pts):
+        q = _key_rows(np.maximum(p, pts))
         at = np.minimum(np.searchsorted(uniq, q), len(uniq) - 1)
         if not np.all(uniq[at] == q):
             raise ValueError("point set is not closed under maxima")
@@ -89,24 +94,28 @@ def _scaling_condition(pts):
 
 
 def max_closure(points, max_size=100_000):
-    """Close a point set under coordinatewise maxima."""
-    pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
-    seen = {tuple(_point_keys(p)) for p in pts}
-    frontier = list(pts)
-    while frontier:
+    """Close a point set under coordinatewise maxima: the points as given,
+    then each level's new maxima in (frontier point, point) order, the
+    frontier being the last level's new points.  A maximum is new when no
+    point held so far has its key (_key_rows, so NaN raises ValueError);
+    ValueError as soon as more than max_size points would be held."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    seen, frontier, count = np.unique(_key_rows(pts)), pts, len(pts)
+    while len(frontier):
         new = []
         for q in frontier:
-            for p in pts:
-                m = np.maximum(p, q)
-                key = tuple(_point_keys(m))
-                if key not in seen:
-                    seen.add(key)
-                    new.append(m)
-        pts.extend(new)
-        if len(pts) > max_size:
-            raise ValueError("max-closure exceeds the size guard")
-        frontier = new
-    return np.array(pts)
+            M = np.maximum(pts, q)  # max(p, q): which zero a tie gives depends on the order
+            keys, first = np.unique(_key_rows(M), return_index=True)
+            at = np.searchsorted(seen, keys)
+            fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+            count += fresh.sum()
+            if count > max_size:
+                raise ValueError("max-closure exceeds the size guard")
+            new.append(M[np.sort(first[fresh])])
+            seen = np.insert(seen, at[fresh], keys[fresh])
+        frontier = np.concatenate(new)
+        pts = np.concatenate([pts, frontier])
+    return pts
 
 
 AlternationWitness = namedtuple("AlternationWitness", "base increments value")
@@ -124,6 +133,9 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
     """
     if not 0.0 <= tol < inf:  # NaN fails
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    max_order = _as_count(max_order, "max_order")
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     if isinstance(points, FiniteMaxLattice):
         if f is None:
             if points.values is None:
@@ -144,21 +156,16 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
     for order in range(1, max_order + 1):
         cost = comb(n, order) * n * 2**order
         if evals + cost > budget:
-            raise ValueError(
-                f"evaluation budget exceeded at order {order} "
-                f"({evals + cost} > {budget})"
-            )
+            raise ValueError(f"evaluation budget exceeded at order {order} ({evals + cost} > {budget})")
         evals += cost
         for args in combinations(range(n), order):
-            # diff[b] = sum_S (-1)^|S| f(b v max(args[S])), all bases at once
-            diff = values.copy()
+            # diff[b] = sum_S (-1)^|S| f(b v max(args[S])), all bases at once; idx[mask]
+            # indexes b v max(args[S]), S the bits of mask, from S less its lowest bit k
+            idx, diff = [bases], values.copy()
             for mask in range(1, 2**order):
-                idx = bases
-                for k in range(order):
-                    if (mask >> k) & 1:
-                        idx = table[idx, args[k]]
-                sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-                diff = diff + sign * values[idx]
+                k = (mask & -mask).bit_length() - 1
+                idx.append(table[idx[mask ^ 1 << k], args[k]])
+                diff = diff + (-1.0) ** bin(mask).count("1") * values[idx[mask]]
             worst = int(np.argmax(diff))
             if diff[worst] > tol:
                 witness = AlternationWitness(pts[worst], pts[np.array(args)], float(diff[worst]))
@@ -222,13 +229,9 @@ def construct_from_extremal(table):
             f"{sorted(res.violation_subset)}"
         )
     d = table.d
-    points, masses = [], []
-    for B, cB in res.weights.items():
-        if cB <= 1e-12:
-            continue
-        e = np.zeros(d)
-        e[list(B)] = 1.0 / len(B)
-        points.append(e)
-        masses.append(cB * len(B))
-    sigma = make_measure(points, masses, "l1")
+    c = np.fromiter(res.weights.values(), float, 2**d - 1)  # by mask, from 1
+    keep = c > 1e-12
+    E = _indicator_rows(np.arange(1, 2**d)[keep], d)
+    size = E.sum(axis=1)
+    sigma = make_measure(E / size[:, None], c[keep] * size, "l1")
     return MaxStableModel(MaxZonoid(d=d, spectral=sigma))

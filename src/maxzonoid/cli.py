@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -228,7 +229,7 @@ def read_csv(path):
 
 
 def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 # Rows per formatted block of write_csv: under 1 MB of text at two columns.
@@ -241,8 +242,7 @@ def write_csv(path, header, rows, meta):
     formatted by a single %, which writes the bytes of formatting row by
     row without its per-row Python cost."""
     X = np.asarray(rows, dtype=float)
-    fh = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         for key, val in meta.items():
             fh.write(f"# {key}={val}\n")
         fh.write(",".join(header) + "\n")
@@ -250,9 +250,6 @@ def write_csv(path, header, rows, meta):
         for lo in range(0, X.shape[0], _CSV_BLOCK):
             block = X[lo : lo + _CSV_BLOCK]
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def result_document(operation, spec, results, **extra):
@@ -307,12 +304,8 @@ def write_json(path, doc):
         out = parts[0] + "".join(t + rest for t, rest in zip(texts, parts[1:]))
     else:
         out = json.dumps(doc, sort_keys=True, default=lambda obj: json.loads(obj.text))
-    fh = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write(out + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def _measure_to_spec(sigma):

@@ -9,6 +9,9 @@ import numpy as np
 
 from .geometry import (
     Estimate,
+    _as_count,
+    _as_subset,
+    _indicator_rows,
     _simplex_quadrature,
     _support_finite,
     minkowski_combine,
@@ -20,57 +23,43 @@ from .spectral import _ByKey
 
 
 class ExtremalTable(_ByKey):
-    """Map from nonempty coordinate subsets (0-based frozensets) to the
-    extremal coefficients theta_A = h(K, e_A)."""
+    """Map from nonempty coordinate subsets (0-based, read by _as_subset,
+    stored as frozensets) to the extremal coefficients theta_A = h(K, e_A)."""
 
     _fields = ("d", "values")
 
     def __init__(self, d, values):
         vals = {}
         for key, v in values.items():
-            A = frozenset(int(i) for i in key)
-            if not A or min(A) < 0 or max(A) >= d:
-                raise ValueError(f"invalid subset {sorted(key)}")
+            A = _as_subset(key, d)
             vals[A] = float(v)
             if not math.isfinite(vals[A]):
                 raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")
         self._set(d, vals)
 
     def theta(self, subset):
-        return self.values[frozenset(subset)]
+        return self.values[_as_subset(subset, self.d)]
 
     def is_complete(self):
         return len(self.values) == 2**self.d - 1
 
 
-def indicator(A, d):
-    e = np.zeros(d)
-    e[list(A)] = 1.0
-    return e
-
-
 def extremal_coefficient(model, A):
     """theta_A = h(K, e_A), the effective number of independent
-    coordinates among A."""
-    A = set(int(i) for i in A)
-    if not A:
-        raise ValueError("subset must be nonempty")
-    if min(A) < 0 or max(A) >= model.d:
-        raise ValueError("subset out of range")
-    return Estimate(support_function(model, indicator(A, model.d)), 0.0, "exact")
+    coordinates among A (_as_subset)."""
+    e_A = _indicator_rows([sum(1 << i for i in _as_subset(A, model.d))], model.d)[0]
+    return Estimate(support_function(model, e_A), 0.0, "exact")
 
 
 def extremal_table(model, max_size=None):
     """All theta_A up to the given subset size (default: every subset),
     read in one support_function batch of the subsets asked for."""
     d = model.d
-    if max_size is not None and max_size < 1:
+    max_size = d if max_size is None else _as_count(max_size, "max_size")
+    if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    max_size = d if max_size is None else min(max_size, d)
-    subsets = [A for k in range(1, max_size + 1) for A in combinations(range(d), k)]
-    E = np.zeros((len(subsets), d))
-    for e, A in zip(E, subsets):
-        e[list(A)] = 1.0
+    subsets = [A for k in range(1, min(max_size, d) + 1) for A in combinations(range(d), k)]
+    E = _indicator_rows([sum(1 << i for i in A) for A in subsets], d)
     return ExtremalTable(d, dict(zip(map(frozenset, subsets), support_function(model, E))))
 
 

@@ -146,17 +146,35 @@ def marshall_olkin_polygon(alpha1, alpha2):
     return Polygon2D.from_chain(chain)
 
 
+# each family's parameters, and the bivariate families by the names their errors give them
+_PARAMS = {"independence": (), "dependence": (), "logistic": ("p",), "matrix_weights": ("matrix",),
+           "neg_logistic": ("lam", "p"), "husler_reiss": ("lam",), "marshall_olkin": ("alpha1", "alpha2")}
+_BIVARIATE = {"neg_logistic": "negative logistic", "husler_reiss": "Husler-Reiss", "marshall_olkin": "Marshall-Olkin"}
+
+
 def make_family(name, d=2, **params):
-    """Build the named dependency set; raises on out-of-range parameters."""
+    """Build the named dependency set from exactly its parameters (_PARAMS);
+    ValueError on a missing, extra or out-of-range one, or a d that is not
+    a positive integer (2 for a bivariate family)."""
+    d = _as_count(d, "d")
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    if not isinstance(name, str) or name not in _PARAMS:
+        raise ValueError(f"unknown family {name!r}")
+    extra = sorted(set(params) - set(_PARAMS[name]))
+    if extra:
+        raise ValueError(f"unexpected parameters {extra}")
+    missing = [k for k in _PARAMS[name] if k not in params]
+    if missing:
+        raise ValueError(f"family {name!r} is missing parameters {missing}")
+    if name in _BIVARIATE and d != 2:
+        raise ValueError(f"{_BIVARIATE[name]} family is bivariate")
     if name == "independence":
         return unit_cube(d)
     if name == "dependence":
         return unit_cross_polytope(d)
     if name == "logistic":
-        p = float(params.pop("p"))
-        _no_extra(params)
+        p = float(params["p"])
         if not p >= 1:
             raise ValueError("logistic exponent must satisfy p >= 1")
         if np.isinf(p):
@@ -165,11 +183,7 @@ def make_family(name, d=2, **params):
             return unit_cube(d)
         return as_dependency(MaxZonoid(d=d, norm=_logistic_norm(d, p)))
     if name == "neg_logistic":
-        lam = float(params.pop("lam"))
-        p = float(params.pop("p"))
-        _no_extra(params)
-        if d != 2:
-            raise ValueError("negative logistic family is bivariate")
+        lam, p = float(params["lam"]), float(params["p"])
         if not 0.0 <= lam <= 1.0:
             raise ValueError("negative logistic weight must lie in [0, 1]")
         if not p <= 0:
@@ -178,10 +192,7 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_neg_logistic_norm(lam, p)))
     if name == "husler_reiss":
-        lam = float(params.pop("lam"))
-        _no_extra(params)
-        if d != 2:
-            raise ValueError("Husler-Reiss family is bivariate")
+        lam = float(params["lam"])
         if not lam >= 0:
             raise ValueError("Husler-Reiss parameter must be nonnegative")
         if lam == 0.0:
@@ -190,32 +201,20 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_husler_reiss_norm(lam)))
     if name == "marshall_olkin":
-        a1 = float(params.pop("alpha1"))
-        a2 = float(params.pop("alpha2"))
-        _no_extra(params)
-        if d != 2:
-            raise ValueError("Marshall-Olkin family is bivariate")
+        a1, a2 = float(params["alpha1"]), float(params["alpha2"])
         if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0):
             raise ValueError("Marshall-Olkin parameters must lie in [0, 1]")
         return as_dependency(zonoid_from_polygon(marshall_olkin_polygon(a1, a2)))
-    if name == "matrix_weights":
-        A = np.atleast_2d(np.asarray(params.pop("matrix"), dtype=float))
-        _no_extra(params)
-        if A.shape[1] != d:
-            raise ValueError(f"weight matrix must have {d} columns")
-        if not np.all(A >= 0):
-            raise ValueError("weights must be nonnegative")
-        colsum = A.sum(axis=0)
-        if not _normalized(colsum):
-            raise ValueError(f"column sums must be 1, got {colsum}")
-        sigma = spectral_from_points(A, np.ones(A.shape[0]))
-        return as_dependency(MaxZonoid(d=d, spectral=sigma))
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _no_extra(params):
-    if params:
-        raise ValueError(f"unexpected parameters {sorted(params)}")
+    A = np.atleast_2d(np.asarray(params["matrix"], dtype=float))  # matrix_weights
+    if A.shape[1] != d:
+        raise ValueError(f"weight matrix must have {d} columns")
+    if not np.all(A >= 0):
+        raise ValueError("weights must be nonnegative")
+    colsum = A.sum(axis=0)
+    if not _normalized(colsum):
+        raise ValueError(f"column sums must be 1, got {colsum}")
+    sigma = spectral_from_points(A, np.ones(A.shape[0]))
+    return as_dependency(MaxZonoid(d=d, spectral=sigma))
 
 
 # ---------------------------------------------------------------------------

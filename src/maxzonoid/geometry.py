@@ -26,6 +26,7 @@ from .spectral import (
     _nondegenerate,
     _normalized,
     _point_keys,
+    _row_sum,
     make_measure,
     rebase_reference,
     spectral_from_points,
@@ -75,9 +76,9 @@ class Polygon2D(_ByKey):
         and is dropped by the hull, but a larger one is not a body."""
         v = cls(vertices).vertices
         e = np.diff(v, axis=0)
-        e = e[np.abs(e).max(axis=1) > EPS]
+        e = e[_fold(np.maximum, np.abs(e).T) > EPS]
         a, b = e[:-1], e[1:]
-        turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], (a * b).sum(axis=1))
+        turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], _row_sum(a * b))
         if np.any(turn < -10 * EPS):
             raise ValueError("chain violates convexity beyond tolerance")
         if np.any(e[:, 0] > EPS) or np.any(e[:, 1] < -EPS):
@@ -465,13 +466,9 @@ def scale(K, lam):
 
 
 def project(K, coords):
-    """Body of the sub-vector on the given coordinates: the support
-    function of the result equals h(K, x lifted with zeros)."""
-    coords = np.asarray(sorted(set(int(c) for c in np.atleast_1d(coords))))
-    if coords.size == 0:
-        raise ValueError("projection needs a nonempty coordinate subset")
-    if coords.min() < 0 or coords.max() >= K.d:
-        raise ValueError("coordinate subset out of range")
+    """Body of the sub-vector on the given coordinates (_as_subset): the
+    support function of the result equals h(K, x lifted with zeros)."""
+    coords = np.array(sorted(_as_subset(coords, K.d)))
     if coords.size == K.d:
         return K
     return _rewrap(_image([(K, np.arange(coords.size), coords, 1.0)], coords.size), K)
@@ -828,11 +825,30 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     return mean, math.sqrt(var / n)
 
 
+def _as_subset(A, d):
+    """A coordinate subset, an index or an iterable of them, as a frozenset
+    of ints by operator.index, so 1.5 and "1" are refused rather than
+    truncated; ValueError unless it is nonempty and within range(d)."""
+    try:
+        S = frozenset(map(operator.index, A if np.iterable(A) else [A]))
+    except TypeError:
+        S = None
+    if not S or min(S) < 0 or max(S) >= d:
+        raise ValueError(f"invalid subset {A!r}: need a nonempty set of integers in range({d})")
+    return S
+
+
+def _indicator_rows(masks, d):
+    """The 0/1 indicator rows of coordinate subsets given as bitmasks: row k
+    holds bit i of masks[k] in column i (Python ints past 62 bits)."""
+    masks = np.asarray(masks, dtype=np.int64 if d < 63 else object)
+    return ((masks[:, None] >> np.arange(d)) & 1).astype(float)
+
+
 def subset_indicator_lattice(d, include_origin=True):
     """The 0/1 indicator points of all subsets, a max-closed lattice: row
     mask (from 1 without the origin) holds bit i of mask in column i."""
-    masks = np.arange(0 if include_origin else 1, 2**d)
-    return ((masks[:, None] >> np.arange(d)) & 1).astype(float)
+    return _indicator_rows(np.arange(0 if include_origin else 1, 2**d), d)
 
 
 def _corner_directions(d):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from maxzonoid import (
     construct_from_extremal,
     extremal_coefficient,
     extremal_table,
+    make_family,
+    make_measure,
     max_closure,
     simulate,
     support_function,
@@ -19,6 +25,7 @@ from maxzonoid import (
 )
 from maxzonoid.alternation import _max_table, _scaling_condition, subset_indicator_lattice
 from maxzonoid.geometry import _corner_directions
+from maxzonoid.spectral import _point_keys
 
 from conftest import random_model, theta_alternation_check
 
@@ -48,6 +55,39 @@ def _max_table_by_dict(pts):
         for j in range(i, n):
             table[i, j] = table[j, i] = keys[tuple(np.round(np.maximum(pts[i], pts[j]), 9))]
     return table
+
+
+def _max_closure_by_loop(points):
+    """The closure as a loop over pairs builds it, a set of key tuples
+    deciding what is new; a reference for rows and their order."""
+    pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
+    seen = {tuple(_point_keys(p)) for p in pts}
+    frontier = list(pts)
+    while frontier:
+        new = []
+        for q in frontier:
+            for p in pts:
+                m = np.maximum(p, q)
+                key = tuple(_point_keys(m))
+                if key not in seen:
+                    seen.add(key)
+                    new.append(m)
+        pts.extend(new)
+        frontier = new
+    return np.array(pts)
+
+
+def _construct_by_loop(table):
+    """construct_from_extremal's atoms and masses as a loop over the
+    weights builds them; a reference."""
+    d, points, masses = table.d, [], []
+    for B, cB in check_extremal_consistency(table).weights.items():
+        if cB > 1e-12:
+            e = np.zeros(d)
+            e[list(B)] = 1.0 / len(B)
+            points.append(e)
+            masses.append(cB * len(B))
+    return make_measure(points, masses, "l1")
 
 
 class TestLattice:
@@ -111,6 +151,58 @@ class TestLattice:
         with pytest.raises(ValueError, match="not closed"):
             _max_table(np.array([[0.0, 1.0], [np.nan, 1.0]]))
 
+    def test_closure_is_the_loop(self):
+        # rows and their order: the input as given, then each level's new
+        # maxima in (frontier point, point) order, signed zeros as max(p, q) gives them
+        gen = np.random.default_rng(8)
+        cases = [
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.5], [0.5, 1.0]],
+            [[x, y] for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)],
+            [[0.0, 1.0], [-0.0, 0.5], [1.0, 0.5], [1.0, 1.0], [0.0, 0.5], [-0.0, -0.0]],
+            np.round(np.random.default_rng(0).random((40, 2)), 2),
+            [2.0, 1.0],
+        ]
+        for k in range(40):
+            n, d = int(gen.integers(1, 9)), int(gen.integers(1, 5))
+            pts = np.round(gen.random((n, d)) * 3.0) / 3.0 * (1.0 - 2.0 * (gen.random((n, d)) < 0.2))
+            if k % 4 == 0:
+                pts = np.vstack([pts, pts[:2], pts[:1] + 1e-11])  # repeats, one within the rounding
+            cases.append(pts)
+        for pts in cases:
+            got, want = max_closure(pts), _max_closure_by_loop(pts)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_closure_size_guard_is_exact(self):
+        pts = np.round(np.random.default_rng(0).random((40, 2)), 2)
+        assert len(max_closure(pts, max_size=359)) == 359
+        with pytest.raises(ValueError, match="size guard"):
+            max_closure(pts, max_size=358)
+        with pytest.raises(ValueError, match="size guard"):
+            max_closure(pts, max_size=39)  # the input alone
+
+    def test_nan_closure_raises_at_once(self):
+        # a NaN key equals no key: an unguarded closure grows without bound,
+        # so it runs in a child under an address-space limit and a timeout
+        code = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "import numpy as np, maxzonoid as mz\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    mz.max_closure([[0.0, np.nan], [1.0, 0.0]])\n"
+            "except ValueError as e:\n"
+            "    print(f'{time.perf_counter() - t0:.3f}', e)\n"
+        )
+        src = os.path.dirname(os.path.dirname(max_closure.__code__.co_filename))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        seconds, message = out.stdout.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert message.strip() == "point set is not closed under maxima: a NaN point equals no point"
+
     def test_value_carrying_lattice(self):
         pts = max_closure([[1.0, 0.0], [0.0, 1.0]])
         vals = pts.sum(axis=1)
@@ -158,6 +250,20 @@ class TestCheckAlternation:
         table = ExtremalTable(2, {(0,): 1.0, (1,): 1.0, (0, 1): 2.5})
         with pytest.raises(ValueError, match="tol"):
             check_extremal_consistency(table, tol=tol)
+
+    def test_construct_is_the_loop(self):
+        # compare's two logistic tables and the 100 random tables of
+        # test_criterion_07, atoms and masses bit for bit
+        models = [MaxStableModel(make_family("logistic", d, p=p)) for p, d in ((1.5, 3), (2.5, 4))]
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            models.append(random_model(rng, d=d, m=int(rng.integers(2, 6))))
+        for model in models:
+            table = extremal_table(model)
+            got, want = construct_from_extremal(table).discrete, _construct_by_loop(table)
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+            assert got.masses.tobytes() == want.masses.tobytes()
 
     def test_subset_indicators_are_mask_ordered(self):
         # reference: row mask, column i is bit i of mask

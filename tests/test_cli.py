@@ -471,6 +471,16 @@ class TestExitCodes:
         )
         assert main(["eval", "--model", spec, "--points", points_csv, "--op", "cdf"]) == 2
 
+    @pytest.mark.parametrize("family, message", [
+        ({"name": "independence", "d": 2, "params": {"p": 3.0}}, "unexpected parameters ['p']"),
+        ({"name": "dependence", "d": 3, "params": {"lam": 1.0}}, "unexpected parameters ['lam']"),
+        ({"name": "logistic", "d": 2}, "family 'logistic' is missing parameters ['p']"),
+    ])
+    def test_family_parameters_are_checked(self, tmp_path, family, message, capsys):
+        spec = write_model(tmp_path, "f.json", {"family": family})
+        assert main(["measures", "--model", spec]) == 2
+        assert message in capsys.readouterr().err
+
     def test_two_forms_rejected(self, tmp_path, points_csv):
         spec = write_model(
             tmp_path, "two.json",

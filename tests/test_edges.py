@@ -367,6 +367,60 @@ class TestAlternationGuards:
             mz.check_alternation(None, lat)
 
 
+# A coordinate subset is an index or an iterable of them, read whole by
+# operator.index: 1.5 and "1" are refused, never truncated to 1.
+_BAD_SUBSETS = [1.5, "1", (), (0, 3), (-1,), (0.2, 2.7), (0.5,), (0, 1.9)]
+_SUBSET_READERS = {
+    "project": lambda A: mz.project(unit_cube(3), A),
+    "extremal_coefficient": lambda A: mz.extremal_coefficient(MaxStableModel(unit_cube(3)), A),
+    "ExtremalTable": lambda A: mz.ExtremalTable(3, {A: 1.0}),
+}
+_BAD_ARGUMENTS = [
+    *(
+        pytest.param(lambda r=reader, A=A: _SUBSET_READERS[r](A), "invalid subset", id=f"{reader}-{A!r}")
+        for reader in _SUBSET_READERS
+        for A in _BAD_SUBSETS
+    ),
+    *(
+        pytest.param(
+            lambda k=k: mz.check_alternation(lambda X: X.sum(axis=1), mz.max_closure(np.eye(2)), max_order=k),
+            "max_order", id=f"max_order-{k!r}",
+        )
+        for k in (0, -3, 2.5)
+    ),
+    pytest.param(lambda: mz.extremal_table(MaxStableModel(unit_cube(3)), max_size=2.5), "max_size", id="max_size-2.5"),
+    pytest.param(lambda: make_family("independence", 2, p=3.0), r"unexpected parameters \['p'\]", id="extra-p"),
+    pytest.param(lambda: make_family("dependence", 3, lam=1.0), r"unexpected parameters \['lam'\]", id="extra-lam"),
+    pytest.param(lambda: make_family("logistic", 2), r"missing parameters \['p'\]", id="missing-p"),
+    pytest.param(
+        lambda: make_family("marshall_olkin", 2, alpha2=0.5), r"missing parameters \['alpha1'\]", id="missing-alpha1"
+    ),
+    pytest.param(lambda: make_family("logistic", 2.5, p=2.0), "d must be an integer", id="d-2.5"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_ARGUMENTS)
+def test_bad_argument_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    if message == "invalid subset":
+        assert "nonempty" in str(info.value) and "range" in str(info.value)
+
+
+def test_integer_arguments_still_read():
+    K, model = unit_cube(3), MaxStableModel(make_family("logistic", 3, p=2.0))
+    assert mz.project(K, 1) == mz.project(K, [np.int64(1)]) == unit_cube(1)
+    assert mz.project(K, np.array([2, 0])) == mz.project(K, (0, 2))
+    assert mz.extremal_coefficient(model, range(3)) == mz.extremal_coefficient(model, [np.int64(2), 1, 0])
+    table = mz.ExtremalTable(3, {(np.int64(0), 1): 1.5, 2: 1.0})
+    assert table.values == {frozenset([0, 1]): 1.5, frozenset([2]): 1.0}
+    assert table.theta(2) == table.theta([2]) == 1.0
+    assert mz.extremal_table(model, max_size=np.int64(1)) == mz.extremal_table(model, max_size=1)
+    pts = mz.max_closure(np.eye(2))
+    assert mz.check_alternation(lambda X: X.sum(axis=1), pts, max_order=np.int64(2)).order_checked == 2
+    assert make_family("logistic", np.int64(2), p=2.0) == make_family("logistic", 2, p=2.0)
+
+
 class TestEstimateGuards:
     def test_threshold_positive(self):
         with pytest.raises(ValueError, match="positive"):

@@ -49,7 +49,8 @@ from maxzonoid.geometry import (
     _simplex_rule,
     _support_finite,
 )
-from maxzonoid.spectral import ATOM_TOL
+from maxzonoid._kernels import _fold
+from maxzonoid.spectral import ATOM_TOL, _row_sum
 
 from conftest import random_dependency, random_dependency_polygon
 
@@ -1702,6 +1703,22 @@ class TestPolygon2D:
         th = np.linspace(0.0, np.pi / 2, 10_000)
         chain = np.column_stack([np.cos(th), np.sin(th)])
         assert Polygon2D.from_chain(chain).vertices.shape == (10_000, 2)
+
+    def test_chain_reductions_by_columns_keep_the_row_bits(self, rng):
+        # from_chain folds the edge lengths and the dot products of next edges
+        # by columns: the bits of the row reductions, signed zeros included
+        th = np.linspace(0.0, np.pi / 2, 1001)
+        chains = [
+            np.column_stack([np.cos(th), np.sin(th)]),
+            np.array([[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]),
+            *(np.cumsum(rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-12, 2, (50, 1)), axis=0) for _ in range(20)),
+        ]
+        for v in chains:
+            e = np.diff(v, axis=0)
+            assert _fold(np.maximum, np.abs(e).T).tobytes() == np.abs(e).max(axis=1).tobytes()
+            a, b = e[:-1], e[1:]
+            assert _row_sum(a * b).tobytes() == (a * b).sum(axis=1).tobytes()
+        assert Polygon2D.from_chain(chains[0]).vertices.shape == (1001, 2)
 
     def test_collinear_vertex_dropped(self):
         chain = np.array([[1.0, 0.0], [1.0, 0.25], [1.0, 0.5], [0.0, 1.0]])
