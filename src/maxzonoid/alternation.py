@@ -46,6 +46,14 @@ def _max_table(pts):
     return table
 
 
+def _lattice_points(points):
+    """points as a new (n, d) float array, n and d at least 1, else ValueError."""
+    pts = np.atleast_2d(np.array(points, dtype=float))
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError(f"points must form an (n, d) array with n, d >= 1, not one of shape {pts.shape}")
+    return pts
+
+
 def _subset(mask, d):
     """The coordinate subset of a bitmask over d coordinates."""
     return frozenset(i for i in range(d) if (mask >> i) & 1)
@@ -59,7 +67,7 @@ class FiniteMaxLattice(_ByKey):
     _fields = ("points", "values", "scaling_ok")
 
     def __init__(self, points, values=None):
-        pts = np.atleast_2d(np.array(points, dtype=float))  # a copy, made read-only
+        pts = _lattice_points(points)  # a copy, made read-only
         if np.any(pts < 0):
             raise ValueError("lattice points must be nonnegative")
         _max_table(pts)  # raises unless closed; the table is not kept
@@ -68,8 +76,8 @@ class FiniteMaxLattice(_ByKey):
             values = np.array(values, dtype=float)
             if values.shape != (len(pts),):
                 raise ValueError("need one value per lattice point")
-            if np.any(values < 0):
-                raise ValueError("lattice values must be nonnegative")
+            if not (values >= 0).all():  # NaN fails
+                raise ValueError("lattice values must be nonnegative, not NaN")
             values.setflags(write=False)
         self._set(pts, values, _scaling_condition(pts))
 
@@ -99,7 +107,7 @@ def max_closure(points, max_size=100_000):
     frontier being the last level's new points.  A maximum is new when no
     point held so far has its key (_key_rows, so NaN raises ValueError);
     ValueError as soon as more than max_size points would be held."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _lattice_points(points)
     seen, frontier, count = np.unique(_key_rows(pts)), pts, len(pts)
     while len(frontier):
         new = []
@@ -144,12 +152,14 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
         points = points.points
     elif f is None:
         raise ValueError("f is required unless a value-carrying lattice is given")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _lattice_points(points)
     n = len(pts)
     table = _max_table(pts)
     values = np.asarray(f(pts), dtype=float)
     if values.shape != (n,):
         raise ValueError("f must map (n, d) points to (n,) values")
+    if np.isnan(values).any():  # every difference through a NaN is NaN, never above tol
+        raise ValueError(f"f is NaN at {np.isnan(values).sum()} of {n} points")
 
     evals = 0
     bases = np.arange(n)

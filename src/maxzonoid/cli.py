@@ -84,6 +84,8 @@ def _parse_subset(key, d):
     idx = [int(tok) - 1 for tok in str(key).split(",")]
     if any(i < 0 or i >= d for i in idx):
         raise ValueError(f"subset {key!r} out of range for d={d}")
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"subset {key!r} names an index twice")
     return frozenset(idx)
 
 
@@ -122,9 +124,19 @@ def _dimension(value):
     return value
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict, ValueError at a key given twice."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"a model file names {json.dumps(k)} twice in one object")
+        obj[k] = v
+    return obj
+
+
 def load_spec(path):
     with open(path) as fh:
-        spec = _json_object(json.load(fh), "a model file")
+        spec = _json_object(json.load(fh, object_pairs_hook=_unique_keys), "a model file")
     forms = [k for k in ("family", "spectral", "polygon", "extremal") if k in spec]
     if len(forms) != 1:
         raise ValueError(
@@ -138,7 +150,12 @@ def load_spec(path):
 def parse_extremal(body):
     d = _dimension(body["d"])
     theta = _json_object(body["theta"], '"theta"')
-    values = {_parse_subset(k, d): float(_number(v, f'theta "{k}"')) for k, v in theta.items()}
+    values = {}
+    for k, v in theta.items():
+        A = _parse_subset(k, d)
+        if A in values:
+            raise ValueError(f'theta names subset {_subset_key(A)} twice, the second time as "{k}"')
+        values[A] = float(_number(v, f'theta "{k}"'))
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
     subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
@@ -327,15 +344,16 @@ def _dependency_report(sigma):
 
 
 def _model_with_atoms(model, m_atoms, notes):
-    if model.discrete is None:
-        res = discretize(model, m_atoms)
-        err = res.max_support_error
-        notes["discretize_method"] = err.method
-        notes["discretize_atoms"] = res.measure.n_atoms
-        notes["discretize_directions"] = err.n_samples
-        notes["discretize_error"] = f"{err:.3g}"
-        return MaxStableModel(model, res.measure)
-    return model
+    """model, or the law of its m_atoms fit (with_discrete) and the fit's notes."""
+    if model.spectral is not None:
+        return model
+    res = discretize(model, m_atoms)
+    err = res.max_support_error
+    notes["discretize_method"] = err.method
+    notes["discretize_atoms"] = res.measure.n_atoms
+    notes["discretize_directions"] = err.n_samples
+    notes["discretize_error"] = f"{err:.3g}"
+    return MaxStableModel(zonoid_from_spectral(res.measure))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +419,7 @@ def cmd_spectral(args):
     if args.to_polygon and model.d != 2:
         raise ValueError("polygon conversion is planar")
     notes = {}
-    sigma = _model_with_atoms(model, args.atoms, notes).discrete
+    sigma = _model_with_atoms(model, args.atoms, notes).spectral
     if args.to_atoms:
         results = {"spectral": _measure_to_spec(sigma), "report": _dependency_report(sigma)}
     else:
@@ -428,7 +446,7 @@ def cmd_check_theta(args):
 
 def cmd_construct_theta(args):
     spec, table = _load_extremal(args)
-    results = {"spectral": _measure_to_spec(construct_from_extremal(table).discrete)}
+    results = {"spectral": _measure_to_spec(construct_from_extremal(table).spectral)}
     write_json(args.out, result_document("construct-theta", spec, results))
     return 0
 

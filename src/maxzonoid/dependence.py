@@ -24,14 +24,17 @@ from .spectral import _ByKey
 
 class ExtremalTable(_ByKey):
     """Map from nonempty coordinate subsets (0-based, read by _as_subset,
-    stored as frozensets) to the extremal coefficients theta_A = h(K, e_A)."""
+    stored as frozensets, each named once) to the extremal coefficients
+    theta_A = h(K, e_A), of d coordinates (_as_count)."""
 
     _fields = ("d", "values")
 
     def __init__(self, d, values):
-        vals = {}
+        d, vals = _as_count(d, "d"), {}
         for key, v in values.items():
             A = _as_subset(key, d)
+            if A in vals:
+                raise ValueError(f"subset {sorted(A)} is named twice, the second time as {key!r}")
             vals[A] = float(v)
             if not math.isfinite(vals[A]):
                 raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")

@@ -3,7 +3,7 @@ curves, exact simulation, and exponent-measure densities.
 
 The law of a dependency set K (unit Frechet marginals) is
 F(x) = exp(-h(K, x*)) with x*_i = 1/x_i, so every function here takes K
-itself or a MaxStableModel, which is K with an atom list for simulation.
+itself or a MaxStableModel, which is K.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from .geometry import (
     _support_finite,
     as_dependency,
     subset_indicator_lattice,
+    zonoid_from_spectral,
 )
 from .spectral import _ByKey, _close_to_normalized
 
@@ -50,29 +51,21 @@ class SampleMatrix(_ByKey):
 
 class MaxStableModel(DependencySet):
     """The simple max-stable law F(x) = exp(-h(K, x*)), which is the
-    dependency set K itself plus one field: discrete, the atom list that
-    samples the law.  It defaults to K.discrete: the set's own atoms, the
-    list K carries if K is a model, None for an analytic norm.  A body of
-    atoms samples from its own list only; an analytic one takes any fit."""
+    dependency set K itself, with K's fields: it samples the atoms its cdf
+    reads, and an analytic K samples through with_discrete."""
 
-    _fields = DependencySet._fields + ("discrete",)
-    discrete = None  # shadows MaxZonoid.discrete, so the field is read
-
-    def __init__(self, K, discrete=None):
+    def __init__(self, K):
         K = as_dependency(K)
-        if discrete is not None and discrete.d != K.d:
-            raise ValueError(f"the atom list is of dimension {discrete.d}, the body of {K.d}")
-        if discrete is not None and K.spectral is not None and discrete != K.spectral:
-            raise ValueError("the atom list is not the body's own: a body of atoms samples from its own atoms")
-        self._set(K.d, K.spectral, K.norm, K.discrete if discrete is None else discrete)
+        self._set(K.d, K.spectral, K.norm)
 
     def with_discrete(self, m=1000):
-        """Attach an atom list, discretizing analytic norms on demand."""
-        if self.discrete is not None:
+        """self when the body has atoms, else the law of its m-atom fit
+        (discretize), whose h is within the fit's stated error of K's."""
+        if self.spectral is not None:
             return self
         from .families import discretize
 
-        return MaxStableModel(self, discretize(self, m).measure)
+        return MaxStableModel(zonoid_from_spectral(discretize(self, m).measure))
 
 
 def _check_domain(X, inside, message):
@@ -159,17 +152,15 @@ def simulate(model, n, seed):
     with -log P(xi <= x) = sum_k w_k max_j b_kj / x_j = h(K, 1/x). Once
     zeta_i <= min_j xi_j no later point can raise a coordinate, since
     zeta decreases and b <= 1, so stopping there is exact.  A body is
-    simulated from its own atoms; an analytic body, like a model without
-    atoms, needs with_discrete() first.
+    simulated from its own atoms, the ones its cdf reads; an analytic body
+    needs with_discrete() first, which makes its fit the law.
     """
     n = _as_count(n, "n")
     if n <= 0:
         raise ValueError("sample size must be positive")
-    sigma = model.discrete
+    sigma = model.spectral
     if sigma is None:
-        raise ValueError(
-            "model has no atom list; call with_discrete() to discretize first"
-        )
+        raise ValueError("model has no atom list; call with_discrete() to discretize first")
     A = sigma.scaled_atoms
     colsum = A.sum(axis=0)
     if not _close_to_normalized(colsum):

@@ -12,6 +12,7 @@ to 2e-13 relative wherever Phi exceeds 1e-300.
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -152,10 +153,23 @@ _PARAMS = {"independence": (), "dependence": (), "logistic": ("p",), "matrix_wei
 _BIVARIATE = {"neg_logistic": "negative logistic", "husler_reiss": "Husler-Reiss", "marshall_olkin": "Marshall-Olkin"}
 
 
+def _real(params, name):
+    """params[name] as a float: ValueError, not TypeError, for anything but
+    a real number within the float range (True and False are not)."""
+    v = params[name]
+    try:
+        if isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ValueError(f"parameter {name!r} must be a real number, got {v!r}")
+
+
 def make_family(name, d=2, **params):
-    """Build the named dependency set from exactly its parameters (_PARAMS);
-    ValueError on a missing, extra or out-of-range one, or a d that is not
-    a positive integer (2 for a bivariate family)."""
+    """Build the named dependency set from exactly its parameters (_PARAMS),
+    each a real number (_real) but the weight matrix; ValueError on a
+    missing, extra or out-of-range one, or a d that is not a positive
+    integer (2 for a bivariate family)."""
     d = _as_count(d, "d")
     if d < 1:
         raise ValueError("dimension must be at least 1")
@@ -174,7 +188,7 @@ def make_family(name, d=2, **params):
     if name == "dependence":
         return unit_cross_polytope(d)
     if name == "logistic":
-        p = float(params["p"])
+        p = _real(params, "p")
         if not p >= 1:
             raise ValueError("logistic exponent must satisfy p >= 1")
         if np.isinf(p):
@@ -183,7 +197,7 @@ def make_family(name, d=2, **params):
             return unit_cube(d)
         return as_dependency(MaxZonoid(d=d, norm=_logistic_norm(d, p)))
     if name == "neg_logistic":
-        lam, p = float(params["lam"]), float(params["p"])
+        lam, p = _real(params, "lam"), _real(params, "p")
         if not 0.0 <= lam <= 1.0:
             raise ValueError("negative logistic weight must lie in [0, 1]")
         if not p <= 0:
@@ -192,7 +206,7 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_neg_logistic_norm(lam, p)))
     if name == "husler_reiss":
-        lam = float(params["lam"])
+        lam = _real(params, "lam")
         if not lam >= 0:
             raise ValueError("Husler-Reiss parameter must be nonnegative")
         if lam == 0.0:
@@ -201,13 +215,16 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_husler_reiss_norm(lam)))
     if name == "marshall_olkin":
-        a1, a2 = float(params["alpha1"]), float(params["alpha2"])
+        a1, a2 = _real(params, "alpha1"), _real(params, "alpha2")
         if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0):
             raise ValueError("Marshall-Olkin parameters must lie in [0, 1]")
         return as_dependency(zonoid_from_polygon(marshall_olkin_polygon(a1, a2)))
-    A = np.atleast_2d(np.asarray(params["matrix"], dtype=float))  # matrix_weights
-    if A.shape[1] != d:
-        raise ValueError(f"weight matrix must have {d} columns")
+    try:  # matrix_weights
+        A = np.atleast_2d(np.asarray(params["matrix"], dtype=float))
+    except TypeError:
+        raise ValueError(f"weight matrix must hold real numbers, got {params['matrix']!r}") from None
+    if A.ndim != 2 or A.shape[1] != d:
+        raise ValueError(f"weight matrix must have {d} columns, not shape {A.shape}")
     if not np.all(A >= 0):
         raise ValueError("weights must be nonnegative")
     colsum = A.sum(axis=0)

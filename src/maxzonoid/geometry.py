@@ -136,7 +136,7 @@ class MaxZonoid(_ByKey):
 
     @property
     def discrete(self):
-        """The atom list that samples the law: the body's own atoms."""
+        """Read-only alias of spectral, kept for perfbench, which reads it."""
         return self.spectral
 
 
@@ -828,13 +828,15 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
 def _as_subset(A, d):
     """A coordinate subset, an index or an iterable of them, as a frozenset
     of ints by operator.index, so 1.5 and "1" are refused rather than
-    truncated; ValueError unless it is nonempty and within range(d)."""
+    truncated; ValueError unless it is nonempty, within range(d) and
+    names no index twice."""
     try:
-        S = frozenset(map(operator.index, A if np.iterable(A) else [A]))
+        idx = list(map(operator.index, A if np.iterable(A) else [A]))
     except TypeError:
-        S = None
-    if not S or min(S) < 0 or max(S) >= d:
-        raise ValueError(f"invalid subset {A!r}: need a nonempty set of integers in range({d})")
+        idx = []
+    S = frozenset(idx)
+    if not S or len(S) < len(idx) or min(S) < 0 or max(S) >= d:
+        raise ValueError(f"invalid subset {A!r}: need a nonempty set of distinct integers in range({d})")
     return S
 
 

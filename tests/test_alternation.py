@@ -261,7 +261,7 @@ class TestCheckAlternation:
             models.append(random_model(rng, d=d, m=int(rng.integers(2, 6))))
         for model in models:
             table = extremal_table(model)
-            got, want = construct_from_extremal(table).discrete, _construct_by_loop(table)
+            got, want = construct_from_extremal(table).spectral, _construct_by_loop(table)
             assert got.atoms.tobytes() == want.atoms.tobytes()
             assert got.masses.tobytes() == want.masses.tobytes()
 

@@ -223,12 +223,26 @@ class TestTheta:
             ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}}, "out of range"),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5}}}, "missing subsets"),
             ("check-theta", {"family": {"name": "independence", "d": 2}}, "needs an extremal model file"),
+            # one subset named twice, by its indices in another order or by an index named twice
+            ("check-theta", {"extremal": {"d": 2, "theta": {"1,2": 1.5, "2,1": 1.2}}},
+             'theta names subset 1,2 twice, the second time as "2,1"'),
+            ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5, "1,3": 1.5, "2,3": 1.5, "3,2,1": 2.0,
+                                                         "1,2,3": 2.5}}}, "theta names subset 1,2,3 twice"),
+            ("construct-theta", {"extremal": {"d": 2, "theta": {"1,1": 1.0, "1,2": 1.5}}},
+             "subset '1,1' names an index twice"),
         ],
     )
     def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):
         spec = write_model(tmp_path, "t.json", doc)
         assert main([command, "--model", spec]) == 2
         assert message in capsys.readouterr().err
+
+    def test_a_key_given_twice_in_the_file_exits2(self, tmp_path, capsys):
+        # json.load alone keeps the last of two equal keys: theta_12 would read 1.2
+        path = tmp_path / "t.json"
+        path.write_text('{"extremal": {"d": 2, "theta": {"1,2": 1.5, "1,2": 1.2}}}')
+        assert main(["check-theta", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == 'error: a model file names "1,2" twice in one object\n'
 
     def test_construct_emits_model(self, tmp_path):
         spec = write_model(
@@ -530,6 +544,8 @@ class TestExitCodes:
         ({"family": {"name": "logistic", "d": 2, "params": {"p": -(10**400)}}},
          'param "p" is an integer beyond the float range'),
         ({"extremal": {"d": 2, "theta": {"1,2": [1.5]}}}, 'theta "1,2" must be a number, not [1.5]'),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": [2.0, 3.0]}}},
+         "parameter 'p' must be a real number, got [2.0, 3.0]"),
         ({"spectral": {"atoms": None}}, '"atoms" must be a JSON list, not null'),
         ({"spectral": {"atoms": [1]}}, "an atom must be a JSON object, not 1"),
         ({"spectral": {"atoms": [{"point": [1, None], "mass": 1}]}}, 'an atom\'s "point" must be a number, not null'),

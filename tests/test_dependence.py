@@ -204,7 +204,7 @@ class TestKendall:
         # independent oracle for the closed-form segment integrals:
         # midpoint rule on a fine grid, support point from the atom sides
         model = random_model(rng, 2, 5)
-        a, w = model.discrete.atoms, model.discrete.masses
+        a, w = model.spectral.atoms, model.spectral.masses
         t = (np.arange(400_000) + 0.5) / 400_000
         side1 = a[:, 0][None, :] * t[:, None] >= a[:, 1][None, :] * (1 - t)[:, None]
         y1 = (side1 * (w * a[:, 0])[None, :]).sum(axis=1)
@@ -260,7 +260,7 @@ class TestKendall:
 
         sigmas = [discretize(log2, 1000).measure, unit_cube(2).spectral,
                   make_family("marshall_olkin", 2, alpha1=0.3, alpha2=0.7).spectral]
-        sigmas += [random_model(rng, 2, m).discrete for m in (1, 2, 5, 40, 200)]
+        sigmas += [random_model(rng, 2, m).spectral for m in (1, 2, 5, 40, 200)]
         for sigma in sigmas:
             tau = kendall_tau_2d(zonoid_from_spectral(sigma))
             assert tau == pytest.approx(by_breakpoint(sigma), rel=0, abs=1e-15)

@@ -15,7 +15,6 @@ from maxzonoid import (
     discretize,
     exponent_density,
     make_family,
-    make_measure,
     max_stability_check,
     minkowski_combine,
     normalize_dependency,
@@ -383,27 +382,25 @@ class TestQuantileCurve:
 
 
 class TestSimulate:
-    def test_atom_list_of_another_dimension_is_refused(self):
+    def test_a_model_takes_no_second_atom_list(self):
         # a planar law sampled by trivariate atoms would draw (n, 3) samples
-        with pytest.raises(ValueError, match="atom list is of dimension 3, the body of 2"):
+        with pytest.raises(TypeError):
             MaxStableModel(unit_cube(2), unit_cube(3).spectral)
         K = make_family("logistic", 2, p=2.0)
-        model = MaxStableModel(K, discretize(K, 50).measure)
+        model = MaxStableModel(K).with_discrete(50)
         assert simulate(model, 10, seed=1).values.shape == (10, 2)
 
-    def test_atom_list_of_another_body_is_refused(self):
+    def test_a_body_samples_the_atoms_its_cdf_reads(self):
         # the cross polytope's atoms would draw equal coordinates from a law
         # whose cdf at (1, 1) reads exp(-2), independence
-        with pytest.raises(ValueError, match="^the atom list is not the body's own"):
+        with pytest.raises(TypeError):
             MaxStableModel(unit_cube(2), unit_cross_polytope(2).spectral)
-        with pytest.raises(ValueError, match="atom list is of dimension 3, the body of 2"):
-            MaxStableModel(unit_cube(2), unit_cross_polytope(3).spectral)
         K = unit_cube(2)
-        own = make_measure(K.spectral.atoms, K.spectral.masses)
-        assert own is not K.spectral and MaxStableModel(K, own).discrete is own
         model = MaxStableModel(K)
+        assert model.spectral is K.spectral and model.with_discrete(8) is model
         assert cdf(model, [1.0, 1.0]) == pytest.approx(math.exp(-2.0))
-        assert MaxStableModel(model, K.spectral).discrete is K.spectral
+        s = simulate(model, 2000, seed=3).values
+        assert np.mean(s[:, 0] == s[:, 1]) == 0.0
 
     def test_complete_dependence_coordinates_equal(self):
         model = MaxStableModel(unit_cross_polytope(3))
@@ -431,7 +428,7 @@ class TestSimulate:
         model = MaxStableModel(make_family("logistic", 2, p=2.0))
         with pytest.raises(ValueError, match="discretize"):
             simulate(model, 10, seed=0)
-        assert model.with_discrete(64).discrete is not None
+        assert model.with_discrete(64).spectral is not None
 
     def test_marginal_ks(self, rng):
         model = random_model(rng, d=2, m=4)
@@ -471,7 +468,7 @@ class TestSimulate:
             )
         n = 20_000
         got = simulate(model, n, seed=41).values
-        ref = dense_sample(model.discrete.scaled_atoms, n, np.random.default_rng(43))
+        ref = dense_sample(model.spectral.scaled_atoms, n, np.random.default_rng(43))
         for stat in (np.min, np.max):
             p = ks_2samp(stat(got, axis=1), stat(ref, axis=1)).pvalue
             assert p > 0.01, (case, stat.__name__, p)

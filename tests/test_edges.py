@@ -228,13 +228,12 @@ class TestDistributionGuards:
             mz.simulate(MaxStableModel(unit_cube(2)), 0, seed=0)
 
     def test_simulate_rejects_unbalanced_atoms(self):
-        # an analytic body takes any atom list; a body of atoms only its own
+        # a bare body off unit marginals reaches simulate's own check; a model refuses it
         unbalanced = make_measure(np.eye(2), [0.5, 1.0])
-        model = MaxStableModel(make_family("logistic", 2, p=2.0), discrete=unbalanced)
+        with pytest.raises(ValueError, match="atom list is not normalized"):
+            mz.simulate(mz.zonoid_from_spectral(unbalanced), 10, seed=0)
         with pytest.raises(ValueError, match="not normalized"):
-            mz.simulate(model, 10, seed=0)
-        with pytest.raises(ValueError, match="not the body's own"):
-            MaxStableModel(unit_cube(2), discrete=unbalanced)
+            MaxStableModel(mz.zonoid_from_spectral(unbalanced))
 
     def test_pickands_needs_simplex_coordinates(self):
         model = MaxStableModel(make_family("logistic", 3, p=2.0))
@@ -369,7 +368,7 @@ class TestAlternationGuards:
 
 # A coordinate subset is an index or an iterable of them, read whole by
 # operator.index: 1.5 and "1" are refused, never truncated to 1.
-_BAD_SUBSETS = [1.5, "1", (), (0, 3), (-1,), (0.2, 2.7), (0.5,), (0, 1.9)]
+_BAD_SUBSETS = [1.5, "1", (), (0, 3), (-1,), (0.2, 2.7), (0.5,), (0, 1.9), (1, 1), (0, 2, 0)]
 _SUBSET_READERS = {
     "project": lambda A: mz.project(unit_cube(3), A),
     "extremal_coefficient": lambda A: mz.extremal_coefficient(MaxStableModel(unit_cube(3)), A),
@@ -396,6 +395,34 @@ _BAD_ARGUMENTS = [
         lambda: make_family("marshall_olkin", 2, alpha2=0.5), r"missing parameters \['alpha1'\]", id="missing-alpha1"
     ),
     pytest.param(lambda: make_family("logistic", 2.5, p=2.0), "d must be an integer", id="d-2.5"),
+    # a family parameter is a real number: no TypeError from float(), and True is not 1
+    *(
+        pytest.param(lambda name=name, k=k, v=v, kw=kw: make_family(name, 2, **{**kw, k: v}),
+                     f"parameter '{k}' must be a real number", id=f"{name}-{k}-{type(v).__name__}")
+        for name, kw in (("logistic", {}), ("neg_logistic", {"lam": 0.5, "p": -2.0}),
+                         ("husler_reiss", {}), ("marshall_olkin", {"alpha1": 0.5, "alpha2": 0.5}))
+        for k in {"logistic": ["p"], "neg_logistic": ["lam", "p"], "husler_reiss": ["lam"],
+                  "marshall_olkin": ["alpha1", "alpha2"]}[name]
+        for v in (None, [2.0, 3.0], True, "2", 10**400)
+    ),
+    pytest.param(lambda: make_family("matrix_weights", 2, matrix={}), "weight matrix must hold real numbers",
+                 id="matrix-dict"),
+    pytest.param(lambda: make_family("matrix_weights", 2, matrix=np.full((2, 2, 2), 0.5)),
+                 "weight matrix must have 2 columns", id="matrix-3d"),
+    pytest.param(lambda: mz.ExtremalTable(2.5, {(0,): 1.0}), "d must be an integer", id="table-d-2.5"),
+    pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): 1.5, (1, 0): 1.2}), r"subset \[0, 1\] is named twice",
+                 id="table-subset-twice"),
+    # a point set is an (n, d) array with n, d >= 1, the same rule in all three readers
+    pytest.param(lambda: mz.max_closure(np.zeros((2, 0))), "points must form an", id="closure-no-column"),
+    pytest.param(lambda: mz.max_closure(np.zeros((2, 2, 2))), "points must form an", id="closure-3d"),
+    pytest.param(lambda: mz.FiniteMaxLattice(np.zeros((2, 2, 2))), "points must form an", id="lattice-3d"),
+    pytest.param(lambda: mz.check_alternation(lambda X: X.sum(axis=1), np.zeros((2, 0))), "points must form an",
+                 id="alternation-no-column"),
+    # a NaN value has every difference through it NaN, which never exceeds tol
+    pytest.param(lambda: mz.check_alternation(lambda X: np.full(len(X), np.nan), mz.max_closure(np.eye(2))),
+                 "f is NaN at 3 of 3 points", id="alternation-nan-f"),
+    pytest.param(lambda: mz.FiniteMaxLattice(mz.max_closure(np.eye(2)), [0.0, 1.0, np.nan]),
+                 "lattice values must be nonnegative", id="lattice-nan-value"),
 ]
 
 
@@ -404,7 +431,7 @@ def test_bad_argument_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
     if message == "invalid subset":
-        assert "nonempty" in str(info.value) and "range" in str(info.value)
+        assert "nonempty" in str(info.value) and "distinct" in str(info.value) and "range" in str(info.value)
 
 
 def test_integer_arguments_still_read():

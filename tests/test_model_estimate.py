@@ -105,25 +105,32 @@ class TestModelIsBody:
         fn = dict(_calls(K))[call]
         assert _same(fn(MaxStableModel(K)), fn(K))
 
-    def test_simulate_takes_a_model_or_its_atoms(self):
-        K = make_family("logistic", 2, p=2.0)
-        model = MaxStableModel(K).with_discrete(64)
-        a = mz.simulate(model, 200, seed=3).values
-        b = mz.simulate(MaxStableModel(K, model.discrete), 200, seed=3).values
-        assert np.array_equal(a, b)
+    def test_a_model_has_the_fields_of_its_set(self):
+        assert MaxStableModel._fields == DependencySet._fields
+        with pytest.raises(TypeError):
+            MaxStableModel(unit_cube(2), unit_cube(2).spectral)
 
-    def test_rewrap_keeps_discrete(self):
+    def test_rewrap_keeps_the_body(self):
         model = MaxStableModel(make_family("logistic", 2, p=2.0)).with_discrete(64)
-        assert MaxStableModel(model).discrete is model.discrete
+        assert MaxStableModel(model).spectral is model.spectral
         assert model.with_discrete(8) is model
-        other = mz.discretize(model, 16).measure
-        assert MaxStableModel(model, other).discrete is other
 
-    def test_discrete_defaults_to_own_atoms(self):
-        K = unit_cube(2)
-        assert K.discrete is K.spectral
-        assert MaxStableModel(K).discrete is K.spectral
-        assert MaxStableModel(make_family("logistic", 2, p=2.0)).discrete is None
+    def test_with_discrete_returns_the_law_of_the_fit(self):
+        K = make_family("logistic", 2, p=2.0)
+        res = mz.discretize(K, 64)
+        fit = res.measure
+        model = MaxStableModel(K).with_discrete(64)
+        assert model.norm is None and model.spectral == fit
+        a = mz.simulate(model, 200, seed=3).values
+        assert np.array_equal(a, mz.simulate(mz.zonoid_from_spectral(fit), 200, seed=3).values)
+        # the law read is the fit's, its gap to K's on discretize's 2,048
+        # quarter-circle directions the stated error
+        X = np.random.default_rng(0).uniform(0.2, 5.0, (50, 2))
+        assert np.array_equal(mz.cdf(model, X), mz.cdf(mz.zonoid_from_spectral(fit), X))
+        t = np.linspace(0.0, np.pi / 2, 2048)
+        U = np.column_stack([np.cos(t), np.sin(t)])
+        gap = np.abs(mz.support_function(model, U) - mz.support_function(K, U)).max()
+        assert gap == pytest.approx(float(res.max_support_error), rel=1e-9)
 
     def test_wrapping_checks_normalization(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -132,7 +139,7 @@ class TestModelIsBody:
     def test_model_is_frozen(self):
         model = MaxStableModel(unit_cube(2))
         with pytest.raises(AttributeError):
-            model.discrete = None
+            model.spectral = None
 
 
 # The parent's values, as float.hex, of each answer that is now an Estimate.
