@@ -77,7 +77,6 @@ from .geometry import (
 from .spectral import (
     DiscreteSpectralMeasure,
     make_measure,
-    rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
     validate_dependency,

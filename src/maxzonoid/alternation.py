@@ -16,7 +16,7 @@ import numpy as np
 
 from .distribution import MaxStableModel
 from .geometry import MaxZonoid, _as_count, _indicator_rows, subset_indicator_lattice
-from .spectral import _ByKey, _normalized, _point_keys, make_measure
+from .spectral import _ByKey, _normalized, _point_keys, _point_rows, make_measure
 
 ALT_TOL = 1e-9
 
@@ -46,14 +46,6 @@ def _max_table(pts):
     return table
 
 
-def _lattice_points(points):
-    """points as a new (n, d) float array, n and d at least 1, else ValueError."""
-    pts = np.atleast_2d(np.array(points, dtype=float))
-    if pts.ndim != 2 or 0 in pts.shape:
-        raise ValueError(f"points must form an (n, d) array with n, d >= 1, not one of shape {pts.shape}")
-    return pts
-
-
 def _subset(mask, d):
     """The coordinate subset of a bitmask over d coordinates."""
     return frozenset(i for i in range(d) if (mask >> i) & 1)
@@ -67,7 +59,7 @@ class FiniteMaxLattice(_ByKey):
     _fields = ("points", "values", "scaling_ok")
 
     def __init__(self, points, values=None):
-        pts = _lattice_points(points)  # a copy, made read-only
+        pts = _point_rows(points)  # a copy, made read-only
         if np.any(pts < 0):
             raise ValueError("lattice points must be nonnegative")
         _max_table(pts)  # raises unless closed; the table is not kept
@@ -107,7 +99,7 @@ def max_closure(points, max_size=100_000):
     frontier being the last level's new points.  A maximum is new when no
     point held so far has its key (_key_rows, so NaN raises ValueError);
     ValueError as soon as more than max_size points would be held."""
-    pts = _lattice_points(points)
+    pts = _point_rows(points)
     seen, frontier, count = np.unique(_key_rows(pts)), pts, len(pts)
     while len(frontier):
         new = []
@@ -152,7 +144,7 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
         points = points.points
     elif f is None:
         raise ValueError("f is required unless a value-carrying lattice is given")
-    pts = _lattice_points(points)
+    pts = _point_rows(points)
     n = len(pts)
     table = _max_table(pts)
     values = np.asarray(f(pts), dtype=float)
@@ -243,5 +235,5 @@ def construct_from_extremal(table):
     keep = c > 1e-12
     E = _indicator_rows(np.arange(1, 2**d)[keep], d)
     size = E.sum(axis=1)
-    sigma = make_measure(E / size[:, None], c[keep] * size, "l1")
+    sigma = make_measure(E / size[:, None], c[keep] * size)
     return MaxStableModel(MaxZonoid(d=d, spectral=sigma))

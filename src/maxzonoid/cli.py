@@ -51,8 +51,9 @@ from .geometry import (
     zonoid_from_spectral,
 )
 from .spectral import (
+    REFERENCE_NORMS,
     _close_to_normalized,
-    make_measure,
+    _from_reference,
     spectral_from_polygon_2d,
     validate_dependency,
 )
@@ -181,7 +182,7 @@ def build_model(spec, form):
             atoms = [_json_object(a, "an atom") for a in atoms]
             pts = [_numbers(a["point"], 'an atom\'s "point"') for a in atoms]
             masses = [_number(a["mass"], 'an atom\'s "mass"') for a in atoms]
-            sigma = make_measure(pts, masses, body.get("reference_norm", "l1"))
+            sigma = _from_reference(pts, masses, body.get("reference_norm", "l1"))
         else:
             vertices = np.asarray(spec["polygon"]["vertices"], float)
             sigma = spectral_from_polygon_2d(Polygon2D.from_chain(vertices))
@@ -328,7 +329,7 @@ def write_json(path, doc):
 def _measure_to_spec(sigma):
     point = ", ".join(["%r"] * sigma.d)
     return {
-        "reference_norm": sigma.reference,
+        "reference_norm": "l1",
         "atoms": _json_rows('{"mass": %r, "point": [' + point + "]}", sigma.masses, sigma.atoms),
     }
 
@@ -555,7 +556,7 @@ def build_parser():
     common(p, model=False)
     p.add_argument("--data", required=True, help="CSV of positive observations")
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--reference", default="l1", choices=["l1", "l2", "linf"])
+    p.add_argument("--reference", default="l1", choices=REFERENCE_NORMS)
 
     p = sub.add_parser("quantile", help="planar quantile curve of the cdf")
     common(p)
@@ -567,7 +568,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--s-grid", required=True, help="increasing thresholds, comma-separated")
     p.add_argument("--grid", type=int, default=None, help="direction grid size")
-    p.add_argument("--reference", default="l1", choices=["l1", "l2", "linf"])
+    p.add_argument("--reference", default="l1", choices=REFERENCE_NORMS)
 
     return parser
 

@@ -20,7 +20,7 @@ from .geometry import (
     subset_indicator_lattice,
     zonoid_from_spectral,
 )
-from .spectral import _ByKey, _close_to_normalized
+from .spectral import _ByKey, _close_to_normalized, _point_rows
 
 
 class SampleMatrix(_ByKey):
@@ -30,10 +30,9 @@ class SampleMatrix(_ByKey):
     _fields = ("values", "seed", "method", "n_points")
 
     def __init__(self, values, seed=None, method=None, n_points=None):
-        v = np.atleast_2d(np.asarray(values, dtype=float))
+        v = _point_rows(values)
         if not ((v > 0) & (v < np.inf)).all():  # NaN fails both
             raise ValueError("samples must be finite and strictly positive")
-        v = v.copy()
         v.setflags(write=False)
         self._set(v, seed, method, n_points)
 
@@ -229,8 +228,8 @@ def exponent_density(model, z):
 def max_stability_check(model, n_fold=2, grid=None):
     """Max deviation of F(n x)^n from F(x) over a grid; zero (up to
     floating error) exactly when the support function is homogeneous."""
-    if not n_fold >= 2:  # NaN fails
-        raise ValueError("need n_fold >= 2")
+    if not 2 <= n_fold < np.inf:  # NaN fails
+        raise ValueError(f"need a finite n_fold >= 2, got {n_fold!r}")
     if grid is None:
         axes = np.linspace(0.6, 3.0, 5)
         grid = np.array(np.meshgrid(*[axes] * model.d)).reshape(model.d, -1).T

@@ -2,6 +2,7 @@
 exceedances, half-plane estimation of planar dependency sets, and
 Hausdorff convergence diagnostics."""
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -15,12 +16,12 @@ from .geometry import (
     normalize_dependency,
     zonoid_from_spectral,
 )
-from .spectral import make_measure, reference_norm_of
+from .spectral import _from_reference, reference_norm_of
 
 
 DirectionEstimate = namedtuple("DirectionEstimate", "direction value clipped", defaults=(False,))
-DirectionEstimate.__doc__ = """An estimated stable-tail-dependence value for one direction on
-the reference sphere; values outside the coherent band
+DirectionEstimate.__doc__ = """An estimated stable-tail-dependence value for one direction in
+the nonnegative orthant; values outside the coherent band
 [max_i u_i, sum_i u_i] are clipped and flagged."""
 
 
@@ -33,10 +34,10 @@ def direction_estimate(direction, value):
 
 def empirical_spectral(samples, s, reference="l1"):
     """Empirical exceedance measure: one atom z/|z| of mass s/n per
-    observation with |z| >= s."""
+    observation with reference norm |z| >= s, restated on the l1 simplex."""
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
-    if not s > 0:  # NaN fails
-        raise ValueError("threshold must be positive")
+    if not isinstance(s, numbers.Real) or not s > 0:  # NaN fails
+        raise ValueError(f"threshold must be positive, got {s!r}")
     return _exceedance_measure(X, reference_norm_of(X, reference), s, reference)
 
 
@@ -49,7 +50,7 @@ def _exceedance_measure(X, norms, s, reference):
             f"no exceedances above s={s:g} (max norm {norms.max():g}); "
             "lower the threshold"
         )
-    return make_measure(X[hit] / norms[hit, None], np.full(n_exc, s / X.shape[0]), reference)
+    return _from_reference(X[hit] / norms[hit, None], np.full(n_exc, s / X.shape[0]), reference)
 
 
 def estimate_zonoid_2d(estimates):

@@ -24,6 +24,7 @@ from .geometry import (
     MaxZonoid,
     Polygon2D,
     _as_count,
+    _as_dimension,
     _fold,
     _grid_gap,
     _lattice_orbits,
@@ -41,7 +42,6 @@ from .spectral import (
     _close_to_normalized,
     _normalized,
     make_measure,
-    rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
 )
@@ -170,9 +170,7 @@ def make_family(name, d=2, **params):
     each a real number (_real) but the weight matrix; ValueError on a
     missing, extra or out-of-range one, or a d that is not a positive
     integer (2 for a bivariate family)."""
-    d = _as_count(d, "d")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = _as_dimension(d)
     if not isinstance(name, str) or name not in _PARAMS:
         raise ValueError(f"unknown family {name!r}")
     extra = sorted(set(params) - set(_PARAMS[name]))
@@ -248,7 +246,7 @@ def _renormalize_marginals(sigma):
     s = sigma.marginal_sums()
     if np.abs(s - 1.0).max() == 0.0:
         return sigma
-    return spectral_from_points(sigma.atoms / s, sigma.masses, sigma.reference)
+    return spectral_from_points(sigma.atoms / s, sigma.masses)
 
 
 def discretize(K, m=1000, n_eval=2048):
@@ -300,12 +298,12 @@ def discretize(K, m=1000, n_eval=2048):
     if not _close_to_normalized(K.marginals()):
         raise ValueError(f"discretize needs marginal sums 1 within DEP_TOL (every h(K, e_i)), got {K.marginals()}")
     if K.spectral is not None:
-        sigma = _renormalize_marginals(rebase_reference(K.spectral, "l1"))
+        sigma = _renormalize_marginals(K.spectral)
         return DiscretizeResult(sigma, Estimate(0.0, 0.0, "atoms", 0))
     if K.d == 2:
         t = 0.5 * (1.0 - np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
         chain = _norm_chain(K, np.column_stack([t, 1.0 - t])[::-1])  # anticlockwise
-        sigma = _renormalize_marginals(spectral_from_polygon_2d(chain, "l1"))
+        sigma = _renormalize_marginals(spectral_from_polygon_2d(chain))
         E, method = _quarter_circle(n_eval - 1), "planar-chain"
     else:
         if m < K.d:
@@ -327,13 +325,13 @@ def _fit_nnls(K, m):
     label, row, root, A, G = _fit_design(K.d, m, n_fit, symmetric)
     w = _nnls_bpp(A, np.bincount(row, weights=b) / root, G)[label]
     keep = w > 1e-12
-    sigma = make_measure(atoms[keep], w[keep], "l1")
+    sigma = make_measure(atoms[keep], w[keep])
     if not symmetric:
         return _renormalize_marginals(sigma)
     # the marginal sums are equal in exact arithmetic: one common factor keeps
     # the masses equal on each atom orbit, where a factor per coordinate would
     # carry their rounding (up to 7.8e-16 apart at d = 3, m = 500) into the fit
-    return make_measure(atoms[keep], w[keep] / sigma.marginal_sums().mean(), "l1")
+    return make_measure(atoms[keep], w[keep] / sigma.marginal_sums().mean())
 
 
 @functools.lru_cache(maxsize=4)

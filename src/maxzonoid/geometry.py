@@ -28,7 +28,6 @@ from .spectral import (
     _point_keys,
     _row_sum,
     make_measure,
-    rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
 )
@@ -188,17 +187,19 @@ def zonoid_from_spectral(sigma):
 
 def cross_polytope(apex):
     """conv{0, apex_1 e_1, ..., apex_d e_d}; support max_i max(0, apex_i x_i)."""
-    apex = np.asarray(apex, dtype=float)
-    return MaxZonoid(d=apex.size, spectral=spectral_from_points([apex]))
+    sigma = spectral_from_points([apex])
+    return MaxZonoid(d=sigma.d, spectral=sigma)
 
 
 def unit_cube(d):
-    """Independence body [0,1]^d: unit atoms on the coordinate axes."""
+    """Independence body [0,1]^d: unit atoms on the coordinate axes (_as_dimension)."""
+    d = _as_dimension(d)
     return DependencySet(d=d, spectral=make_measure(np.eye(d), np.ones(d)))
 
 
 def unit_cross_polytope(d):
-    """Complete-dependence body conv{0, e_1, ..., e_d}: one diagonal atom."""
+    """Complete-dependence body conv{0, e_1, ..., e_d}: one diagonal atom (_as_dimension)."""
+    d = _as_dimension(d)
     return DependencySet(d=d, spectral=make_measure(np.full((1, d), 1.0 / d), [float(d)]))
 
 
@@ -428,9 +429,7 @@ def _image(parts, d):
             c[:, src] = K.spectral.atoms[:, dst] * lam
             pts.append(c)
             w.append(K.spectral.masses)
-        sigma = spectral_from_points(
-            np.vstack(pts), np.concatenate(w), parts[0][0].spectral.reference
-        )
+        sigma = spectral_from_points(np.vstack(pts), np.concatenate(w))
         return MaxZonoid(d=d, spectral=sigma)
 
     def lift(K, src, dst, lam, X):
@@ -503,7 +502,6 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         s1, s2 = K1.spectral, K2.spectral
         if s1 is None or s2 is None:
             raise ValueError("spectral difference needs discrete representations")
-        s2 = rebase_reference(s2, s1.reference)
         masses = s1.masses.copy()
         for atom, m2 in zip(s2.atoms, s2.masses):
             dist = np.abs(s1.atoms - atom).max(axis=1)
@@ -521,7 +519,7 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         keep = masses > ATOM_TOL
         if not keep.any():
             raise ValueError("difference is the degenerate body {0}")
-        sigma = make_measure(s1.atoms[keep], masses[keep], s1.reference)
+        sigma = make_measure(s1.atoms[keep], masses[keep])
         return MaxZonoid(d=d, spectral=sigma)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -865,6 +863,14 @@ def _as_count(n, name):
         return operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
+
+
+def _as_dimension(d):
+    """d as a Python int of at least 1 (_as_count), else ValueError."""
+    d = _as_count(d, "d")
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    return d
 
 
 def _grid_size(d, grid_n):

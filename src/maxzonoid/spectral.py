@@ -1,10 +1,10 @@
-"""Discrete spectral measures on a reference sphere.
+"""Discrete spectral measures on the l1 simplex.
 
-A measure is a finite list of weighted atoms on the unit sphere of a
-reference norm (l1 simplex by default) restricted to the nonnegative
-orthant.  Measures are the canonical representation of max-zonoids:
-every finite atom list induces a valid body, and every implemented
-body operation maps atom lists to atom lists.
+A measure is a finite list of weighted atoms on the l1 simplex in the
+nonnegative orthant; h reads only mass * atom, so one sphere gives each
+body one atom list.  Measures are the canonical representation of
+max-zonoids: every finite atom list induces a valid body, and every
+implemented body operation maps atom lists to atom lists.
 """
 
 from collections import namedtuple
@@ -47,9 +47,8 @@ def _row_sum(P):
     return _fold(np.add, [0.0, *P.T]) if P.shape[1] < 8 else P.sum(axis=1)
 
 
-def reference_norm_of(points, reference):
-    """Row-wise reference norm of nonnegative points, shape (m,), in whole columns."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def reference_norm_of(pts, reference):
+    """Row-wise reference norm of (m, d) nonnegative float points, shape (m,), in whole columns."""
     if reference == "l1":
         return _row_sum(pts)
     if reference == "l2":
@@ -57,6 +56,30 @@ def reference_norm_of(points, reference):
     if reference == "linf":
         return _fold(np.maximum, pts.T)
     raise ValueError(f"unknown reference norm {reference!r}")
+
+
+def _from_reference(points, masses, reference):
+    """make_measure of atoms on a reference norm's sphere, each mass times |atom|_1 / |atom|_reference."""
+    pts = _point_rows(points)
+    if reference != "l1":
+        masses = _mass_list(masses, len(pts)) * _row_sum(pts) / reference_norm_of(pts, reference)
+    return make_measure(pts, masses)
+
+
+def _point_rows(points):
+    """points as a new C-ordered (n, d) float array, n and d at least 1, else ValueError."""
+    pts = np.atleast_2d(np.array(points, dtype=float, order="C"))
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError(f"points must form an (n, d) array with n, d >= 1, not one of shape {pts.shape}")
+    return pts
+
+
+def _mass_list(masses, n):
+    """masses as a new (n,) float array, one per point, else ValueError."""
+    w = np.atleast_1d(np.array(masses, dtype=float))
+    if w.shape != (n,):
+        raise ValueError(f"need one mass per point: {n} points, masses of shape {w.shape}")
+    return w
 
 
 class _ByKey:
@@ -103,44 +126,34 @@ class _ByKey:
 
 
 class DiscreteSpectralMeasure(_ByKey):
-    """Weighted atoms on the reference sphere in the nonnegative orthant.
+    """Weighted atoms on the l1 simplex in the nonnegative orthant.
 
-    atoms : (m, d) array, each row with unit reference norm
+    atoms : (m, d) array, each row summing to 1
     masses : (m,) positive array
-    reference : one of "l1", "l2", "linf"
     """
 
-    _fields = ("atoms", "masses", "reference")
+    _fields = ("atoms", "masses")
 
-    def __init__(self, atoms, masses, reference="l1"):
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
-        if atoms.ndim != 2 or atoms.shape[0] != masses.shape[0]:
-            raise ValueError("atoms must be (m, d) with one mass per atom")
-        if atoms.shape[0] == 0:
-            raise ValueError("measure needs at least one atom")
+    def __init__(self, atoms, masses):
+        atoms = _point_rows(atoms)
+        masses = _mass_list(masses, len(atoms))
         if not (np.isfinite(atoms).all() and np.isfinite(masses).all()):
             raise ValueError("atoms and masses must be finite")
-        if reference not in REFERENCE_NORMS:
-            raise ValueError(f"unknown reference norm {reference!r}")
         if np.any(atoms < -ATOM_TOL):
             raise ValueError("atoms must lie in the nonnegative orthant")
         if np.any(masses <= 0):
             raise ValueError("masses must be positive")
-        norms = reference_norm_of(atoms, reference)
+        norms = _row_sum(atoms)
         if np.any(np.abs(norms - 1.0) > 1e-7):
             worst = float(np.abs(norms - 1.0).max())
-            raise ValueError(
-                f"atoms must lie on the {reference} sphere (max |norm-1| = {worst:.3g})"
-            )
+            raise ValueError(f"atoms must lie on the l1 sphere (max |norm-1| = {worst:.3g})")
         atoms = np.clip(atoms, 0.0, None) / norms[:, None]
         atoms.setflags(write=False)
-        masses = masses.copy()
         masses.setflags(write=False)
-        self._set(atoms, masses, reference)
+        self._set(atoms, masses)
 
     def _key(self):  # bytes agree as np.array_equal does: finite, and -0.0 + 0.0 is 0.0
-        return self.reference, self.atoms.shape, (self.atoms + 0.0).tobytes(), self.masses.tobytes()
+        return self.atoms.shape, (self.atoms + 0.0).tobytes(), self.masses.tobytes()
 
     @property
     def d(self):
@@ -180,8 +193,8 @@ class DiscreteSpectralMeasure(_ByKey):
 DependencyReport = namedtuple("DependencyReport", "is_dependency marginal_sums total_mass")
 
 
-def make_measure(points, masses, reference="l1"):
-    """Build a measure, merging atoms closer than ATOM_TOL on the sphere.
+def make_measure(points, masses):
+    """Build a measure, points scaled onto the l1 simplex, merging atoms closer than ATOM_TOL.
 
     The atoms are sorted lexicographically by their 9-decimal keys
     (_point_keys), so moving atoms by ulps reorders them only across a
@@ -192,11 +205,10 @@ def make_measure(points, masses, reference="l1"):
     group's mass is the sum of its masses in sorted order.  Grouping
     chains through neighbours, so a group of k rows spans at most
     (k - 1) * ATOM_TOL.  Near-duplicates that the sort puts apart stay
-    separate atoms, which can happen in d >= 3 and at the corner (1, 1)
-    of the l-infinity circle.  Atoms of zero mass are dropped; a negative
-    mass raises ValueError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    w = np.atleast_1d(np.asarray(masses, dtype=float)).copy()
+    separate atoms, which can happen in d >= 3.  Atoms of zero mass are
+    dropped; a negative mass or a bad shape (_point_rows) raises ValueError."""
+    pts = _point_rows(points)
+    w = _mass_list(masses, len(pts))
     if not (np.isfinite(pts).all() and np.isfinite(w).all()):
         raise ValueError("atoms and masses must be finite")
     if np.any(w < 0):
@@ -205,7 +217,9 @@ def make_measure(points, masses, reference="l1"):
     pts, w = pts[keep], w[keep]
     if pts.shape[0] == 0:
         raise ValueError("measure needs at least one atom with positive mass")
-    norms = reference_norm_of(pts, reference)
+    norms = _row_sum(pts)
+    if not (norms > 0).all():  # a zero point has no atom; its NaN row would join a group
+        raise ValueError("a point of positive mass needs a positive coordinate sum")
     pts = pts / norms[:, None]
     if pts.shape[0] > 1:
         order = np.lexsort(np.vstack([_point_keys(pts).T, pts.T])[::-1])
@@ -215,39 +229,26 @@ def make_measure(points, masses, reference="l1"):
         # bincount adds the weights of a group one after another, as a
         # loop would; np.add.reduceat pairs them and rounds differently
         pts, w = pts[start], np.bincount(np.cumsum(start) - 1, weights=w)
-    return DiscreteSpectralMeasure(pts, w, reference)
+    return DiscreteSpectralMeasure(pts, w)
 
 
-def spectral_from_points(points, weights=None, reference="l1"):
+def spectral_from_points(points, weights=None):
     """Measure induced by weighted points anywhere in the orthant.
 
-    Each point z of weight w becomes the atom z/|z| with mass w*|z|;
+    Each point z of weight w becomes the atom z/|z|_1 with mass w*|z|_1;
     zero points are dropped.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if weights is None:
-        weights = np.ones(pts.shape[0])
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    pts = _point_rows(points)
+    w = np.ones(len(pts)) if weights is None else _mass_list(weights, len(pts))
     if np.any(pts < -ATOM_TOL):
         raise ValueError("points must be nonnegative")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    norms = reference_norm_of(pts, reference)
+    norms = _row_sum(pts)
     keep = norms > ATOM_TOL
     if not keep.any():
         raise ValueError("all points are zero")
-    return make_measure(pts[keep], w[keep] * norms[keep], reference)
-
-
-def rebase_reference(sigma, new_reference):
-    """Re-express atoms on another reference sphere; the induced body
-    (and its support function) is unchanged."""
-    if new_reference == sigma.reference:
-        return sigma
-    norms = reference_norm_of(sigma.atoms, new_reference)
-    return DiscreteSpectralMeasure(
-        sigma.atoms / norms[:, None], sigma.masses * norms, new_reference
-    )
+    return make_measure(pts[keep], w[keep] * norms[keep])
 
 
 def validate_dependency(sigma):
@@ -256,17 +257,17 @@ def validate_dependency(sigma):
     return DependencyReport(_close_to_normalized(marg), marg, sigma.total_mass)
 
 
-def spectral_from_polygon_2d(polygon, reference="l1"):
+def spectral_from_polygon_2d(polygon):
     """Edge measure of a planar chain polygon.
 
-    Consecutive chain vertices a, b contribute the atom u/|u| with mass
-    |u| where u = (a_1 - b_1, b_2 - a_2).  With the l2 reference this is
-    the length measure of the reflected body restricted to the positive
-    quadrant.
+    Consecutive chain vertices a, b contribute the atom u/|u|_1 with mass
+    |u|_1 where u = (a_1 - b_1, b_2 - a_2).  Stated on the l2 circle, as
+    u/|u|_2 with mass |u|_2, this is the length measure of the reflected
+    body restricted to the positive quadrant.
     """
     verts = polygon.vertices
     a, b = verts[:-1], verts[1:]
     u = np.column_stack([a[:, 0] - b[:, 0], b[:, 1] - a[:, 1]])
     if np.any(u < -ATOM_TOL):
         raise ValueError("polygon chain is not anticlockwise monotone")
-    return spectral_from_points(np.clip(u, 0.0, None), reference=reference)
+    return spectral_from_points(np.clip(u, 0.0, None))

@@ -87,7 +87,7 @@ def _construct_by_loop(table):
             e[list(B)] = 1.0 / len(B)
             points.append(e)
             masses.append(cB * len(B))
-    return make_measure(points, masses, "l1")
+    return make_measure(points, masses)
 
 
 class TestLattice:

@@ -808,7 +808,7 @@ class TestOneDimension:
 def _dict_spec(sigma):
     """The atoms as json.dumps writes them from one dict per atom."""
     return {
-        "reference_norm": sigma.reference,
+        "reference_norm": "l1",
         "atoms": [{"point": p.tolist(), "mass": float(m)} for p, m in zip(sigma.atoms, sigma.masses)],
     }
 

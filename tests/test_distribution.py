@@ -579,3 +579,9 @@ class TestMaxStability:
     def test_nfold_validation(self, models):
         with pytest.raises(ValueError, match="n_fold"):
             max_stability_check(models["ind"], 1)
+
+    def test_nfold_must_be_finite(self, models):
+        # F(inf * x)^inf is 1^inf, nan or 0, not a deviation
+        with pytest.raises(ValueError, match="finite n_fold"):
+            max_stability_check(models["ind"], float("inf"))
+        assert max_stability_check(models["ind"], 2.5) < 1e-12

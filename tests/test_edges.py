@@ -20,6 +20,7 @@ from maxzonoid import (
     unit_cube,
 )
 from maxzonoid.geometry import _polygon_of
+from maxzonoid.spectral import _from_reference
 
 from conftest import polygon_support
 
@@ -336,9 +337,31 @@ class TestSpectralGuards:
         with pytest.raises(ValueError, match="d = 2"):
             mz.polygon_from_spectral(make_measure(np.eye(3), np.ones(3)))
 
+    @pytest.mark.parametrize("call", [
+        lambda: make_measure(np.zeros((2, 0)), [1.0, 1.0]),
+        lambda: mz.spectral_from_points(np.ones((2, 2, 2))),
+        lambda: mz.cross_polytope(np.ones((2, 3))),
+        lambda: unit_cross_polytope(0),
+        lambda: unit_cube(2.5),
+    ], ids=["no coordinates", "3-d points", "2-d apex", "d = 0", "d = 2.5"])
+    def test_bad_shape_or_dimension_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match=r"\(n, d\) array|dimension|integer"):
+            call()
+
+    @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [0.0, 1.0]]])
+    def test_a_point_without_direction_is_refused(self, points):
+        with pytest.raises(ValueError, match="positive coordinate sum"):
+            make_measure(points, [1.0, 1.0])
+
+    def test_one_mass_per_atom(self):
+        with pytest.raises(ValueError, match="one mass per point"):
+            make_measure(np.eye(3), [1.0, 1.0])
+        with pytest.raises(ValueError, match="one mass per point"):
+            mz.spectral_from_points(np.eye(3), [1.0, 1.0])
+
     def test_unknown_reference(self):
         with pytest.raises(ValueError, match="reference"):
-            make_measure([[1.0, 0.0]], [1.0], "l3")
+            _from_reference([[1.0, 0.0]], [1.0], "l3")
 
 
 class TestAlternationGuards:

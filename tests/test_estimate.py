@@ -14,6 +14,7 @@ from maxzonoid import (
     unit_cross_polytope,
     unit_cube,
     zonoid_from_polygon,
+    zonoid_from_spectral,
 )
 from maxzonoid.estimate import DirectionEstimate
 
@@ -35,6 +36,25 @@ class TestEmpiricalSpectral:
         sigma = empirical_spectral(X, 10.0)
         np.testing.assert_allclose(sigma.atoms.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(sigma.masses > 0)
+
+    def test_l2_exceedances_are_the_l2_measure(self, rng):
+        X = rng.pareto(1.0, size=(2000, 2)) + 1.0
+        s, n = 10.0, X.shape[0]
+        hit = np.hypot(X[:, 0], X[:, 1]) >= s
+        # the l1 sum selects others: the exceedance norm is not ignored
+        assert hit.sum() != (X.sum(axis=1) >= s).sum()
+        sigma = empirical_spectral(X, s, "l2")
+        atoms = X[hit] / np.hypot(X[hit, 0], X[hit, 1])[:, None]
+        U = directions(257)
+        h_hand = (s / n) * (atoms[None, :, :] * U[:, None, :]).max(axis=2).sum(axis=1)
+        K = zonoid_from_spectral(sigma)
+        np.testing.assert_allclose(support_function(K, U), h_hand, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("samples, s", [(np.full((2, 2, 2), 5.0), 1.0), (np.full((5, 2), 30.0), None)],
+                             ids=["3-d samples", "no threshold"])
+    def test_bad_input_is_a_value_error(self, samples, s):
+        with pytest.raises(ValueError):
+            empirical_spectral(samples, s)
 
     def test_no_exceedances_guidance(self):
         with pytest.raises(ValueError, match="lower the threshold"):

@@ -584,7 +584,7 @@ class TestNnlsBpp:
         # the fit as written before orbits: one mass per lattice atom
         w = families._nnls_bpp(A, _support_finite(K, X))
         keep = w > 1e-12
-        ref = families._renormalize_marginals(make_measure(atoms[keep], w[keep], "l1"))
+        ref = families._renormalize_marginals(make_measure(atoms[keep], w[keep]))
         assert np.array_equal(res.measure.atoms, ref.atoms)
         assert np.array_equal(res.measure.masses, ref.masses)
         # the mass sum is the three unit marginals' 3.0 to rounding; its last

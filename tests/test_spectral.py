@@ -7,16 +7,16 @@ from maxzonoid import (
     DiscreteSpectralMeasure,
     make_measure,
     polygon_from_spectral,
-    rebase_reference,
     spectral_from_points,
     spectral_from_polygon_2d,
     support_function,
+    unit_cube,
     validate_dependency,
     zonoid_from_spectral,
 )
 from maxzonoid.estimate import empirical_spectral
 from maxzonoid.geometry import Polygon2D, hausdorff_distance
-from maxzonoid.spectral import ATOM_TOL, reference_norm_of
+from maxzonoid.spectral import ATOM_TOL, _from_reference, reference_norm_of
 
 from conftest import polygon_support, random_dependency_polygon
 
@@ -31,15 +31,15 @@ def grid_2d(n=512):
 class TestMeasureValidation:
     def test_off_sphere_atom_rejected(self):
         with pytest.raises(ValueError, match="sphere"):
-            DiscreteSpectralMeasure(np.array([[0.5, 0.2]]), np.array([1.0]), "l1")
+            DiscreteSpectralMeasure(np.array([[0.5, 0.2]]), np.array([1.0]))
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            DiscreteSpectralMeasure(np.array([[1.0, 0.0]]), np.array([0.0]), "l1")
+            DiscreteSpectralMeasure(np.array([[1.0, 0.0]]), np.array([0.0]))
 
     def test_negative_atom_rejected(self):
         with pytest.raises(ValueError, match="orthant"):
-            DiscreteSpectralMeasure(np.array([[1.5, -0.5]]), np.array([1.0]), "l1")
+            DiscreteSpectralMeasure(np.array([[1.5, -0.5]]), np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -61,12 +61,12 @@ class TestMeasureValidation:
         assert sigma.total_mass == pytest.approx(3.0)
 
 
-def _merge_by_loop(points, masses, reference):
+def _merge_by_loop(points, masses):
     """The merge as a loop over the sorted rows, each compared with the
     first row of its group and its mass added in sorted order."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(masses, dtype=float)
-    pts = pts / reference_norm_of(pts, reference)[:, None]
+    pts = pts / pts.sum(axis=1)[:, None]
     order = np.lexsort(pts.T[::-1])
     pts, w = pts[order], w[order]
     out_pts, out_w = [pts[0]], [w[0]]
@@ -76,13 +76,12 @@ def _merge_by_loop(points, masses, reference):
         else:
             out_pts.append(p)
             out_w.append(m)
-    return DiscreteSpectralMeasure(np.array(out_pts), np.array(out_w), reference)
+    return DiscreteSpectralMeasure(np.array(out_pts), np.array(out_w))
 
 
 class TestMergeMatchesLoop:
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("reference", ["l1", "l2", "linf"])
-    def test_bit_identical(self, rng, d, reference):
+    def test_bit_identical(self, rng, d):
         base = rng.random((300, d)) + 1e-3
         # a 960-row group of exact copies, where a pairwise sum rounds differently
         big = np.repeat(base[:1], 960, axis=0)
@@ -91,8 +90,8 @@ class TestMergeMatchesLoop:
         pts = np.vstack([base, big, exact, near])
         w = rng.random(pts.shape[0]) + 0.01
         perm = rng.permutation(pts.shape[0])
-        got = make_measure(pts[perm], w[perm], reference)
-        want = _merge_by_loop(pts[perm], w[perm], reference)
+        got = make_measure(pts[perm], w[perm])
+        want = _merge_by_loop(pts[perm], w[perm])
         assert got.n_atoms == want.n_atoms == 300
         assert got.atoms.tobytes() == want.atoms.tobytes()
         assert got.masses.tobytes() == want.masses.tobytes()
@@ -104,7 +103,7 @@ class TestZonoidFromSpectral:
         assert support_function(K, [1.0, 2.0]) == pytest.approx(3.0)
 
     def test_diagonal_atom_makes_cross_polytope(self):
-        sigma = make_measure([[1 / SQRT2, 1 / SQRT2]], [SQRT2], "l2")
+        sigma = _from_reference([[1 / SQRT2, 1 / SQRT2]], [SQRT2], "l2")
         K = zonoid_from_spectral(sigma)
         assert support_function(K, [1.0, 2.0]) == pytest.approx(2.0)
 
@@ -124,12 +123,12 @@ class TestZonoidFromSpectral:
 
 class TestSpectralFromPoints:
     def test_scales_onto_sphere(self):
-        sigma = spectral_from_points([[2.0, 0.0]], [1.0], "l1")
+        sigma = spectral_from_points([[2.0, 0.0]], [1.0])
         np.testing.assert_allclose(sigma.atoms, [[1.0, 0.0]])
         np.testing.assert_allclose(sigma.masses, [2.0])
 
     def test_zero_points_dropped(self):
-        sigma = spectral_from_points([[0.0, 0.0], [1.0, 1.0]], [5.0, 1.0], "l1")
+        sigma = spectral_from_points([[0.0, 0.0], [1.0, 1.0]], [5.0, 1.0])
         assert sigma.n_atoms == 1
 
     def test_function_discretization_matches_integral(self, rng):
@@ -143,45 +142,52 @@ class TestSpectralFromPoints:
         assert support_function(K, x) == pytest.approx(brute, rel=1e-12)
 
 
-class TestRebase:
-    def test_l1_to_l2(self):
-        sigma = make_measure([[0.5, 0.5]], [2.0], "l1")
-        out = rebase_reference(sigma, "l2")
-        np.testing.assert_allclose(out.atoms, [[1 / SQRT2, 1 / SQRT2]])
-        np.testing.assert_allclose(out.masses, [SQRT2])
+class TestFromReference:
+    """Atoms given on the l2 or l-infinity sphere are the same body on the
+    l1 simplex: h reads mass * atom only."""
 
-    def test_same_norm_identity(self):
-        sigma = make_measure([[0.3, 0.7]], [1.5], "l1")
-        assert rebase_reference(sigma, "l1") is sigma
-
-    def test_round_trip(self, rng):
-        sigma = spectral_from_points(rng.random((5, 2)) + 0.1, rng.random(5) + 0.1)
-        back = rebase_reference(rebase_reference(sigma, "linf"), "l1")
-        np.testing.assert_allclose(back.atoms, sigma.atoms, atol=1e-12)
-        np.testing.assert_allclose(back.masses, sigma.masses, atol=1e-12)
-
-    def test_support_function_unchanged(self, rng):
+    @pytest.mark.parametrize("reference", ["l2", "linf"])
+    def test_equals_the_l1_form(self, rng, reference):
         sigma = spectral_from_points(rng.random((7, 3)) + 0.1, rng.random(7) + 0.1)
+        norms = reference_norm_of(sigma.atoms, reference)
+        given = _from_reference(sigma.atoms / norms[:, None], sigma.masses * norms, reference)
+        np.testing.assert_allclose(given.atoms, sigma.atoms, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(given.masses, sigma.masses, rtol=1e-14, atol=0)
         X = rng.random((64, 3)) * 2
-        h1 = support_function(zonoid_from_spectral(sigma), X)
-        for ref in ("l2", "linf"):
-            h2 = support_function(zonoid_from_spectral(rebase_reference(sigma, ref)), X)
-            np.testing.assert_allclose(h2, h1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            support_function(zonoid_from_spectral(given), X),
+            support_function(zonoid_from_spectral(sigma), X),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("reference", ["l2", "linf"])
+    def test_the_cube_given_on_another_sphere_is_the_cube(self, reference):
+        cube = unit_cube(2).spectral
+        given = _from_reference(np.eye(2), [1.0, 1.0], reference)
+        assert given == cube and hash(given) == hash(cube)
+
+    def test_l1_is_passed_on_bit_for_bit(self, rng):
+        pts, w = rng.random((50, 3)) + 1e-3, rng.random(50) + 0.01
+        assert _from_reference(pts, w, "l1") == make_measure(pts, w)  # atoms and masses bit for bit
 
 
 class TestValidateDependency:
     def test_cube_measure(self):
-        rep = validate_dependency(make_measure(np.eye(2), [1.0, 1.0], "l1"))
+        rep = validate_dependency(make_measure(np.eye(2), [1.0, 1.0]))
         assert rep.is_dependency
         assert rep.total_mass == pytest.approx(2.0)
 
     def test_diagonal_l2_mass(self):
-        rep = validate_dependency(make_measure([[1 / SQRT2] * 2], [SQRT2], "l2"))
+        sigma = _from_reference([[1 / SQRT2] * 2], [SQRT2], "l2")
+        rep = validate_dependency(sigma)
         assert rep.is_dependency
-        assert SQRT2 - 1e-12 <= rep.total_mass <= 2.0
+        assert rep.total_mass == pytest.approx(2.0, rel=1e-15)
+        l2_mass = float((sigma.masses * reference_norm_of(sigma.atoms, "l2")).sum())
+        assert SQRT2 - 1e-12 <= l2_mass <= 2.0
 
     def test_unbalanced_measure_flagged(self):
-        rep = validate_dependency(make_measure(np.eye(2), [0.5, 1.0], "l1"))
+        rep = validate_dependency(make_measure(np.eye(2), [0.5, 1.0]))
         assert not rep.is_dependency
         np.testing.assert_allclose(rep.marginal_sums, [0.5, 1.0])
 
@@ -189,29 +195,30 @@ class TestValidateDependency:
 class TestPolygonConversion:
     def test_square_chain_to_atoms(self):
         poly = Polygon2D(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        sigma = spectral_from_polygon_2d(poly, "l1")
+        sigma = spectral_from_polygon_2d(poly)
         assert sigma.n_atoms == 2
         np.testing.assert_allclose(sorted(sigma.atoms.tolist()), [[0, 1], [1, 0]])
         np.testing.assert_allclose(sigma.masses, [1.0, 1.0])
 
     def test_cross_polytope_chain_l2_mass(self):
         poly = Polygon2D(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sigma = spectral_from_polygon_2d(poly, "l2")
-        np.testing.assert_allclose(sigma.atoms, [[1 / SQRT2, 1 / SQRT2]])
-        np.testing.assert_allclose(sigma.masses, [SQRT2])
+        sigma = spectral_from_polygon_2d(poly)
+        np.testing.assert_allclose(sigma.atoms, [[0.5, 0.5]])
+        np.testing.assert_allclose(sigma.masses, [2.0])
+        # on the l2 circle the mass is the edge's length
+        np.testing.assert_allclose(sigma.masses * reference_norm_of(sigma.atoms, "l2"), [SQRT2])
 
     def test_marshall_olkin_half_l2_masses(self):
         from maxzonoid.families import marshall_olkin_polygon
 
-        sigma = spectral_from_polygon_2d(marshall_olkin_polygon(0.5, 0.5), "l2")
-        np.testing.assert_allclose(
-            sorted(sigma.masses.tolist()), [0.5, 0.5, SQRT2 / 2], atol=1e-12
-        )
+        sigma = spectral_from_polygon_2d(marshall_olkin_polygon(0.5, 0.5))
+        l2_masses = sigma.masses * reference_norm_of(sigma.atoms, "l2")
+        np.testing.assert_allclose(sorted(l2_masses.tolist()), [0.5, 0.5, SQRT2 / 2], atol=1e-12)
 
     def test_polygon_round_trip_support(self, rng):
         for _ in range(10):
             poly = random_dependency_polygon(rng)
-            sigma = spectral_from_polygon_2d(poly, "l1")
+            sigma = spectral_from_polygon_2d(poly)
             K = zonoid_from_spectral(sigma)
             U = grid_2d(1024)
             np.testing.assert_allclose(
@@ -220,7 +227,7 @@ class TestPolygonConversion:
 
     def test_support_exact_at_edge_normals(self, rng):
         poly = random_dependency_polygon(rng)
-        sigma = spectral_from_polygon_2d(poly, "l2")
+        sigma = spectral_from_polygon_2d(poly)
         K = zonoid_from_spectral(sigma)
         # edge normals (s, t) from the edge vectors (-t, s)
         a, b = poly.vertices[:-1], poly.vertices[1:]
@@ -256,11 +263,11 @@ class TestPolygonConversion:
 
     def test_materialize_inverse(self, rng):
         poly = random_dependency_polygon(rng)
-        sigma = spectral_from_polygon_2d(poly, "l1")
+        sigma = spectral_from_polygon_2d(poly)
         back = polygon_from_spectral(sigma)
         np.testing.assert_allclose(back.vertices, poly.vertices, atol=1e-9)
 
     def test_dependency_polygon_l1_mass_is_dimension(self, rng):
         for _ in range(5):
-            sigma = spectral_from_polygon_2d(random_dependency_polygon(rng), "l1")
+            sigma = spectral_from_polygon_2d(random_dependency_polygon(rng))
             assert sigma.total_mass == pytest.approx(2.0, abs=1e-9)
