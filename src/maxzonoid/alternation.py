@@ -15,8 +15,8 @@ from math import comb, inf
 import numpy as np
 
 from .distribution import MaxStableModel
-from .geometry import MaxZonoid, _as_count, _indicator_rows, subset_indicator_lattice
-from .spectral import _ByKey, _normalized, _point_keys, _point_rows, make_measure
+from .geometry import MaxZonoid, _as_count, _as_real, _indicator_rows, subset_indicator_lattice
+from .spectral import _ByKey, _normalized, _point_keys, _point_rows, _real_array, make_measure
 
 ALT_TOL = 1e-9
 
@@ -65,11 +65,11 @@ class FiniteMaxLattice(_ByKey):
         _max_table(pts)  # raises unless closed; the table is not kept
         pts.setflags(write=False)
         if values is not None:
-            values = np.array(values, dtype=float)
+            values = _real_array(values, "lattice values")
             if values.shape != (len(pts),):
                 raise ValueError("need one value per lattice point")
-            if not (values >= 0).all():  # NaN fails
-                raise ValueError("lattice values must be nonnegative, not NaN")
+            if not ((values >= 0) & (values < inf)).all():  # NaN fails
+                raise ValueError("lattice values must be nonnegative and finite, not NaN")
             values.setflags(write=False)
         self._set(pts, values, _scaling_condition(pts))
 
@@ -99,7 +99,7 @@ def max_closure(points, max_size=100_000):
     frontier being the last level's new points.  A maximum is new when no
     point held so far has its key (_key_rows, so NaN raises ValueError);
     ValueError as soon as more than max_size points would be held."""
-    pts = _point_rows(points)
+    pts, max_size = _point_rows(points), _as_count(max_size, "max_size")
     seen, frontier, count = np.unique(_key_rows(pts)), pts, len(pts)
     while len(frontier):
         new = []
@@ -131,11 +131,9 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
     pass f=None with a value-carrying FiniteMaxLattice to use its values.
     points must be closed under coordinatewise maxima (see max_closure).
     """
-    if not 0.0 <= tol < inf:  # NaN fails
+    if not 0.0 <= _as_real(tol, "tol") < inf:  # NaN fails
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    max_order = _as_count(max_order, "max_order")
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    max_order, budget = _as_count(max_order, "max_order", 1), _as_count(budget, "budget")
     if isinstance(points, FiniteMaxLattice):
         if f is None:
             if points.values is None:
@@ -150,8 +148,10 @@ def check_alternation(f, points, max_order=3, tol=ALT_TOL, budget=10**7):
     values = np.asarray(f(pts), dtype=float)
     if values.shape != (n,):
         raise ValueError("f must map (n, d) points to (n,) values")
-    if np.isnan(values).any():  # every difference through a NaN is NaN, never above tol
-        raise ValueError(f"f is NaN at {np.isnan(values).sum()} of {n} points")
+    if not np.isfinite(values).all():  # a difference through NaN or inf is NaN, never above tol
+        nan = np.isnan(values).sum()
+        fault = f"NaN at {nan}" if nan else f"infinite at {np.isinf(values).sum()}"
+        raise ValueError(f"f is {fault} of {n} points")
 
     evals = 0
     bases = np.arange(n)
@@ -200,7 +200,7 @@ def check_extremal_consistency(table, tol=ALT_TOL):
 
     Computes g(C) = theta_full - theta_{complement of C}, inverts it on
     the subset lattice, and accepts iff every weight c_B >= -tol."""
-    if not 0.0 <= tol < inf:
+    if not 0.0 <= _as_real(tol, "tol") < inf:  # NaN fails
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     d = table.d
     theta = _theta_array(table)

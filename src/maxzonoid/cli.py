@@ -8,8 +8,13 @@ Model files are JSON documents with exactly one of four forms::
     {"polygon":  {"vertices": [[1, 0], [1, 1], [0, 1]]}}
     {"extremal": {"d": 2, "theta": {"1": 1.0, "2": 1.0, "1,2": 1.5}}}
 
-Subset keys are sorted 1-based index lists like "1,3".  CSV outputs use
-'#'-prefixed metadata lines (seed, version) before the header row.
+Subset keys are 1-based index lists like "1,3", written sorted.  This
+module checks only a file's JSON shape (one form, objects where objects
+belong, each key once, 1-based keys, singleton theta 1 by default, no
+subset missing); every value and numeric option is read by the library's
+reader of its kind, a count, a real, a point batch or mass list, or a
+subset, whose ValueError is the error line.  CSV outputs use '#'-prefixed
+metadata lines (seed, version) before the header row.
 Exit codes: 0 success, 1 usage error, 2 validation failure.
 """
 
@@ -81,13 +86,10 @@ def _by_subset(values):
     return {_subset_key(A): values[A] for A in sorted(values, key=lambda A: (len(A), sorted(A)))}
 
 
-def _parse_subset(key, d):
-    idx = [int(tok) - 1 for tok in str(key).split(",")]
-    if any(i < 0 or i >= d for i in idx):
-        raise ValueError(f"subset {key!r} out of range for d={d}")
-    if len(set(idx)) < len(idx):
-        raise ValueError(f"subset {key!r} names an index twice")
-    return frozenset(idx)
+def _parse_subset(key):
+    """A 1-based subset key "1,3" as the 0-based index tuple (0, 2), in its
+    order: ExtremalTable judges the subset, and "1,2" beside "2,1"."""
+    return tuple(int(tok) - 1 for tok in key.split(","))
 
 
 def _json_object(value, what):
@@ -97,32 +99,9 @@ def _json_object(value, what):
     return value
 
 
-def _number(value, what):
-    """value, which must be a JSON number (true and false are not) that a
-    float can hold, else ValueError naming what."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, not {json.dumps(value)}")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValueError(f"{what} is an integer beyond the float range")
-    return value
-
-
-def _numbers(value, what):
-    """value, which must be a JSON number or a nested list of them."""
-    if isinstance(value, list):
-        for v in value:
-            _numbers(v, what)
-        return value
-    return _number(value, what)
-
-
-def _dimension(value):
-    """A model file's "d", a JSON number of integral value, as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f'"d" must be an integer, not {json.dumps(value)}')
-    return value
+def _json_int(value):
+    """A JSON float of integral value, as "d": 3.0 may be written, as an int; else value as given."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _unique_keys(pairs):
@@ -149,14 +128,11 @@ def load_spec(path):
 
 
 def parse_extremal(body):
-    d = _dimension(body["d"])
+    """The ExtremalTable of an extremal model file's theta, each singleton 1
+    unless given; ValueError at a subset of two or more coordinates missing."""
     theta = _json_object(body["theta"], '"theta"')
-    values = {}
-    for k, v in theta.items():
-        A = _parse_subset(k, d)
-        if A in values:
-            raise ValueError(f'theta names subset {_subset_key(A)} twice, the second time as "{k}"')
-        values[A] = float(_number(v, f'theta "{k}"'))
+    table = ExtremalTable(_json_int(body["d"]), {_parse_subset(k): v for k, v in theta.items()})
+    d, values = table.d, dict(table.values)
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
     subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
@@ -170,9 +146,7 @@ def build_model(spec, form):
     if form == "family":
         body = spec["family"]
         params = _json_object(body.get("params", {}), '"params"')
-        for key, v in params.items():
-            _numbers(v, f'param "{key}"')
-        return MaxStableModel(make_family(body["name"], _dimension(body.get("d", 2)), **params))
+        return MaxStableModel(make_family(body["name"], _json_int(body.get("d", 2)), **params))
     if form in ("spectral", "polygon"):
         if form == "spectral":
             body = spec["spectral"]
@@ -180,12 +154,10 @@ def build_model(spec, form):
             if not isinstance(atoms, list):
                 raise ValueError(f'"atoms" must be a JSON list, not {json.dumps(atoms)}')
             atoms = [_json_object(a, "an atom") for a in atoms]
-            pts = [_numbers(a["point"], 'an atom\'s "point"') for a in atoms]
-            masses = [_number(a["mass"], 'an atom\'s "mass"') for a in atoms]
+            pts, masses = [a["point"] for a in atoms], [a["mass"] for a in atoms]
             sigma = _from_reference(pts, masses, body.get("reference_norm", "l1"))
         else:
-            vertices = np.asarray(spec["polygon"]["vertices"], float)
-            sigma = spectral_from_polygon_2d(Polygon2D.from_chain(vertices))
+            sigma = spectral_from_polygon_2d(Polygon2D.from_chain(spec["polygon"]["vertices"]))
         K = zonoid_from_spectral(sigma)
         if not _close_to_normalized(K.marginals()):
             raise ValueError(
@@ -364,13 +336,8 @@ def _model_with_atoms(model, m_atoms, notes):
 def cmd_eval(args):
     model, spec = load_model(args.model)
     _, pts = read_csv(args.points)
-    d = model.d
-    if args.op == "pickands":
-        if pts.shape[1] != d - 1:
-            raise ValueError(f"pickands needs {d - 1} simplex coordinates per row")
-        vals = pickands(model, pts if d > 2 else pts[:, 0])
-    else:  # the law and its norm take the same model; read_csv rows are 2-D
-        vals = {"cdf": cdf, "copula": copula, "norm": support_function}[args.op](model, pts)
+    # read_csv rows are 2-D: points, or pickands's first d - 1 simplex coordinates
+    vals = {"cdf": cdf, "copula": copula, "pickands": pickands, "norm": support_function}[args.op](model, pts)
     header = [f"x{i + 1}" for i in range(pts.shape[1])] + [args.op]
     rows = np.column_stack([pts, vals])
     write_csv(args.out, header, rows, {"tool": f"maxzonoid {__version__}", "op": args.op})
@@ -381,10 +348,6 @@ def cmd_measures(args):
     model, spec = load_model(args.model)
     d = model.d
     cap = min(d, 4) if args.max_subset_size is None else args.max_subset_size
-    if cap < 1:
-        raise ValueError("--max-subset-size must be at least 1")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     table = extremal_table(model, max_size=cap)
     results = {"theta": _by_subset(table.values)}
     if d == 2:
@@ -487,8 +450,6 @@ def cmd_converge(args):
     model, spec = load_model(args.model)
     _, X = read_csv(args.data)
     s_grid = [float(tok) for tok in args.s_grid.split(",")]
-    if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
-        raise ValueError("threshold grid must be increasing")
     points = convergence_diagnostic(
         X, s_grid, model, reference=args.reference, grid_n=args.grid
     )

@@ -10,6 +10,7 @@ import numpy as np
 from .geometry import (
     Estimate,
     _as_count,
+    _as_real,
     _as_subset,
     _indicator_rows,
     _simplex_quadrature,
@@ -25,17 +26,18 @@ from .spectral import _ByKey
 class ExtremalTable(_ByKey):
     """Map from nonempty coordinate subsets (0-based, read by _as_subset,
     stored as frozensets, each named once) to the extremal coefficients
-    theta_A = h(K, e_A), of d coordinates (_as_count)."""
+    theta_A = h(K, e_A), each a finite real number (_as_real), of d >= 1
+    coordinates (_as_count)."""
 
     _fields = ("d", "values")
 
     def __init__(self, d, values):
-        d, vals = _as_count(d, "d"), {}
+        d, vals = _as_count(d, "d", 1), {}
         for key, v in values.items():
             A = _as_subset(key, d)
             if A in vals:
                 raise ValueError(f"subset {sorted(A)} is named twice, the second time as {key!r}")
-            vals[A] = float(v)
+            vals[A] = _as_real(v, f"extremal coefficient of {sorted(A)}")
             if not math.isfinite(vals[A]):
                 raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")
         self._set(d, vals)
@@ -58,9 +60,7 @@ def extremal_table(model, max_size=None):
     """All theta_A up to the given subset size (default: every subset),
     read in one support_function batch of the subsets asked for."""
     d = model.d
-    max_size = d if max_size is None else _as_count(max_size, "max_size")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    max_size = d if max_size is None else _as_count(max_size, "max_size", 1)
     subsets = [A for k in range(1, min(max_size, d) + 1) for A in combinations(range(d), k)]
     E = _indicator_rows([sum(1 << i for i in A) for A in subsets], d)
     return ExtremalTable(d, dict(zip(map(frozenset, subsets), support_function(model, E))))

@@ -13,6 +13,7 @@ from .geometry import (
     _fold,
     _as_count,
     _as_points,
+    _as_real,
     _mc_chunks,
     _support_checked,
     _support_finite,
@@ -20,7 +21,7 @@ from .geometry import (
     subset_indicator_lattice,
     zonoid_from_spectral,
 )
-from .spectral import _ByKey, _close_to_normalized, _point_rows
+from .spectral import _ByKey, _close_to_normalized, _point_rows, _real_array
 
 
 class SampleMatrix(_ByKey):
@@ -108,7 +109,7 @@ def pickands(model, t):
     For d = 2, t is a scalar (or array) in [0, 1]; in general t holds the
     first d-1 simplex coordinates per row.  A coordinate down to -1e-12 reads as 0.
     """
-    T = np.asarray(t, dtype=float)
+    T = _real_array(t, "t", copy=False)
     if model.d == 2 and (T.ndim == 0 or T.ndim == 1):
         single = T.ndim == 0
         T = np.atleast_1d(T)[:, None]
@@ -131,10 +132,10 @@ def quantile_curve(model, alpha, points_n=200):
     """
     if model.d != 2:
         raise ValueError("quantile curves are planar")
+    alpha = _as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if _as_count(points_n, "points_n") < 2:
-        raise ValueError("a quantile curve needs at least two points")
+    points_n = _as_count(points_n, "points_n", 2)
     theta = np.linspace(1e-6, np.pi / 2 - 1e-6, points_n)
     U = np.column_stack([np.cos(theta), np.sin(theta)])
     P = U / _support_finite(model, U)[:, None]
@@ -154,9 +155,7 @@ def simulate(model, n, seed):
     simulated from its own atoms, the ones its cdf reads; an analytic body
     needs with_discrete() first, which makes its fit the law.
     """
-    n = _as_count(n, "n")
-    if n <= 0:
-        raise ValueError("sample size must be positive")
+    n = _as_count(n, "n", 1)
     sigma = model.spectral
     if sigma is None:
         raise ValueError("model has no atom list; call with_discrete() to discretize first")
@@ -206,7 +205,7 @@ def exponent_density(model, z):
         )
     if model.d not in (2, 3):
         raise ValueError("implemented for d = 2 and d = 3")
-    z = np.asarray(z, dtype=float)
+    z = _real_array(z, "z")
     if z.shape != (model.d,) or np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("evaluation point must be finite positive")
     step = 1e-4 if model.d == 2 else 5e-3
@@ -228,10 +227,10 @@ def exponent_density(model, z):
 def max_stability_check(model, n_fold=2, grid=None):
     """Max deviation of F(n x)^n from F(x) over a grid; zero (up to
     floating error) exactly when the support function is homogeneous."""
-    if not 2 <= n_fold < np.inf:  # NaN fails
+    if not 2 <= _as_real(n_fold, "n_fold") < np.inf:  # NaN fails
         raise ValueError(f"need a finite n_fold >= 2, got {n_fold!r}")
     if grid is None:
         axes = np.linspace(0.6, 3.0, 5)
         grid = np.array(np.meshgrid(*[axes] * model.d)).reshape(model.d, -1).T
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _point_rows(grid, "grid")
     return float(np.abs(cdf(model, n_fold * grid) ** n_fold - cdf(model, grid)).max())

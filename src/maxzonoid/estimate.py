@@ -2,7 +2,6 @@
 exceedances, half-plane estimation of planar dependency sets, and
 Hausdorff convergence diagnostics."""
 
-import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -10,13 +9,14 @@ import numpy as np
 from .distribution import SampleMatrix
 from .geometry import (
     Polygon2D,
+    _as_real,
     _envelope_polygon,
     _ne_chain,
     hausdorff_distance,
     normalize_dependency,
     zonoid_from_spectral,
 )
-from .spectral import _from_reference, reference_norm_of
+from .spectral import _from_reference, _real_array, reference_norm_of
 
 
 DirectionEstimate = namedtuple("DirectionEstimate", "direction value clipped", defaults=(False,))
@@ -26,17 +26,19 @@ the nonnegative orthant; values outside the coherent band
 
 
 def direction_estimate(direction, value):
-    u = np.asarray(direction, dtype=float)
+    u, value = _real_array(direction, "direction"), _as_real(value, "value")
+    if u.ndim != 1 or not ((u >= 0).all() and np.isfinite(u).all() and np.isfinite(value)):
+        raise ValueError("need one finite nonnegative direction and a finite value")
     lo, hi = float(u.max()), float(u.sum())
     v = float(np.clip(value, lo, hi))
-    return DirectionEstimate(u, v, clipped=v != float(value))
+    return DirectionEstimate(u, v, clipped=v != value)
 
 
 def empirical_spectral(samples, s, reference="l1"):
     """Empirical exceedance measure: one atom z/|z| of mass s/n per
     observation with reference norm |z| >= s, restated on the l1 simplex."""
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
-    if not isinstance(s, numbers.Real) or not s > 0:  # NaN fails
+    if not _as_real(s, "threshold") > 0:  # NaN fails
         raise ValueError(f"threshold must be positive, got {s!r}")
     return _exceedance_measure(X, reference_norm_of(X, reference), s, reference)
 
@@ -85,12 +87,14 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     """Hausdorff distance between the normalized empirical max-zonoid at
     each threshold and a target body.  Thresholds without exceedances,
     or whose exceedances leave a coordinate empty, are flagged; bad data,
-    grids, dimensions or a threshold that is not positive and finite
-    fail the whole sweep."""
+    grids, dimensions, or thresholds that are not positive, finite and
+    increasing fail the whole sweep."""
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
-    s_grid = np.asarray(s_grid, dtype=float)
-    if not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
+    s_grid = _real_array(s_grid, "thresholds")
+    if s_grid.ndim != 1 or not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
         raise ValueError("thresholds must be positive and finite")
+    if (np.diff(s_grid) <= 0).any():
+        raise ValueError("threshold grid must be increasing")
     norms = reference_norm_of(X, reference)
     out = []
     for s in s_grid:

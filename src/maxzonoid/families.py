@@ -12,7 +12,6 @@ to 2e-13 relative wherever Phi exceeds 1e-300.
 
 import functools
 import math
-import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from .geometry import (
     MaxZonoid,
     Polygon2D,
     _as_count,
-    _as_dimension,
+    _as_real,
     _fold,
     _grid_gap,
     _lattice_orbits,
@@ -41,6 +40,7 @@ from .geometry import (
 from .spectral import (
     _close_to_normalized,
     _normalized,
+    _point_rows,
     make_measure,
     spectral_from_points,
     spectral_from_polygon_2d,
@@ -153,24 +153,12 @@ _PARAMS = {"independence": (), "dependence": (), "logistic": ("p",), "matrix_wei
 _BIVARIATE = {"neg_logistic": "negative logistic", "husler_reiss": "Husler-Reiss", "marshall_olkin": "Marshall-Olkin"}
 
 
-def _real(params, name):
-    """params[name] as a float: ValueError, not TypeError, for anything but
-    a real number within the float range (True and False are not)."""
-    v = params[name]
-    try:
-        if isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)):
-            return float(v)
-    except OverflowError:
-        pass
-    raise ValueError(f"parameter {name!r} must be a real number, got {v!r}")
-
-
 def make_family(name, d=2, **params):
     """Build the named dependency set from exactly its parameters (_PARAMS),
-    each a real number (_real) but the weight matrix; ValueError on a
-    missing, extra or out-of-range one, or a d that is not a positive
-    integer (2 for a bivariate family)."""
-    d = _as_dimension(d)
+    each a real number (_as_real) but the weight matrix, a point batch
+    (_point_rows); ValueError on a missing, extra or out-of-range one, or a
+    d that is not a positive integer (2 for a bivariate family)."""
+    d = _as_count(d, "d", 1)
     if not isinstance(name, str) or name not in _PARAMS:
         raise ValueError(f"unknown family {name!r}")
     extra = sorted(set(params) - set(_PARAMS[name]))
@@ -181,12 +169,13 @@ def make_family(name, d=2, **params):
         raise ValueError(f"family {name!r} is missing parameters {missing}")
     if name in _BIVARIATE and d != 2:
         raise ValueError(f"{_BIVARIATE[name]} family is bivariate")
+    params = {k: v if k == "matrix" else _as_real(v, f"parameter {k!r}") for k, v in params.items()}
     if name == "independence":
         return unit_cube(d)
     if name == "dependence":
         return unit_cross_polytope(d)
     if name == "logistic":
-        p = _real(params, "p")
+        p = params["p"]
         if not p >= 1:
             raise ValueError("logistic exponent must satisfy p >= 1")
         if np.isinf(p):
@@ -195,7 +184,7 @@ def make_family(name, d=2, **params):
             return unit_cube(d)
         return as_dependency(MaxZonoid(d=d, norm=_logistic_norm(d, p)))
     if name == "neg_logistic":
-        lam, p = _real(params, "lam"), _real(params, "p")
+        lam, p = params["lam"], params["p"]
         if not 0.0 <= lam <= 1.0:
             raise ValueError("negative logistic weight must lie in [0, 1]")
         if not p <= 0:
@@ -204,7 +193,7 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_neg_logistic_norm(lam, p)))
     if name == "husler_reiss":
-        lam = _real(params, "lam")
+        lam = params["lam"]
         if not lam >= 0:
             raise ValueError("Husler-Reiss parameter must be nonnegative")
         if lam == 0.0:
@@ -213,15 +202,12 @@ def make_family(name, d=2, **params):
             return unit_cube(2)
         return as_dependency(MaxZonoid(d=2, norm=_husler_reiss_norm(lam)))
     if name == "marshall_olkin":
-        a1, a2 = _real(params, "alpha1"), _real(params, "alpha2")
+        a1, a2 = params["alpha1"], params["alpha2"]
         if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0):
             raise ValueError("Marshall-Olkin parameters must lie in [0, 1]")
         return as_dependency(zonoid_from_polygon(marshall_olkin_polygon(a1, a2)))
-    try:  # matrix_weights
-        A = np.atleast_2d(np.asarray(params["matrix"], dtype=float))
-    except TypeError:
-        raise ValueError(f"weight matrix must hold real numbers, got {params['matrix']!r}") from None
-    if A.ndim != 2 or A.shape[1] != d:
+    A = _point_rows(params["matrix"], "weight matrix")  # matrix_weights
+    if A.shape[1] != d:
         raise ValueError(f"weight matrix must have {d} columns, not shape {A.shape}")
     if not np.all(A >= 0):
         raise ValueError("weights must be nonnegative")
@@ -289,9 +275,7 @@ def discretize(K, m=1000, n_eval=2048):
     whole lattice's count.  A NaN support value of K, on the fit lattice or
     the error directions, raises ValueError (_support_finite).
     """
-    m, n_eval = _as_count(m, "m"), _as_count(n_eval, "n_eval")
-    if m < 2:
-        raise ValueError("need at least two atoms")
+    m, n_eval = _as_count(m, "m", 2), _as_count(n_eval, "n_eval")
     least = K.d * (K.d + 1) // 2  # 3 on the quarter circle, the resolution-2 lattice in d >= 3
     if K.d > 1 and n_eval < least:
         raise ValueError(f"n_eval = {n_eval} holds no off-axis direction in d = {K.d}; need {least}")

@@ -23,9 +23,12 @@ from .spectral import (
     ATOM_TOL,
     _ByKey,
     _close_to_normalized,
+    _is_real,
     _nondegenerate,
     _normalized,
     _point_keys,
+    _point_rows,
+    _real_array,
     _row_sum,
     make_measure,
     spectral_from_points,
@@ -49,8 +52,8 @@ class Polygon2D(_ByKey):
     _fields = ("vertices",)
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
+        v = _point_rows(vertices, "polygon vertices")  # a copy
+        if v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("polygon chain needs at least two 2-D vertices")
         if not np.isfinite(v).all():
             raise ValueError("polygon vertices must be finite")
@@ -58,7 +61,6 @@ class Polygon2D(_ByKey):
             raise ValueError("polygon vertices must be nonnegative")
         if abs(v[0, 1]) > EPS or abs(v[-1, 0]) > EPS:
             raise ValueError("chain must start on the x-axis and end on the y-axis")
-        v = v.copy()
         v[0, 1] = 0.0
         v[-1, 0] = 0.0
         v.setflags(write=False)
@@ -104,7 +106,7 @@ class AnalyticNorm(_ByKey):
     _fields = ("name", "d", "fn", "grad", "params")
 
     def __init__(self, name, d, fn, grad=None, params=()):
-        self._set(name, d, fn, grad, params)
+        self._set(name, _as_count(d, "d", 1), fn, grad, params)
 
     def _key(self):
         return self.name, self.d, self.params
@@ -117,6 +119,7 @@ class MaxZonoid(_ByKey):
     _fields = ("d", "spectral", "norm")
 
     def __init__(self, d, spectral=None, norm=None):
+        d = _as_count(d, "d", 1)
         if (spectral is None) == (norm is None):
             raise ValueError("exactly one representation must be given")
         if spectral is not None and spectral.d != d:
@@ -192,14 +195,14 @@ def cross_polytope(apex):
 
 
 def unit_cube(d):
-    """Independence body [0,1]^d: unit atoms on the coordinate axes (_as_dimension)."""
-    d = _as_dimension(d)
+    """Independence body [0,1]^d: unit atoms on the coordinate axes (_as_count)."""
+    d = _as_count(d, "d", 1)
     return DependencySet(d=d, spectral=make_measure(np.eye(d), np.ones(d)))
 
 
 def unit_cross_polytope(d):
-    """Complete-dependence body conv{0, e_1, ..., e_d}: one diagonal atom (_as_dimension)."""
-    d = _as_dimension(d)
+    """Complete-dependence body conv{0, e_1, ..., e_d}: one diagonal atom (_as_count)."""
+    d = _as_count(d, "d", 1)
     return DependencySet(d=d, spectral=make_measure(np.full((1, d), 1.0 / d), [float(d)]))
 
 
@@ -224,8 +227,8 @@ def polygon_from_spectral(sigma):
 
 
 def _as_points(x, d, what="points"):
-    """x as an (n, d) float array, and whether it was one point (d,)."""
-    X = np.asarray(x, dtype=float)
+    """x as an (n, d) float array (_real_array), and whether it was one point (d,)."""
+    X = _real_array(x, what, copy=False)
     single = X.ndim == 1
     X = np.atleast_2d(X)
     if X.ndim != 2 or X.shape[1] != d:
@@ -236,13 +239,17 @@ def _as_points(x, d, what="points"):
 def _support_finite(K, X):
     """h(K, X) on an (n, d) batch of finite nonnegative points, X >= 0, the
     one read of the support function; the kernel does not clamp planar
-    points (_kernels.support_sum).  Only a norm can give NaN, which is no
-    answer: it raises ValueError."""
+    points (_kernels.support_sum).  A norm's values are checked in one pass:
+    one value a point, none NaN or negative, else ValueError."""
     if K.spectral is not None:
         return _kernels.support_sum(K.spectral.chain if K.d == 2 else K.spectral.scaled_atoms, X)
     h = np.asarray(K.norm.fn(X), dtype=float)
-    if np.isnan(h).any():
-        raise ValueError(f"support function is NaN at {np.isnan(h).sum()} of {h.size} points")
+    if h.shape != X.shape[:1]:
+        raise ValueError(f"support function gave values of shape {h.shape} for {len(X)} points")
+    if not (h >= 0).all():  # NaN fails too
+        nan = np.isnan(h).sum()
+        fault = f"NaN at {nan}" if nan else f"negative at {(h < 0).sum()}"
+        raise ValueError(f"support function is {fault} of {h.size} points")
     return h
 
 
@@ -254,8 +261,9 @@ def support_function(K, x):
     +inf on a coordinate where the body has extent gives +inf: every
     coordinate of an analytic norm, those of an atom list where some scaled
     atom exceeds ATOM_TOL.  Any other +inf counts as 0 (0 * inf = 0 in atom
-    products, matching marginalization).  A NaN direction, or a NaN value of
-    a norm (_support_finite), raises ValueError.
+    products, matching marginalization).  A NaN direction, or a norm value
+    that is NaN, negative or not one a point (_support_finite), raises
+    ValueError.
     """
     X, single = _as_points(x, K.d, "directions")
     if not (X >= 0).all():  # NaN fails too
@@ -455,7 +463,7 @@ def _image(parts, d):
 
 def scale(K, lam):
     """Coordinatewise rescaled body: h(scale(K, lam), x) = h(K, lam * x)."""
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (K.d,))
+    lam = np.broadcast_to(_real_array(lam, "scale factors"), (K.d,))
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise ValueError("scale factors must be positive finite")
     if np.all(lam == 1.0):
@@ -489,14 +497,14 @@ def minkowski_combine(K1, K2, lam, mode="sum"):
         raise ValueError("bodies must share a dimension")
     d = K1.d
     if mode == "sum":
-        lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (d,))
+        lam_v = np.broadcast_to(_real_array(lam, "weights"), (d,))
         if not ((0 <= lam_v) & (lam_v <= 1)).all():  # NaN fails
             raise ValueError("weights must lie in [0, 1]")
         idx = np.arange(d)
         out = _image([(K1, idx, idx, lam_v), (K2, idx, idx, 1.0 - lam_v)], d)
         return _rewrap(out, K1, K2)
     if mode == "difference":
-        lam_s = float(lam)
+        lam_s = _as_real(lam, "difference weight")
         if not 0 < lam_s < math.inf:
             raise ValueError(f"difference weight must be positive and finite, got {lam_s!r}")
         s1, s2 = K1.spectral, K2.spectral
@@ -619,6 +627,7 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
     supporting-line envelope."""
     if K1.d != 2 or K2.d != 2:
         raise ValueError("planar combination requires d = 2")
+    directions = _as_count(directions, "directions", 1)
     if mode == "hull":
         V = [_polygon_of(K, directions).vertices for K in (K1, K2)]
         return as_dependency(zonoid_from_polygon(_ne_chain(np.vstack(V))))
@@ -626,8 +635,9 @@ def combine_2d(K1, K2, mode, p=2.0, lam=0.5, directions=512):
         polar = _ne_chain(np.vstack([polar_2d(K, directions).vertices for K in (K1, K2)]))
         return as_dependency(zonoid_from_polygon(_envelope_polygon(polar.vertices, 1.0)))
     if mode == "power_mean":
-        if p < 1:
-            raise ValueError("power-mean exponent must be >= 1")
+        p, lam = _as_real(p, "p"), _as_real(lam, "lam")
+        if not 1 <= p < math.inf:  # NaN fails
+            raise ValueError("power-mean exponent must be finite and >= 1")
         if not (0.0 <= lam <= 1.0):
             raise ValueError("power-mean weight must lie in [0, 1]")
         U = _quarter_circle(directions)
@@ -648,6 +658,7 @@ def polar_2d(K, directions=4096):
     vertex lies; inscribed for a norm, with u on the quarter circle."""
     if K.d != 2:
         raise ValueError("polar materialization requires d = 2")
+    directions = _as_count(directions, "directions", 1)
     if K.norm is not None:
         U = _quarter_circle(directions)
     else:
@@ -767,7 +778,8 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     the N x N rule on the kinks of a d = 3 atom list.  mc: rejection
     sampling on the bounding box prod [0, 1/h(e_i)] with a binomial
     standard error taken at p = (accepted + 1)/(n + 2): of order box_vol/n
-    even if p^ is 0 or 1.  auto: quadrature for d <= 3, else mc.  A body
+    even if p^ is 0 or 1.  auto: quadrature for d <= 3, else mc.  n is
+    read by every method, a count of at least 1 (_as_count).  A body
     with some h(K, e_i) at most 1e-9 has an unbounded polar: it, or a NaN
     h(K, e_i), raises ValueError.
     """
@@ -775,14 +787,13 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
         method = "quadrature" if K.d in (2, 3) else "mc"
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    extents = K.marginals()
+    n, extents = _as_count(n, "n", 1), K.marginals()
     if not _nondegenerate(extents):
         raise ValueError("degenerate body: polar set is unbounded")
     if method == "quadrature":
         if K.d == 2 and K.spectral is not None:
             return Estimate(polar_2d(K).area_with_origin(), 0.0, "exact_2d")
         return _simplex_quadrature(lambda T: _support_finite(K, T) ** -K.d / K.d, K.d)
-    n = _as_count(n, "n")
     box = 1.0 / extents
     box_vol = float(np.prod(box))
     K_box = scale(K, box)  # h(K_box, u) = h(K, box * u): u in the unit cube is x in the box
@@ -796,9 +807,10 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
 
 
 def _mc_chunks(n, seed, chunk=65536):
-    """Deterministic chunked RNG streams for n >= 1 draws: one spawned child per chunk."""
-    if n < 1:
-        raise ValueError("Monte Carlo needs at least one sample")
+    """Deterministic chunked RNG streams for n >= 1 draws: one spawned child
+    per chunk.  The one reader of a seed: None (fresh entropy) or an integer
+    of at least 0 (_as_count), else ValueError."""
+    seed = None if seed is None else _as_count(seed, "seed", 0)
     children = np.random.SeedSequence(seed).spawn(-(-n // chunk))
     for lo, child in zip(range(0, n, chunk), children):
         yield lo, min(chunk, n - lo), np.random.default_rng(child)
@@ -808,10 +820,9 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
     """Importance-sampled integral of exp(-h(K, x)) over the orthant,
     with proposal Exp(beta)^d; finite variance for any beta in (0, 1)
     because h dominates the maximum coordinate, infinite for beta >= 1."""
-    if not 0.0 < beta < 1.0:
+    if not 0.0 < _as_real(beta, "beta") < 1.0:
         raise ValueError("the proposal rate beta must lie in (0, 1)")
-    n = _as_count(n, "n")
-    d = K.d
+    n, d = _as_count(n, "n", 1), K.d
     total = total_sq = 0.0
     for _, chunk_n, rng in _mc_chunks(n, seed):
         X = rng.exponential(1.0 / beta, size=(chunk_n, d))
@@ -825,12 +836,12 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
 
 def _as_subset(A, d):
     """A coordinate subset, an index or an iterable of them, as a frozenset
-    of ints by operator.index, so 1.5 and "1" are refused rather than
+    of ints (_as_count), so 1.5, True and "1" are refused rather than
     truncated; ValueError unless it is nonempty, within range(d) and
     names no index twice."""
     try:
-        idx = list(map(operator.index, A if np.iterable(A) else [A]))
-    except TypeError:
+        idx = [_as_count(i, "index") for i in (A if np.iterable(A) else [A])]
+    except ValueError:
         idx = []
     S = frozenset(idx)
     if not S or len(S) < len(idx) or min(S) < 0 or max(S) >= d:
@@ -856,21 +867,30 @@ def _corner_directions(d):
     return np.eye(d) if d > 12 else subset_indicator_lattice(d, include_origin=False)
 
 
-def _as_count(n, name):
-    """n as a Python int, for a size argument: ValueError, not TypeError,
-    for nan, inf, 2.5 and anything else that is not an integer."""
+def _as_count(n, name, least=None):
+    """n as a Python int, for a size or a seed: ValueError, not TypeError,
+    for nan, inf, 2.5, True and anything else that is not an integer, and
+    for one below least when that is given."""
     try:
-        return operator.index(n)
+        if isinstance(n, (bool, np.bool_)):
+            raise TypeError
+        n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
-def _as_dimension(d):
-    """d as a Python int of at least 1 (_as_count), else ValueError."""
-    d = _as_count(d, "d")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    return d
+def _as_real(v, name):
+    """v as a float, for a real scalar: ValueError, not TypeError, for
+    anything but a real number (_is_real) within the float range."""
+    if not _is_real(v):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the float range, not an integer beyond it") from None
 
 
 def _grid_size(d, grid_n):
@@ -880,9 +900,7 @@ def _grid_size(d, grid_n):
     and d(d + 1)/2 in d >= 3, else ValueError."""
     if grid_n is None:
         grid_n = 4096 if d == 2 else 20_000
-    grid_n = _as_count(grid_n, "grid_n")
-    if grid_n < 1:
-        raise ValueError("direction grid needs at least one direction")
+    grid_n = _as_count(grid_n, "grid_n", 1)
     least = 2 if d == 2 else d * (d + 1) // 2  # the angle pi/4, the resolution-2 lattice
     if grid_n < least:
         raise ValueError(f"grid_n = {grid_n} holds no off-axis direction in d = {d}; need {least}")
@@ -978,7 +996,7 @@ def m_distance(K1, K2, grid_n=None, lam_tol=1e-6):
     worth of directions to the kernel, one pass on the whole grid 101."""
     if K1.d != K2.d:
         raise ValueError("bodies must share a dimension")
-    lam_tol = float(lam_tol)
+    lam_tol = _as_real(lam_tol, "lam_tol")
     if not 0.0 < lam_tol < math.inf:
         raise ValueError(f"lam_tol must be positive and finite, got {lam_tol!r}")
     d = K1.d

@@ -7,6 +7,7 @@ max-zonoids: every finite atom list induces a valid body, and every
 implemented body operation maps atom lists to atom lists.
 """
 
+import numbers
 from collections import namedtuple
 from functools import cached_property
 
@@ -59,24 +60,49 @@ def reference_norm_of(pts, reference):
 
 
 def _from_reference(points, masses, reference):
-    """make_measure of atoms on a reference norm's sphere, each mass times |atom|_1 / |atom|_reference."""
-    pts = _point_rows(points)
+    """make_measure of atoms on a reference norm's sphere, each mass times
+    |atom|_1 / |atom|_reference.  A point whose coordinate sum is not
+    positive and finite keeps its mass, for make_measure to judge."""
+    pts = _point_rows(points, "atom points")
+    w = _mass_list(masses, len(pts), "atom masses")
     if reference != "l1":
-        masses = _mass_list(masses, len(pts)) * _row_sum(pts) / reference_norm_of(pts, reference)
-    return make_measure(pts, masses)
+        l1 = _row_sum(pts)
+        np.divide(w * l1, reference_norm_of(pts, reference), out=w, where=(l1 > 0) & (l1 < np.inf))
+    return make_measure(pts, w)
 
 
-def _point_rows(points):
-    """points as a new C-ordered (n, d) float array, n and d at least 1, else ValueError."""
-    pts = np.atleast_2d(np.array(points, dtype=float, order="C"))
+def _is_real(v):
+    """Whether v is a real number, the rule of every real argument: a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def _real_array(values, what, copy=True):
+    """values as a float array, else ValueError naming what: a new C-ordered
+    one, or with copy False values itself when it is one.  An integer or
+    float array is read as it is; anything else entry by entry, each a real
+    number (_is_real), as np.asarray would read [True, 0.5] and ["1", 0] as
+    numbers.  An integer beyond the float range is refused."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for v in np.array(values, dtype=object).flat:
+            if not _is_real(v):
+                raise ValueError(f"{what} must hold real numbers, got {v!r}")
+    try:
+        return np.array(values, dtype=float, order="C") if copy else np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} must hold real numbers within the float range, not an integer beyond it") from None
+
+
+def _point_rows(points, what="points"):
+    """points as a new C-ordered (n, d) float array (_real_array), n and d at least 1, else ValueError."""
+    pts = np.atleast_2d(_real_array(points, what))
     if pts.ndim != 2 or 0 in pts.shape:
-        raise ValueError(f"points must form an (n, d) array with n, d >= 1, not one of shape {pts.shape}")
+        raise ValueError(f"{what} must form an (n, d) array with n, d >= 1, not one of shape {pts.shape}")
     return pts
 
 
-def _mass_list(masses, n):
-    """masses as a new (n,) float array, one per point, else ValueError."""
-    w = np.atleast_1d(np.array(masses, dtype=float))
+def _mass_list(masses, n, what="masses"):
+    """masses as a new (n,) float array (_real_array), one per point, else ValueError."""
+    w = np.atleast_1d(_real_array(masses, what))
     if w.shape != (n,):
         raise ValueError(f"need one mass per point: {n} points, masses of shape {w.shape}")
     return w
@@ -239,7 +265,7 @@ def spectral_from_points(points, weights=None):
     zero points are dropped.
     """
     pts = _point_rows(points)
-    w = np.ones(len(pts)) if weights is None else _mass_list(weights, len(pts))
+    w = np.ones(len(pts)) if weights is None else _mass_list(weights, len(pts), "weights")
     if np.any(pts < -ATOM_TOL):
         raise ValueError("points must be nonnegative")
     if np.any(w <= 0):

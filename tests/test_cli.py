@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,16 +221,18 @@ class TestTheta:
     @pytest.mark.parametrize(
         "command, doc, message",
         [
-            ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}}, "out of range"),
+            ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}},
+             "invalid subset (0, 2): need a nonempty set of distinct integers in range(2)"),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5}}}, "missing subsets"),
             ("check-theta", {"family": {"name": "independence", "d": 2}}, "needs an extremal model file"),
             # one subset named twice, by its indices in another order or by an index named twice
             ("check-theta", {"extremal": {"d": 2, "theta": {"1,2": 1.5, "2,1": 1.2}}},
-             'theta names subset 1,2 twice, the second time as "2,1"'),
+             "subset [0, 1] is named twice, the second time as (1, 0)"),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5, "1,3": 1.5, "2,3": 1.5, "3,2,1": 2.0,
-                                                         "1,2,3": 2.5}}}, "theta names subset 1,2,3 twice"),
+                                                         "1,2,3": 2.5}}},
+             "subset [0, 1, 2] is named twice, the second time as (0, 1, 2)"),
             ("construct-theta", {"extremal": {"d": 2, "theta": {"1,1": 1.0, "1,2": 1.5}}},
-             "subset '1,1' names an index twice"),
+             "invalid subset (0, 0): need a nonempty set of distinct integers in range(2)"),
         ],
     )
     def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):
@@ -308,7 +311,7 @@ class TestEstimateAndConverge:
         )
         argv = ["converge", "--model", spec, "--data", sample_csv, "--s-grid", "5,10"]
         assert main(argv + ["--grid", grid]) == 2
-        assert "at least one direction" in capsys.readouterr().err
+        assert f"grid_n must be at least 1, got {grid}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data, s_grid",
@@ -534,27 +537,53 @@ class TestExitCodes:
         ({"family": {"name": "logistic", "d": 2, "params": [2.0]}}, '"params" must be a JSON object, not [2.0]'),
         ({"family": ["logistic"]}, '"family" must be a JSON object, not ["logistic"]'),
         ({"extremal": {"d": 2, "theta": [1.5]}}, '"theta" must be a JSON object, not [1.5]'),
-        ({"family": {"name": "logistic", "d": 2.5, "params": {"p": 2.0}}}, '"d" must be an integer, not 2.5'),
-        ({"family": {"name": "logistic", "d": 2, "params": {"p": None}}}, 'param "p" must be a number, not null'),
-        ({"family": {"name": "logistic", "d": 2, "params": {"p": True}}}, 'param "p" must be a number, not true'),
+        ({"family": {"name": "logistic", "d": 2.5, "params": {"p": 2.0}}}, "d must be an integer, got 2.5"),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": None}}}, "parameter 'p' must be a real number, got None"),
+        ({"family": {"name": "logistic", "d": 2, "params": {"p": True}}}, "parameter 'p' must be a real number, got True"),
         ({"family": {"name": "matrix_weights", "d": 2, "params": {"matrix": [[1, None], [0, 1]]}}},
-         'param "matrix" must be a number, not null'),
-        ({"extremal": {"d": 2, "theta": {"1,2": None}}}, 'theta "1,2" must be a number, not null'),
-        ({"extremal": {"d": 2, "theta": {"1,2": 10**400}}}, 'theta "1,2" is an integer beyond the float range'),
+         "weight matrix must hold real numbers, got None"),
+        ({"extremal": {"d": 2, "theta": {"1,2": None}}}, "extremal coefficient of [0, 1] must be a real number, got None"),
+        ({"extremal": {"d": 2, "theta": {"1,2": 10**400}}},
+         "extremal coefficient of [0, 1] must be a real number within the float range, not an integer beyond it"),
         ({"family": {"name": "logistic", "d": 2, "params": {"p": -(10**400)}}},
-         'param "p" is an integer beyond the float range'),
-        ({"extremal": {"d": 2, "theta": {"1,2": [1.5]}}}, 'theta "1,2" must be a number, not [1.5]'),
+         "parameter 'p' must be a real number within the float range, not an integer beyond it"),
+        ({"extremal": {"d": 2, "theta": {"1,2": [1.5]}}},
+         "extremal coefficient of [0, 1] must be a real number, got [1.5]"),
         ({"family": {"name": "logistic", "d": 2, "params": {"p": [2.0, 3.0]}}},
          "parameter 'p' must be a real number, got [2.0, 3.0]"),
         ({"spectral": {"atoms": None}}, '"atoms" must be a JSON list, not null'),
         ({"spectral": {"atoms": [1]}}, "an atom must be a JSON object, not 1"),
-        ({"spectral": {"atoms": [{"point": [1, None], "mass": 1}]}}, 'an atom\'s "point" must be a number, not null'),
+        ({"spectral": {"atoms": [{"point": [1, None], "mass": 1}]}}, "atom points must hold real numbers, got None"),
         (5, "a model file must be a JSON object, not 5"),
+        # each value is read by the library's reader of its kind, the polygon's vertices too, and
+        # true, "1" and "1.5" are not numbers, also inside a list that numpy would read as one
+        ({"polygon": {"vertices": [["1", 0], [True, 1], [0, "1"]]}}, "polygon vertices must hold real numbers, got '1'"),
+        ({"polygon": {"vertices": [[1, 0], [True, 1], [0, 1]]}}, "polygon vertices must hold real numbers, got True"),
+        ({"family": {"name": "logistic", "d": True, "params": {"p": 2.0}}}, "d must be an integer, got True"),
+        ({"extremal": {"d": True, "theta": {"1": 1.0}}}, "d must be an integer, got True"),
+        ({"spectral": {"atoms": [{"point": [True, 0.5], "mass": 1}, {"point": [0, 1], "mass": 1}]}},
+         "atom points must hold real numbers, got True"),
+        ({"spectral": {"atoms": [{"point": [1, 0], "mass": "1"}, {"point": [0, 1], "mass": 1}]}},
+         "atom masses must hold real numbers, got '1'"),
+        ({"extremal": {"d": 2, "theta": {"1,2": "1.5"}}}, "extremal coefficient of [0, 1] must be a real number, got '1.5'"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
         spec = write_model(tmp_path, "bad.json", doc)
         assert main(["measures", "--model", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("reference", ["l2", "linf"])
+    def test_a_zero_point_exits_2_on_every_reference_norm_as_on_l1(self, tmp_path, reference, capsys):
+        # its reference norm is 0: 0/0 gave it a NaN mass, with a numpy warning and another message
+        atoms = [{"point": p, "mass": 1.0} for p in ([1, 0], [0, 0], [0, 1])]
+        errors = []
+        for norm in ("l1", reference):
+            spec = write_model(tmp_path, "zero.json", {"spectral": {"reference_norm": norm, "atoms": atoms}})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["measures", "--model", spec]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: a point of positive mass needs a positive coordinate sum\n"] * 2
 
     def test_integral_dimension_may_be_written_as_a_float(self, tmp_path, capsys):
         docs = [{"family": {"name": "independence", "d": d}} for d in (3, 3.0)]

@@ -377,7 +377,7 @@ class TestQuantileCurve:
 
     @pytest.mark.parametrize("points_n", [1, 0, -4])
     def test_needs_two_points(self, models, points_n):
-        with pytest.raises(ValueError, match="two points"):
+        with pytest.raises(ValueError, match="points_n must be at least 2"):
             quantile_curve(models["ind"], 0.5, points_n=points_n)
 
 

@@ -225,7 +225,7 @@ class TestNaNIsNoAnswer:
 
 class TestDistributionGuards:
     def test_simulate_needs_positive_n(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             mz.simulate(MaxStableModel(unit_cube(2)), 0, seed=0)
 
     def test_simulate_rejects_unbalanced_atoms(self):
@@ -345,7 +345,7 @@ class TestSpectralGuards:
         lambda: unit_cube(2.5),
     ], ids=["no coordinates", "3-d points", "2-d apex", "d = 0", "d = 2.5"])
     def test_bad_shape_or_dimension_is_a_value_error(self, call):
-        with pytest.raises(ValueError, match=r"\(n, d\) array|dimension|integer"):
+        with pytest.raises(ValueError, match=r"\(n, d\) array|d must be (at least 1|an integer)"):
             call()
 
     @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [0.0, 1.0]]])
@@ -397,6 +397,16 @@ _SUBSET_READERS = {
     "extremal_coefficient": lambda A: mz.extremal_coefficient(MaxStableModel(unit_cube(3)), A),
     "ExtremalTable": lambda A: mz.ExtremalTable(3, {A: 1.0}),
 }
+def _user_norm(fn):
+    """A planar body of a user norm that returns fn(X) for the points X."""
+    return MaxZonoid(d=2, norm=AnalyticNorm("user", 2, fn))
+
+
+_SEED_READERS = {
+    "simulate": lambda s: mz.simulate(MaxStableModel(unit_cube(2)), 10, seed=s),
+    "polar_volume": lambda s: mz.polar_volume(unit_cube(3), method="mc", n=100, seed=s),
+    "exp_support_integral_mc": lambda s: mz.exp_support_integral_mc(unit_cube(2), n=100, seed=s),
+}
 _BAD_ARGUMENTS = [
     *(
         pytest.param(lambda r=reader, A=A: _SUBSET_READERS[r](A), "invalid subset", id=f"{reader}-{A!r}")
@@ -431,7 +441,7 @@ _BAD_ARGUMENTS = [
     pytest.param(lambda: make_family("matrix_weights", 2, matrix={}), "weight matrix must hold real numbers",
                  id="matrix-dict"),
     pytest.param(lambda: make_family("matrix_weights", 2, matrix=np.full((2, 2, 2), 0.5)),
-                 "weight matrix must have 2 columns", id="matrix-3d"),
+                 r"weight matrix must form an \(n, d\) array", id="matrix-3d"),
     pytest.param(lambda: mz.ExtremalTable(2.5, {(0,): 1.0}), "d must be an integer", id="table-d-2.5"),
     pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): 1.5, (1, 0): 1.2}), r"subset \[0, 1\] is named twice",
                  id="table-subset-twice"),
@@ -446,6 +456,41 @@ _BAD_ARGUMENTS = [
                  "f is NaN at 3 of 3 points", id="alternation-nan-f"),
     pytest.param(lambda: mz.FiniteMaxLattice(mz.max_closure(np.eye(2)), [0.0, 1.0, np.nan]),
                  "lattice values must be nonnegative", id="lattice-nan-value"),
+    # True is no count and "1" no number, also inside a list that np.asarray would read as numbers
+    pytest.param(lambda: make_family("logistic", True, p=2.0), "d must be an integer, got True", id="d-True"),
+    pytest.param(lambda: unit_cube(True), "d must be an integer, got True", id="cube-d-True"),
+    pytest.param(lambda: make_measure([[True, 0.5]], [1.0]), "points must hold real numbers, got True", id="point-True"),
+    pytest.param(lambda: make_measure([[1.0, 0.0]], ["1"]), "masses must hold real numbers, got '1'", id="mass-str"),
+    pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): "1.5"}),
+                 r"extremal coefficient of \[0, 1\] must be a real number, got '1.5'", id="theta-str"),
+    pytest.param(lambda: mz.Polygon2D([["1", 0], [True, 1], [0, "1"]]), "polygon vertices must hold real numbers",
+                 id="vertices-str"),
+    pytest.param(lambda: make_family("matrix_weights", 2, matrix=[[True, 0.0], [0.0, 1.0]]),
+                 "weight matrix must hold real numbers, got True", id="matrix-True"),
+    # a norm's values are one a point and nonnegative, checked where NaN is
+    pytest.param(lambda: mz.support_function(_user_norm(lambda X: X.sum(axis=1)[:3]), np.ones((5, 2))),
+                 r"support function gave values of shape \(3,\) for 5 points", id="norm-3-of-5"),
+    pytest.param(lambda: mz.support_function(_user_norm(lambda X: -X.sum(axis=1)), np.ones((5, 2))),
+                 "support function is negative at 5 of 5 points", id="norm-negative"),
+    pytest.param(lambda: mz.hausdorff_distance(_user_norm(lambda X: X.sum(axis=1) - 3 * X.min(axis=1)), unit_cube(2)),
+                 r"support function is negative at \d+ of 4097 points", id="norm-negative-inside"),
+    # a direction count is an integer of at least 1, in every mode
+    *(
+        pytest.param(lambda mode=mode, n=n: mz.combine_2d(unit_cube(2), unit_cross_polytope(2), mode, directions=n),
+                     "directions must be" + (" at least 1" if n in (0, -1) else " an integer"),
+                     id=f"{mode}-directions-{n!r}")
+        for mode in ("hull", "intersection", "power_mean")
+        for n in (0, -1, 2.5)
+    ),
+    pytest.param(lambda: mz.polar_2d(make_family("logistic", 2, p=2.0), directions=0), "directions must be at least 1",
+                 id="polar-directions-0"),
+    # a seed is None or an integer of at least 0, read where every Monte Carlo stream starts
+    *(
+        pytest.param(lambda r=reader, s=s: _SEED_READERS[r](s),
+                     "seed must be" + (" at least 0" if s == -1 else " an integer"), id=f"{reader}-seed-{s!r}")
+        for reader in _SEED_READERS
+        for s in (2.5, "3", True, -1, [1, 2])
+    ),
 ]
 
 
@@ -469,6 +514,12 @@ def test_integer_arguments_still_read():
     pts = mz.max_closure(np.eye(2))
     assert mz.check_alternation(lambda X: X.sum(axis=1), pts, max_order=np.int64(2)).order_checked == 2
     assert make_family("logistic", np.int64(2), p=2.0) == make_family("logistic", 2, p=2.0)
+    model = MaxStableModel(unit_cube(2))
+    assert mz.simulate(model, 5, np.int64(3)) == mz.simulate(model, 5, 3)
+    assert mz.simulate(model, 5, None).seed is None  # fresh entropy
+    # one direction, the quarter circle's two ends: the envelope of the axis lines
+    assert mz.hausdorff_distance(mz.combine_2d(unit_cube(2), unit_cube(2), "power_mean", directions=np.int64(1)),
+                                 unit_cube(2)) < 1e-12
 
 
 class TestEstimateGuards:
@@ -528,7 +579,7 @@ class TestSpearmanMethodGuards:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: make_family("logistic", 0, p=2.0), "dimension must be at least 1"),
+        (lambda: make_family("logistic", 0, p=2.0), "d must be at least 1, got 0"),
         (lambda: make_family("neg_logistic", 3, lam=0.5, p=-2.0), "negative logistic family is bivariate"),
         (lambda: make_family("husler_reiss", 3, lam=1.0), "Husler-Reiss family is bivariate"),
         (lambda: make_family("marshall_olkin", 3, alpha1=0.5, alpha2=0.5), "Marshall-Olkin family is bivariate"),

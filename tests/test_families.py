@@ -266,7 +266,7 @@ class TestDiscretize:
         assert res.measure.n_atoms == 2
 
     def test_minimum_atoms(self):
-        with pytest.raises(ValueError, match="two atoms"):
+        with pytest.raises(ValueError, match="m must be at least 2, got 1"):
             discretize(make_family("logistic", 2, p=2.0), 1)
 
     def test_counts_must_be_integers(self):

@@ -601,9 +601,9 @@ class TestPolar:
     def test_monte_carlo_needs_a_sample(self):
         K = unit_cross_polytope(3)
         for n in (0, -5):
-            with pytest.raises(ValueError, match="at least one sample"):
+            with pytest.raises(ValueError, match="n must be at least 1"):
                 polar_volume(K, method="mc", n=n)
-            with pytest.raises(ValueError, match="at least one sample"):
+            with pytest.raises(ValueError, match="n must be at least 1"):
                 exp_support_integral_mc(K, n=n)
 
     def test_monte_carlo_volume_draws_are_pinned(self):
@@ -917,7 +917,7 @@ class TestHausdorff:
     @pytest.mark.parametrize("grid_n", [0, -3])
     def test_empty_grid_rejected(self, grid_n):
         for dist in (hausdorff_distance, m_distance):
-            with pytest.raises(ValueError, match="at least one direction"):
+            with pytest.raises(ValueError, match="grid_n must be at least 1"):
                 dist(unit_cube(2), unit_cross_polytope(2), grid_n=grid_n)
 
     # the supports of two dependency sets agree on the axes: the least grid
