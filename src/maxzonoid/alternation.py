@@ -14,8 +14,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .distribution import MaxStableModel
-from .geometry import MaxZonoid, _as_count, _as_real, _indicator_rows, subset_indicator_lattice
+from .geometry import DependencySet, _as_count, _as_real, _indicator_rows, subset_indicator_lattice
 from .spectral import _ByKey, _normalized, _point_keys, _point_rows, _real_array, make_measure
 
 ALT_TOL = 1e-9
@@ -53,10 +52,9 @@ def _subset(mask, d):
 
 class FiniteMaxLattice(_ByKey):
     """Finite point set closed under coordinatewise maxima, optionally
-    carrying nonnegative function values (one per point); scaling_ok is
-    computed from the points (_scaling_condition), not passed in."""
+    carrying nonnegative function values (one per point)."""
 
-    _fields = ("points", "values", "scaling_ok")
+    _fields = ("points", "values")
 
     def __init__(self, points, values=None):
         pts = _point_rows(points)  # a copy, made read-only
@@ -71,26 +69,11 @@ class FiniteMaxLattice(_ByKey):
             if not ((values >= 0) & (values < inf)).all():  # NaN fails
                 raise ValueError("lattice values must be nonnegative and finite, not NaN")
             values.setflags(write=False)
-        self._set(pts, values, _scaling_condition(pts))
+        self._set(pts, values)
 
     def _key(self):  # the points as np.array_equal compares them, the values bit for bit
         values = None if self.values is None else self.values.tobytes()
         return self.points.shape, (self.points + 0.0).tobytes(), values
-
-
-def _scaling_condition(pts):
-    """tu <= v for some t > 0 must imply u <= v (needed only for the
-    lattice-extension construction, not for difference checks): where v > 0
-    on the support of u, u <= v + 1e-12.  Checked on boolean (u, v, i)
-    arrays, a chunk of u at a time, of about 2**20 entries each."""
-    pos = pts > 0
-    rows = max(1, 2**20 // max(pts.size, 1))
-    for lo in range(0, len(pts), rows):
-        inside = ~(pos[lo : lo + rows, None] & ~pos).any(axis=2)
-        below = (pts[lo : lo + rows, None] <= pts + 1e-12).all(axis=2)
-        if (inside & ~below).any():
-            return False
-    return True
 
 
 def max_closure(points, max_size=100_000):
@@ -236,4 +219,4 @@ def construct_from_extremal(table):
     E = _indicator_rows(np.arange(1, 2**d)[keep], d)
     size = E.sum(axis=1)
     sigma = make_measure(E / size[:, None], c[keep] * size)
-    return MaxStableModel(MaxZonoid(d=d, spectral=sigma))
+    return DependencySet(d, spectral=sigma)

@@ -86,10 +86,18 @@ def _by_subset(values):
     return {_subset_key(A): values[A] for A in sorted(values, key=lambda A: (len(A), sorted(A)))}
 
 
-def _parse_subset(key):
+class _SubsetKey(tuple):
     """A 1-based subset key "1,3" as the 0-based index tuple (0, 2), in its
-    order: ExtremalTable judges the subset, and "1,2" beside "2,1"."""
-    return tuple(int(tok) - 1 for tok in key.split(","))
+    order, whose repr is the key as written: ExtremalTable judges the
+    subset, and "1,2" beside "2,1", and its errors quote the file."""
+
+    def __new__(cls, key):
+        self = super().__new__(cls, (int(tok) - 1 for tok in key.split(",")))
+        self.key = key
+        return self
+
+    def __repr__(self):
+        return json.dumps(self.key)
 
 
 def _json_object(value, what):
@@ -131,7 +139,7 @@ def parse_extremal(body):
     """The ExtremalTable of an extremal model file's theta, each singleton 1
     unless given; ValueError at a subset of two or more coordinates missing."""
     theta = _json_object(body["theta"], '"theta"')
-    table = ExtremalTable(_json_int(body["d"]), {_parse_subset(k): v for k, v in theta.items()})
+    table = ExtremalTable(_json_int(body["d"]), {_SubsetKey(k): v for k, v in theta.items()})
     d, values = table.d, dict(table.values)
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)

@@ -27,19 +27,19 @@ class ExtremalTable(_ByKey):
     """Map from nonempty coordinate subsets (0-based, read by _as_subset,
     stored as frozensets, each named once) to the extremal coefficients
     theta_A = h(K, e_A), each a finite real number (_as_real), of d >= 1
-    coordinates (_as_count)."""
+    coordinates (_as_count).  Errors quote the keys as given."""
 
     _fields = ("d", "values")
 
     def __init__(self, d, values):
-        d, vals = _as_count(d, "d", 1), {}
+        d, vals, keys = _as_count(d, "d", 1), {}, {}
         for key, v in values.items():
             A = _as_subset(key, d)
             if A in vals:
-                raise ValueError(f"subset {sorted(A)} is named twice, the second time as {key!r}")
-            vals[A] = _as_real(v, f"extremal coefficient of {sorted(A)}")
+                raise ValueError(f"subset {keys[A]!r} is named twice, the second time as {key!r}")
+            keys[A], vals[A] = key, _as_real(v, f"extremal coefficient of {key!r}")
             if not math.isfinite(vals[A]):
-                raise ValueError(f"extremal coefficient of {sorted(A)} must be finite, got {v}")
+                raise ValueError(f"extremal coefficient of {key!r} must be finite, got {v}")
         self._set(d, vals)
 
     def theta(self, subset):

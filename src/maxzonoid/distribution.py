@@ -3,13 +3,12 @@ curves, exact simulation, and exponent-measure densities.
 
 The law of a dependency set K (unit Frechet marginals) is
 F(x) = exp(-h(K, x*)) with x*_i = 1/x_i, so every function here takes K
-itself or a MaxStableModel, which is K.
+itself: MaxStableModel is as_dependency, and MaxStableModel(K) is K.
 """
 
 import numpy as np
 
 from .geometry import (
-    DependencySet,
     _fold,
     _as_count,
     _as_points,
@@ -19,7 +18,6 @@ from .geometry import (
     _support_finite,
     as_dependency,
     subset_indicator_lattice,
-    zonoid_from_spectral,
 )
 from .spectral import _ByKey, _close_to_normalized, _point_rows, _real_array
 
@@ -49,23 +47,9 @@ class SampleMatrix(_ByKey):
         return self.values.shape[1]
 
 
-class MaxStableModel(DependencySet):
-    """The simple max-stable law F(x) = exp(-h(K, x*)), which is the
-    dependency set K itself, with K's fields: it samples the atoms its cdf
-    reads, and an analytic K samples through with_discrete."""
-
-    def __init__(self, K):
-        K = as_dependency(K)
-        self._set(K.d, K.spectral, K.norm)
-
-    def with_discrete(self, m=1000):
-        """self when the body has atoms, else the law of its m-atom fit
-        (discretize), whose h is within the fit's stated error of K's."""
-        if self.spectral is not None:
-            return self
-        from .families import discretize
-
-        return MaxStableModel(zonoid_from_spectral(discretize(self, m).measure))
+# The simple max-stable law F(x) = exp(-h(K, x*)) is the dependency set K:
+# a model is made of a set by the one reader that checks h(K, e_i) = 1.
+MaxStableModel = as_dependency
 
 
 def _check_domain(X, inside, message):

@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels
 from .geometry import (
     AnalyticNorm,
+    DependencySet,
     Estimate,
     MaxZonoid,
     Polygon2D,
@@ -182,7 +183,7 @@ def make_family(name, d=2, **params):
             return unit_cross_polytope(d)
         if p == 1.0:
             return unit_cube(d)
-        return as_dependency(MaxZonoid(d=d, norm=_logistic_norm(d, p)))
+        return DependencySet(d, norm=_logistic_norm(d, p))
     if name == "neg_logistic":
         lam, p = params["lam"], params["p"]
         if not 0.0 <= lam <= 1.0:
@@ -191,7 +192,7 @@ def make_family(name, d=2, **params):
             raise ValueError("negative logistic exponent must lie in [-inf, 0]")
         if lam == 0.0 or p == 0.0:
             return unit_cube(2)
-        return as_dependency(MaxZonoid(d=2, norm=_neg_logistic_norm(lam, p)))
+        return DependencySet(2, norm=_neg_logistic_norm(lam, p))
     if name == "husler_reiss":
         lam = params["lam"]
         if not lam >= 0:
@@ -200,7 +201,7 @@ def make_family(name, d=2, **params):
             return unit_cross_polytope(2)
         if np.isinf(lam):
             return unit_cube(2)
-        return as_dependency(MaxZonoid(d=2, norm=_husler_reiss_norm(lam)))
+        return DependencySet(2, norm=_husler_reiss_norm(lam))
     if name == "marshall_olkin":
         a1, a2 = params["alpha1"], params["alpha2"]
         if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0):
@@ -215,7 +216,7 @@ def make_family(name, d=2, **params):
     if not _normalized(colsum):
         raise ValueError(f"column sums must be 1, got {colsum}")
     sigma = spectral_from_points(A, np.ones(A.shape[0]))
-    return as_dependency(MaxZonoid(d=d, spectral=sigma))
+    return DependencySet(d, spectral=sigma)
 
 
 # ---------------------------------------------------------------------------

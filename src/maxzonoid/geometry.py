@@ -153,9 +153,20 @@ class DependencySet(MaxZonoid):
                 f"not normalized: support at basis vectors is {self.marginals()}, expected all 1"
             )
 
+    def with_discrete(self, m=1000):
+        """self when the body has atoms, else the law of its m-atom fit
+        (discretize), whose h is within the fit's stated error of K's."""
+        if self.spectral is not None:
+            return self
+        from .families import discretize
+
+        return as_dependency(zonoid_from_spectral(discretize(self, m).measure))
+
 
 def as_dependency(K):
-    """Assert the normalization h(e_i) = 1 and rewrap."""
+    """K as a dependency set: K itself when it is one, else a DependencySet
+    of K's representation, ValueError unless every h(K, e_i) is 1.  It is
+    also distribution.MaxStableModel, as the law F(x) = exp(-h(K, x*)) is K."""
     if isinstance(K, DependencySet):
         return K
     return DependencySet(K.d, K.spectral, K.norm)
@@ -778,16 +789,16 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     the N x N rule on the kinks of a d = 3 atom list.  mc: rejection
     sampling on the bounding box prod [0, 1/h(e_i)] with a binomial
     standard error taken at p = (accepted + 1)/(n + 2): of order box_vol/n
-    even if p^ is 0 or 1.  auto: quadrature for d <= 3, else mc.  n is
-    read by every method, a count of at least 1 (_as_count).  A body
-    with some h(K, e_i) at most 1e-9 has an unbounded polar: it, or a NaN
-    h(K, e_i), raises ValueError.
+    even if p^ is 0 or 1.  auto: quadrature for d <= 3, else mc.  n and
+    seed are read by every method, n a count of at least 1 (_as_count)
+    and seed by _as_seed.  A body with some h(K, e_i) at most 1e-9 has an
+    unbounded polar: it, or a NaN h(K, e_i), raises ValueError.
     """
     if method == "auto":
         method = "quadrature" if K.d in (2, 3) else "mc"
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    n, extents = _as_count(n, "n", 1), K.marginals()
+    n, seed, extents = _as_count(n, "n", 1), _as_seed(seed), K.marginals()
     if not _nondegenerate(extents):
         raise ValueError("degenerate body: polar set is unbounded")
     if method == "quadrature":
@@ -806,20 +817,25 @@ def polar_volume(K, method="auto", n=200_000, seed=0):
     return Estimate(box_vol * accepted / n, se, "mc", n, seed)
 
 
+def _as_seed(seed):
+    """The one reader of a seed: None (fresh entropy) or an integer of at
+    least 0 (_as_count), else ValueError."""
+    return None if seed is None else _as_count(seed, "seed", 0)
+
+
 def _mc_chunks(n, seed, chunk=65536):
-    """Deterministic chunked RNG streams for n >= 1 draws: one spawned child
-    per chunk.  The one reader of a seed: None (fresh entropy) or an integer
-    of at least 0 (_as_count), else ValueError."""
-    seed = None if seed is None else _as_count(seed, "seed", 0)
-    children = np.random.SeedSequence(seed).spawn(-(-n // chunk))
+    """Deterministic chunked RNG streams for n >= 1 draws, seeded by
+    _as_seed: one spawned child per chunk."""
+    children = np.random.SeedSequence(_as_seed(seed)).spawn(-(-n // chunk))
     for lo, child in zip(range(0, n, chunk), children):
         yield lo, min(chunk, n - lo), np.random.default_rng(child)
 
 
 def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
-    """Importance-sampled integral of exp(-h(K, x)) over the orthant,
-    with proposal Exp(beta)^d; finite variance for any beta in (0, 1)
-    because h dominates the maximum coordinate, infinite for beta >= 1."""
+    """Importance-sampled integral of exp(-h(K, x)) over the orthant, an
+    Estimate with its standard error, with proposal Exp(beta)^d; finite
+    variance for any beta in (0, 1) because h dominates the maximum
+    coordinate, infinite for beta >= 1."""
     if not 0.0 < _as_real(beta, "beta") < 1.0:
         raise ValueError("the proposal rate beta must lie in (0, 1)")
     n, d = _as_count(n, "n", 1), K.d
@@ -831,7 +847,7 @@ def exp_support_integral_mc(K, n=200_000, seed=0, beta=0.5):
         total_sq += float((w * w).sum())
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    return Estimate(mean, math.sqrt(var / n), "mc", n, seed)
 
 
 def _as_subset(A, d):

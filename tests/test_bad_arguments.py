@@ -27,7 +27,9 @@ def _sum(X):
 
 # name -> (call, {argument: kind}); the call takes the swept argument by
 # keyword.  A kind is "real", "count", "seed", "subset", ("points", d), a
-# batch of rows of d coordinates, or ("vector", d), one row; d None is any
+# batch of rows of d coordinates, or ("vector", d), one row; d None is any.
+# The polar volume calls run at the default method, quadrature here, which
+# reads n and seed as Monte Carlo does
 SWEEP = {
     "AnalyticNorm": (lambda d=2: mz.AnalyticNorm("sum", d, _sum), {"d": "count"}),
     "MaxZonoid": (lambda d=2: mz.MaxZonoid(d, norm=NORM.norm), {"d": "count"}),
@@ -84,7 +86,7 @@ SWEEP = {
     "extremal_table": (lambda max_size=2: mz.extremal_table(NORM, max_size), {"max_size": "count"}),
     "hausdorff_distance": (lambda grid_n=64: mz.hausdorff_distance(NORM, CUBE2, grid_n), {"grid_n": "count"}),
     "inverted_pearson_2d": (
-        lambda n=100, seed=0: mz.inverted_pearson_2d(NORM, "mc", n, seed), {"n": "count", "seed": "seed"}
+        lambda n=100, seed=0: mz.inverted_pearson_2d(NORM, n=n, seed=seed), {"n": "count", "seed": "seed"}
     ),
     "m_distance": (
         lambda grid_n=64, lam_tol=1e-6: mz.m_distance(NORM, CUBE2, grid_n, lam_tol),
@@ -119,12 +121,12 @@ SWEEP = {
         {"lam": "real", "difference": "real"},
     ),
     "multivariate_rho": (
-        lambda n=100, seed=0: mz.multivariate_rho(NORM, n, seed, "mc"), {"n": "count", "seed": "seed"}
+        lambda n=100, seed=0: mz.multivariate_rho(NORM, n, seed), {"n": "count", "seed": "seed"}
     ),
     "pickands": (lambda t=((0.5,),): mz.pickands(NORM, t), {"t": ("points", 1)}),
     "polar_2d": (lambda directions=16: mz.polar_2d(NORM, directions), {"directions": "count"}),
     "polar_volume": (
-        lambda n=100, seed=0: mz.polar_volume(CUBE3, "mc", n, seed), {"n": "count", "seed": "seed"}
+        lambda n=100, seed=0: mz.polar_volume(CUBE3, n=n, seed=seed), {"n": "count", "seed": "seed"}
     ),
     "project": (lambda coords=(0, 2): mz.project(CUBE3, coords), {"coords": "subset"}),
     "quantile_curve": (
@@ -134,7 +136,7 @@ SWEEP = {
     "scale": (lambda lam=(1.0, 2.0): mz.scale(NORM, lam), {"lam": ("vector", 2)}),
     "simulate": (lambda n=10, seed=0: mz.simulate(ATOMS, n, seed), {"n": "count", "seed": "seed"}),
     "spearman_rho": (
-        lambda n=100, seed=0: mz.spearman_rho(NORM, "mc", n, seed), {"n": "count", "seed": "seed"}
+        lambda n=100, seed=0: mz.spearman_rho(NORM, n=n, seed=seed), {"n": "count", "seed": "seed"}
     ),
     "spectral_from_points": (
         lambda points=((1.0, 0.5),), weights=(2.0,): mz.spectral_from_points(points, weights),

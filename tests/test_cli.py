@@ -221,18 +221,19 @@ class TestTheta:
     @pytest.mark.parametrize(
         "command, doc, message",
         [
+            # each error quotes the 1-based key as the file writes it
             ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}},
-             "invalid subset (0, 2): need a nonempty set of distinct integers in range(2)"),
+             'invalid subset "1,3": need a nonempty set of distinct integers in range(2)'),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5}}}, "missing subsets"),
             ("check-theta", {"family": {"name": "independence", "d": 2}}, "needs an extremal model file"),
             # one subset named twice, by its indices in another order or by an index named twice
             ("check-theta", {"extremal": {"d": 2, "theta": {"1,2": 1.5, "2,1": 1.2}}},
-             "subset [0, 1] is named twice, the second time as (1, 0)"),
+             'subset "1,2" is named twice, the second time as "2,1"'),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5, "1,3": 1.5, "2,3": 1.5, "3,2,1": 2.0,
                                                          "1,2,3": 2.5}}},
-             "subset [0, 1, 2] is named twice, the second time as (0, 1, 2)"),
+             'subset "3,2,1" is named twice, the second time as "1,2,3"'),
             ("construct-theta", {"extremal": {"d": 2, "theta": {"1,1": 1.0, "1,2": 1.5}}},
-             "invalid subset (0, 0): need a nonempty set of distinct integers in range(2)"),
+             'invalid subset "1,1": need a nonempty set of distinct integers in range(2)'),
         ],
     )
     def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):
@@ -542,13 +543,13 @@ class TestExitCodes:
         ({"family": {"name": "logistic", "d": 2, "params": {"p": True}}}, "parameter 'p' must be a real number, got True"),
         ({"family": {"name": "matrix_weights", "d": 2, "params": {"matrix": [[1, None], [0, 1]]}}},
          "weight matrix must hold real numbers, got None"),
-        ({"extremal": {"d": 2, "theta": {"1,2": None}}}, "extremal coefficient of [0, 1] must be a real number, got None"),
+        ({"extremal": {"d": 2, "theta": {"1,2": None}}}, 'extremal coefficient of "1,2" must be a real number, got None'),
         ({"extremal": {"d": 2, "theta": {"1,2": 10**400}}},
-         "extremal coefficient of [0, 1] must be a real number within the float range, not an integer beyond it"),
+         'extremal coefficient of "1,2" must be a real number within the float range, not an integer beyond it'),
         ({"family": {"name": "logistic", "d": 2, "params": {"p": -(10**400)}}},
          "parameter 'p' must be a real number within the float range, not an integer beyond it"),
         ({"extremal": {"d": 2, "theta": {"1,2": [1.5]}}},
-         "extremal coefficient of [0, 1] must be a real number, got [1.5]"),
+         'extremal coefficient of "1,2" must be a real number, got [1.5]'),
         ({"family": {"name": "logistic", "d": 2, "params": {"p": [2.0, 3.0]}}},
          "parameter 'p' must be a real number, got [2.0, 3.0]"),
         ({"spectral": {"atoms": None}}, '"atoms" must be a JSON list, not null'),
@@ -565,7 +566,8 @@ class TestExitCodes:
          "atom points must hold real numbers, got True"),
         ({"spectral": {"atoms": [{"point": [1, 0], "mass": "1"}, {"point": [0, 1], "mass": 1}]}},
          "atom masses must hold real numbers, got '1'"),
-        ({"extremal": {"d": 2, "theta": {"1,2": "1.5"}}}, "extremal coefficient of [0, 1] must be a real number, got '1.5'"),
+        ({"extremal": {"d": 2, "theta": {"1,2": "1.5"}}},
+         """extremal coefficient of "1,2" must be a real number, got '1.5'"""),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
         spec = write_model(tmp_path, "bad.json", doc)

@@ -443,8 +443,8 @@ _BAD_ARGUMENTS = [
     pytest.param(lambda: make_family("matrix_weights", 2, matrix=np.full((2, 2, 2), 0.5)),
                  r"weight matrix must form an \(n, d\) array", id="matrix-3d"),
     pytest.param(lambda: mz.ExtremalTable(2.5, {(0,): 1.0}), "d must be an integer", id="table-d-2.5"),
-    pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): 1.5, (1, 0): 1.2}), r"subset \[0, 1\] is named twice",
-                 id="table-subset-twice"),
+    pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): 1.5, (1, 0): 1.2}),
+                 r"subset \(0, 1\) is named twice, the second time as \(1, 0\)", id="table-subset-twice"),
     # a point set is an (n, d) array with n, d >= 1, the same rule in all three readers
     pytest.param(lambda: mz.max_closure(np.zeros((2, 0))), "points must form an", id="closure-no-column"),
     pytest.param(lambda: mz.max_closure(np.zeros((2, 2, 2))), "points must form an", id="closure-3d"),
@@ -462,7 +462,7 @@ _BAD_ARGUMENTS = [
     pytest.param(lambda: make_measure([[True, 0.5]], [1.0]), "points must hold real numbers, got True", id="point-True"),
     pytest.param(lambda: make_measure([[1.0, 0.0]], ["1"]), "masses must hold real numbers, got '1'", id="mass-str"),
     pytest.param(lambda: mz.ExtremalTable(2, {(0, 1): "1.5"}),
-                 r"extremal coefficient of \[0, 1\] must be a real number, got '1.5'", id="theta-str"),
+                 r"extremal coefficient of \(0, 1\) must be a real number, got '1.5'", id="theta-str"),
     pytest.param(lambda: mz.Polygon2D([["1", 0], [True, 1], [0, "1"]]), "polygon vertices must hold real numbers",
                  id="vertices-str"),
     pytest.param(lambda: make_family("matrix_weights", 2, matrix=[[True, 0.0], [0.0, 1.0]]),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from maxzonoid import (
     DependencySet,
+    Estimate,
     MaxStableModel,
     as_dependency,
     cartesian_product,
@@ -709,9 +710,10 @@ class TestPolar:
 
     def test_exp_integral_identity_2d(self, rng):
         K = random_dependency(rng, 2, 4)
-        est, se = exp_support_integral_mc(K, n=150_000, seed=5)
+        est = exp_support_integral_mc(K, n=150_000, seed=5)
+        assert isinstance(est, Estimate) and (est.method, est.n_samples, est.seed) == ("mc", 150_000, 5)
         target = math.gamma(3) * polar_volume(K).value
-        assert est == pytest.approx(target, abs=3 * se)
+        assert est == pytest.approx(target, abs=3 * est.stderr)
 
     def test_polar_boundary_vertices_on_unit_level(self, rng):
         for _ in range(20):

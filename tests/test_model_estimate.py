@@ -92,12 +92,14 @@ CASES = [(name, call) for name, K in _bodies().items() for call, _ in _calls(K)]
 
 class TestModelIsBody:
     def test_model_is_a_dependency_set(self):
-        assert issubclass(MaxStableModel, DependencySet)
+        assert MaxStableModel is mz.as_dependency
         K = make_family("logistic", 2, p=2.0)
         model = MaxStableModel(K)
-        assert isinstance(model, DependencySet)
-        assert mz.as_dependency(model) is model
-        assert (model.d, model.spectral, model.norm) == (K.d, K.spectral, K.norm)
+        assert model is K and model == K
+        assert MaxStableModel(model) is model
+        # any other body with unit marginals becomes a set of its representation
+        body = mz.MaxZonoid(2, norm=K.norm)
+        assert type(MaxStableModel(body)) is DependencySet and MaxStableModel(body) == K
 
     @pytest.mark.parametrize("body, call", CASES)
     def test_function_on_model_equals_function_on_body(self, body, call):
@@ -105,14 +107,23 @@ class TestModelIsBody:
         fn = dict(_calls(K))[call]
         assert _same(fn(MaxStableModel(K)), fn(K))
 
-    def test_a_model_has_the_fields_of_its_set(self):
-        assert MaxStableModel._fields == DependencySet._fields
+    def test_a_model_is_its_set(self):
+        table = mz.extremal_table(make_family("logistic", 3, p=2.0))
+        params = {"independence": {}, "dependence": {}, "logistic": {"p": 2.0},
+                  "neg_logistic": {"lam": 0.5, "p": -2.0}, "husler_reiss": {"lam": 0.8},
+                  "marshall_olkin": {"alpha1": 0.3, "alpha2": 0.7},
+                  "matrix_weights": {"matrix": [[0.5, 0.25], [0.5, 0.75]]}}
+        sets = [make_family(name, 2, **p) for name, p in params.items()]
+        sets += [unit_cube(3), unit_cross_polytope(3), mz.construct_from_extremal(table),
+                 make_family("logistic", 2, p=2.0).with_discrete(64)]
+        for K in sets:
+            assert type(K) is DependencySet and MaxStableModel(K) is K
         with pytest.raises(TypeError):
             MaxStableModel(unit_cube(2), unit_cube(2).spectral)
 
     def test_rewrap_keeps_the_body(self):
         model = MaxStableModel(make_family("logistic", 2, p=2.0)).with_discrete(64)
-        assert MaxStableModel(model).spectral is model.spectral
+        assert MaxStableModel(model) is model
         assert model.with_discrete(8) is model
 
     def test_with_discrete_returns_the_law_of_the_fit(self):
@@ -395,11 +406,10 @@ class TestRemovedKnobs:
     def test_parameter_is_gone(self, fn, name):
         assert name not in inspect.signature(fn).parameters
 
-    def test_scaling_ok_is_computed_not_passed(self):
+    def test_scaling_ok_is_not_a_parameter(self):
         pts = [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]
         with pytest.raises(TypeError):
             mz.FiniteMaxLattice(pts, scaling_ok=True)
-        assert not mz.FiniteMaxLattice(pts).scaling_ok
 
 
 class TestConvergenceFlags:
