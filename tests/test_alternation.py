@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -300,6 +301,17 @@ class TestConstruct:
         model = construct_from_extremal(table)
         for A, v in table.values.items():
             assert extremal_coefficient(model, A) == pytest.approx(v, abs=1e-12)
+
+    def test_the_checker_layer_imports_no_law(self):
+        # construct_from_extremal builds a DependencySet itself, so the
+        # module reads geometry and spectral only, never the probability layer
+        import maxzonoid.alternation as alternation
+
+        with open(alternation.__file__) as f:
+            tree = ast.parse(f.read())
+        local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+        assert local == {"geometry", "spectral"}
+        assert type(construct_from_extremal(extremal_table(unit_cube(2)))).__name__ == "DependencySet"
 
     def test_half_dependent_pair(self):
         table = ExtremalTable(

@@ -241,6 +241,12 @@ class TestTheta:
         assert main([command, "--model", spec]) == 2
         assert message in capsys.readouterr().err
 
+    def test_a_subset_key_is_its_0_based_tuple_quoted_as_written(self):
+        key = cli._SubsetKey("3,1")
+        assert key == (2, 0) and hash(key) == hash((2, 0)) and repr(key) == '"3,1"'
+        by_key = mz.ExtremalTable(3, {key: 1.5, cli._SubsetKey("2"): 1.0})
+        assert by_key.values == mz.ExtremalTable(3, {(0, 2): 1.5, 1: 1.0}).values
+
     def test_a_key_given_twice_in_the_file_exits2(self, tmp_path, capsys):
         # json.load alone keeps the last of two equal keys: theta_12 would read 1.2
         path = tmp_path / "t.json"

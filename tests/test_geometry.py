@@ -607,6 +607,17 @@ class TestPolar:
             with pytest.raises(ValueError, match="n must be at least 1"):
                 exp_support_integral_mc(K, n=n)
 
+    def test_a_seed_is_read_where_a_stream_starts(self):
+        assert geometry._as_seed(None) is None
+        assert type(geometry._as_seed(np.int64(7))) is int and geometry._as_seed(np.int64(7)) == 7
+        for bad in (-1, 2.5, "x", True, float("nan")):
+            with pytest.raises(ValueError, match="seed must be"):
+                geometry._as_seed(bad)
+        # an np.int64 seed starts the same chunked streams as the int
+        a = [rng.random(2) for _, _, rng in geometry._mc_chunks(5, 7, chunk=2)]
+        b = [rng.random(2) for _, _, rng in geometry._mc_chunks(5, np.int64(7), chunk=2)]
+        assert len(a) == 3 and np.array_equal(a, b)
+
     def test_monte_carlo_volume_draws_are_pinned(self):
         # accepted draws of 200 000 in the unit box at seeds 0-4: the polar
         # of the cube is the simplex (1/6), that of the cross polytope the cube
