@@ -3,7 +3,9 @@
 The support sum h(x) = sum_k max(0, max_i B[k,i] x_i) of an atom list B
 takes three algorithms.  In the plane, planar_chain sorts the atoms by
 slope once per measure, in O(m log m), and a walk from each point's slope
-bucket finds its chain vertex in O(1) expected, O(log m) at worst.  In d = 3,
+bucket finds its chain vertex in O(1) expected, O(log m) at worst; the same
+bucket lookup picks the sampler's atoms from their cumulative weights
+(distribution.simulate).  In d = 3,
 when many points meet many atoms, each atom is assigned the coordinate
 that wins at x by a fixed decision tree on three slopes, which makes h
 four weighted 2-D dominance sums (Bentley 1980); one (b+1)^2 table per
@@ -34,7 +36,7 @@ import numpy as np
 # in cache while the coordinates are folded in.
 _TILE = 2**16
 _FEW = 8  # bodies of fewer atoms fold the point columns
-_WALK = 1  # steps of the planar bucket walk before a point is searched
+_WALK = 1  # steps of the bucket walk before a query is searched
 # Most atoms per block of the d = 3 table path: a table of at most 513^2
 # float64 (2.1 MB) is built at a time.
 _BLOCK = 512
@@ -207,7 +209,7 @@ def _support_sum_3d(B, X):
     return out
 
 
-class PlanarChain(namedtuple("PlanarChain", "r vx vy first shift base")):
+class PlanarChain(namedtuple("PlanarChain", "r vx vy buckets")):
     shape = property(lambda self: (len(self.r) - 1, 2))  # its atoms', read by support_sum
 
 
@@ -215,38 +217,53 @@ def planar_chain(B):
     """The boundary chain of the planar body of atoms B, the one sort of planar
     atoms: slopes r = B[:,0]/B[:,1] stably sorted, then +inf, and vertices
     (vx[j], vy[j]), j = 0..m, x-axis to y-axis: vx[j] sums B[:,0] over sorted
-    atoms j.. (a reversed cumsum, without cancellation), vy[j] B[:,1] over ..j-1.
-    A float >= 0 grows with its int64 bits: (bits >> shift) - base puts the
-    finite positive slopes in at most 16m buckets, bucket b from r[first[b]]."""
+    atoms j.. (a reversed cumsum, without cancellation), vy[j] B[:,1] over ..j-1,
+    with the slopes' bucket_index."""
     r = _slopes(B[:, 0], B[:, 1])
     order = np.argsort(r, kind="stable")
     r = np.append(r[order], np.inf)  # a sentinel that ends every walk
     vx = np.append(np.cumsum(B[order[::-1], 0])[::-1], 0.0)
     vy = np.concatenate([[0.0], np.cumsum(B[order, 1])])
-    bits = r[:-1].view(np.int64)
-    fin = bits[(r[:-1] > 0.0) & (r[:-1] < np.inf)]
+    buckets = bucket_index(r[:-1])
+    for a in (r, vx, vy, buckets.first):
+        a.setflags(write=False)
+    return PlanarChain(r, vx, vy, buckets)
+
+
+Buckets = namedtuple("Buckets", "first shift base")
+
+
+def bucket_index(keys):
+    """The bucket index of sorted keys >= 0 (Chen & Asau 1974, AIIE Trans.
+    6:163-166).  A float >= 0 grows with its int64 bits: (bits >> shift) - base
+    puts the finite positive keys in at most 16m buckets, bucket b from
+    keys[first[b]], and 0 and +inf in the end buckets."""
+    bits = keys.view(np.int64)
+    fin = bits[(keys > 0.0) & (keys < np.inf)]
     lo, hi = (int(fin[0]), int(fin[-1])) if fin.size else (0, 0)
     shift = max(0, (hi - lo).bit_length() - (8 * len(bits)).bit_length())
-    base, top = lo >> shift, (hi >> shift) - (lo >> shift) + 1  # 0 and +inf: the end buckets
+    base, top = lo >> shift, (hi >> shift) - (lo >> shift) + 1
     count = np.bincount(np.clip(bits >> shift, base, base + top) - base, minlength=top + 1)
-    first = np.cumsum(count) - count
-    for a in (r, vx, vy, first):
-        a.setflags(write=False)
-    return PlanarChain(r, vx, vy, first, shift, base)
+    return Buckets(np.cumsum(count) - count, shift, base)
 
 
-def _chain_position(chain, q):
-    """searchsorted(r, q, "left"): _WALK steps from q's bucket, then a search of the rest."""
-    r, first, base = chain.r, chain.first, chain.base
-    b = q.view(np.int64) >> chain.shift  # clamped in place: np.clip's wrapper costs more at 4,000 points
+def bucket_search(keys, buckets, q, side):
+    """np.searchsorted(keys[:-1], q, side) for queries q >= 0, keys[:-1] sorted
+    with their bucket_index and keys[-1] a sentinel above every query, so that
+    no walk passes it: _WALK steps from q's bucket, then a search of the rest.
+    Every key of an earlier bucket is below q, so the walk starts at or before
+    the answer."""
+    first, base = buckets.first, buckets.base
+    b = q.view(np.int64) >> buckets.shift  # clamped in place: np.clip's wrapper costs more at 4,000 points
     np.minimum(np.maximum(b, base, out=b), base + len(first) - 1, out=b)
     b -= base
     j = first.take(b)
+    before = np.less if side == "left" else np.less_equal
     for _ in range(_WALK):
-        j += r.take(j) < q
-    late = r.take(j) < q
+        j += before(keys.take(j), q)
+    late = before(keys.take(j), q)
     if late.any():
-        j[late] = np.searchsorted(r[:-1], q[late], "left")
+        j[late] = np.searchsorted(keys[:-1], q[late], side)
     return j
 
 
@@ -256,7 +273,7 @@ def _support_sum_planar(B, X):
     The slopes' buffer takes the second product."""
     chain = B if isinstance(B, PlanarChain) else planar_chain(B)
     q = _slopes(X[:, 1], X[:, 0])
-    j = _chain_position(chain, q)
+    j = bucket_search(chain.r, chain.buckets, q, "left")
     out = chain.vx.take(j)
     out *= X[:, 0]
     out += np.multiply(X[:, 1], chain.vy.take(j), out=q)

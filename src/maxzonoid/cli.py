@@ -92,7 +92,10 @@ class _SubsetKey(tuple):
     subset, and "1,2" beside "2,1", and its errors quote the file."""
 
     def __new__(cls, key):
-        self = super().__new__(cls, (int(tok) - 1 for tok in key.split(",")))
+        try:
+            self = super().__new__(cls, (int(tok) - 1 for tok in key.split(",")))
+        except ValueError:
+            raise ValueError(f"theta key {json.dumps(key)} is not a comma-separated list of integers") from None
         self.key = key
         return self
 

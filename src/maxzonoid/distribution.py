@@ -8,6 +8,7 @@ itself: MaxStableModel is as_dependency, and MaxStableModel(K) is K.
 
 import numpy as np
 
+from . import _kernels
 from .geometry import (
     _fold,
     _as_count,
@@ -135,9 +136,12 @@ def simulate(model, n, seed):
     atom k with probability w_k / c, give xi_j = max_i zeta_i b_{K_i, j}
     with -log P(xi <= x) = sum_k w_k max_j b_kj / x_j = h(K, 1/x). Once
     zeta_i <= min_j xi_j no later point can raise a coordinate, since
-    zeta decreases and b <= 1, so stopping there is exact.  A body is
-    simulated from its own atoms, the ones its cdf reads; an analytic body
-    needs with_discrete() first, which makes its fit the law.
+    zeta decreases and b <= 1, so stopping there is exact.  A point's atom
+    is read off the cumulative weights by the bucket lookup
+    (_kernels.bucket_search) in O(1) expected, so N points cost O(N d)
+    expected whatever m is; a binary search would cost O(N (d + log m)).
+    A body is simulated from its own atoms, the ones its cdf reads; an
+    analytic body needs with_discrete() first, which makes its fit the law.
     """
     n = _as_count(n, "n", 1)
     sigma = model.spectral
@@ -151,8 +155,8 @@ def simulate(model, n, seed):
     A, w = A[w > 0], w[w > 0]
     # coordinates first, so gathers and reductions over rows are contiguous
     BT = (A / w[:, None]).T.copy()
-    cum = np.cumsum(w)
-    c, last = cum[-1], len(w) - 1
+    cum = np.append(np.cumsum(w), np.inf)  # a sentinel above every u * c
+    c, last, buckets = cum[-2], len(w) - 1, _kernels.bucket_index(cum[:-1])
     out = np.empty((sigma.d, n))
     n_points = 0
     for lo, chunk_n, rng in _mc_chunks(n, seed):
@@ -162,7 +166,7 @@ def simulate(model, n, seed):
         while rows.size:
             gamma += rng.standard_exponential(rows.size)
             zeta = c / gamma
-            k = np.searchsorted(cum, rng.random(rows.size) * c, "right")
+            k = _kernels.bucket_search(cum, buckets, rng.random(rows.size) * c, "right")
             np.minimum(k, last, out=k)  # u * c may round up to c
             np.maximum(xi, zeta * BT.take(k, axis=1), out=xi)
             n_points += rows.size

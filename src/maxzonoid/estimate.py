@@ -8,15 +8,17 @@ import numpy as np
 
 from .distribution import SampleMatrix
 from .geometry import (
+    Estimate,
     Polygon2D,
     _as_real,
     _envelope_polygon,
+    _grid_size,
     _ne_chain,
-    hausdorff_distance,
-    normalize_dependency,
+    _support_finite,
+    _unit_distance_grid,
     zonoid_from_spectral,
 )
-from .spectral import _from_reference, _real_array, reference_norm_of
+from .spectral import _from_reference, _nondegenerate, _real_array, reference_norm_of
 
 
 DirectionEstimate = namedtuple("DirectionEstimate", "direction value clipped", defaults=(False,))
@@ -85,25 +87,34 @@ ConvergencePoint = namedtuple("ConvergencePoint", "s distance n_exceedances ok")
 
 def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None):
     """Hausdorff distance between the normalized empirical max-zonoid at
-    each threshold and a target body.  Thresholds without exceedances,
-    or whose exceedances leave a coordinate empty, are flagged; bad data,
-    grids, dimensions, or thresholds that are not positive, finite and
-    increasing fail the whole sweep."""
+    each threshold and a target body, as hausdorff_distance reads it: an
+    Estimate, a lower bound on the unit orthant directions U of its grid.
+    The target is read on U once.  Normalizing is a coordinatewise scaling,
+    h(diag(1/m) E, u) = h(E, u/m), so the exceedance body E_s is read on
+    U/m_s, m_s its marginal sums, and no normalized body is built.
+    Thresholds without exceedances, or whose exceedances leave a coordinate
+    empty, are flagged; bad data, a target of another dimension or NaN
+    support values, a bad grid, or thresholds that are not positive,
+    finite and increasing fail the whole sweep."""
     X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
     s_grid = _real_array(s_grid, "thresholds")
     if s_grid.ndim != 1 or not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
         raise ValueError("thresholds must be positive and finite")
     if (np.diff(s_grid) <= 0).any():
         raise ValueError("threshold grid must be increasing")
+    if target.d != X.shape[1]:
+        raise ValueError(f"the target has dimension {target.d}, the data {X.shape[1]}")
+    U = _unit_distance_grid(target.d, _grid_size(target.d, grid_n))
+    h_target = _support_finite(target, U)
     norms = reference_norm_of(X, reference)
     out = []
     for s in s_grid:
         n_exc = int((norms >= s).sum())
-        try:  # no exceedances, or a coordinate without any
-            K = normalize_dependency(zonoid_from_spectral(_exceedance_measure(X, norms, s, reference)))
-        except ValueError:
+        E = _exceedance_measure(X, norms, s, reference) if n_exc else None
+        m = None if E is None else E.marginal_sums()
+        if m is None or not _nondegenerate(m):  # no exceedances, or a coordinate without any
             out.append(ConvergencePoint(float(s), float("nan"), n_exc, False))
             continue
-        dist = hausdorff_distance(K, target, grid_n=grid_n)
-        out.append(ConvergencePoint(float(s), dist, n_exc, True))
+        gap = np.abs(_support_finite(zonoid_from_spectral(E), U / m) - h_target).max()
+        out.append(ConvergencePoint(float(s), Estimate(gap, 0.0, "grid-lower-bound", len(U)), n_exc, True))
     return out

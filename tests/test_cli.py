@@ -234,6 +234,8 @@ class TestTheta:
              'subset "3,2,1" is named twice, the second time as "1,2,3"'),
             ("construct-theta", {"extremal": {"d": 2, "theta": {"1,1": 1.0, "1,2": 1.5}}},
              'invalid subset "1,1": need a nonempty set of distinct integers in range(2)'),
+            ("measures", {"extremal": {"d": 2, "theta": {"a,2": 1.5}}},
+             'theta key "a,2" is not a comma-separated list of integers'),
         ],
     )
     def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):

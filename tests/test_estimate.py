@@ -9,6 +9,7 @@ from maxzonoid import (
     estimate_zonoid_2d,
     hausdorff_distance,
     make_family,
+    normalize_dependency,
     simulate,
     support_function,
     unit_cross_polytope,
@@ -184,6 +185,27 @@ class TestConvergenceDiagnostic:
         s = simulate(MaxStableModel(unit_cube(2)), 100, seed=5)
         with pytest.raises(ValueError, match="positive and finite"):
             convergence_diagnostic(s, [1.0, bad], unit_cube(2))
+
+    def test_bad_target_or_grid_fails_a_sweep_without_exceedances(self):
+        s = simulate(MaxStableModel(unit_cube(2)), 100, seed=5)
+        with pytest.raises(ValueError, match="dimension 3"):
+            convergence_diagnostic(s, [1e12], make_family("logistic", 3, p=2.0))
+        with pytest.raises(ValueError, match="grid_n = 1"):
+            convergence_diagnostic(s, [1e12], unit_cube(2), grid_n=1)
+
+    @pytest.mark.parametrize("d, p", [(2, 2.0), (3, 1.5)])
+    def test_distances_are_those_of_the_normalized_body(self, d, p):
+        # E_s read on U / m_s against the normalized body built and read on U:
+        # the two round apart by a few ulps at these 190-1,070 atoms
+        target = make_family("logistic", d, p=p)
+        X = simulate(target.with_discrete(), 2000, seed=1)
+        pts = convergence_diagnostic(X, [5.0, 10.0, 20.0, 1e12], target)
+        assert [pt.ok for pt in pts] == [True, True, True, False]
+        for pt in pts[:-1]:
+            body = normalize_dependency(zonoid_from_spectral(empirical_spectral(X, pt.s)))
+            want = hausdorff_distance(body, target)
+            assert abs(pt.distance - want) <= 8 * np.finfo(float).eps
+            assert (pt.distance.method, pt.distance.n_samples) == (want.method, want.n_samples)
 
     def test_deterministic(self):
         model = MaxStableModel(unit_cross_polytope(2))

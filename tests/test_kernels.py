@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxzonoid import (
@@ -122,21 +122,44 @@ _slope = st.one_of(
 )
 
 
+# weights below one ulp of the running total tie the sums after them
+_weight = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-17, 1.0]), st.floats(1e-6, 1e6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(slopes=st.lists(_slope, min_size=1, max_size=40), crowd=st.booleans())
-def test_chain_position_is_searchsorted(slopes, crowd):
-    r = np.array(slopes)
-    if crowd:  # 1000 slopes one ulp apart, between two far ones, fill one bucket
+@given(
+    slopes=st.lists(_slope, min_size=1, max_size=40),
+    weights=st.lists(_weight, min_size=1, max_size=40),
+    crowd=st.booleans(),
+    side=st.sampled_from(["left", "right"]),
+)
+@example(slopes=[1.0], weights=[2.0], crowd=False, side="right")  # one atom: every key in one bucket
+@example(slopes=[1.0], weights=[1.0, 1e-17, 1e-17, 0.5], crowd=False, side="right")
+def test_chain_position_is_searchsorted(slopes, weights, crowd, side):
+    # the keys of a planar chain, its slopes, and of the sampler, its
+    # cumulative weights, each searched at, below and above every key
+    r, w = np.array(slopes), np.array(weights)
+    if crowd:  # 1000 keys one ulp apart, between two far ones, fill one bucket
         r = np.concatenate([r, 1.0 + np.arange(1000) * np.finfo(float).eps, [1e-300, 1e300]])
+        w = np.concatenate([[1e-300, 1.0], np.full(999, np.finfo(float).eps), [1e300], w])
     B = np.where(np.isinf(r)[:, None], [1.0, 0.0], np.column_stack([r, np.ones_like(r)]))
     with np.errstate(over="ignore"):  # sums and neighbours of slopes near the largest float
         chain = _kernels.planar_chain(B)
         q = np.concatenate([r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf), [0.0, np.inf]])
     assert np.array_equal(chain.r, np.append(np.sort(r), np.inf))
-    if crowd:
-        assert np.diff(chain.first).max() > _kernels._WALK  # the walk's cap is reached
-    got = _kernels._chain_position(chain, q)
-    assert np.array_equal(got, np.searchsorted(chain.r[:-1], q, "left"))
+    cum = np.cumsum(w)
+    c = cum[-1]  # the sampler asks u * c for u in [0, 1): 0 up to c, as u * c may round up
+    u = np.random.default_rng(len(w)).random(50)
+    queries = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf), [0.0, c], u * c])
+    searches = [
+        (chain.r, chain.buckets, q if side == "left" else q[q < np.inf]),  # the sentinel is above every query
+        (np.append(cum, np.inf), _kernels.bucket_index(cum), queries),
+    ]
+    for keys, buckets, q in searches:
+        if crowd:
+            assert np.diff(buckets.first).max() > _kernels._WALK  # the walk's cap is reached
+        got = _kernels.bucket_search(keys, buckets, q, side)
+        assert np.array_equal(got, np.searchsorted(keys[:-1], q, side))
 
 
 def test_support_sum_takes_atoms_or_their_chain(rng):
@@ -149,7 +172,7 @@ def test_support_sum_takes_atoms_or_their_chain(rng):
 
 def test_chain_is_read_only():
     chain = make_measure([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]], [1.0, 0.5, 0.5]).chain
-    for a in (chain.r, chain.vx, chain.vy, chain.first):
+    for a in (chain.r, chain.vx, chain.vy, chain.buckets.first):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1

@@ -175,9 +175,11 @@ PINNED = {
     # at 40 digits, is 0x1.315967d65f2e4p-7: this value is 28 ulps (4.9e-17)
     # above it, inside the rounding of h near 1, 2.2e-16
     "discretize_3d": ("0x1.315967d65f300p-7", "nnls-bpp"),
-    # the empirical body's marginals are its column sums, not planar support
-    # values: 4.4e-16 (128 ulps) below the kernel-read 0x1.1dde467add480p-6
-    "convergence": ("0x1.1dde467add400p-6", "grid-lower-bound"),
+    # the empirical body read on the directions scaled by its marginal sums:
+    # 4.4e-16 (128 ulps) below 0x1.1dde467add400p-6, the normalized body
+    # built and read, within the 8 eps that tests/test_estimate.py
+    # (test_distances_are_those_of_the_normalized_body) allows between them
+    "convergence": ("0x1.1dde467add380p-6", "grid-lower-bound"),
 }
 
 
