@@ -89,7 +89,10 @@ def _by_subset(values):
 class _SubsetKey(tuple):
     """A 1-based subset key "1,3" as the 0-based index tuple (0, 2), in its
     order, whose repr is the key as written: ExtremalTable judges the
-    subset, and "1,2" beside "2,1", and its errors quote the file."""
+    subset, and "1,2" beside "2,1", and its errors quote the file and,
+    by base, state the range as 1..d."""
+
+    base = 1
 
     def __new__(cls, key):
         try:
@@ -236,21 +239,150 @@ def _open_out(path):
 # Rows per formatted block of write_csv: under 1 MB of text at two columns.
 _CSV_BLOCK = 2**14
 
+# "%.17g" of a value x in (1e-11, 1e15) is its 17 significant digits D and
+# decimal exponent k in -11..14 (row k + 11 of the tables below), laid out by
+# k.  D is read off x = m * 2**e (m of 53 bits) as m * 5**q / 2**t rounded half
+# to even, q = 16 - k and t = k - 16 - e in 1..62 there: the product in 32-bit
+# limbs of uint64.  The digits come four at a time from a 10**4-entry table.
+_K = np.arange(-11, 15)
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)
+# the four ASCII digits of 0..9999 as one uint32 each, and the same with the
+# trailing zeros as NUL bytes, which the writer drops
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUAD_DIGITS = np.stack(
+    np.broadcast_arrays(_DIGITS[:, None, None, None], _DIGITS[:, None, None], _DIGITS[:, None], _DIGITS), axis=-1
+).reshape(10_000, 4)
+_QUADS = _QUAD_DIGITS.view(np.uint32).ravel()
+_TRAILING = _QUAD_DIGITS == ord("0")
+_TRAILING[:, 2] &= _TRAILING[:, 3]
+_TRAILING[:, 1] &= _TRAILING[:, 2]
+_TRAILING[:, 0] &= _TRAILING[:, 1]
+_QUADS_CUT = np.where(_TRAILING, 0, _QUAD_DIGITS).view(np.uint32).ravel()
+
+
+def _quad(text):
+    return np.frombuffer(text, np.uint32)[0]
+
+
+# A value's 44 source bytes, 11 uint32 quads: 0-2 "000", 3 the first digit,
+# 4-19 the other 16, 20-35 those with trailing zeros NUL, 36 "." or NUL,
+# 37 the separator, 38-39 NUL, 40-43 "e-" and the exponent's two digits.
+# _LAYOUTS[k + 11] lists the source byte of each of the 24 field bytes and the
+# separator: "ddd.ddd" for k >= 0, "0.000ddd" for -4 <= k < 0 and "d.ddde-XX"
+# below, NUL-padded.  The "." is NUL unless a digit after it is nonzero, that
+# is D % _POINT_MOD[k + 11] != 0 (any D for "0.000ddd", as D < 10**17).
+_FIELD = 24  # the longest "%.17g", -1.7976931348623157e+308
+
+
+def _layouts():
+    k, j = _K[:, None], np.arange(_FIELD + 1)
+    head = np.maximum(k, 0)  # the last digit before the point
+    small = (k < 0) & (k >= -4)
+    return np.select(
+        [
+            j == _FIELD,  # the separator
+            small & ((j == 0) | (j > 1) & (j < 1 - k)),  # the zeros of "0.000"
+            small & (j == 1),  # its point
+            small & (j == 1 - k),  # the first digit
+            small & (j <= 17 - k),  # the other 16, trailing zeros cut
+            ~small & (j <= head),  # the digits before the point
+            ~small & (j == head + 1),  # the point
+            ~small & (j <= 17),  # the digits after it, trailing zeros cut
+            (k < -4) & (j <= 21),  # "e-XX"
+        ],
+        [37, 0, 36, 3, 18 + j + k, 3 + j, 36, 18 + j, 22 + j],
+        38,
+    )
+
+
+_LAYOUTS = _layouts()
+_POINT_MOD = np.where(_K < -4, 10**16, 10 ** (16 - np.maximum(_K, -1))).astype(np.uint64)
+_POINT, _EXP_DIGITS, _EXP_SIGN = _quad(b".\0\0\0"), _quad(b"\0\0\xff\xff"), _quad(b"e-\0\0")
+_COMMA, _NEWLINE = _quad(b"\0,\0\0"), _quad(b"\0\n\0\0")
+
+
+def _scaled(m, e, k):
+    """floor(m * 5**q / 2**t), its remainder and t, q = 16 - k and t = k - 16 - e."""
+    p, t = _POW5[16 - k], (k - 16 - e).astype(np.uint64)
+    m_lo, m_hi, p_lo, p_hi = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    mid_lo = (low >> 32) + (mid & 0xFFFFFFFF)
+    hi = (mid_lo >> 32) + (mid >> 32) + m_hi * p_hi
+    lo = (mid_lo << 32) | (low & 0xFFFFFFFF)
+    return (hi << (64 - t)) | (lo >> t), lo & ((np.uint64(1) << t) - 1), t
+
+
+def _decimal17(x):
+    """D in [1e16, 1e17) and k with x = D * 10**(k - 16) rounded half to even,
+    for x in (1e-11, 1e15).  k is first floor(log10 x), then corrected so
+    that the truncated quotient has 17 digits: the double nearest 1e-7 has
+    k = -8, though it rounds up to 1e16 at k = -7."""
+    frac, e = np.frexp(x)
+    m, e = (frac * 2.0**53).astype(np.uint64), e - 53
+    k = np.floor(np.log10(x)).clip(-11, 14).astype(np.int64)
+    q, r, t = _scaled(m, e, k)
+    off = (q >= 10**17).astype(np.int64) - (q < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        k[fix] += off[fix]
+        q[fix], r[fix], t[fix] = _scaled(m[fix], e[fix], k[fix])
+    # no carry reaches 1e17: below each power of ten in range the nearest
+    # double is more than 4.5e-17 of it away, relatively, and a carry needs 5e-18
+    return q + ((r + (np.uint64(1) << (t - 1)) - 1 + (q & 1)) >> t), k
+
+
+def _csv_text(X):
+    """The CSV rows of the float block X, each value as "%.17g" formats it.
+    Values in (1e-11, 1e15) are laid out from their digits by _LAYOUTS, a
+    gather of 25 bytes a value from its source bytes; every other value
+    (0, -0, negatives, nan, +-inf, subnormals) is formatted by "%.17g" into
+    its field.  One pass drops the NUL bytes."""
+    rows, cols = X.shape
+    x = X.ravel()
+    n = x.size
+    fast = (x > 1e-11) & (x < 1e15)
+    D, k = _decimal17(np.where(fast, x, 1.0))
+    rest, groups = D, []
+    for p in (10**16, 10**12, 10**8, 10**4):
+        groups.append(rest // p)
+        rest = rest - groups[-1] * p
+    groups.append(rest)
+    src = np.empty((11, n), np.uint32)  # row c holds quad c of every value
+    for c, g in enumerate(groups):
+        src[c] = _QUADS[g]
+    tail_zero = np.ones(n, bool)
+    for c in (4, 3, 2, 1):
+        src[4 + c] = np.where(tail_zero, _QUADS_CUT[groups[c]], src[c])
+        tail_zero &= groups[c] == 0
+    separators = np.array([_COMMA] * (cols - 1) + [_NEWLINE], np.uint32)
+    src[9] = (np.where(D % _POINT_MOD[k + 11] != 0, _POINT, 0).reshape(rows, cols) | separators).ravel()
+    src[10] = _QUADS[np.abs(k)] & _EXP_DIGITS | _EXP_SIGN
+    # source byte b of value i lies at (b // 4) * 4n + 4i + b % 4
+    idx = np.take((_LAYOUTS >> 2) * (4 * n) + (_LAYOUTS & 3), k + 11, axis=0)
+    idx += np.arange(0, 4 * n, 4)[:, None]
+    out = np.take(src.view(np.uint8).ravel(), idx)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([("%.17g" % v).ljust(_FIELD, "\0") for v in x[slow].tolist()])
+        out[slow, :_FIELD] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _FIELD)
+    out = out.ravel()
+    return out[out != 0].tobytes().decode()
+
 
 def write_csv(path, header, rows, meta):
     """'#' meta lines, the header, then the (n, k) rows in "%.17g" with ','
-    between columns.  One row template repeated over a block of rows is
-    formatted by a single %, which writes the bytes of formatting row by
-    row without its per-row Python cost."""
+    between columns, the bytes np.savetxt(fmt="%.17g", delimiter=",")
+    writes.  Blocks of _CSV_BLOCK rows are formatted as whole columns by
+    _csv_text: the digits by integer arithmetic in place of the exact
+    bignum path of "%.17g", which only the values outside its range take."""
     X = np.asarray(rows, dtype=float)
     with _open_out(path) as fh:
         for key, val in meta.items():
             fh.write(f"# {key}={val}\n")
         fh.write(",".join(header) + "\n")
-        row = ",".join(["%.17g"] * X.shape[1]) + "\n"
         for lo in range(0, X.shape[0], _CSV_BLOCK):
-            block = X[lo : lo + _CSV_BLOCK]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            fh.write(_csv_text(X[lo : lo + _CSV_BLOCK]))
 
 
 def result_document(operation, spec, results, **extra):

@@ -9,6 +9,7 @@ import numpy as np
 
 from .geometry import (
     Estimate,
+    _MAX_D,
     _as_count,
     _as_real,
     _as_subset,
@@ -32,7 +33,7 @@ class ExtremalTable(_ByKey):
     _fields = ("d", "values")
 
     def __init__(self, d, values):
-        d, vals, keys = _as_count(d, "d", 1), {}, {}
+        d, vals, keys = _as_count(d, "d", 1, _MAX_D), {}, {}
         for key, v in values.items():
             A = _as_subset(key, d)
             if A in vals:

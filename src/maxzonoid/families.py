@@ -23,6 +23,7 @@ from .geometry import (
     Estimate,
     MaxZonoid,
     Polygon2D,
+    _MAX_D,
     _as_count,
     _as_real,
     _fold,
@@ -159,7 +160,7 @@ def make_family(name, d=2, **params):
     each a real number (_as_real) but the weight matrix, a point batch
     (_point_rows); ValueError on a missing, extra or out-of-range one, or a
     d that is not a positive integer (2 for a bivariate family)."""
-    d = _as_count(d, "d", 1)
+    d = _as_count(d, "d", 1, _MAX_D)
     if not isinstance(name, str) or name not in _PARAMS:
         raise ValueError(f"unknown family {name!r}")
     extra = sorted(set(params) - set(_PARAMS[name]))

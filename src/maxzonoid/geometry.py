@@ -106,7 +106,7 @@ class AnalyticNorm(_ByKey):
     _fields = ("name", "d", "fn", "grad", "params")
 
     def __init__(self, name, d, fn, grad=None, params=()):
-        self._set(name, _as_count(d, "d", 1), fn, grad, params)
+        self._set(name, _as_count(d, "d", 1, _MAX_D), fn, grad, params)
 
     def _key(self):
         return self.name, self.d, self.params
@@ -119,7 +119,7 @@ class MaxZonoid(_ByKey):
     _fields = ("d", "spectral", "norm")
 
     def __init__(self, d, spectral=None, norm=None):
-        d = _as_count(d, "d", 1)
+        d = _as_count(d, "d", 1, _MAX_D)
         if (spectral is None) == (norm is None):
             raise ValueError("exactly one representation must be given")
         if spectral is not None and spectral.d != d:
@@ -207,13 +207,13 @@ def cross_polytope(apex):
 
 def unit_cube(d):
     """Independence body [0,1]^d: unit atoms on the coordinate axes (_as_count)."""
-    d = _as_count(d, "d", 1)
+    d = _as_count(d, "d", 1, _MAX_D)
     return DependencySet(d=d, spectral=make_measure(np.eye(d), np.ones(d)))
 
 
 def unit_cross_polytope(d):
     """Complete-dependence body conv{0, e_1, ..., e_d}: one diagonal atom (_as_count)."""
-    d = _as_count(d, "d", 1)
+    d = _as_count(d, "d", 1, _MAX_D)
     return DependencySet(d=d, spectral=make_measure(np.full((1, d), 1.0 / d), [float(d)]))
 
 
@@ -854,14 +854,16 @@ def _as_subset(A, d):
     """A coordinate subset, an index or an iterable of them, as a frozenset
     of ints (_as_count), so 1.5, True and "1" are refused rather than
     truncated; ValueError unless it is nonempty, within range(d) and
-    names no index twice."""
+    names no index twice.  A key whose base attribute is 1, as a model
+    file's θ key counts from 1, has the error state the range as 1..d."""
     try:
         idx = [_as_count(i, "index") for i in (A if np.iterable(A) else [A])]
     except ValueError:
         idx = []
     S = frozenset(idx)
     if not S or len(S) < len(idx) or min(S) < 0 or max(S) >= d:
-        raise ValueError(f"invalid subset {A!r}: need a nonempty set of distinct integers in range({d})")
+        span = f"1..{d}" if getattr(A, "base", 0) == 1 else f"range({d})"
+        raise ValueError(f"invalid subset {A!r}: need a nonempty set of distinct integers in {span}")
     return S
 
 
@@ -883,10 +885,15 @@ def _corner_directions(d):
     return np.eye(d) if d > 12 else subset_indicator_lattice(d, include_origin=False)
 
 
-def _as_count(n, name, least=None):
+# The side of the largest (d, d) float array numpy can index, the bound of
+# every dimension d.
+_MAX_D = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
+def _as_count(n, name, least=None, most=None):
     """n as a Python int, for a size or a seed: ValueError, not TypeError,
     for nan, inf, 2.5, True and anything else that is not an integer, and
-    for one below least when that is given."""
+    for one below least or above most when that is given."""
     try:
         if isinstance(n, (bool, np.bool_)):
             raise TypeError
@@ -895,6 +902,9 @@ def _as_count(n, name, least=None):
         raise ValueError(f"{name} must be an integer, got {n!r}") from None
     if least is not None and n < least:
         raise ValueError(f"{name} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        shown = n if n < 2**64 else "an integer beyond 64 bits"
+        raise ValueError(f"{name} must be at most {most}, got {shown}")
     return n
 
 

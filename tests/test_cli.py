@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxzonoid as mz
 from maxzonoid import cli
@@ -35,6 +38,32 @@ def _rows_over_blocks():
     rng = np.random.default_rng(5)
     n = cli._CSV_BLOCK + 7
     return rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+
+
+def _frechet_rows_over_blocks(cols):
+    # unit Frechet draws, as simulate writes them: nearly all in the integer kernel's range
+    return 1.0 / np.random.default_rng(cols).exponential(size=(cli._CSV_BLOCK + 7, cols))
+
+
+def _powers_of_ten():
+    # 10**k and the two doubles on each side of it, inside the kernel's range and at both ends
+    p = 10.0 ** np.arange(-13, 18)
+    below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+    return np.concatenate([np.nextafter(below, 0.0), below, p, above, np.nextafter(above, np.inf)])[:, None]
+
+
+def _half_even_ties():
+    # m / 2**j for odd m: each one whose 18th significant digit is its last, a 5, is a tie
+    m = np.random.default_rng(7).integers(0, 2**52, (63, 64)) * 2 + 1
+    return (m / 2.0 ** np.arange(1, 64)[:, None]).reshape(-1, 2)
+
+
+def _values_formatted_one_by_one():
+    tiny = np.finfo(float).tiny
+    return np.array([
+        0.0, -0.0, 5e-324, tiny / 3, tiny, np.inf, -np.inf, np.nan, -1.5, -1e-7, -0.25, 1e15,
+        np.nextafter(1e15, 0.0), 1e17, 1.7976931348623157e308, -1.7976931348623157e308, 1e-11, 1e-300,
+    ]).reshape(-1, 3)
 
 
 def read_json(path):
@@ -221,9 +250,9 @@ class TestTheta:
     @pytest.mark.parametrize(
         "command, doc, message",
         [
-            # each error quotes the 1-based key as the file writes it
+            # each error quotes the 1-based key as the file writes it, and states the range 1..d
             ("measures", {"extremal": {"d": 2, "theta": {"1,3": 1.5}}},
-             'invalid subset "1,3": need a nonempty set of distinct integers in range(2)'),
+             'invalid subset "1,3": need a nonempty set of distinct integers in 1..2'),
             ("measures", {"extremal": {"d": 3, "theta": {"1,2": 1.5}}}, "missing subsets"),
             ("check-theta", {"family": {"name": "independence", "d": 2}}, "needs an extremal model file"),
             # one subset named twice, by its indices in another order or by an index named twice
@@ -233,9 +262,11 @@ class TestTheta:
                                                          "1,2,3": 2.5}}},
              'subset "3,2,1" is named twice, the second time as "1,2,3"'),
             ("construct-theta", {"extremal": {"d": 2, "theta": {"1,1": 1.0, "1,2": 1.5}}},
-             'invalid subset "1,1": need a nonempty set of distinct integers in range(2)'),
+             'invalid subset "1,1": need a nonempty set of distinct integers in 1..2'),
             ("measures", {"extremal": {"d": 2, "theta": {"a,2": 1.5}}},
              'theta key "a,2" is not a comma-separated list of integers'),
+            ("measures", {"extremal": {"d": 2, "theta": {"0,1": 1.5}}},
+             'invalid subset "0,1": need a nonempty set of distinct integers in 1..2'),
         ],
     )
     def test_bad_extremal_input_exit2(self, tmp_path, command, doc, message, capsys):
@@ -248,6 +279,10 @@ class TestTheta:
         assert key == (2, 0) and hash(key) == hash((2, 0)) and repr(key) == '"3,1"'
         by_key = mz.ExtremalTable(3, {key: 1.5, cli._SubsetKey("2"): 1.0})
         assert by_key.values == mz.ExtremalTable(3, {(0, 2): 1.5, 1: 1.0}).values
+
+    def test_a_library_subset_error_states_the_0_based_range(self):
+        with pytest.raises(ValueError, match=r"^invalid subset \(0, 2\): .* in range\(2\)$"):
+            mz.ExtremalTable(2, {(0, 2): 1.5})
 
     def test_a_key_given_twice_in_the_file_exits2(self, tmp_path, capsys):
         # json.load alone keeps the last of two equal keys: theta_12 would read 1.2
@@ -447,8 +482,16 @@ class TestCsv:
             np.array([[1.0, -2.5, 3e-17, 12345678901234567.0]]),
             np.empty((0, 3)),
             _rows_over_blocks(),
+            _powers_of_ten(),
+            _half_even_ties(),
+            _values_formatted_one_by_one(),
+            _frechet_rows_over_blocks(1),
+            _frechet_rows_over_blocks(3),
+            # F-ordered, as simulate passes its (d, n) draws transposed
+            np.asfortranarray(_frechet_rows_over_blocks(2)[:5000]),
         ],
-        ids=["special", "one-column", "one-row", "no-rows", "blocks"],
+        ids=["special", "one-column", "one-row", "no-rows", "blocks", "powers-of-ten", "half-even-ties",
+             "one-by-one", "blocks-one-column", "blocks-three-columns", "fortran-order"],
     )
     def test_bytes_match_savetxt(self, tmp_path, rows):
         out = tmp_path / "out.csv"
@@ -457,6 +500,29 @@ class TestCsv:
         want = io.StringIO()
         np.savetxt(want, rows, fmt="%.17g", delimiter=",")
         assert out.read_bytes() == ("# seed=1\n" + ",".join(header) + "\n" + want.getvalue()).encode()
+
+    def test_the_double_nearest_1e_7_keeps_its_exponent(self, tmp_path):
+        # its truncated digits are 16 nines: rounded to 17 digits it is not 1e-07
+        out = tmp_path / "out.csv"
+        write_csv(str(out), ["x"], [[1e-7], [np.nextafter(1e-7, 1.0)]], {})
+        assert out.read_text() == "x\n9.9999999999999995e-08\n1.0000000000000001e-07\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        cols=st.integers(1, 3),
+        kind=st.sampled_from(["bits", "kernel range"]),
+    )
+    def test_each_value_is_its_percent_17g(self, tmp_path_factory, data, cols, kind):
+        value = {
+            "bits": st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]),
+            "kernel range": st.floats(1e-12, 1e16),
+        }[kind]
+        rows = data.draw(st.lists(st.lists(value, min_size=cols, max_size=cols), min_size=1, max_size=20))
+        out = tmp_path_factory.getbasetemp() / "each_value.csv"
+        write_csv(str(out), ["c"] * cols, rows, {})
+        want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+        assert out.read_text() == ",".join(["c"] * cols) + "\n" + want
 
 
 class TestCountsFailLoudly:
@@ -576,6 +642,11 @@ class TestExitCodes:
          "atom masses must hold real numbers, got '1'"),
         ({"extremal": {"d": 2, "theta": {"1,2": "1.5"}}},
          """extremal coefficient of "1,2" must be a real number, got '1.5'"""),
+        # a d that no (d, d) float array can hold, refused by the dimension reader
+        ({"family": {"name": "independence", "d": 1e300}},
+         "d must be at most 1073741823, got an integer beyond 64 bits"),
+        ({"family": {"name": "independence", "d": 100000000000}}, "d must be at most 1073741823, got 100000000000"),
+        ({"extremal": {"d": 100000000000, "theta": {"1,2": 1.5}}}, "d must be at most 1073741823, got 100000000000"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
         spec = write_model(tmp_path, "bad.json", doc)

@@ -348,6 +348,20 @@ class TestSpectralGuards:
         with pytest.raises(ValueError, match=r"\(n, d\) array|d must be (at least 1|an integer)"):
             call()
 
+    # the side of the largest (d, d) float array is 2**30 - 1; one more is refused by every dimension reader
+    @pytest.mark.parametrize("call", [
+        lambda d: unit_cube(d),
+        lambda d: unit_cross_polytope(d),
+        lambda d: make_family("independence", d),
+        lambda d: mz.ExtremalTable(d, {}),
+        lambda d: AnalyticNorm("sum", d, lambda X: X.sum(axis=1)),
+        lambda d: MaxZonoid(d=d, norm=AnalyticNorm("sum", 2, lambda X: X.sum(axis=1))),
+    ], ids=["unit_cube", "unit_cross_polytope", "make_family", "ExtremalTable", "AnalyticNorm", "MaxZonoid"])
+    @pytest.mark.parametrize("d", [2**30, 10**300])
+    def test_a_dimension_beyond_any_array_is_refused(self, call, d):
+        with pytest.raises(ValueError, match=r"^d must be at most 1073741823, got (1073741824|an integer beyond 64 bits)$"):
+            call(d)
+
     @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [0.0, 1.0]]])
     def test_a_point_without_direction_is_refused(self, points):
         with pytest.raises(ValueError, match="positive coordinate sum"):
