@@ -15,7 +15,8 @@ subset missing); every value and numeric option is read by the library's
 reader of its kind, a count, a real, a point batch or mass list, or a
 subset, whose ValueError is the error line.  CSV outputs use '#'-prefixed
 metadata lines (seed, version) before the header row.
-Exit codes: 0 success, 1 usage error, 2 validation failure.
+Exit codes: 0 success, 1 usage error, 2 validation failure, an input too
+large for memory among them.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import combinations
+from itertools import count
 
 import numpy as np
 
@@ -143,17 +144,37 @@ def load_spec(path):
 
 def parse_extremal(body):
     """The ExtremalTable of an extremal model file's theta, each singleton 1
-    unless given; ValueError at a subset of two or more coordinates missing."""
+    unless given; ValueError at a subset of two or more coordinates missing,
+    found by counting the keys given before any subset is walked."""
     theta = _json_object(body["theta"], '"theta"')
     table = ExtremalTable(_json_int(body["d"]), {_SubsetKey(k): v for k, v in theta.items()})
     d, values = table.d, dict(table.values)
+    given = sum(len(A) > 1 for A in values)
+    if d > 63 or given < 2**d - d - 1:  # 2^d is formed only where it fits 64 bits
+        total = f"2^{d} - {d} - 1" if d > 63 else 2**d - d - 1
+        raise ValueError(
+            f"extremal table is missing subsets {_missing_subsets(values, d)}: it names {given} of the "
+            f"{total} subsets of two or more coordinates"
+        )
     for i in range(d):
         values.setdefault(frozenset([i]), 1.0)
-    subsets = (frozenset(A) for k in range(2, d + 1) for A in combinations(range(d), k))
-    missing = [_subset_key(A) for A in subsets if A not in values]
-    if missing:
-        raise ValueError(f"extremal table is missing subsets {missing}")
     return ExtremalTable(d, values)
+
+
+def _missing_subsets(values, d, shown=5):
+    """The keys of the first subsets of two or more of d coordinates that
+    values lacks, in the order of their bit masks, up to shown of them and
+    then "...".  The walk stops there, so it passes at most about
+    len(values) + shown masks, whatever d is."""
+    missing = []
+    for mask in count(3):
+        if mask.bit_length() > d:
+            return missing
+        A = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+        if len(A) > 1 and A not in values:
+            if len(missing) == shown:
+                return [*missing, "..."]
+            missing.append(_subset_key(A))
 
 
 def build_model(spec, form):
@@ -690,8 +711,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
+        # an input too large for memory is bad input too: numpy's message names the array
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

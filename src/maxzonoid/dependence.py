@@ -47,7 +47,7 @@ class ExtremalTable(_ByKey):
         return self.values[_as_subset(subset, self.d)]
 
     def is_complete(self):
-        return len(self.values) == 2**self.d - 1
+        return self.d < 64 and len(self.values) == 2**self.d - 1  # no dict holds 2^64 - 1 keys
 
 
 def extremal_coefficient(model, A):

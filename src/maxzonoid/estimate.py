@@ -6,6 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import _kernels
 from .distribution import SampleMatrix
 from .geometry import (
     Estimate,
@@ -16,9 +17,8 @@ from .geometry import (
     _ne_chain,
     _support_finite,
     _unit_distance_grid,
-    zonoid_from_spectral,
 )
-from .spectral import _from_reference, _nondegenerate, _real_array, reference_norm_of
+from .spectral import _from_reference, _merged, _nondegenerate, _real_array, _row_sum, reference_norm_of
 
 
 DirectionEstimate = namedtuple("DirectionEstimate", "direction value clipped", defaults=(False,))
@@ -39,22 +39,14 @@ def direction_estimate(direction, value):
 def empirical_spectral(samples, s, reference="l1"):
     """Empirical exceedance measure: one atom z/|z| of mass s/n per
     observation with reference norm |z| >= s, restated on the l1 simplex."""
-    X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
+    X = (samples if isinstance(samples, SampleMatrix) else SampleMatrix(samples)).values
     if not _as_real(s, "threshold") > 0:  # NaN fails
         raise ValueError(f"threshold must be positive, got {s!r}")
-    return _exceedance_measure(X, reference_norm_of(X, reference), s, reference)
-
-
-def _exceedance_measure(X, norms, s, reference):
-    """empirical_spectral on checked data X with its reference norms."""
+    norms = reference_norm_of(X, reference)
     hit = norms >= s
-    n_exc = int(hit.sum())
-    if n_exc == 0:
-        raise ValueError(
-            f"no exceedances above s={s:g} (max norm {norms.max():g}); "
-            "lower the threshold"
-        )
-    return _from_reference(X[hit] / norms[hit, None], np.full(n_exc, s / X.shape[0]), reference)
+    if not hit.any():
+        raise ValueError(f"no exceedances above s={s:g} (max norm {norms.max():g}); lower the threshold")
+    return _from_reference(X[hit] / norms[hit, None], np.full(int(hit.sum()), s / X.shape[0]), reference)
 
 
 def estimate_zonoid_2d(estimates):
@@ -89,14 +81,14 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     """Hausdorff distance between the normalized empirical max-zonoid at
     each threshold and a target body, as hausdorff_distance reads it: an
     Estimate, a lower bound on the unit orthant directions U of its grid.
-    The target is read on U once.  Normalizing is a coordinatewise scaling,
-    h(diag(1/m) E, u) = h(E, u/m), so the exceedance body E_s is read on
-    U/m_s, m_s its marginal sums, and no normalized body is built.
+    The target is read on U once, E_s off its scaled exceedance rows, merged
+    as make_measure merges atoms, in one kernel sum on U/m_s, m_s their column
+    sums: h(diag(1/m) E, u) = h(E, u/m), and no measure or body is built.
     Thresholds without exceedances, or whose exceedances leave a coordinate
     empty, are flagged; bad data, a target of another dimension or NaN
     support values, a bad grid, or thresholds that are not positive,
     finite and increasing fail the whole sweep."""
-    X = (samples if hasattr(samples, "values") else SampleMatrix(samples)).values
+    X = (samples if isinstance(samples, SampleMatrix) else SampleMatrix(samples)).values
     s_grid = _real_array(s_grid, "thresholds")
     if s_grid.ndim != 1 or not (np.isfinite(s_grid).all() and (s_grid > 0).all()):
         raise ValueError("thresholds must be positive and finite")
@@ -109,12 +101,15 @@ def convergence_diagnostic(samples, s_grid, target, reference="l1", grid_n=None)
     norms = reference_norm_of(X, reference)
     out = []
     for s in s_grid:
-        n_exc = int((norms >= s).sum())
-        E = _exceedance_measure(X, norms, s, reference) if n_exc else None
-        m = None if E is None else E.marginal_sums()
-        if m is None or not _nondegenerate(m):  # no exceedances, or a coordinate without any
-            out.append(ConvergencePoint(float(s), float("nan"), n_exc, False))
+        hit = norms >= s
+        P = X[hit] / norms[hit, None]
+        l1 = _row_sum(P)
+        A, w = _merged(P / l1[:, None], l1 * (s / X.shape[0]))  # atoms x/|x|_1 of mass (s/n) |x|_1/|x|_ref
+        B = A * w[:, None]
+        m = B.sum(axis=0)
+        if not _nondegenerate(m):  # no exceedances, or a coordinate without any
+            out.append(ConvergencePoint(float(s), float("nan"), len(P), False))
             continue
-        gap = np.abs(_support_finite(zonoid_from_spectral(E), U / m) - h_target).max()
-        out.append(ConvergencePoint(float(s), Estimate(gap, 0.0, "grid-lower-bound", len(U)), n_exc, True))
+        gap = np.abs(_kernels.support_sum(B, U / m) - h_target).max()
+        out.append(ConvergencePoint(float(s), Estimate(gap, 0.0, "grid-lower-bound", len(U)), len(P), True))
     return out

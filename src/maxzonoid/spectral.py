@@ -49,14 +49,18 @@ def _row_sum(P):
 
 
 def reference_norm_of(pts, reference):
-    """Row-wise reference norm of (m, d) nonnegative float points, shape (m,), in whole columns."""
-    if reference == "l1":
-        return _row_sum(pts)
-    if reference == "l2":
-        return np.sqrt(_row_sum(pts * pts))
-    if reference == "linf":
-        return _fold(np.maximum, pts.T)
-    raise ValueError(f"unknown reference norm {reference!r}")
+    """Row-wise reference norm of (m, d) nonnegative float points, shape (m,),
+    in whole columns; ValueError where it overflows on finite points."""
+    if reference not in REFERENCE_NORMS:
+        raise ValueError(f"unknown reference norm {reference!r}")
+    with np.errstate(over="ignore"):  # named below
+        if reference == "linf":
+            norms = _fold(np.maximum, pts.T)
+        else:
+            norms = _row_sum(pts) if reference == "l1" else np.sqrt(_row_sum(pts * pts))
+    if not (norms < np.inf).all() and np.isfinite(pts).all():  # its row would read as an atom 0
+        raise ValueError(f"the {reference} norm of some point overflows")
+    return norms
 
 
 def _from_reference(points, masses, reference):
@@ -246,7 +250,11 @@ def make_measure(points, masses):
     norms = _row_sum(pts)
     if not (norms > 0).all():  # a zero point has no atom; its NaN row would join a group
         raise ValueError("a point of positive mass needs a positive coordinate sum")
-    pts = pts / norms[:, None]
+    return DiscreteSpectralMeasure(*_merged(pts / norms[:, None], w))
+
+
+def _merged(pts, w):
+    """Rows pts of weights w merged as make_measure merges atoms: a group is its first row, of summed weight."""
     if pts.shape[0] > 1:
         order = np.lexsort(np.vstack([_point_keys(pts).T, pts.T])[::-1])
         pts, w = pts[order], w[order]
@@ -255,7 +263,7 @@ def make_measure(points, masses):
         # bincount adds the weights of a group one after another, as a
         # loop would; np.add.reduceat pairs them and rounds differently
         pts, w = pts[start], np.bincount(np.cumsum(start) - 1, weights=w)
-    return DiscreteSpectralMeasure(pts, w)
+    return pts, w
 
 
 def spectral_from_points(points, weights=None):

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -359,7 +362,8 @@ class TestEstimateAndConverge:
 
     @pytest.mark.parametrize(
         "data, s_grid",
-        [("0,1\n2,3\n40,50\n", "5,10"), ("1,2\n40,50\n", "0,10"), ("1,2,3\n40,50,60\n", "5,10")],
+        [("0,1\n2,3\n40,50\n", "5,10"), ("1,2\n40,50\n", "0,10"), ("1,2,3\n40,50,60\n", "5,10"),
+         ("1e308,1e308\n40,50\n", "5,10")],  # a finite row whose norm overflows
     )
     def test_bad_data_fails_the_sweep(self, tmp_path, data, s_grid):
         spec = write_model(
@@ -647,11 +651,39 @@ class TestExitCodes:
          "d must be at most 1073741823, got an integer beyond 64 bits"),
         ({"family": {"name": "independence", "d": 100000000000}}, "d must be at most 1073741823, got 100000000000"),
         ({"extremal": {"d": 100000000000, "theta": {"1,2": 1.5}}}, "d must be at most 1073741823, got 100000000000"),
+        # a finite point whose l2 norm overflows, named rather than read as an atom 0
+        ({"spectral": {"reference_norm": "l2", "atoms": [{"point": [1e200, 1e200], "mass": 1}, {"point": [0, 1], "mass": 1}]}},
+         "the l2 norm of some point overflows"),
     ])
     def test_malformed_model_file_exits_2(self, tmp_path, doc, message, capsys):
         spec = write_model(tmp_path, "bad.json", doc)
         assert main(["measures", "--model", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        # the missing subsets are counted from the keys given, not walked over all 2^40 of them
+        ({"extremal": {"d": 40, "theta": {"1,2": 1.5}}},
+         "extremal table is missing subsets ['1,3', '2,3', '1,2,3', '1,4', '2,4', '...']: "
+         "it names 1 of the 1099511627735 subsets of two or more coordinates"),
+        # a dimension by its reader, but the first array, np.eye(d), asks for 8 EiB and fails at once
+        ({"family": {"name": "independence", "d": 2**30 - 1}},
+         "Unable to allocate 8.00 EiB for an array with shape (1073741823, 1073741823)"),
+    ], ids=["extremal-d-40", "independence-d-2**30-1"])
+    def test_a_file_beyond_memory_exits_2_at_once(self, tmp_path, doc, message):
+        # in a child under a 2 GB address-space limit and a 10 s timeout, so that
+        # a regression fails the test instead of exhausting the machine
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+            "from maxzonoid.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        spec = write_model(tmp_path, "big.json", doc)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code, "measures", "--model", spec],
+                             env=env, capture_output=True, text=True, timeout=10)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith(f"error: {message}") and out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("reference", ["l2", "linf"])
     def test_a_zero_point_exits_2_on_every_reference_norm_as_on_l1(self, tmp_path, reference, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,25 @@ class TestEmpiricalSpectral:
         K = zonoid_from_spectral(sigma)
         np.testing.assert_allclose(support_function(K, U), h_hand, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("samples, s", [(np.full((2, 2, 2), 5.0), 1.0), (np.full((5, 2), 30.0), None)],
-                             ids=["3-d samples", "no threshold"])
+    @pytest.mark.parametrize(
+        "samples, s",
+        [
+            (np.full((2, 2, 2), 5.0), 1.0),
+            (np.full((5, 2), 30.0), None),
+            # read as a sample, not by its attribute: a NaN row was dropped, and three atoms came back
+            (SimpleNamespace(values=[[np.nan, 1.0], [5.0, 5.0], [6.0, 2.0], [0.0, 9.0]]), 1.0),
+            # a dict has a values method, which the estimators read as data
+            ({"x1": [5.0, 6.0], "x2": [5.0, 2.0]}, 1.0),
+            # a finite row whose norm overflows: its atom x / |x| would read 0
+            (np.array([[1e308, 1e308], [5.0, 5.0], [3.0, 8.0], [9.0, 1.0]]), 1.0),
+        ],
+        ids=["3-d samples", "no threshold", "values attribute", "dict", "overflowing norm"],
+    )
     def test_bad_input_is_a_value_error(self, samples, s):
         with pytest.raises(ValueError):
             empirical_spectral(samples, s)
+        with pytest.raises(ValueError):
+            convergence_diagnostic(samples, [s], unit_cube(2))
 
     def test_no_exceedances_guidance(self):
         with pytest.raises(ValueError, match="lower the threshold"):
@@ -193,16 +209,18 @@ class TestConvergenceDiagnostic:
         with pytest.raises(ValueError, match="grid_n = 1"):
             convergence_diagnostic(s, [1e12], unit_cube(2), grid_n=1)
 
+    @pytest.mark.parametrize("reference", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("d, p", [(2, 2.0), (3, 1.5)])
-    def test_distances_are_those_of_the_normalized_body(self, d, p):
-        # E_s read on U / m_s against the normalized body built and read on U:
-        # the two round apart by a few ulps at these 190-1,070 atoms
+    def test_distances_are_those_of_the_normalized_body(self, d, p, reference):
+        # E_s read off its scaled rows on U / m_s against the normalized body
+        # built and read on U: the two round apart by a few ulps at these
+        # 140-1,070 exceedances
         target = make_family("logistic", d, p=p)
         X = simulate(target.with_discrete(), 2000, seed=1)
-        pts = convergence_diagnostic(X, [5.0, 10.0, 20.0, 1e12], target)
+        pts = convergence_diagnostic(X, [5.0, 10.0, 20.0, 1e12], target, reference)
         assert [pt.ok for pt in pts] == [True, True, True, False]
         for pt in pts[:-1]:
-            body = normalize_dependency(zonoid_from_spectral(empirical_spectral(X, pt.s)))
+            body = normalize_dependency(zonoid_from_spectral(empirical_spectral(X, pt.s, reference)))
             want = hausdorff_distance(body, target)
             assert abs(pt.distance - want) <= 8 * np.finfo(float).eps
             assert (pt.distance.method, pt.distance.n_samples) == (want.method, want.n_samples)
